@@ -166,8 +166,10 @@ def save_panel(path, panel: RdmPanel) -> None:
     lines = [f"{PANEL_FORMAT} {FORMAT_VERSION} {panel.n}"]
     for j in range(1, panel.n + 1):
         lines.append(f"entry {j}")
-        for rw in panel.entry(j).entries:
-            lines.append(" ".join(f"{_fmt(c.real)} {_fmt(c.imag)}" for c in rw))
+        # rows of interleaved (re, im) Python floats: repr gives the same
+        # shortest-roundtrip text as _fmt without one numpy scalar per value
+        pairs = np.ascontiguousarray(panel.entry(j).entries).view(np.float64)
+        lines.extend(" ".join(map(repr, row)) for row in pairs.tolist())
     path.write_text("\n".join(lines) + "\n")
 
 

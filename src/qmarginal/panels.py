@@ -80,7 +80,8 @@ def panel_of_pure(psi: Ket) -> RdmPanel:
     entries = []
     for j in range(1, psi.n + 1):
         labels = tuple(q for q in range(1, psi.n + 1) if q != j)
-        entries.append(DensityMatrix(labels, _pure_marginal(psi.amplitudes, psi.n, j)))
+        a = _axis_first(psi.amplitudes, psi.n, j)
+        entries.append(DensityMatrix._from_factor(labels, a))
     return RdmPanel(psi.n, tuple(entries))
 
 

@@ -127,7 +127,9 @@ def stabilizer_subalgebra(psi: Ket) -> StabilizerBasis:
     n = psi.n
     cols = _pauli_columns(psi)
     m = np.vstack([cols.real, cols.imag])
-    _, svals, vh = np.linalg.svd(m)
+    # thin SVD: only vh is used, and 2*2^n >= 3n+1 rows for every n >= 1, so
+    # vh is still the full (3n+1) x (3n+1) right factor
+    _, svals, vh = np.linalg.svd(m, full_matrices=False)
     smax = svals[0] if svals.size else 0.0
     threshold = max(1e-9, 1e-12 * smax * max(m.shape))
     nullity = int(np.sum(svals < threshold)) + (m.shape[1] - svals.size)

@@ -115,10 +115,39 @@ class MultiIndex:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """State of a labeled subset of qubits: Hermitian, PSD, unit trace."""
+    """State of a labeled subset of qubits: Hermitian, PSD, unit trace.
+
+    Validation policy: the public constructor checks every matrix it is
+    given in full (shape, Hermiticity, unit trace and no eigenvalue below
+    -HERM_TOL), and so do the file loaders in ``io``, ``partial_trace`` and
+    ``panel_of_mixed``.  Marginals the package builds from a pure state,
+    rho = a^T a^*, come through ``_from_factor``, which checks the same trace
+    and spectrum on the small Gram matrix a a^dagger instead.
+    """
 
     qubit_labels: tuple[int, ...]
     entries: np.ndarray
+
+    @classmethod
+    def _from_factor(cls, labels: tuple[int, ...], a: np.ndarray) -> "DensityMatrix":
+        """rho = a^T a^* for an r x 2^k factor ``a`` (r = 2 for a marginal
+        of a pure state with one qubit traced out, as ``_axis_first`` gives).
+
+        a a^dagger has the nonzero spectrum of rho, so the unit-trace and
+        no-negative-eigenvalue checks cost O(2^k) instead of an O(8^k)
+        eigensolve; Hermiticity holds by construction.
+        """
+        gram = a @ a.conj().T
+        if abs(np.trace(gram).real - 1.0) > HERM_TOL:
+            raise ValueError(f"trace is {np.trace(gram)!r}, expected 1")
+        if np.linalg.eigvalsh(gram)[0] < -HERM_TOL:
+            raise ValueError("matrix has a significantly negative eigenvalue")
+        mat = a.T @ a.conj()
+        mat.setflags(write=False)
+        rho = cls.__new__(cls)
+        object.__setattr__(rho, "qubit_labels", labels)
+        object.__setattr__(rho, "entries", mat)
+        return rho
 
     def __post_init__(self):
         labels = tuple(int(x) for x in self.qubit_labels)

@@ -82,6 +82,23 @@ class TestPanelFiles:
                 loaded.entry(j).entries, panel.entry(j).entries, atol=1e-15, rtol=0
             )
 
+    def test_text_bytes_are_pinned(self, tmp_path):
+        # shortest-roundtrip floats, signed zeros kept, exponent form as repr
+        e1 = np.array([[0.75, complex(2.5e-17, -0.0)], [complex(2.5e-17, 0.0), 0.25]])
+        e2 = np.array([[1 / 3, 1e-05j], [-1e-05j, 2 / 3]])
+        panel = qm.RdmPanel(2, (qm.DensityMatrix((2,), e1), qm.DensityMatrix((1,), e2)))
+        path = tmp_path / "panel.txt"
+        save_panel(path, panel)
+        assert path.read_bytes() == (
+            b"qmarginal-panel 1 2\n"
+            b"entry 1\n"
+            b"0.75 0.0 2.5e-17 -0.0\n"
+            b"2.5e-17 0.0 0.25 0.0\n"
+            b"entry 2\n"
+            b"0.3333333333333333 0.0 0.0 1e-05\n"
+            b"-0.0 -1e-05 0.6666666666666666 0.0\n"
+        )
+
     def test_non_hermitian_entry_rejected(self, tmp_path):
         panel = qm.panel_of_pure(qm.ghz_state(2))
         path = tmp_path / "panel.txt"

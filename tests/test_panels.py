@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import qmarginal as qm
+from conftest import random_ghz_orbit
 from qmarginal.tensors import PAULI_Z
 
 
@@ -27,6 +28,20 @@ class TestPanelOfPure:
                 evals = np.sort(np.linalg.eigvalsh(panel.entry(j).entries))[::-1]
                 assert evals[2] < 1e-12
                 assert evals[0] > 1e-3
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_entries_match_traced_density_and_pass_full_validation(self, n):
+        # entries are checked from their Schmidt factor only; compare them
+        # with the fully validated partial trace of |psi><psi|
+        for psi in (qm.haar_random_ket(n, 950 + n), random_ghz_orbit(n, 960 + n)[0]):
+            rho = psi.density()
+            panel = qm.panel_of_pure(psi)
+            for j in range(1, n + 1):
+                entry = panel.entry(j)
+                traced = qm.partial_trace(rho, {j})
+                assert entry.qubit_labels == traced.qubit_labels
+                assert np.max(np.abs(entry.entries - traced.entries)) < 1e-12
+                qm.DensityMatrix(entry.qubit_labels, entry.entries)
 
     def test_entry_labels_omit_exactly_one_qubit(self):
         panel = qm.panel_of_pure(qm.haar_random_ket(4, 12))

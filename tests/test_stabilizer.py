@@ -42,7 +42,7 @@ class TestDimension:
         assert independent_nullity(psi) == 3
         assert qm.stabilizer_subalgebra(psi).dimension == 3
 
-    @pytest.mark.parametrize("n", range(3, 9))
+    @pytest.mark.parametrize("n", range(3, 11))
     def test_balanced_two_term_states(self, n):
         assert qm.stabilizer_subalgebra(qm.ghz_state(n)).dimension == n - 1
 
@@ -52,9 +52,10 @@ class TestDimension:
         assert qm.stabilizer_subalgebra(psi).dimension == n - 1
 
     def test_haar_states_have_trivial_algebra(self):
-        for seed in range(5):
-            psi = qm.haar_random_ket(3, 700 + seed)
-            assert qm.stabilizer_subalgebra(psi).dimension == 0
+        for n in (3, 8, 10):
+            for seed in range(5):
+                psi = qm.haar_random_ket(n, 700 + seed)
+                assert qm.stabilizer_subalgebra(psi).dimension == 0
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_matches_independent_rank_revealer(self, n):

@@ -255,6 +255,25 @@ class TestConventions:
         with pytest.raises(ValueError):
             qm.DensityMatrix((1,), np.array([[2.0, 0.0], [0.0, -1.0]]))
 
+    def test_density_matrix_rejects_small_negative_eigenvalue(self):
+        # Hermitian and unit trace, one eigenvalue at -1e-9 (below -HERM_TOL)
+        rng = np.random.default_rng(31)
+        evals = np.full(8, (1.0 + 1e-9) / 7)
+        evals[0] = -1e-9
+        q, _ = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
+        mat = (q * evals) @ q.conj().T
+        mat = 0.5 * (mat + mat.conj().T)
+        assert abs(np.trace(mat).real - 1.0) < 1e-14
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            qm.DensityMatrix((1, 2, 3), mat)
+
+    def test_density_matrix_from_factor_checks_trace(self):
+        a = qm.haar_random_ket(4, 32).amplitudes.reshape(2, 8)
+        rho = qm.DensityMatrix._from_factor((2, 3, 4), a)
+        np.testing.assert_allclose(rho.entries, a.T @ a.conj(), atol=1e-15)
+        with pytest.raises(ValueError, match="trace"):
+            qm.DensityMatrix._from_factor((2, 3, 4), 1.001 * a)
+
     def test_unitary_validation(self):
         with pytest.raises(ValueError):
             qm.SingleQubitUnitary(np.array([[1.0, 0.0], [1.0, 1.0]]), 1)
