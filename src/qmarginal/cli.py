@@ -21,7 +21,6 @@ from .panels import subset_equal
 from .reconstruct import reconstruct
 from .stabilizer import stabilizer_subalgebra
 from .tensors import PAULI_Z, SingleQubitUnitary, apply_local
-from .unitary_fit import DEFAULT_DESCENT
 
 EXIT_OK = 0
 EXIT_GHZ = 10
@@ -66,7 +65,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_reconstruct(args) -> int:
     panel = load_panel(args.panel_file)
-    result = reconstruct(panel, args.tol, DEFAULT_DESCENT)
+    result = reconstruct(panel, args.tol)
     print(f"panel: {args.panel_file}, n={panel.n}")
     print(f"outcome: {result.outcome}")
     print(f"panel residual: {result.residual:.12g}")

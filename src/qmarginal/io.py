@@ -181,15 +181,52 @@ def _entry_from_raw(raw: np.ndarray, n: int, omitted: int, path, line: int | Non
     if abs(trace - 1.0) > LOAD_NORM_TOL:
         raise FileFormatError(path, line, f"entry {omitted} has trace {trace!r}")
     sym = sym / trace
-    evals, evecs = np.linalg.eigh(sym)
-    if evals[0] < -LOAD_HERM_TOL:
+    lowest = np.linalg.eigvalsh(sym)[0]
+    if lowest < -LOAD_HERM_TOL:
         raise FileFormatError(path, line, f"entry {omitted} is not positive semidefinite")
-    if evals[0] < 0.0:
+    if lowest < 0.0:
+        evals, evecs = np.linalg.eigh(sym)
         clipped = np.clip(evals, 0.0, None)
         sym = (evecs * clipped) @ evecs.conj().T
         sym = sym / float(np.trace(sym).real)
     labels = tuple(q for q in range(1, n + 1) if q != omitted)
-    return DensityMatrix(labels, sym)
+    # checked above at the loader's tolerances; exactly Hermitian, unit trace
+    return DensityMatrix._trusted(labels, sym)
+
+
+def _matrix_rows(lines: list[str], start: int, dim: int, omitted: int, path) -> np.ndarray:
+    """The dim x dim complex matrix held in lines[start:start + dim].
+
+    numpy's text reader parses a well-formed block in one call.  Anything it
+    does not read as dim rows of 2 * dim floats goes through the row-by-row
+    parse, which accepts what ``float`` accepts and names the first bad line.
+    """
+    block = lines[start:start + dim]
+    # the first-row check keeps a block of blank lines (numpy warns on
+    # empty input) away from the text reader
+    if len(block) == dim and len(block[0].split()) == 2 * dim:
+        try:
+            values = np.loadtxt(block, dtype=np.float64, comments=None, ndmin=2)
+        except ValueError:
+            values = None
+        if values is not None and values.shape == (dim, 2 * dim):
+            return values.view(complex)
+    raw = np.zeros((dim, dim), dtype=complex)
+    for r in range(dim):
+        lineno = start + r + 1
+        if start + r >= len(lines):
+            raise FileFormatError(path, lineno, f"entry {omitted}: missing matrix row {r + 1}")
+        parts = lines[start + r].split()
+        if len(parts) != 2 * dim:
+            raise FileFormatError(
+                path, lineno, f"entry {omitted}: expected {2 * dim} floats, got {len(parts)}"
+            )
+        try:
+            values = [float(p) for p in parts]
+        except ValueError as err:
+            raise FileFormatError(path, lineno, "invalid float in matrix row") from err
+        raw[r] = np.array(values[0::2]) + 1j * np.array(values[1::2])
+    return raw
 
 
 def load_panel(path) -> RdmPanel:
@@ -229,21 +266,7 @@ def load_panel(path) -> RdmPanel:
         if not 1 <= omitted <= n or omitted in entries:
             raise FileFormatError(path, row + 1, f"bad or repeated entry label {omitted}")
         start = row + 1
-        raw = np.zeros((dim, dim), dtype=complex)
-        for r in range(dim):
-            lineno = start + r + 1
-            if start + r >= len(lines):
-                raise FileFormatError(path, lineno, f"entry {omitted}: missing matrix row {r + 1}")
-            parts = lines[start + r].split()
-            if len(parts) != 2 * dim:
-                raise FileFormatError(
-                    path, lineno, f"entry {omitted}: expected {2 * dim} floats, got {len(parts)}"
-                )
-            try:
-                values = [float(p) for p in parts]
-            except ValueError as err:
-                raise FileFormatError(path, lineno, "invalid float in matrix row") from err
-            raw[r] = np.array(values[0::2]) + 1j * np.array(values[1::2])
+        raw = _matrix_rows(lines, start, dim, omitted, path)
         entries[omitted] = _entry_from_raw(raw, n, omitted, path, row + 1)
         row = start + dim
     if any(line.strip() for line in lines[row:]):

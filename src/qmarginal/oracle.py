@@ -50,12 +50,13 @@ def search_sibling(
 ) -> SearchReport:
     """Look for a distinct pure state with the same marginal panel.
 
-    Runs ``budget`` descents of the summed squared panel mismatch of
+    Runs up to ``budget`` descents of the summed squared panel mismatch of
     (L on qubit 1) psi, starting from a fixed grid followed by seeded
-    random points.  A minimizer counts as a witness when its cost drops
-    below tol**2 and the transported state is not phase-equal to psi
-    (overlap below 1 - tol); near-scalar minimizers are rejected, and the
-    smallest non-scalar residual reached is always reported.
+    random points, and stops at the first witness.  A minimizer counts as
+    a witness when its cost drops below tol**2 and the transported state is
+    not phase-equal to psi (overlap below 1 - tol); near-scalar minimizers
+    are rejected, and the smallest non-scalar residual reached is always
+    reported.
     """
     if psi.n < 2:
         raise ValueError("sibling search needs at least 2 qubits")
@@ -70,7 +71,9 @@ def search_sibling(
 
     best = math.inf
     trials = 0
-    for result in fit_pivot_unitary(objective, starts, config):
+    for start in starts:
+        # one descent at a time, so the search stops at the first witness
+        (result,) = fit_pivot_unitary(objective, [start], config)
         trials += 1
         candidate = apply_local(SingleQubitUnitary(result.unitary, 1), psi)
         overlap = abs(candidate.overlap(psi))

@@ -7,7 +7,9 @@ state down to a unitary's worth of freedom on the pivot qubit; matching
 the one-qubit marginal implied by the other entries reduces that to a
 relative phase whenever the pivot spectrum is non-degenerate, and the
 remaining entries either fix the phase, accept every phase (the GHZ
-family), or rule all of them out.
+family), or rule all of them out.  When every entry's spectrum is
+degenerate, the unitary is fixed in closed form instead, as a rotation of
+Bloch vectors (``_reconstruct_degenerate``).
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .classifier import GhzCertificate, classify
 from .panels import RdmPanel, panel_consistency, panel_distance, panel_of_pure
 from .tensors import (
     DEGENERACY_TOL,
+    PAULIS,
     DensityMatrix,
     Ket,
     SingleQubitUnitary,
@@ -30,16 +33,10 @@ from .tensors import (
     spectral_decompose,
     tensor_insert,
 )
-from .unitary_fit import (
-    DEFAULT_DESCENT,
-    DescentConfig,
-    PanelObjective,
-    fit_pivot_unitary,
-    grid_starts,
-)
 
 DEFAULT_TOL = 1e-9
 FAMILY_CROSS_FACTOR = 10.0
+_PAULI_STACK = np.array(PAULIS)
 
 
 class PanelRankError(ValueError):
@@ -120,11 +117,7 @@ def _phase_fixed(amps: np.ndarray, n: int) -> Ket:
     return Ket(n, fix_global_phase(amps / np.linalg.norm(amps)))
 
 
-def reconstruct(
-    panel: RdmPanel,
-    tol: float = DEFAULT_TOL,
-    config: DescentConfig = DEFAULT_DESCENT,
-) -> ReconstructionResult:
+def reconstruct(panel: RdmPanel, tol: float = DEFAULT_TOL) -> ReconstructionResult:
     """Recover the pure state(s) behind a marginal panel.
 
     Returns Unique with the reconstructed state, GhzFamily with a
@@ -150,7 +143,7 @@ def reconstruct(
     gaps = [float(ev[0] - ev[1]) for ev in spectra]
     pivot = next((j for j in range(1, n + 1) if gaps[j - 1] >= DEGENERACY_TOL), None)
     if pivot is None:
-        return _reconstruct_degenerate(panel, tol, config)
+        return _reconstruct_degenerate(panel, tol)
     return _reconstruct_nondegenerate(panel, pivot, tol)
 
 
@@ -250,46 +243,84 @@ def _reconstruct_nondegenerate(panel: RdmPanel, pivot: int, tol: float) -> Recon
     )
 
 
-def _reconstruct_degenerate(
-    panel: RdmPanel, tol: float, config: DescentConfig
-) -> ReconstructionResult:
-    """All pivot spectra are degenerate: search the full unitary freedom.
+def _bloch_matrix(entries: list[np.ndarray]) -> np.ndarray:
+    """3 x M real matrix of the Pauli components on each entry's first qubit.
 
-    Minimizes the summed squared panel residual over the 2x2 unitary on
-    qubit 1 from a deterministic grid of starts.  Two distinct zero-
-    residual states witness the one-parameter family; one means the state
-    is unique; none means the panel is incompatible.
+    Each entry is written as rho = 1/2 sum_a sigma_a (x) B_a over its first
+    axis; the columns are the real and imaginary parts of B_x, B_y, B_z of
+    every entry.  Conjugating that qubit by a unitary U with
+    U sigma_a U^dagger = sum_b R[b, a] sigma_b maps the matrix M to R M
+    and leaves B_0 alone.
+    """
+    blocks = []
+    for rho in entries:
+        d = rho.shape[0] // 2
+        r = rho.reshape(2, d, 2, d)
+        b = np.stack([
+            r[0, :, 1] + r[1, :, 0],
+            1j * (r[0, :, 1] - r[1, :, 0]),
+            r[0, :, 0] - r[1, :, 1],
+        ]).reshape(3, -1)
+        blocks += [b.real, b.imag]
+    return np.concatenate(blocks, axis=1)
+
+
+def _su2_from_rotation(rot: np.ndarray) -> np.ndarray:
+    """A 2x2 unitary U with U sigma_a U^dagger = sum_b rot[b, a] sigma_b.
+
+    For every 2x2 matrix A, sum_a (U sigma_a U^dagger) A sigma_a over
+    a = 0..3 (sigma_0 = I) equals 2 tr(U^dagger A) U.  Taking the largest of
+    these sums over A in {I, X, Y, Z} keeps |tr(U^dagger A)| >= 1, which
+    also covers the half-turns, where tr U = 0.
+    """
+    basis = (np.eye(2, dtype=complex), *PAULIS)
+    images = (basis[0], *np.einsum("ba,bij->aij", rot, _PAULI_STACK))
+    best = max(
+        (sum(img @ a @ s for img, s in zip(images, basis)) for a in basis),
+        key=np.linalg.norm,
+    )
+    return best / np.sqrt(abs(np.linalg.det(best)))
+
+
+def _reconstruct_degenerate(panel: RdmPanel, tol: float) -> ReconstructionResult:
+    """All pivot spectra are degenerate: fix the unitary freedom in closed form.
+
+    Purifying entry 1 gives a candidate chi that is right up to a unitary U
+    on qubit 1.  Conjugation by U rotates the Bloch matrix of the other
+    entries (``_bloch_matrix``) by some R in SO(3), so the best U is the
+    rotation that carries chi's matrix onto the panel's: orthogonal
+    Procrustes with det R = +1 (Kabsch, Acta Cryst. A32, 922 (1976)),
+    lifted to SU(2).  A residual above tol means no U reproduces the panel.
+    If the panel's matrix has rank <= 1, a quarter-turn about its leading
+    direction fits as well and gives a second, distinct state: the panel
+    then belongs to a one-parameter family when ``classify`` finds the
+    state GHZ-class.  Otherwise the state is unique.
     """
     n = panel.n
     try:
-        candidate, _ = purify_over_qubit(panel.entry(1), 1, tol)
+        chi, _ = purify_over_qubit(panel.entry(1), 1, tol)
     except PanelRankError as err:
         return ReconstructionResult("incompatible", None, None, np.inf, str(err))
-    targets = {k: panel.entry(k).entries for k in range(2, n + 1)}
-    objective = PanelObjective(candidate.amplitudes, n, 1, targets)
-    results = fit_pivot_unitary(objective, grid_starts(), config)
-    results = sorted(results, key=lambda r: (r.cost, r.params))
-
-    zero_states: list[Ket] = []
-    best_residual = np.inf
-    for result in results:
-        residual = objective.max_deviation(result.unitary)
-        best_residual = min(best_residual, residual)
-        if residual <= tol:
-            state = apply_local(SingleQubitUnitary(result.unitary, 1), candidate)
-            if not any(equal_up_to_phase(state, s, 1e-8) for s in zero_states):
-                zero_states.append(state)
-
-    if not zero_states:
+    amps = chi.amplitudes
+    target = _bloch_matrix([panel.entry(k).entries for k in range(2, n + 1)])
+    source = _bloch_matrix([_traced_outer(amps, amps, n, k) for k in range(2, n + 1)])
+    u, _, vt = np.linalg.svd(target @ source.T)
+    if np.linalg.det(u @ vt) < 0:
+        u[:, 2] = -u[:, 2]
+    fitted = apply_local(SingleQubitUnitary(_su2_from_rotation(u @ vt), 1), chi)
+    state = _phase_fixed(fitted.amplitudes, n)
+    residual = check_panel(state, panel)
+    if residual > tol:
         return ReconstructionResult(
-            "incompatible", None, None, float(best_residual),
-            f"no unitary freedom reproduces the panel (best {best_residual:.3e})",
+            "incompatible", None, None, residual,
+            f"no unitary freedom reproduces the panel (best {residual:.3e})",
         )
-    first = _phase_fixed(zero_states[0].amplitudes, n)
-    residual = check_panel(first, panel)
-    if len(zero_states) == 1:
-        return ReconstructionResult("unique", first, None, residual)
-    cls = classify(zero_states[0])
-    if cls.ghz_class:
-        return ReconstructionResult("ghz-family", first, cls.certificate, residual)
-    return ReconstructionResult("unique", first, None, residual)
+
+    axis = np.einsum("b,bij->ij", u[:, 0], _PAULI_STACK)
+    quarter_turn = (np.eye(2) - 1j * axis) / np.sqrt(2.0)
+    other = apply_local(SingleQubitUnitary(quarter_turn, 1), state)
+    if check_panel(other, panel) <= tol and not equal_up_to_phase(state, other, 1e-8):
+        cls = classify(state)
+        if cls.ghz_class:
+            return ReconstructionResult("ghz-family", state, cls.certificate, residual)
+    return ReconstructionResult("unique", state, None, residual)

@@ -62,9 +62,9 @@ class Ket:
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
     def density(self) -> "DensityMatrix":
-        return DensityMatrix(
-            tuple(range(1, self.n + 1)),
-            np.outer(self.amplitudes, self.amplitudes.conj()),
+        # |psi><psi| from the 1 x 2^n factor: checked in O(2^n), no eigensolve
+        return DensityMatrix._from_factor(
+            tuple(range(1, self.n + 1)), self.amplitudes.reshape(1, -1)
         )
 
 
@@ -119,10 +119,12 @@ class DensityMatrix:
 
     Validation policy: the public constructor checks every matrix it is
     given in full (shape, Hermiticity, unit trace and no eigenvalue below
-    -HERM_TOL), and so do the file loaders in ``io``, ``partial_trace`` and
-    ``panel_of_mixed``.  Marginals the package builds from a pure state,
-    rho = a^T a^*, come through ``_from_factor``, which checks the same trace
-    and spectrum on the small Gram matrix a a^dagger instead.
+    -HERM_TOL), and so do ``partial_trace`` and ``panel_of_mixed``.  The
+    file loaders in ``io`` run their own checks with their own tolerances,
+    symmetrize and renormalize, and hand the result on through ``_trusted``
+    without a second eigensolve.  Marginals the package builds from a pure
+    state, rho = a^T a^*, come through ``_from_factor``, which checks the
+    same trace and spectrum on the small Gram matrix a a^dagger instead.
     """
 
     qubit_labels: tuple[int, ...]
@@ -142,7 +144,14 @@ class DensityMatrix:
             raise ValueError(f"trace is {np.trace(gram)!r}, expected 1")
         if np.linalg.eigvalsh(gram)[0] < -HERM_TOL:
             raise ValueError("matrix has a significantly negative eigenvalue")
-        mat = a.T @ a.conj()
+        return cls._trusted(labels, a.T @ a.conj())
+
+    @classmethod
+    def _trusted(cls, labels: tuple[int, ...], mat: np.ndarray) -> "DensityMatrix":
+        """Wrap a fresh complex matrix its caller has already validated.
+
+        No check and no copy: ``mat`` is frozen in place.
+        """
         mat.setflags(write=False)
         rho = cls.__new__(cls)
         object.__setattr__(rho, "qubit_labels", labels)

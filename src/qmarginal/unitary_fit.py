@@ -1,6 +1,6 @@
 """Least-squares fitting of a one-qubit unitary against target marginals.
 
-Both the sibling search and the degenerate reconstruction branch minimize
+The sibling search (``oracle.search_sibling``) minimizes
 
     f(U) = sum_k || rho_(k)((U on pivot) psi) - target_k ||_F^2
 
@@ -13,6 +13,9 @@ results are reproducible.  The box bound on the parameters matters: the
 chart is periodic and the zero set of a panel-matching objective is flat
 along the witness family, so an unbounded Gauss-Newton step can run the
 parameters off to huge values where every accumulation point is a scalar.
+scipy is imported on the first descent, so importing the package does not
+load it.  The all-degenerate branch of ``reconstruct`` solves the same
+problem in closed form and does not use this module.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .tensors import PAULI_X, PAULI_Y, PAULI_Z
 
@@ -40,10 +42,8 @@ DEFAULT_DESCENT = DescentConfig()
 
 @dataclass(frozen=True)
 class FitResult:
-    params: tuple[float, float, float, float]
     unitary: np.ndarray
     cost: float  # sum of squared residual entries
-    start_index: int
 
 
 def unitary_from_params(theta) -> np.ndarray:
@@ -114,12 +114,6 @@ class PanelObjective:
             parts.append(delta.imag.reshape(-1))
         return np.concatenate(parts)
 
-    def max_deviation(self, unitary: np.ndarray) -> float:
-        return max(
-            float(np.max(np.abs(rho - self.targets[k])))
-            for k, rho in self.marginals(unitary).items()
-        )
-
 
 def fit_pivot_unitary(
     objective: PanelObjective,
@@ -127,8 +121,10 @@ def fit_pivot_unitary(
     config: DescentConfig = DEFAULT_DESCENT,
 ) -> list[FitResult]:
     """Run one descent per start; results come back in start order."""
+    from scipy.optimize import least_squares
+
     results = []
-    for i, start in enumerate(starts):
+    for start in starts:
         sol = least_squares(
             objective.residuals,
             start,
@@ -139,8 +135,5 @@ def fit_pivot_unitary(
             ftol=config.ftol,
             max_nfev=config.max_nfev,
         )
-        cost = float(np.sum(sol.fun**2))
-        results.append(
-            FitResult(tuple(float(t) for t in sol.x), unitary_from_params(sol.x), cost, i)
-        )
+        results.append(FitResult(unitary_from_params(sol.x), float(np.sum(sol.fun**2))))
     return results

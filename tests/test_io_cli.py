@@ -1,5 +1,10 @@
 """File formats and the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -115,6 +120,23 @@ class TestPanelFiles:
         with pytest.raises(FileFormatError, match="missing matrix row"):
             load_panel(path)
 
+    @pytest.mark.parametrize(
+        "bad_row, message",
+        [
+            ("0.5 0.0 nonsense 0.0", "invalid float in matrix row"),
+            ("0.5 0.0 0.0", "entry 2: expected 4 floats, got 3"),
+        ],
+    )
+    def test_bad_row_names_its_line(self, tmp_path, bad_row, message):
+        panel = qm.panel_of_pure(qm.ghz_state(2))
+        path = tmp_path / "panel.txt"
+        save_panel(path, panel)
+        lines = path.read_text().splitlines()
+        lines[6] = bad_row  # second row of entry 2
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FileFormatError, match=f"panel.txt:7: {message}"):
+            load_panel(path)
+
 
 class TestCli:
     def run(self, capsys, *argv):
@@ -181,6 +203,16 @@ class TestCli:
         code, out, _ = self.run(capsys, "reconstruct", str(panel_path))
         assert code == 0
         assert "outcome: incompatible" in out
+
+    def test_import_does_not_load_scipy_optimize(self):
+        src = str(Path(qm.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import qmarginal.cli, sys; assert 'scipy.optimize' not in sys.modules"],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_sibling_search_found(self, tmp_path, capsys):
         path = tmp_path / "ghz.state"

@@ -5,6 +5,8 @@ import pytest
 
 import qmarginal as qm
 from conftest import random_ghz_orbit
+from qmarginal.reconstruct import _su2_from_rotation
+from qmarginal.tensors import PAULIS
 
 
 def family_contains(result, source, tol=1e-8):
@@ -165,6 +167,96 @@ class TestReconstruct:
         for psi in cases:
             result = qm.reconstruct(qm.panel_of_pure(psi))
             assert (result.outcome == "ghz-family") == qm.classify(psi).ghz_class
+
+
+def _kron(*kets):
+    amps = np.ones(1, dtype=complex)
+    for k in kets:
+        amps = np.kron(amps, k.amplitudes)
+    return qm.Ket(sum(k.n for k in kets), amps)
+
+
+BELL = qm.ket([1, 0, 0, 1])
+CLUSTER = qm.ket([1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, -1], 4)
+
+
+class TestDegenerateBranch:
+    """Panels whose every entry has a degenerate spectrum (closed-form transport)."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_balanced_orbits_give_families(self, n):
+        for seed in (1900 + 10 * n, 1901 + 10 * n):
+            orbit, _ = random_ghz_orbit(n, seed, balanced=True)
+            panel = qm.panel_of_pure(orbit)
+            result = qm.reconstruct(panel)
+            assert result.outcome == "ghz-family"
+            assert result.residual <= 1e-9
+            if n > 2:
+                assert family_contains(result, orbit)
+            else:
+                # (I/2, I/2) is the panel of every maximally entangled pair,
+                # a three-parameter set; the certificate's family is one
+                # line through the representative
+                for phi in (0.4, 2.1):
+                    member = qm.phase_family(result.certificate, phi)
+                    assert qm.check_panel(member, panel) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "name, source",
+        [
+            ("bell-bell", _kron(BELL, BELL)),
+            ("cluster", CLUSTER),
+            ("bell-ghz3", _kron(BELL, qm.ghz_state(3))),
+            ("ghz3-bell", _kron(qm.ghz_state(3), BELL)),
+        ],
+    )
+    def test_rotated_degenerate_non_ghz_states_are_unique(self, name, source):
+        for seed in range(2000, 2003):
+            psi = qm.random_lu_orbit(source, seed)
+            result = qm.reconstruct(qm.panel_of_pure(psi))
+            assert result.outcome == "unique", name
+            assert qm.equal_up_to_phase(result.state, psi, 1e-8), name
+            assert result.residual <= 1e-9
+
+    def test_entry_rotated_by_one_milliradian_is_incompatible(self):
+        orbit, _ = random_ghz_orbit(4, 2100, balanced=True)
+        panel = qm.panel_of_pure(orbit)
+        axis = np.array([0.6, -0.48, 0.64])
+        u = np.cos(5e-4) * np.eye(2) - 1j * np.sin(5e-4) * np.einsum("a,aij->ij", axis, PAULIS)
+        big = np.kron(u, np.eye(4))  # qubit 1 is the first axis of entry 3
+        entries = list(panel.entries)
+        rotated = big @ entries[2].entries @ big.conj().T
+        entries[2] = qm.DensityMatrix(entries[2].qubit_labels, 0.5 * (rotated + rotated.conj().T))
+        result = qm.reconstruct(qm.RdmPanel(4, tuple(entries)))
+        assert result.outcome == "incompatible"
+        assert result.reason.startswith("no unitary freedom reproduces the panel (best ")
+        assert result.residual > 1e-9
+
+    @pytest.mark.parametrize(
+        "axis",
+        [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (0.36, -0.48, 0.8)],
+    )
+    def test_su2_lift_is_exact_at_half_turns(self, axis):
+        axis = np.array(axis) / np.linalg.norm(axis)
+        rot = 2.0 * np.outer(axis, axis) - np.eye(3)  # half-turn about axis
+        u = _su2_from_rotation(rot)
+        assert abs(np.trace(u)) < 1e-12
+        np.testing.assert_allclose(u @ u.conj().T, np.eye(2), atol=1e-12)
+        for a in range(3):
+            image = sum(rot[b, a] * PAULIS[b] for b in range(3))
+            np.testing.assert_allclose(u @ PAULIS[a] @ u.conj().T, image, atol=1e-12)
+
+    def test_su2_lift_of_random_rotations(self):
+        rng = np.random.default_rng(2200)
+        for _ in range(20):
+            q, r = np.linalg.qr(rng.standard_normal((3, 3)))
+            rot = q * np.sign(np.diag(r))
+            if np.linalg.det(rot) < 0:
+                rot = -rot
+            u = _su2_from_rotation(rot)
+            for a in range(3):
+                image = sum(rot[b, a] * PAULIS[b] for b in range(3))
+                np.testing.assert_allclose(u @ PAULIS[a] @ u.conj().T, image, atol=1e-12)
 
 
 class TestCheckPanel:

@@ -274,6 +274,14 @@ class TestConventions:
         with pytest.raises(ValueError, match="trace"):
             qm.DensityMatrix._from_factor((2, 3, 4), 1.001 * a)
 
+    def test_ket_density_is_the_outer_product(self):
+        psi = qm.haar_random_ket(5, 33)
+        rho = psi.density()
+        expected = np.outer(psi.amplitudes, psi.amplitudes.conj())
+        np.testing.assert_allclose(rho.entries, expected, atol=1e-15, rtol=0)
+        assert rho.qubit_labels == (1, 2, 3, 4, 5)
+        qm.DensityMatrix(rho.qubit_labels, rho.entries)  # passes full validation
+
     def test_unitary_validation(self):
         with pytest.raises(ValueError):
             qm.SingleQubitUnitary(np.array([[1.0, 0.0], [1.0, 1.0]]), 1)
