@@ -181,16 +181,16 @@ def _entry_from_raw(raw: np.ndarray, n: int, omitted: int, path, line: int | Non
     if abs(trace - 1.0) > LOAD_NORM_TOL:
         raise FileFormatError(path, line, f"entry {omitted} has trace {trace!r}")
     sym = sym / trace
-    lowest = np.linalg.eigvalsh(sym)[0]
-    if lowest < -LOAD_HERM_TOL:
+    evals, evecs = np.linalg.eigh(sym)
+    if evals[0] < -LOAD_HERM_TOL:
         raise FileFormatError(path, line, f"entry {omitted} is not positive semidefinite")
-    if lowest < 0.0:
-        evals, evecs = np.linalg.eigh(sym)
+    if evals[0] < 0.0:
         clipped = np.clip(evals, 0.0, None)
         sym = (evecs * clipped) @ evecs.conj().T
         sym = sym / float(np.trace(sym).real)
     labels = tuple(q for q in range(1, n + 1) if q != omitted)
-    # checked above at the loader's tolerances; exactly Hermitian, unit trace
+    # this one eigh is the entry's spectrum check: checked above at the
+    # loader's tolerances, Hermitian and of unit trace
     return DensityMatrix._trusted(labels, sym)
 
 
