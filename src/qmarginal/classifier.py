@@ -23,6 +23,7 @@ from .tensors import (
     Ket,
     MultiIndex,
     SingleQubitUnitary,
+    _axis_first,
     _phase_fix_column,
     apply_local,
     apply_locals,
@@ -148,8 +149,8 @@ def _minor_coefficients(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
     """Quadratic coefficients (s^2, st, t^2) of every 2x2 minor of the
     site-m flattening of s*A + t*B.  Vectors a, b live on m_count qubits."""
     m_count = int(round(np.log2(a.size)))
-    fa = np.moveaxis(a.reshape((2,) * m_count), m, 0).reshape(2, -1)
-    fb = np.moveaxis(b.reshape((2,) * m_count), m, 0).reshape(2, -1)
+    fa = _axis_first(a, m_count, m + 1)
+    fb = _axis_first(b, m_count, m + 1)
 
     def dets(x, y):
         return np.outer(x[0], y[1]) - np.outer(x[1], y[0])
@@ -188,7 +189,7 @@ def _polish_root(coeffs: np.ndarray, r: complex, flipped: bool) -> complex:
 def _second_singular_values(v: np.ndarray, m_count: int) -> float:
     worst = 0.0
     for m in range(m_count):
-        flat = np.moveaxis(v.reshape((2,) * m_count), m, 0).reshape(2, -1)
+        flat = _axis_first(v, m_count, m + 1)
         s = np.linalg.svd(flat, compute_uv=False)
         worst = max(worst, float(s[1]))
     return worst
@@ -197,7 +198,7 @@ def _second_singular_values(v: np.ndarray, m_count: int) -> float:
 def _product_factors(v: np.ndarray, m_count: int) -> list[np.ndarray]:
     factors = []
     for m in range(m_count):
-        flat = np.moveaxis(v.reshape((2,) * m_count), m, 0).reshape(2, -1)
+        flat = _axis_first(v, m_count, m + 1)
         u, _, _ = np.linalg.svd(flat)
         factors.append(_phase_fix_column(u[:, 0]))
     return factors
@@ -428,6 +429,13 @@ def _extract_lj(psi: Ket, psi_prime: Ket, j: int, tol: float) -> SingleQubitUnit
     return transport
 
 
+def _require_shared_panel(a: Ket, b: Ket, tol: float) -> None:
+    """Raise unless the two states' panels agree within max(tol, 1e-10)."""
+    dist = panel_distance(panel_of_pure(a), panel_of_pure(b))
+    if dist > max(tol, 1e-10):
+        raise ValueError(f"panels differ by {dist:.3e}, beyond tolerance")
+
+
 def extract_local_unitary(psi: Ket, psi_prime: Ket, j: int, tol: float = DEFAULT_TOL) -> SingleQubitUnitary:
     """One-qubit unitary L_j with (L_j on qubit j) psi = psi' up to phase.
 
@@ -438,9 +446,7 @@ def extract_local_unitary(psi: Ket, psi_prime: Ket, j: int, tol: float = DEFAULT
         raise ValueError("qubit counts differ")
     if not 1 <= j <= psi.n:
         raise ValueError(f"qubit label {j} out of range 1..{psi.n}")
-    dist = panel_distance(panel_of_pure(psi), panel_of_pure(psi_prime))
-    if dist > max(tol, 1e-10):
-        raise ValueError(f"panels differ by {dist:.3e}, beyond tolerance")
+    _require_shared_panel(psi, psi_prime, tol)
     return _extract_lj(psi, psi_prime, j, tol)
 
 

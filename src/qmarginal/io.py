@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .panels import RdmPanel
-from .tensors import DensityMatrix, Ket
+from .tensors import HERM_TOL, DensityMatrix, Ket
 
 STATE_FORMAT = "qmarginal-state"
 PANEL_FORMAT = "qmarginal-panel"
@@ -184,7 +184,10 @@ def _entry_from_raw(raw: np.ndarray, n: int, omitted: int, path, line: int | Non
     evals, evecs = np.linalg.eigh(sym)
     if evals[0] < -LOAD_HERM_TOL:
         raise FileFormatError(path, line, f"entry {omitted} is not positive semidefinite")
-    if evals[0] < 0.0:
+    if evals[0] < -HERM_TOL:
+        # clip only what breaks the DensityMatrix invariant: the rank-2
+        # entries of a pure state's panel read back with a lowest eigenvalue
+        # of about -1e-17, which needs no rebuild
         clipped = np.clip(evals, 0.0, None)
         sym = (evecs * clipped) @ evecs.conj().T
         sym = sym / float(np.trace(sym).real)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensors import DensityMatrix, Ket, _axis_first, partial_trace
+from .tensors import DensityMatrix, Ket, _axis_first, _traced_outer, partial_trace
 
 DEFAULT_TOL = 1e-9
 
@@ -67,12 +67,6 @@ class PanelSubset:
         )
 
 
-def _pure_marginal(amplitudes: np.ndarray, n: int, j: int) -> np.ndarray:
-    """Raw rho_(j) of a pure state: trace out qubit j only."""
-    a = _axis_first(amplitudes, n, j)
-    return a.T @ a.conj()
-
-
 def panel_of_pure(psi: Ket) -> RdmPanel:
     """Panel map for pure states: entry j traces out qubit j of |psi><psi|."""
     if psi.n < 2:
@@ -120,8 +114,8 @@ def subset_equal(a: Ket, b: Ket, kept, tol: float = DEFAULT_TOL) -> bool:
     if not kept or kept[0] < 1 or kept[-1] > a.n:
         raise ValueError(f"kept labels {kept} out of range 1..{a.n}")
     for j in kept:
-        da = _pure_marginal(a.amplitudes, a.n, j)
-        db = _pure_marginal(b.amplitudes, b.n, j)
+        da = _traced_outer(a.amplitudes, a.amplitudes, a.n, j)
+        db = _traced_outer(b.amplitudes, b.amplitudes, b.n, j)
         if np.max(np.abs(da - db)) > tol:
             return False
     return True

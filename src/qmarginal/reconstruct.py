@@ -26,10 +26,11 @@ from .tensors import (
     DensityMatrix,
     Ket,
     SingleQubitUnitary,
-    _axis_first,
+    _traced_outer,
     apply_local,
     equal_up_to_phase,
     fix_global_phase,
+    partial_trace,
     spectral_decompose,
     tensor_insert,
 )
@@ -102,13 +103,6 @@ def _conjugate_axis(mat: np.ndarray, m: int, pos: int, u: np.ndarray) -> np.ndar
     return t.reshape(2**m, 2**m)
 
 
-def _traced_outer(left: np.ndarray, right: np.ndarray, n: int, k: int) -> np.ndarray:
-    """tr_k |left><right| for n-qubit amplitude vectors."""
-    a = _axis_first(left, n, k)
-    b = _axis_first(right, n, k)
-    return a.T @ b.conj()
-
-
 def _entry_spectra(panel: RdmPanel) -> list[np.ndarray]:
     return [np.linalg.eigvalsh(e.entries)[::-1] for e in panel.entries]
 
@@ -161,13 +155,7 @@ def _reconstruct_nondegenerate(panel: RdmPanel, pivot: int, tol: float) -> Recon
     # leaving only the relative phase between the two branches free
     other = next(k for k in range(1, n + 1) if k != pivot)
     entry = panel.entry(other)
-    tensor = entry.entries.reshape((2,) * (2 * (n - 1)))
-    labels = list(entry.qubit_labels)
-    for lbl in [q for q in sorted(labels, reverse=True) if q != pivot]:
-        pos = labels.index(lbl)
-        tensor = np.trace(tensor, axis1=pos, axis2=pos + len(labels))
-        labels.remove(lbl)
-    rho_pivot = tensor.reshape(2, 2)
+    rho_pivot = partial_trace(entry, set(entry.qubit_labels) - {pivot}).entries
     q_evals, w = spectral_decompose(rho_pivot)
     if max(abs(q_evals[0] - p0), abs(q_evals[1] - p1)) > max(100 * tol, 1e-7):
         return ReconstructionResult(

@@ -23,6 +23,7 @@ from .tensors import (
     Ket,
     SingleQubitUnitary,
     _axis_first,
+    _axis_restore,
     schmidt_split,
 )
 
@@ -75,8 +76,7 @@ def _pauli_columns(psi: Ket) -> np.ndarray:
     for j in range(1, n + 1):
         a = _axis_first(psi.amplitudes, n, j)
         for p, sigma in enumerate(PAULIS):
-            moved = (1j * sigma @ a).reshape((2,) * n)
-            cols[:, 3 * (j - 1) + p] = np.moveaxis(moved, 0, j - 1).reshape(-1)
+            cols[:, 3 * (j - 1) + p] = _axis_restore(1j * sigma @ a, n, j)
     cols[:, 3 * n] = 1j * psi.amplitudes
     return cols
 
@@ -90,8 +90,7 @@ def element_action(element: AlgebraElement, psi: Ket) -> np.ndarray:
     for j in range(1, n + 1):
         a = _axis_first(psi.amplitudes, n, j)
         op = sum(element.coords[j - 1, p] * PAULIS[p] for p in range(3))
-        moved = (1j * op @ a).reshape((2,) * n)
-        out += np.moveaxis(moved, 0, j - 1).reshape(-1)
+        out += _axis_restore(1j * op @ a, n, j)
     return out
 
 

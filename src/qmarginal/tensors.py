@@ -7,6 +7,12 @@ Conventions used throughout the package:
   linear index, so the amplitude of |i_1 i_2 ... i_n> sits at position
   sum_j i_j * 2**(n-j) and basis labels read left to right in dumps.
 * Qubit labels are 1-based.
+* This module is the only one that knows that layout.  Every one-qubit
+  action and every pure-state marginal goes through one kernel: the
+  axis-first view ``_axis_first`` (a (2, 2**(n-1)) array with qubit j as
+  the row index), its inverse ``_axis_restore``, and the traced outer
+  product ``_traced_outer`` built on them.  ``partial_trace`` is the
+  kernel for density matrices.
 * All values are immutable after construction; the operations below are
   pure functions and safe to call concurrently.
 """
@@ -241,15 +247,27 @@ def tensor_insert(one_qubit, rest, j: int) -> np.ndarray:
         raise ValueError(f"rest vector length {rest.size} is not a power of 2")
     if not 1 <= j <= n:
         raise ValueError(f"qubit label {j} out of range 1..{n}")
-    out = np.multiply.outer(one_qubit, rest.reshape((2,) * (n - 1)))
-    return np.moveaxis(out, 0, j - 1).reshape(-1)
+    return _axis_restore(np.multiply.outer(one_qubit, rest), n, j)
 
 
-def _axis_first(amplitudes: np.ndarray, n: int, j: int) -> np.ndarray:
-    """Reshape a 2**n amplitude vector to (2, 2**(n-1)) with qubit j first."""
-    return np.moveaxis(
-        amplitudes.reshape((2,) * n), j - 1, 0
-    ).reshape(2, 2 ** (n - 1))
+def _axis_first(v: np.ndarray, n: int, j: int) -> np.ndarray:
+    """Reshape a 2**n amplitude vector to (2, 2**(n-1)) with qubit j first.
+
+    Column c holds the amplitudes whose other qubits, in label order, spell
+    c in binary.
+    """
+    return v.reshape(2 ** (j - 1), 2, 2 ** (n - j)).transpose(1, 0, 2).reshape(2, -1)
+
+
+def _axis_restore(a: np.ndarray, n: int, j: int) -> np.ndarray:
+    """Inverse of ``_axis_first``: a (2, 2**(n-1)) array back to 2**n amplitudes."""
+    return a.reshape(2, 2 ** (j - 1), 2 ** (n - j)).transpose(1, 0, 2).reshape(-1)
+
+
+def _traced_outer(left: np.ndarray, right: np.ndarray, n: int, k: int) -> np.ndarray:
+    """tr_k |left><right| for n-qubit amplitude vectors: the pure-state
+    marginal rho_(k) when left is right."""
+    return _axis_first(left, n, k).T @ _axis_first(right, n, k).conj()
 
 
 def partial_trace(rho: DensityMatrix, traced) -> DensityMatrix:
@@ -314,8 +332,6 @@ def schmidt_split(psi: Ket, j: int) -> SchmidtSplit:
         rest[i] = vh[i] * phase
     weights = (float(s[0] ** 2), float(s[1] ** 2))
     degenerate = abs(weights[0] - weights[1]) < DEGENERACY_TOL
-    # undo the axis move so rest vectors are indexed by the remaining qubits
-    # in their natural order (qubit j removed)
     return SchmidtSplit(j, weights, one_qubit, rest, degenerate)
 
 
@@ -341,8 +357,7 @@ def apply_local(u: SingleQubitUnitary, psi: Ket) -> Ket:
     if not 1 <= j <= psi.n:
         raise ValueError(f"qubit label {j} out of range 1..{psi.n}")
     a = _axis_first(psi.amplitudes, psi.n, j)
-    b = (u.entries @ a).reshape((2,) * psi.n)
-    return Ket(psi.n, np.moveaxis(b, 0, j - 1).reshape(-1))
+    return Ket(psi.n, _axis_restore(u.entries @ a, psi.n, j))
 
 
 def apply_locals(unitaries, psi: Ket) -> Ket:

@@ -24,20 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensors import PAULI_X, PAULI_Y, PAULI_Z
-
-
-@dataclass(frozen=True)
-class DescentConfig:
-    """Shared step-control defaults for all multi-start descents."""
-
-    gtol: float = 1e-12
-    xtol: float = 1e-14
-    ftol: float = 1e-14
-    max_nfev: int = 250
-
-
-DEFAULT_DESCENT = DescentConfig()
+from .tensors import PAULI_X, PAULI_Y, PAULI_Z, _axis_first, _axis_restore
 
 
 @dataclass(frozen=True)
@@ -83,26 +70,15 @@ class PanelObjective:
 
     def __init__(self, amplitudes: np.ndarray, n: int, pivot: int, targets: dict[int, np.ndarray]):
         self.n = n
-        self.half = 2 ** (n - 1)
-        base = np.arange(2**n).reshape((2,) * n)
-        pivot_first = np.moveaxis(base, pivot - 1, 0).reshape(-1)
-        inverse = np.empty_like(pivot_first)
-        inverse[pivot_first] = np.arange(2**n)
-        self.psi_pivot = np.asarray(amplitudes, dtype=complex)[pivot_first].reshape(
-            2, self.half
-        )
-        self.gathers = {}
-        self.targets = {}
-        for k, target in targets.items():
-            k_first = np.moveaxis(base, k - 1, 0).reshape(-1)
-            self.gathers[k] = inverse[k_first]
-            self.targets[k] = np.asarray(target, dtype=complex)
+        self.pivot = pivot
+        self.psi_pivot = _axis_first(np.asarray(amplitudes, dtype=complex), n, pivot)
+        self.targets = {k: np.asarray(t, dtype=complex) for k, t in targets.items()}
 
     def marginals(self, unitary: np.ndarray) -> dict[int, np.ndarray]:
-        moved = (unitary @ self.psi_pivot).reshape(-1)
+        moved = _axis_restore(unitary @ self.psi_pivot, self.n, self.pivot)
         out = {}
-        for k, gather in self.gathers.items():
-            a = moved[gather].reshape(2, self.half)
+        for k in self.targets:
+            a = _axis_first(moved, self.n, k)
             out[k] = a.T @ a.conj()
         return out
 
@@ -115,11 +91,7 @@ class PanelObjective:
         return np.concatenate(parts)
 
 
-def fit_pivot_unitary(
-    objective: PanelObjective,
-    starts: list[np.ndarray],
-    config: DescentConfig = DEFAULT_DESCENT,
-) -> list[FitResult]:
+def fit_pivot_unitary(objective: PanelObjective, starts: list[np.ndarray]) -> list[FitResult]:
     """Run one descent per start; results come back in start order."""
     from scipy.optimize import least_squares
 
@@ -130,10 +102,10 @@ def fit_pivot_unitary(
             start,
             method="trf",
             bounds=(-2.0 * np.pi, 2.0 * np.pi),
-            gtol=config.gtol,
-            xtol=config.xtol,
-            ftol=config.ftol,
-            max_nfev=config.max_nfev,
+            gtol=1e-12,
+            xtol=1e-14,
+            ftol=1e-14,
+            max_nfev=250,
         )
         results.append(FitResult(unitary_from_params(sol.x), float(np.sum(sol.fun**2))))
     return results

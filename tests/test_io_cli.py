@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import qmarginal as qm
+from conftest import random_ghz_orbit
 from qmarginal.cli import main
 from qmarginal.io import (
     FileFormatError,
@@ -103,6 +104,34 @@ class TestPanelFiles:
             b"0.3333333333333333 0.0 0.0 1e-05\n"
             b"-0.0 -1e-05 0.6666666666666666 0.0\n"
         )
+
+    @pytest.mark.parametrize("n", [5, 8])
+    def test_pure_panels_load_back_within_1e_15(self, tmp_path, n):
+        orbit, _ = random_ghz_orbit(n, 60 + n)
+        for psi in (qm.haar_random_ket(n, 50 + n), orbit):
+            panel = qm.panel_of_pure(psi)
+            path = tmp_path / "panel.txt"
+            save_panel(path, panel)
+            loaded = load_panel(path)
+            for j in range(1, n + 1):
+                np.testing.assert_allclose(
+                    loaded.entry(j).entries, panel.entry(j).entries, atol=1e-15, rtol=0
+                )
+
+    def test_slightly_negative_entry_loads_clipped(self, tmp_path):
+        # eigenvalues (1 + 1e-8, -1e-8): inside the loader's 1e-6 tolerance
+        # but below the DensityMatrix invariant, so the loader clips it
+        v = qm.oracle.random_unitary_2x2(np.random.default_rng(3))
+        raw = (v * np.array([1.0 + 1e-8, -1e-8])) @ v.conj().T
+        rows = [" ".join(map(repr, row)) for row in raw.view(np.float64).tolist()]
+        path = tmp_path / "panel.txt"
+        path.write_text(
+            "qmarginal-panel 1 2\nentry 1\n" + "\n".join(rows)
+            + "\nentry 2\n0.5 0.0 0.0 0.0\n0.0 0.0 0.5 0.0\n"
+        )
+        loaded = load_panel(path).entry(1).entries
+        assert np.linalg.eigvalsh(loaded)[0] >= -1e-15
+        np.testing.assert_allclose(loaded, raw, atol=2e-8, rtol=0)
 
     def test_non_hermitian_entry_rejected(self, tmp_path):
         panel = qm.panel_of_pure(qm.ghz_state(2))

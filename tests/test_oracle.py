@@ -5,6 +5,8 @@ import pytest
 
 import qmarginal as qm
 from conftest import mixed_corpus, random_ghz_orbit
+from qmarginal.oracle import random_unitary_2x2
+from qmarginal.unitary_fit import PanelObjective
 
 
 class TestSearchSibling:
@@ -135,6 +137,26 @@ class TestLuEquivalenceCheck:
     def test_rejects_panel_mismatch(self):
         with pytest.raises(ValueError):
             qm.lu_equivalence_check(qm.haar_random_ket(3, 1), qm.haar_random_ket(3, 2))
+
+
+class TestPanelObjective:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_marginals_match_panel_of_transported_state(self, n):
+        rng = np.random.default_rng(800 + n)
+        psi = qm.haar_random_ket(n, 810 + n)
+        for pivot in sorted({1, n}):
+            targets = {k: np.eye(2 ** (n - 1)) for k in range(1, n + 1) if k != pivot}
+            objective = PanelObjective(psi.amplitudes, n, pivot, targets)
+            for _ in range(3):
+                u = random_unitary_2x2(rng)
+                moved = qm.apply_local(qm.SingleQubitUnitary(u, pivot), psi)
+                panel = qm.panel_of_pure(moved)
+                marginals = objective.marginals(u)
+                assert sorted(marginals) == sorted(targets)
+                for k, rho in marginals.items():
+                    np.testing.assert_allclose(
+                        rho, panel.entry(k).entries, atol=1e-13, rtol=0
+                    )
 
 
 class TestAgreement:

@@ -195,6 +195,19 @@ class TestApplyLocal:
         assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-12
 
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_matches_kronecker_operator_at_every_qubit(self, n):
+        from qmarginal.oracle import random_unitary_2x2
+
+        rng = np.random.default_rng(90 + n)
+        psi = qm.haar_random_ket(n, 91 + n)
+        for j in range(1, n + 1):
+            u = random_unitary_2x2(rng)
+            op = np.kron(np.kron(np.eye(2 ** (j - 1)), u), np.eye(2 ** (n - j)))
+            out = qm.apply_local(qm.SingleQubitUnitary(u, j), psi)
+            np.testing.assert_allclose(out.amplitudes, op @ psi.amplitudes, atol=1e-13, rtol=0)
+
+
 class TestEqualUpToPhase:
     def test_global_phase(self):
         psi = qm.haar_random_ket(3, 1)
