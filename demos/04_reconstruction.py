@@ -18,7 +18,8 @@ print(f"  outcome  : {result.outcome}")
 print(f"  residual : {result.residual:.2e}")
 print(f"  fidelity : {abs(result.state.overlap(psi)):.12f}")
 
-# GHZ-class panel: every relative phase matches, so a family comes back
+# GHZ-class panel: rotations of qubit 1 about one axis all fit, so a family
+# comes back
 orbit = qm.random_lu_orbit(qm.ghz_state(4, 0.6, 0.8), seed=22)
 result = qm.reconstruct(qm.panel_of_pure(orbit))
 print()
@@ -31,8 +32,8 @@ best = max(
 )
 print(f"  best family-member fidelity against the source: {best:.9f}")
 
-# fully degenerate panels (all marginals maximally mixed) take the
-# search-based branch: a cluster-type state is still pinned down uniquely
+# fully degenerate panels (all marginals maximally mixed) take the same
+# closed-form path: a cluster-type state is still pinned down uniquely
 cluster = qm.ket([1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, -1], 4)
 result = qm.reconstruct(qm.panel_of_pure(cluster))
 print()

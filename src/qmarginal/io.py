@@ -138,6 +138,8 @@ def _state_from_json(doc, path) -> StateFile:
         amps = np.array([complex(re, im) for re, im in pairs])
     except (KeyError, TypeError, ValueError) as err:
         raise FileFormatError(path, None, f"invalid state document: {err}") from err
+    if n < 1:
+        raise FileFormatError(path, None, f"invalid qubit count {n}")
     if amps.size != 2**n:
         raise FileFormatError(path, None, f"expected {2**n} amplitudes, got {amps.size}")
     return StateFile(n, _normalized_ket(n, amps, path), doc.get("label"))
@@ -284,9 +286,13 @@ def _panel_from_json(doc, path) -> RdmPanel:
         if int(doc["version"]) != FORMAT_VERSION:
             raise FileFormatError(path, None, f"unsupported version {doc['version']}")
         n = int(doc["n"])
+        if n < 2:
+            raise FileFormatError(path, None, f"invalid qubit count {n}")
         entries: dict[int, DensityMatrix] = {}
         for item in doc["entries"]:
             omitted = int(item["omitted"])
+            if not 1 <= omitted <= n or omitted in entries:
+                raise FileFormatError(path, None, f"bad or repeated entry label {omitted}")
             raw = np.array(
                 [[complex(re, im) for re, im in rw] for rw in item["matrix"]]
             )

@@ -2,14 +2,14 @@
 
 Given the n-tuple of one-qubit-removed marginals, the inverse image among
 pure states is either a single state, the one-parameter family attached to
-a GHZ-class certificate, or empty.  Purifying one panel entry pins the
-state down to a unitary's worth of freedom on the pivot qubit; matching
-the one-qubit marginal implied by the other entries reduces that to a
-relative phase whenever the pivot spectrum is non-degenerate, and the
-remaining entries either fix the phase, accept every phase (the GHZ
-family), or rule all of them out.  When every entry's spectrum is
-degenerate, the unitary is fixed in closed form instead, as a rotation of
-Bloch vectors (``_reconstruct_degenerate``).
+a GHZ-class certificate, or empty.  Every panel takes one closed-form path
+(``_fit_qubit_one``).  Purifying entry 1 pins the state down to a unitary
+on qubit 1, whatever entry 1's spectrum.  That unitary rotates the Bloch
+matrix of the other entries over qubit 1, and the best rotation is an
+orthogonal Procrustes problem.  If the panel's Bloch matrix has rank >= 2,
+only the identity rotation fixes it and the state is unique.  If its rank
+is <= 1, every rotation about its axis fits too, and ``classify`` decides
+whether those rotations give a GHZ-class family or only the one state.
 """
 
 from __future__ import annotations
@@ -28,16 +28,13 @@ from .tensors import (
     SingleQubitUnitary,
     _traced_outer,
     apply_local,
-    equal_up_to_phase,
     fix_global_phase,
-    partial_trace,
     spectral_decompose,
     tensor_insert,
 )
 
 DEFAULT_TOL = 1e-9
-FAMILY_CROSS_FACTOR = 10.0
-_PAULI_STACK = np.array(PAULIS)
+_SIGMAS = np.array([np.eye(2), *PAULIS])  # sigma_0 = I, then X, Y, Z
 
 
 class PanelRankError(ValueError):
@@ -83,6 +80,13 @@ def purify_over_qubit(
             f"marginal omitting qubit {j} has rank > 2 "
             f"(third eigenvalue {evals[2]:.3e})"
         )
+    return _purification(evals, evecs, j, len(rdm.qubit_labels) + 1, tol)
+
+
+def _purification(
+    evals: np.ndarray, evecs: np.ndarray, j: int, n: int, tol: float
+) -> tuple[Ket, bool]:
+    """``purify_over_qubit`` from a spectrum already checked for rank <= 2."""
     p0, p1 = max(float(evals[0]), 0.0), max(float(evals[1]), 0.0)
     if p1 < tol:
         p1 = 0.0  # rank 1: the second eigenvector is null-space noise
@@ -91,36 +95,20 @@ def purify_over_qubit(
     amps = np.sqrt(p0) * tensor_insert([1.0, 0.0], evecs[:, 0], j)
     if p1 > 0.0:
         amps = amps + np.sqrt(p1) * tensor_insert([0.0, 1.0], evecs[:, 1], j)
-    n = len(rdm.qubit_labels) + 1
     return Ket(n, amps), bool(p0 - p1 < DEGENERACY_TOL)
-
-
-def _conjugate_axis(mat: np.ndarray, m: int, pos: int, u: np.ndarray) -> np.ndarray:
-    """Conjugate one qubit axis of a 2^m x 2^m matrix by a 2x2 unitary."""
-    t = mat.reshape((2,) * (2 * m))
-    t = np.moveaxis(np.tensordot(u, t, axes=([1], [pos])), 0, pos)
-    t = np.moveaxis(np.tensordot(t, u.conj().T, axes=([m + pos], [0])), -1, m + pos)
-    return t.reshape(2**m, 2**m)
-
-
-def _entry_spectra(panel: RdmPanel) -> list[np.ndarray]:
-    return [np.linalg.eigvalsh(e.entries)[::-1] for e in panel.entries]
-
-
-def _phase_fixed(amps: np.ndarray, n: int) -> Ket:
-    return Ket(n, fix_global_phase(amps / np.linalg.norm(amps)))
 
 
 def reconstruct(panel: RdmPanel, tol: float = DEFAULT_TOL) -> ReconstructionResult:
     """Recover the pure state(s) behind a marginal panel.
 
     Returns Unique with the reconstructed state, GhzFamily with a
-    certificate when every relative phase matches (the panel belongs to a
-    GHZ-class orbit), or Incompatible with a reason when no pure state
-    reproduces the panel within tol.
+    certificate when the panel belongs to a GHZ-class orbit, or
+    Incompatible with a reason when no pure state reproduces the panel
+    within tol.
     """
-    n = panel.n
-    spectra = _entry_spectra(panel)
+    # entry 1's eigenvectors are kept for the purification
+    first = spectral_decompose(panel.entry(1).entries)
+    spectra = [first[0]] + [np.linalg.eigvalsh(e.entries)[::-1] for e in panel.entries[1:]]
     for j, evals in enumerate(spectra, start=1):
         if evals.size > 2 and evals[2] > tol:
             return ReconstructionResult(
@@ -133,102 +121,8 @@ def reconstruct(panel: RdmPanel, tol: float = DEFAULT_TOL) -> ReconstructionResu
             "incompatible", None, None, consistency,
             f"one-qubit marginals disagree across entries by {consistency:.3e}",
         )
-
-    gaps = [float(ev[0] - ev[1]) for ev in spectra]
-    pivot = next((j for j in range(1, n + 1) if gaps[j - 1] >= DEGENERACY_TOL), None)
-    if pivot is None:
-        return _reconstruct_degenerate(panel, tol)
-    return _reconstruct_nondegenerate(panel, pivot, tol)
-
-
-def _reconstruct_nondegenerate(panel: RdmPanel, pivot: int, tol: float) -> ReconstructionResult:
-    n = panel.n
-    evals, evecs = spectral_decompose(panel.entry(pivot).entries)
-    p0, p1 = max(float(evals[0]), 0.0), max(float(evals[1]), 0.0)
-    if p1 < tol:
-        p1 = 0.0  # rank 1: the second eigenvector is null-space noise
-    total = p0 + p1
-    p0, p1 = p0 / total, p1 / total
-
-    # one-qubit marginal of the pivot, as implied by some other entry; its
-    # eigenbasis fixes the pivot-side Schmidt vectors (Eq-style alignment),
-    # leaving only the relative phase between the two branches free
-    other = next(k for k in range(1, n + 1) if k != pivot)
-    entry = panel.entry(other)
-    rho_pivot = partial_trace(entry, set(entry.qubit_labels) - {pivot}).entries
-    q_evals, w = spectral_decompose(rho_pivot)
-    if max(abs(q_evals[0] - p0), abs(q_evals[1] - p1)) > max(100 * tol, 1e-7):
-        return ReconstructionResult(
-            "incompatible", None, None, float(abs(q_evals[0] - p0)),
-            "pivot spectra disagree between panel entries",
-        )
-
-    # two Schmidt branches in the frame where the pivot basis is computational
-    b0 = np.sqrt(p0) * tensor_insert([1.0, 0.0], evecs[:, 0], pivot)
-    b1 = np.sqrt(p1) * tensor_insert([0.0, 1.0], evecs[:, 1], pivot)
-
-    best_cross = 0.0
-    best = None  # (k, index pair, cross value)
-    cross_ops = {}
-    diag_ops = {}
-    for k in range(1, n + 1):
-        if k == pivot:
-            continue
-        cross = _traced_outer(b1, b0, n, k)
-        cross_ops[k] = cross
-        diag_ops[k] = _traced_outer(b0, b0, n, k) + _traced_outer(b1, b1, n, k)
-        idx = np.unravel_index(np.argmax(np.abs(cross)), cross.shape)
-        mag = float(np.abs(cross[idx]))
-        if mag > best_cross:
-            best_cross = mag
-            best = (k, idx)
-
-    pivot_pos_in = {
-        k: [q for q in range(1, n + 1) if q != k].index(pivot)
-        for k in cross_ops
-    }
-    w_dag = w.conj().T
-
-    def rotated_target(k: int) -> np.ndarray:
-        return _conjugate_axis(panel.entry(k).entries, n - 1, pivot_pos_in[k], w_dag)
-
-    def assemble(phi: float) -> Ket:
-        amps = b0 + np.exp(1j * phi) * b1
-        state = Ket(n, amps / np.linalg.norm(amps))
-        return apply_local(SingleQubitUnitary(w, pivot), state)
-
-    if best_cross < FAMILY_CROSS_FACTOR * tol:
-        candidate = assemble(0.0)
-        residual = check_panel(candidate, panel)
-        if residual <= tol:
-            cls = classify(candidate)
-            if cls.ghz_class:
-                return ReconstructionResult(
-                    "ghz-family", _phase_fixed(candidate.amplitudes, n),
-                    cls.certificate, residual,
-                )
-            return ReconstructionResult(
-                "unique", _phase_fixed(candidate.amplitudes, n), None, residual
-            )
-        return ReconstructionResult(
-            "incompatible", None, None, residual,
-            f"panel residual {residual:.3e} exceeds tolerance",
-        )
-
-    k, idx = best
-    target_cross = rotated_target(k) - diag_ops[k]
-    ratio = target_cross[idx] / cross_ops[k][idx]
-    phi = float(np.angle(ratio))
-    candidate = assemble(phi)
-    residual = check_panel(candidate, panel)
-    if residual <= tol:
-        return ReconstructionResult(
-            "unique", _phase_fixed(candidate.amplitudes, n), None, residual
-        )
-    return ReconstructionResult(
-        "incompatible", None, None, residual,
-        f"panel residual {residual:.3e} exceeds tolerance",
-    )
+    chi, _ = _purification(*first, 1, panel.n, tol)
+    return _fit_qubit_one(panel, chi, tol)
 
 
 def _bloch_matrix(entries: list[np.ndarray]) -> np.ndarray:
@@ -261,53 +155,49 @@ def _su2_from_rotation(rot: np.ndarray) -> np.ndarray:
     these sums over A in {I, X, Y, Z} keeps |tr(U^dagger A)| >= 1, which
     also covers the half-turns, where tr U = 0.
     """
-    basis = (np.eye(2, dtype=complex), *PAULIS)
-    images = (basis[0], *np.einsum("ba,bij->aij", rot, _PAULI_STACK))
-    best = max(
-        (sum(img @ a @ s for img, s in zip(images, basis)) for a in basis),
-        key=np.linalg.norm,
-    )
+    images = np.concatenate([_SIGMAS[:1], np.einsum("ba,bij->aij", rot, _SIGMAS[1:])])
+    sums = np.einsum("aij,Ajk,akl->Ail", images, _SIGMAS, _SIGMAS)
+    best = sums[np.argmax(np.linalg.norm(sums, axis=(1, 2)))]
     return best / np.sqrt(abs(np.linalg.det(best)))
 
 
-def _reconstruct_degenerate(panel: RdmPanel, tol: float) -> ReconstructionResult:
-    """All pivot spectra are degenerate: fix the unitary freedom in closed form.
+def _fit_qubit_one(panel: RdmPanel, chi: Ket, tol: float) -> ReconstructionResult:
+    """Fix the unitary freedom on qubit 1 of chi, a purification of entry 1.
 
-    Purifying entry 1 gives a candidate chi that is right up to a unitary U
-    on qubit 1.  Conjugation by U rotates the Bloch matrix of the other
-    entries (``_bloch_matrix``) by some R in SO(3), so the best U is the
-    rotation that carries chi's matrix onto the panel's: orthogonal
-    Procrustes with det R = +1 (Kabsch, Acta Cryst. A32, 922 (1976)),
-    lifted to SU(2).  A residual above tol means no U reproduces the panel.
-    If the panel's matrix has rank <= 1, a quarter-turn about its leading
-    direction fits as well and gives a second, distinct state: the panel
-    then belongs to a one-parameter family when ``classify`` finds the
-    state GHZ-class.  Otherwise the state is unique.
+    chi is right up to a unitary U on qubit 1, whatever entry 1's spectrum.
+    Conjugation by U rotates the Bloch matrix of the other entries
+    (``_bloch_matrix``) by some R in SO(3), so the best U is the rotation
+    that carries chi's matrix onto the panel's: orthogonal Procrustes with
+    det R = +1 (Kabsch, Acta Cryst. A32, 922 (1976)), lifted to SU(2).  A
+    residual above tol means no U reproduces the panel.  If the panel's
+    matrix has rank >= 2, only the identity rotation fixes it, so the state
+    is unique.  If its rank is <= 1, every rotation about its axis fits as
+    well.  By the paper's theorem those rotations give states other than
+    this one only when it is GHZ-class, which ``classify`` decides; it also
+    supplies the family's certificate.
     """
     n = panel.n
-    try:
-        chi, _ = purify_over_qubit(panel.entry(1), 1, tol)
-    except PanelRankError as err:
-        return ReconstructionResult("incompatible", None, None, np.inf, str(err))
     amps = chi.amplitudes
     target = _bloch_matrix([panel.entry(k).entries for k in range(2, n + 1)])
     source = _bloch_matrix([_traced_outer(amps, amps, n, k) for k in range(2, n + 1)])
-    u, _, vt = np.linalg.svd(target @ source.T)
+    u, s, vt = np.linalg.svd(target @ source.T)
     if np.linalg.det(u @ vt) < 0:
         u[:, 2] = -u[:, 2]
-    fitted = apply_local(SingleQubitUnitary(_su2_from_rotation(u @ vt), 1), chi)
-    state = _phase_fixed(fitted.amplitudes, n)
+    fitted = apply_local(SingleQubitUnitary(_su2_from_rotation(u @ vt), 1), chi).amplitudes
+    state = Ket(n, fix_global_phase(fitted / np.linalg.norm(fitted)))
     residual = check_panel(state, panel)
     if residual > tol:
         return ReconstructionResult(
             "incompatible", None, None, residual,
             f"no unitary freedom reproduces the panel (best {residual:.3e})",
         )
-
-    axis = np.einsum("b,bij->ij", u[:, 0], _PAULI_STACK)
-    quarter_turn = (np.eye(2) - 1j * axis) / np.sqrt(2.0)
-    other = apply_local(SingleQubitUnitary(quarter_turn, 1), state)
-    if check_panel(other, panel) <= tol and not equal_up_to_phase(state, other, 1e-8):
+    # target @ source.T is R M M^T after the fit, so s holds the squared
+    # singular values of the panel's Bloch matrix M, whose norm is at most
+    # sqrt(2(n - 1)) since its columns come from density matrices.  A panel
+    # within tol of one whose M has rank 1 has s[1] of order tol at most, so
+    # s[1] above tol shows rank >= 2.  The cutoff is absolute because M = 0
+    # for a maximally entangled pair, where a relative one would read noise.
+    if s[1] <= tol:
         cls = classify(state)
         if cls.ghz_class:
             return ReconstructionResult("ghz-family", state, cls.certificate, residual)

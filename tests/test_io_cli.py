@@ -1,5 +1,6 @@
 """File formats and the command-line interface."""
 
+import json
 import os
 import subprocess
 import sys
@@ -64,6 +65,14 @@ class TestStateFiles:
         path = tmp_path / "state.txt"
         path.write_text("who-knows 9\n")
         with pytest.raises(FileFormatError, match="header"):
+            load_state(path)
+
+    def test_json_zero_qubits_rejected(self, tmp_path):
+        path = tmp_path / "state.json"
+        path.write_text(
+            '{"format": "qmarginal-state", "version": 1, "n": 0, "amplitudes": [[1.0, 0.0]]}\n'
+        )
+        with pytest.raises(FileFormatError, match="invalid qubit count 0"):
             load_state(path)
 
 
@@ -164,6 +173,29 @@ class TestPanelFiles:
         lines[6] = bad_row  # second row of entry 2
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(FileFormatError, match=f"panel.txt:7: {message}"):
+            load_panel(path)
+
+    @staticmethod
+    def _json_panel(path, n, omitted_labels):
+        """A panel document with one maximally mixed entry per label."""
+        dim = 2 ** max(n - 1, 0)
+        matrix = [[[1.0 / dim if r == c else 0.0, 0.0] for c in range(dim)] for r in range(dim)]
+        entries = [{"omitted": j, "matrix": matrix} for j in omitted_labels]
+        doc = {"format": "qmarginal-panel", "version": 1, "n": n, "entries": entries}
+        path.write_text(json.dumps(doc) + "\n")
+
+    @pytest.mark.parametrize("n, labels", [(0, []), (1, [1])])
+    def test_json_invalid_qubit_count(self, tmp_path, n, labels):
+        path = tmp_path / "panel.json"
+        self._json_panel(path, n, labels)
+        with pytest.raises(FileFormatError, match=f"invalid qubit count {n}"):
+            load_panel(path)
+
+    def test_json_repeated_entry_label(self, tmp_path):
+        # n + 1 entries with label 2 twice: every qubit still has an entry
+        path = tmp_path / "panel.json"
+        self._json_panel(path, 3, [1, 2, 2, 3])
+        with pytest.raises(FileFormatError, match="bad or repeated entry label 2"):
             load_panel(path)
 
 

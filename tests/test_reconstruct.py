@@ -6,7 +6,7 @@ import pytest
 import qmarginal as qm
 from conftest import random_ghz_orbit
 from qmarginal.reconstruct import _su2_from_rotation
-from qmarginal.tensors import PAULIS
+from qmarginal.tensors import PAULIS, reduced_one_qubit
 
 
 def family_contains(result, source, tol=1e-8):
@@ -158,6 +158,23 @@ class TestReconstruct:
         result = qm.reconstruct(bad)
         assert result.outcome == "incompatible" or result.residual > 1e-9
 
+    @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6, 1e-10])
+    def test_third_amplitude_decides_between_outcomes(self, eps):
+        # 0.6|0..0> + 0.8|1..1> + eps|0..01>: the Bloch matrix over qubit 1
+        # has s[1] of about 1.3 eps^2, on either side of the rank cutoff
+        for n in (3, 4, 5):
+            amps = np.zeros(2**n, dtype=complex)
+            amps[0], amps[-1], amps[1] = 0.6, 0.8, eps
+            psi = qm.random_lu_orbit(qm.Ket(n, amps / np.linalg.norm(amps)), 2300 + n)
+            result = qm.reconstruct(qm.panel_of_pure(psi))
+            assert result.residual <= 1e-9
+            if eps >= 1e-6:
+                assert result.outcome == "unique"
+                assert qm.equal_up_to_phase(result.state, psi, 1e-8)
+            else:
+                assert qm.classify(psi).ghz_class
+                assert result.outcome == "ghz-family"
+
     def test_outcomes_match_classification(self):
         cases = [
             qm.haar_random_ket(4, 93),
@@ -181,7 +198,8 @@ CLUSTER = qm.ket([1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, -1], 4)
 
 
 class TestDegenerateBranch:
-    """Panels whose every entry has a degenerate spectrum (closed-form transport)."""
+    """The closed-form transport on panels whose every entry is degenerate,
+    and the fit residual that rejects a turned entry."""
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
     def test_balanced_orbits_give_families(self, n):
@@ -218,10 +236,19 @@ class TestDegenerateBranch:
             assert qm.equal_up_to_phase(result.state, psi, 1e-8), name
             assert result.residual <= 1e-9
 
-    def test_entry_rotated_by_one_milliradian_is_incompatible(self):
-        orbit, _ = random_ghz_orbit(4, 2100, balanced=True)
-        panel = qm.panel_of_pure(orbit)
-        axis = np.array([0.6, -0.48, 0.64])
+    @pytest.mark.parametrize("source", ["balanced-ghz", "haar"])
+    def test_entry_rotated_by_one_milliradian_is_incompatible(self, source):
+        if source == "haar":
+            psi = qm.haar_random_ket(4, 2101)
+            # qubit 1's own Bloch axis: the turn keeps every one-qubit
+            # marginal, so only the fit residual can reject the panel
+            rho1 = reduced_one_qubit(psi, 1)
+            axis = np.real([np.trace(rho1 @ p) for p in PAULIS])
+            axis = axis / np.linalg.norm(axis)
+        else:
+            psi, _ = random_ghz_orbit(4, 2100, balanced=True)
+            axis = np.array([0.6, -0.48, 0.64])
+        panel = qm.panel_of_pure(psi)
         u = np.cos(5e-4) * np.eye(2) - 1j * np.sin(5e-4) * np.einsum("a,aij->ij", axis, PAULIS)
         big = np.kron(u, np.eye(4))  # qubit 1 is the first axis of entry 3
         entries = list(panel.entries)
