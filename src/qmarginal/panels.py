@@ -12,7 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensors import DensityMatrix, Ket, _axis_first, _traced_outer, partial_trace
+from .tensors import (
+    DensityMatrix,
+    Ket,
+    _axis_first,
+    _trace_positions,
+    _traced_outer,
+    partial_trace,
+)
 
 DEFAULT_TOL = 1e-9
 
@@ -126,11 +133,11 @@ def panel_consistency(panel: RdmPanel) -> float:
     different panel entries (zero for panels that came from one state)."""
     n = panel.n
     singles: dict[int, list[np.ndarray]] = {m: [] for m in range(1, n + 1)}
-    for j in range(1, n + 1):
-        entry = panel.entry(j)
-        for m in entry.qubit_labels:
-            traced = set(entry.qubit_labels) - {m}
-            singles[m].append(partial_trace(entry, traced).entries)
+    for entry in panel.entries:
+        k = entry.k
+        for p, m in enumerate(entry.qubit_labels):
+            others = [q for q in range(k) if q != p]
+            singles[m].append(_trace_positions(entry.entries, k, others))
     worst = 0.0
     for mats in singles.values():
         for other in mats[1:]:

@@ -12,7 +12,8 @@ Conventions used throughout the package:
   axis-first view ``_axis_first`` (a (2, 2**(n-1)) array with qubit j as
   the row index), its inverse ``_axis_restore``, and the traced outer
   product ``_traced_outer`` built on them.  ``partial_trace`` is the
-  kernel for density matrices.
+  kernel for density matrices, with ``_trace_positions`` as its unchecked
+  array core.
 * All values are immutable after construction; the operations below are
   pure functions and safe to call concurrently.
 """
@@ -254,14 +255,18 @@ def _axis_first(v: np.ndarray, n: int, j: int) -> np.ndarray:
     """Reshape a 2**n amplitude vector to (2, 2**(n-1)) with qubit j first.
 
     Column c holds the amplitudes whose other qubits, in label order, spell
-    c in binary.
+    c in binary.  Leading axes of a stack of vectors are kept.
     """
-    return v.reshape(2 ** (j - 1), 2, 2 ** (n - j)).transpose(1, 0, 2).reshape(2, -1)
+    lead = v.shape[:-1]
+    split = v.reshape(lead + (2 ** (j - 1), 2, 2 ** (n - j)))
+    return split.swapaxes(-3, -2).reshape(lead + (2, -1))
 
 
 def _axis_restore(a: np.ndarray, n: int, j: int) -> np.ndarray:
-    """Inverse of ``_axis_first``: a (2, 2**(n-1)) array back to 2**n amplitudes."""
-    return a.reshape(2, 2 ** (j - 1), 2 ** (n - j)).transpose(1, 0, 2).reshape(-1)
+    """Inverse of ``_axis_first``: a (..., 2, 2**(n-1)) array back to 2**n amplitudes."""
+    lead = a.shape[:-2]
+    split = a.reshape(lead + (2, 2 ** (j - 1), 2 ** (n - j)))
+    return split.swapaxes(-3, -2).reshape(lead + (-1,))
 
 
 def _traced_outer(left: np.ndarray, right: np.ndarray, n: int, k: int) -> np.ndarray:
@@ -277,15 +282,21 @@ def partial_trace(rho: DensityMatrix, traced) -> DensityMatrix:
     if missing:
         raise ValueError(f"labels {sorted(missing)} not in {rho.qubit_labels}")
     keep = [q for q in rho.qubit_labels if q not in traced]
-    k = rho.k
-    tensor = rho.entries.reshape((2,) * (2 * k))
-    positions = sorted(
-        (rho.qubit_labels.index(t) for t in traced), reverse=True
-    )
-    for pos in positions:
+    positions = [rho.qubit_labels.index(t) for t in traced]
+    return DensityMatrix(tuple(keep), _trace_positions(rho.entries, rho.k, positions))
+
+
+def _trace_positions(mat: np.ndarray, k: int, positions) -> np.ndarray:
+    """Trace the qubits at the given 0-based positions out of a k-qubit matrix.
+
+    The raw kernel of ``partial_trace``: no check and no wrapping, for
+    matrices the package already holds as a ``DensityMatrix``.
+    """
+    tensor = mat.reshape((2,) * (2 * k))
+    for pos in sorted(positions, reverse=True):
         tensor = np.trace(tensor, axis1=pos, axis2=pos + tensor.ndim // 2)
-    dim = 2 ** len(keep)
-    return DensityMatrix(tuple(keep), tensor.reshape(dim, dim))
+    dim = 2 ** (k - len(positions))
+    return tensor.reshape(dim, dim)
 
 
 def reduced_one_qubit(psi: Ket, j: int) -> np.ndarray:

@@ -275,6 +275,18 @@ class TestCli:
         )
         assert proc.returncode == 0, proc.stderr
 
+    def test_sibling_search_runs_without_scipy(self):
+        src = str(Path(qm.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        code = (
+            "import sys, qmarginal as qm\n"
+            "assert qm.search_sibling(qm.ghz_state(3)).found\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "assert not loaded, loaded\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
     def test_sibling_search_found(self, tmp_path, capsys):
         path = tmp_path / "ghz.state"
         save_state(path, qm.ghz_state(3))

@@ -6,7 +6,7 @@ import pytest
 import qmarginal as qm
 from conftest import mixed_corpus, random_ghz_orbit
 from qmarginal.oracle import random_unitary_2x2
-from qmarginal.unitary_fit import PanelObjective
+from qmarginal.unitary_fit import PanelObjective, fit_pivot_unitary, grid_starts
 
 
 class TestSearchSibling:
@@ -157,6 +157,37 @@ class TestPanelObjective:
                     np.testing.assert_allclose(
                         rho, panel.entry(k).entries, atol=1e-13, rtol=0
                     )
+
+
+class TestDescent:
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_grid_descents_stay_unitary_and_report_their_cost(self, n):
+        orbit, _ = random_ghz_orbit(n, 2600 + n)
+        panel = qm.panel_of_pure(orbit)
+        targets = {k: panel.entry(k).entries for k in range(2, n + 1)}
+        objective = PanelObjective(orbit.amplitudes, n, 1, targets)
+        results = fit_pivot_unitary(objective, grid_starts())
+        assert len(results) == len(grid_starts())
+        for result in results:
+            u = result.unitary
+            assert np.max(np.abs(u.conj().T @ u - np.eye(2))) < 1e-12
+            res, _ = objective.residuals(u)
+            assert result.cost == pytest.approx(float(np.sum(res**2)), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize(
+        "psi",
+        [qm.haar_random_ket(3, 317), qm.random_product_ket(3, 23)],
+        ids=["haar", "product"],
+    )
+    def test_determined_states_end_every_descent_on_the_scalar_locus(self, psi):
+        report = qm.search_sibling(psi)
+        assert (report.found, report.best_residual, report.trials) == (False, np.inf, 64)
+
+    def test_w_state_best_residual(self):
+        report = qm.search_sibling(qm.ket([0, 1, 1, 0, 1, 0, 0, 0]))
+        assert not report.found
+        assert report.trials == 64
+        assert report.best_residual == pytest.approx(2 / np.sqrt(3), abs=1e-6)
 
 
 class TestAgreement:
