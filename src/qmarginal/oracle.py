@@ -55,34 +55,43 @@ def search_sibling(
     are rejected and do not count towards ``best_residual``, so it is
     ``inf`` when every descent ends on the scalar locus, as on every
     determined state measured (Haar and product states, n = 3..5).
+
+    The descents run in blocks of 16 starts (the size of the grid), in
+    start order, each block as one stacked descent.  So up to 15 descents
+    past the witness are computed and discarded; ``trials`` counts the
+    starts up to and including the witness, or all of them.  Raises
+    ``ValueError`` for a negative budget or a tol that is not positive.
     """
     if psi.n < 2:
         raise ValueError("sibling search needs at least 2 qubits")
+    if budget < 0:
+        raise ValueError(f"budget must be non-negative, got {budget}")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
     panel = panel_of_pure(psi)
     targets = {j: panel.entry(j).entries for j in range(2, psi.n + 1)}
     objective = PanelObjective(psi.amplitudes, psi.n, 1, targets)
     starts = grid_starts()
+    block = len(starts)  # starts per stacked descent: one grid's worth
     if budget < len(starts):
         starts = starts[:budget]
     else:
         starts += random_starts(np.random.default_rng(seed), budget - len(starts))
 
     best = math.inf
-    trials = 0
-    for start in starts:
-        # one descent at a time, so the search stops at the first witness
-        (result,) = fit_pivot_unitary(objective, [start])
-        trials += 1
-        candidate = apply_local(SingleQubitUnitary(result.unitary, 1), psi)
-        overlap = abs(candidate.overlap(psi))
-        if overlap >= 1.0 - tol:
-            continue  # scalar locus: same state up to phase
-        residual = math.sqrt(result.cost)
-        best = min(best, residual)
-        if result.cost < tol**2:
-            witness_u = SingleQubitUnitary(result.unitary, 1)
-            return SearchReport(True, (witness_u, candidate), residual, trials)
-    return SearchReport(False, None, best, trials)
+    for first in range(0, len(starts), block):
+        results = fit_pivot_unitary(objective, starts[first : first + block])
+        for trials, result in enumerate(results, first + 1):
+            candidate = apply_local(SingleQubitUnitary(result.unitary, 1), psi)
+            overlap = abs(candidate.overlap(psi))
+            if overlap >= 1.0 - tol:
+                continue  # scalar locus: same state up to phase
+            residual = math.sqrt(result.cost)
+            best = min(best, residual)
+            if result.cost < tol**2:
+                witness_u = SingleQubitUnitary(result.unitary, 1)
+                return SearchReport(True, (witness_u, candidate), residual, trials)
+    return SearchReport(False, None, best, len(starts))
 
 
 def haar_random_ket(n: int, seed: int) -> Ket:

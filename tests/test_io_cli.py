@@ -309,6 +309,14 @@ class TestCli:
         assert code == 0
         assert "trials: 0" in out
 
+    def test_sibling_search_negative_budget_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "ghz.state"
+        save_state(path, qm.ghz_state(3))
+        code, out, err = self.run(capsys, "sibling-search", str(path), "--budget", "-1")
+        assert code == 2
+        assert "sibling:" not in out
+        assert err.startswith("error:") and "budget" in err
+
     def test_demo_chi_passes(self, capsys):
         code, out, _ = self.run(capsys, "demo-chi")
         assert code == 0

@@ -190,6 +190,71 @@ class TestDescent:
         assert report.best_residual == pytest.approx(2 / np.sqrt(3), abs=1e-6)
 
 
+class TestStackedDescent:
+    """The stacked normal equations and the oracle's blocks of 16 starts."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_normal_equations_match_residuals(self, n):
+        rng = np.random.default_rng(900 + n)
+        psi = qm.haar_random_ket(n, 910 + n)
+        panel = qm.panel_of_pure(qm.haar_random_ket(n, 920 + n))
+        for pivot in sorted({1, n}):
+            targets = {k: panel.entry(k).entries for k in range(1, n + 1) if k != pivot}
+            objective = PanelObjective(psi.amplitudes, n, pivot, targets)
+            unitaries = np.array([random_unitary_2x2(rng) for _ in range(4)])
+            costs, grads, normals = objective.normal_equations(unitaries)
+            assert costs.shape == (4,) and grads.shape == (4, 3) and normals.shape == (4, 3, 3)
+            for u, cost, grad, normal in zip(unitaries, costs, grads, normals):
+                res, jac = objective.residuals(u)
+                assert cost == pytest.approx(float(res @ res), rel=1e-12, abs=0)
+                np.testing.assert_allclose(grad, jac.T @ res, rtol=0, atol=1e-12 * np.abs(jac.T @ res).max())
+                np.testing.assert_allclose(normal, jac.T @ jac, rtol=0, atol=1e-12 * np.abs(jac.T @ jac).max())
+
+    @pytest.mark.parametrize(
+        "psi",
+        [qm.random_product_ket(2, s) for s in range(3)]
+        + [qm.ghz_state(2), random_ghz_orbit(2, 7205, balanced=True)[0]],
+        ids=["product-0", "product-1", "product-2", "bell", "bell-orbit"],
+    )
+    def test_block_with_zero_gradient_starts_descends(self, psi):
+        # the identity start sits on the exact minimum, where the gradient
+        # vanishes; on a maximally entangled pair the Jacobian vanishes at
+        # every start.  Such starts must stop before their system is solved
+        panel = qm.panel_of_pure(psi)
+        objective = PanelObjective(psi.amplitudes, 2, 1, {2: panel.entry(2).entries})
+        results = fit_pivot_unitary(objective, grid_starts())
+        assert len(results) == len(grid_starts())
+        for result in results:
+            u = result.unitary
+            assert np.max(np.abs(u.conj().T @ u - np.eye(2))) < 1e-12
+            assert result.cost < 1e-24
+
+    def test_empty_start_list(self):
+        psi = qm.haar_random_ket(3, 5)
+        objective = PanelObjective(psi.amplitudes, 3, 1, {2: np.eye(4) / 4})
+        assert fit_pivot_unitary(objective, []) == []
+
+    @pytest.mark.parametrize("budget", [0, 1, 5, 16, 17, 20])
+    def test_partial_blocks_spend_the_whole_budget(self, budget):
+        report = qm.search_sibling(qm.haar_random_ket(3, 317), budget=budget)
+        assert (report.found, report.trials) == (False, budget)
+
+    def test_trials_count_starts_up_to_the_witness(self):
+        assert qm.search_sibling(qm.ghz_state(3)).trials == 6
+        orbit, _ = random_ghz_orbit(4, 7500)
+        assert qm.search_sibling(orbit).trials == 2
+
+    def test_rejects_negative_budget(self):
+        with pytest.raises(ValueError, match="budget"):
+            qm.search_sibling(qm.ghz_state(3), budget=-1)
+
+    @pytest.mark.parametrize("tol", [-1e-6, 0.0, float("nan")])
+    def test_rejects_tolerance_that_is_not_positive(self, tol):
+        # a negative tol once passed psi itself off as a witness
+        with pytest.raises(ValueError, match="tol"):
+            qm.search_sibling(qm.haar_random_ket(3, 1), tol=tol)
+
+
 class TestAgreement:
     """Search/classifier agreement over the mixed corpus: the brute-force
     hunt finds a sibling exactly for the GHZ-class states."""
