@@ -24,10 +24,11 @@ from .tensors import (
     MultiIndex,
     SingleQubitUnitary,
     _axis_first,
+    _grams,
     _phase_fix_column,
+    _qubit_factors,
     apply_local,
     apply_locals,
-    reduced_one_qubit,
     schmidt_split,
     spectral_decompose,
     tensor_insert,
@@ -78,7 +79,7 @@ class RelativePhases:
 
 @dataclass(frozen=True)
 class Diagnostics:
-    spectra: np.ndarray  # shape (n, 2), per-qubit marginal eigenvalues
+    spectra: np.ndarray  # shape (n, 2), per-qubit marginal eigenvalues, descending; read-only
     degenerate: tuple[bool, ...]
     branch: str
     ill_conditioned: bool = False
@@ -131,14 +132,6 @@ def _certificate_from_bases(psi: Ket, bases: list[np.ndarray], tol: float) -> Gh
     return GhzCertificate(
         locals_, complex(alpha / scale), complex(beta / scale), (j_index, jbar_index)
     )
-
-
-def _eigenbasis_support_test(psi: Ket, rdms: list[np.ndarray], tol: float) -> GhzCertificate | None:
-    bases = []
-    for rho in rdms:
-        _, vecs = spectral_decompose(rho)
-        bases.append(vecs)
-    return _certificate_from_bases(psi, bases, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -265,10 +258,9 @@ def degenerate_ghz_test(psi: Ket, tol: float = DEFAULT_TOL) -> GhzCertificate | 
     at every site.  Returns None when no certificate exists.
     """
     n = psi.n
-    for j in range(1, n + 1):
-        rho = reduced_one_qubit(psi, j)
-        if np.max(np.abs(rho - 0.5 * np.eye(2))) > max(tol, DEGENERACY_TOL):
-            raise ValueError(f"marginal of qubit {j} is not maximally mixed")
+    deviation = np.max(np.abs(_grams(_qubit_factors(psi)) - 0.5 * np.eye(2)), axis=(1, 2))
+    if (off := deviation > max(tol, DEGENERACY_TOL)).any():
+        raise ValueError(f"marginal of qubit {int(np.argmax(off)) + 1} is not maximally mixed")
     split = schmidt_split(psi, 1)
     if n == 2:
         bases = [split.one_qubit_vectors, split.rest_vectors.T.copy()]
@@ -321,11 +313,9 @@ def classify(psi: Ket, tol: float = DEFAULT_TOL) -> Classification:
     n = psi.n
     if n < 2:
         raise ValueError("classification needs at least 2 qubits")
-    rdms = [reduced_one_qubit(psi, j) for j in range(1, n + 1)]
-    spectra = np.zeros((n, 2))
-    for j, rho in enumerate(rdms):
-        evals, _ = spectral_decompose(rho)
-        spectra[j] = evals
+    rdms = _grams(_qubit_factors(psi))
+    spectra = np.linalg.eigvalsh(rdms)[:, ::-1].copy()
+    spectra.setflags(write=False)
     gaps = spectra[:, 0] - spectra[:, 1]
     degenerate = tuple(bool(g < DEGENERACY_TOL) for g in gaps)
 
@@ -344,7 +334,7 @@ def classify(psi: Ket, tol: float = DEFAULT_TOL) -> Classification:
         cert = degenerate_ghz_test(psi, tol)
         return Classification(cert is not None, cert, diag("degenerate"))
 
-    cert = _eigenbasis_support_test(psi, rdms, tol)
+    cert = _certificate_from_bases(psi, [spectral_decompose(rho)[1] for rho in rdms], tol)
     ill = False
     if near_band:
         try:

@@ -15,7 +15,9 @@ import numpy as np
 from .tensors import (
     DensityMatrix,
     Ket,
-    _axis_first,
+    _check_factor_grams,
+    _grams,
+    _qubit_factors,
     _trace_positions,
     _traced_outer,
     partial_trace,
@@ -75,15 +77,17 @@ class PanelSubset:
 
 
 def panel_of_pure(psi: Ket) -> RdmPanel:
-    """Panel map for pure states: entry j traces out qubit j of |psi><psi|."""
+    """Panel map for pure states: entry j traces out qubit j of |psi><psi|.
+    Entries are read-only views into one (n, 2**(n-1), 2**(n-1)) block, so
+    holding one entry keeps the whole block alive."""
     if psi.n < 2:
         raise ValueError("panels need at least 2 qubits")
-    entries = []
-    for j in range(1, psi.n + 1):
-        labels = tuple(q for q in range(1, psi.n + 1) if q != j)
-        a = _axis_first(psi.amplitudes, psi.n, j)
-        entries.append(DensityMatrix._from_factor(labels, a))
-    return RdmPanel(psi.n, tuple(entries))
+    f = _qubit_factors(psi)
+    _check_factor_grams(_grams(f))
+    qubits = range(1, psi.n + 1)
+    labels = [tuple(q for q in qubits if q != j) for j in qubits]
+    block = f.swapaxes(-1, -2) @ f.conj()
+    return RdmPanel(psi.n, tuple(map(DensityMatrix._trusted, labels, block)))
 
 
 def panel_of_mixed(rho: DensityMatrix) -> RdmPanel:

@@ -8,8 +8,9 @@ phase generator,
 and g stabilizes the density matrix |psi><psi| exactly when g|psi> =
 i*theta*|psi> for some real theta.  Collecting the real and imaginary
 parts of that eigen-relation into one real linear system turns the
-subalgebra into the nullspace of a (2*2^n) x (3n+1) matrix, which is what
-this module computes.
+subalgebra into the nullspace of a (2*2^n) x (3n+1) matrix m, which this
+module reads from the SVD of m's square QR factor R: R^T R = m^T m, so R has
+m's singular values and right singular vectors, with no 2*2^n-row factor.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from .tensors import (
     SingleQubitUnitary,
     _axis_first,
     _axis_restore,
-    schmidt_split,
+    _grams,
+    _qubit_factors,
 )
 
 ACTION_TOL = 1e-8
@@ -71,14 +73,12 @@ def _pauli_columns(psi: Ket) -> np.ndarray:
     """Complex matrix whose columns are (iX_j)psi, (iY_j)psi, (iZ_j)psi
     for each qubit j, followed by i*psi."""
     n = psi.n
-    dim = 2**n
-    cols = np.zeros((dim, 3 * n + 1), dtype=complex)
-    for j in range(1, n + 1):
-        a = _axis_first(psi.amplitudes, n, j)
-        for p, sigma in enumerate(PAULIS):
-            cols[:, 3 * (j - 1) + p] = _axis_restore(1j * sigma @ a, n, j)
-    cols[:, 3 * n] = 1j * psi.amplitudes
-    return cols
+    f = _qubit_factors(psi)
+    # on a qubit factor a: iX a = i(a1, a0), iY a = (a1, -a0), iZ a = i(a0, -a1)
+    acts = np.stack([1j * f[:, ::-1], f[:, ::-1], 1j * f], axis=1)  # (n, 3, 2, 2^(n-1))
+    acts[:, 1:, 1] *= -1
+    cols = [_axis_restore(acts[j - 1], n, j).T for j in range(1, n + 1)]
+    return np.hstack(cols + [1j * psi.amplitudes[:, None]])
 
 
 def element_action(element: AlgebraElement, psi: Ket) -> np.ndarray:
@@ -116,26 +116,22 @@ def _rref(rows: np.ndarray, pivot_tol: float = _RREF_PIVOT_TOL) -> np.ndarray:
 def stabilizer_subalgebra(psi: Ket) -> StabilizerBasis:
     """Basis of the local unitary stabilizer subalgebra of |psi><psi|.
 
-    Builds the real matrix with 2*2^n rows (real and imaginary amplitude
+    Builds the real matrix m with 2*2^n rows (real and imaginary amplitude
     parts) and 3n+1 columns (per-qubit Pauli generators plus the global
-    phase) and returns a reduced-echelon basis of its nullspace.  A kernel
-    vector with zero last coordinate annihilates psi outright; a nonzero
-    last coordinate encodes theta, with the sign flipped because the phase
-    column enters the system as +i*psi.
+    phase) and reads a reduced-echelon basis of its nullspace from the SVD of
+    m's QR factor R (R^T R = m^T m).  A kernel vector with zero last
+    coordinate annihilates psi; a nonzero last coordinate encodes theta, with
+    the sign flipped because the phase column enters the system as +i*psi.
     """
     n = psi.n
     cols = _pauli_columns(psi)
     m = np.vstack([cols.real, cols.imag])
-    # thin SVD: only vh is used, and 2*2^n >= 3n+1 rows for every n >= 1, so
-    # vh is still the full (3n+1) x (3n+1) right factor
-    _, svals, vh = np.linalg.svd(m, full_matrices=False)
-    smax = svals[0] if svals.size else 0.0
-    threshold = max(1e-9, 1e-12 * smax * max(m.shape))
-    nullity = int(np.sum(svals < threshold)) + (m.shape[1] - svals.size)
-    if nullity == 0:
-        return StabilizerBasis((), 0)
-    kernel = vh[m.shape[1] - nullity :]
-    basis_rows = _rref(kernel)
+    # 2*2^n >= 3n+1 rows for every n >= 1, so R is square and vh is the full
+    # right factor; the threshold still scales with the shape of m, not of R
+    _, svals, vh = np.linalg.svd(np.linalg.qr(m, mode="r"))
+    threshold = max(1e-9, 1e-12 * svals[0] * max(m.shape))
+    nullity = int(np.sum(svals < threshold))
+    basis_rows = _rref(vh[m.shape[1] - nullity :])
     elements = tuple(
         AlgebraElement(row[: 3 * n].reshape(n, 3), -row[3 * n])
         for row in basis_rows
@@ -154,11 +150,9 @@ def undetermined_by_dimension(psi: Ket) -> str:
     n = psi.n
     if n == 4 or n < 3:
         return "inapplicable"
-    for j in range(1, n + 1):
-        if schmidt_split(psi, j).weights[1] < 1e-10:
-            return "determined"
-    basis = stabilizer_subalgebra(psi)
-    return "undetermined" if basis.dimension == n - 1 else "determined"
+    if np.min(np.linalg.eigvalsh(_grams(_qubit_factors(psi)))[:, 0]) < 1e-10:
+        return "determined"
+    return "undetermined" if stabilizer_subalgebra(psi).dimension == n - 1 else "determined"
 
 
 def conjugate_element(

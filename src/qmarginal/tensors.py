@@ -10,8 +10,9 @@ Conventions used throughout the package:
 * This module is the only one that knows that layout.  Every one-qubit
   action and every pure-state marginal goes through one kernel: the
   axis-first view ``_axis_first`` (a (2, 2**(n-1)) array with qubit j as
-  the row index), its inverse ``_axis_restore``, and the traced outer
-  product ``_traced_outer`` built on them.  ``partial_trace`` is the
+  the row index), its inverse ``_axis_restore``, their stack over every
+  qubit ``_qubit_factors`` (whose ``_grams`` are the one-qubit marginals),
+  and the traced outer product ``_traced_outer``.  ``partial_trace`` is the
   kernel for density matrices, with ``_trace_positions`` as its unchecked
   array core.
 * All values are immutable after construction; the operations below are
@@ -130,8 +131,8 @@ class DensityMatrix:
     file loaders in ``io`` run their own checks with their own tolerances,
     symmetrize and renormalize, and hand the result on through ``_trusted``
     without a second eigensolve.  Marginals the package builds from a pure
-    state, rho = a^T a^*, come through ``_from_factor``, which checks the
-    same trace and spectrum on the small Gram matrix a a^dagger instead.
+    state, rho = a^T a^*, are checked for the same trace and spectrum on the
+    small Gram a a^dagger instead, by ``_check_factor_grams``.
     """
 
     qubit_labels: tuple[int, ...]
@@ -140,17 +141,8 @@ class DensityMatrix:
     @classmethod
     def _from_factor(cls, labels: tuple[int, ...], a: np.ndarray) -> "DensityMatrix":
         """rho = a^T a^* for an r x 2^k factor ``a`` (r = 2 for a marginal
-        of a pure state with one qubit traced out, as ``_axis_first`` gives).
-
-        a a^dagger has the nonzero spectrum of rho, so the unit-trace and
-        no-negative-eigenvalue checks cost O(2^k) instead of an O(8^k)
-        eigensolve; Hermiticity holds by construction.
-        """
-        gram = a @ a.conj().T
-        if abs(np.trace(gram).real - 1.0) > HERM_TOL:
-            raise ValueError(f"trace is {np.trace(gram)!r}, expected 1")
-        if np.linalg.eigvalsh(gram)[0] < -HERM_TOL:
-            raise ValueError("matrix has a significantly negative eigenvalue")
+        of a pure state with one qubit traced out, as ``_axis_first`` gives)."""
+        _check_factor_grams(_grams(a))
         return cls._trusted(labels, a.T @ a.conj())
 
     @classmethod
@@ -269,6 +261,27 @@ def _axis_restore(a: np.ndarray, n: int, j: int) -> np.ndarray:
     return split.swapaxes(-3, -2).reshape(lead + (-1,))
 
 
+def _qubit_factors(psi: Ket) -> np.ndarray:
+    """(n, 2, 2**(n-1)) stack of ``_axis_first`` of psi at qubits 1..n."""
+    return np.stack([_axis_first(psi.amplitudes, psi.n, j) for j in range(1, psi.n + 1)])
+
+
+def _grams(a: np.ndarray) -> np.ndarray:
+    """a a^dagger of a factor, or of each in a stack: its one-qubit marginal."""
+    return a @ a.conj().swapaxes(-1, -2)
+
+
+def _check_factor_grams(grams: np.ndarray) -> None:
+    """Unit trace and no eigenvalue below -HERM_TOL for rho = a^T a^*, read in
+    O(2^k) from the Gram a a^dagger (or a stack, in one eigensolve), which has
+    rho's nonzero spectrum; Hermiticity holds by construction."""
+    traces = np.trace(grams, axis1=-2, axis2=-1)
+    if (off := np.abs(traces.real - 1.0) > HERM_TOL).any():
+        raise ValueError(f"trace is {traces[off].flat[0]!r}, expected 1")
+    if np.min(np.linalg.eigvalsh(grams)[..., 0]) < -HERM_TOL:
+        raise ValueError("matrix has a significantly negative eigenvalue")
+
+
 def _traced_outer(left: np.ndarray, right: np.ndarray, n: int, k: int) -> np.ndarray:
     """tr_k |left><right| for n-qubit amplitude vectors: the pure-state
     marginal rho_(k) when left is right."""
@@ -301,8 +314,7 @@ def _trace_positions(mat: np.ndarray, k: int, positions) -> np.ndarray:
 
 def reduced_one_qubit(psi: Ket, j: int) -> np.ndarray:
     """2x2 reduced density matrix of qubit j of a pure state (raw array)."""
-    a = _axis_first(psi.amplitudes, psi.n, j)
-    return a @ a.conj().T
+    return _grams(_axis_first(psi.amplitudes, psi.n, j))
 
 
 def fix_global_phase(amplitudes: np.ndarray) -> np.ndarray:

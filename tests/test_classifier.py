@@ -52,6 +52,16 @@ class TestClassify:
             orbit = qm.random_lu_orbit(psi, seed=6000 + seed)
             assert qm.classify(orbit).ghz_class == qm.classify(psi).ghz_class
 
+    def test_spectra_are_read_only_descending_rows(self):
+        for psi in (qm.haar_random_ket(5, 31), random_ghz_orbit(4, 32)[0], qm.ghz_state(3)):
+            spectra = qm.classify(psi).diagnostics.spectra
+            assert spectra.shape == (psi.n, 2)
+            assert spectra.flags.c_contiguous
+            assert not spectra.flags.writeable
+            assert np.all(spectra[:, 0] >= spectra[:, 1])
+            with pytest.raises(ValueError):
+                spectra[0, 0] = 0.0
+
     def test_ghz_class_spectra_match_certificate_weights(self):
         orbit, _ = random_ghz_orbit(5, 4321)
         cls = qm.classify(orbit)

@@ -5,7 +5,7 @@ import pytest
 
 import qmarginal as qm
 from conftest import random_ghz_orbit
-from qmarginal.tensors import PAULI_Z
+from qmarginal.tensors import PAULI_Z, _traced_outer
 
 
 class TestPanelOfPure:
@@ -42,6 +42,16 @@ class TestPanelOfPure:
                 assert entry.qubit_labels == traced.qubit_labels
                 assert np.max(np.abs(entry.entries - traced.entries)) < 1e-12
                 qm.DensityMatrix(entry.qubit_labels, entry.entries)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 10])
+    def test_entries_are_read_only_traced_outer_products(self, n):
+        for psi in (qm.haar_random_ket(n, 970 + n), random_ghz_orbit(n, 980 + n)[0]):
+            a = psi.amplitudes
+            panel = qm.panel_of_pure(psi)
+            for j in range(1, n + 1):
+                entries = panel.entry(j).entries
+                assert np.array_equal(entries, _traced_outer(a, a, n, j))
+                assert not entries.flags.writeable
 
     def test_entry_labels_omit_exactly_one_qubit(self):
         panel = qm.panel_of_pure(qm.haar_random_ket(4, 12))

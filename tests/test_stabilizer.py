@@ -65,6 +65,21 @@ class TestDimension:
         orbit = qm.random_lu_orbit(qm.ghz_state(n), seed=80 + n)
         assert qm.stabilizer_subalgebra(orbit).dimension == independent_nullity(orbit)
 
+    @pytest.mark.parametrize("n", [3, 5])
+    @pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-9, 1e-12])
+    def test_near_ghz_dimension_matches_full_svd(self, n, eps):
+        # 0.6|0..0> + 0.8|1..1> + eps|0..01>: the extra amplitude lifts
+        # singular values to about eps, on either side of the 1e-9 floor
+        amps = np.zeros(2**n, dtype=complex)
+        amps[[0, -1, 1]] = 0.6, 0.8, eps
+        for seed in range(3):
+            psi = qm.random_lu_orbit(qm.ket(amps), seed=90 + 10 * n + seed)
+            m = generator_matrix(psi)
+            svals = np.linalg.svd(m, compute_uv=False)
+            threshold = max(1e-9, 1e-12 * svals[0] * max(m.shape))
+            nullity = int(np.sum(svals < threshold))
+            assert qm.stabilizer_subalgebra(psi).dimension == nullity
+
 
 class TestBasisStructure:
     def test_two_term_elements_are_traceless_diagonal(self):
@@ -133,6 +148,30 @@ class TestDimensionCriterion:
         psi = qm.Ket(5, amps)
         assert qm.stabilizer_subalgebra(psi).dimension == 4
         assert qm.undetermined_by_dimension(psi) == "determined"
+
+    @pytest.mark.parametrize("weight, reaches_algebra", [(1e-12, False), (1e-8, True)])
+    def test_small_schmidt_weight_on_qubit_one(self, monkeypatch, weight, reaches_algebra):
+        # sqrt(1-w)|0>|GHZ+> + sqrt(w)|1>|GHZ->: qubit 1's smaller Schmidt
+        # weight is w, on either side of the 1e-10 product cut
+        ghz = qm.ghz_state(4).amplitudes
+        flipped = ghz * np.where(np.arange(16) == 15, -1.0, 1.0)
+        amps = np.concatenate([np.sqrt(1 - weight) * ghz, np.sqrt(weight) * flipped])
+        psi = qm.random_lu_orbit(qm.Ket(5, amps), seed=77)
+        calls = []
+        original = qm.stabilizer.stabilizer_subalgebra
+
+        def counted(state):
+            calls.append(state)
+            return original(state)
+
+        monkeypatch.setattr(qm.stabilizer, "stabilizer_subalgebra", counted)
+        verdict = qm.undetermined_by_dimension(psi)
+        assert len(calls) == int(reaches_algebra)
+        if not reaches_algebra:
+            assert verdict == "determined"
+        else:
+            dim = original(psi).dimension
+            assert verdict == ("undetermined" if dim == 4 else "determined")
 
 
 class TestLuCovariance:

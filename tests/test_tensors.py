@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import qmarginal as qm
-from qmarginal.tensors import PAULI_X, PAULI_Z
+from qmarginal.tensors import PAULI_X, PAULI_Z, reduced_one_qubit
 
 
 def dm(entries, labels):
@@ -298,3 +298,25 @@ class TestConventions:
     def test_unitary_validation(self):
         with pytest.raises(ValueError):
             qm.SingleQubitUnitary(np.array([[1.0, 0.0], [1.0, 1.0]]), 1)
+
+
+def w_state(n):
+    amps = np.zeros(2**n)
+    amps[[1 << k for k in range(n)]] = 1.0
+    return qm.ket(amps)
+
+
+class TestQubitFactorKernel:
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_classify_spectra_match_each_one_qubit_marginal(self, n):
+        states = (
+            qm.haar_random_ket(n, 1200 + n),
+            qm.random_product_ket(n, 1300 + n),
+            qm.random_lu_orbit(qm.ghz_state(n), seed=1400 + n),
+            w_state(n),
+        )
+        for psi in states:
+            spectra = qm.classify(psi).diagnostics.spectra
+            for j in range(1, n + 1):
+                want = np.linalg.eigvalsh(reduced_one_qubit(psi, j))[::-1]
+                np.testing.assert_allclose(spectra[j - 1], want, rtol=0, atol=1e-14)
