@@ -308,11 +308,14 @@ def classify(psi: Ket, tol: float = DEFAULT_TOL) -> Classification:
     through the eigenbasis/antipodal-support test; fully degenerate spectra
     go through the product-vector test.  States straddling the degeneracy
     threshold are run through both branches and flagged when the branches
-    disagree.
+    disagree.  Raises ``ValueError`` for a tol that is not positive (NaN
+    included: it compares False with every margin).
     """
     n = psi.n
     if n < 2:
         raise ValueError("classification needs at least 2 qubits")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
     rdms = _grams(_qubit_factors(psi))
     spectra = np.linalg.eigvalsh(rdms)[:, ::-1].copy()
     spectra.setflags(write=False)

@@ -69,6 +69,16 @@ def save_state(path, psi: Ket, label: str | None = None) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def _require_finite(values: np.ndarray, path, first_line: int | None, what: str) -> None:
+    """Reject the first row of ``values`` that holds a NaN or an infinity;
+    row r was read from line first_line + r (None: no line numbers)."""
+    finite = np.isfinite(values).reshape(len(values), -1).all(axis=1)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        line = None if first_line is None else first_line + row
+        raise FileFormatError(path, line, f"{what} row {row + 1} is not finite")
+
+
 def _normalized_ket(n: int, amps: np.ndarray, path) -> Ket:
     norm = float(np.linalg.norm(amps))
     if abs(norm - 1.0) > LOAD_NORM_TOL:
@@ -121,6 +131,7 @@ def load_state(path) -> StateFile:
             amps[i] = complex(float(parts[0]), float(parts[1]))
         except ValueError as err:
             raise FileFormatError(path, lineno, f"invalid float: {lines[row + i]!r}") from err
+    _require_finite(amps, path, row + 1, "amplitude")
     extra = row + 2**n
     if any(line.strip() for line in lines[extra:]):
         raise FileFormatError(path, extra + 1, "unexpected trailing content")
@@ -142,6 +153,7 @@ def _state_from_json(doc, path) -> StateFile:
         raise FileFormatError(path, None, f"invalid qubit count {n}")
     if amps.size != 2**n:
         raise FileFormatError(path, None, f"expected {2**n} amplitudes, got {amps.size}")
+    _require_finite(amps, path, None, "amplitude")
     return StateFile(n, _normalized_ket(n, amps, path), doc.get("label"))
 
 
@@ -183,18 +195,19 @@ def _entry_from_raw(raw: np.ndarray, n: int, omitted: int, path, line: int | Non
     if abs(trace - 1.0) > LOAD_NORM_TOL:
         raise FileFormatError(path, line, f"entry {omitted} has trace {trace!r}")
     sym = sym / trace
-    evals, evecs = np.linalg.eigh(sym)
-    if evals[0] < -LOAD_HERM_TOL:
+    lowest = np.linalg.eigvalsh(sym)[0]
+    if lowest < -LOAD_HERM_TOL:
         raise FileFormatError(path, line, f"entry {omitted} is not positive semidefinite")
-    if evals[0] < -HERM_TOL:
+    if lowest < -HERM_TOL:
         # clip only what breaks the DensityMatrix invariant: the rank-2
         # entries of a pure state's panel read back with a lowest eigenvalue
-        # of about -1e-17, which needs no rebuild
+        # of about -1e-17, which needs no rebuild and so no eigenvectors
+        evals, evecs = np.linalg.eigh(sym)
         clipped = np.clip(evals, 0.0, None)
         sym = (evecs * clipped) @ evecs.conj().T
         sym = sym / float(np.trace(sym).real)
     labels = tuple(q for q in range(1, n + 1) if q != omitted)
-    # this one eigh is the entry's spectrum check: checked above at the
+    # the eigvalsh above is the entry's spectrum check: checked at the
     # loader's tolerances, Hermitian and of unit trace
     return DensityMatrix._trusted(labels, sym)
 
@@ -272,6 +285,7 @@ def load_panel(path) -> RdmPanel:
             raise FileFormatError(path, row + 1, f"bad or repeated entry label {omitted}")
         start = row + 1
         raw = _matrix_rows(lines, start, dim, omitted, path)
+        _require_finite(raw, path, start + 1, f"entry {omitted}: matrix")
         entries[omitted] = _entry_from_raw(raw, n, omitted, path, row + 1)
         row = start + dim
     if any(line.strip() for line in lines[row:]):
@@ -298,6 +312,7 @@ def _panel_from_json(doc, path) -> RdmPanel:
             )
             if raw.shape != (2 ** (n - 1), 2 ** (n - 1)):
                 raise FileFormatError(path, None, f"entry {omitted} has shape {raw.shape}")
+            _require_finite(raw, path, None, f"entry {omitted}: matrix")
             entries[omitted] = _entry_from_raw(raw, n, omitted, path, None)
     except (KeyError, TypeError, ValueError) as err:
         if isinstance(err, FileFormatError):

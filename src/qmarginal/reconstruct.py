@@ -104,8 +104,11 @@ def reconstruct(panel: RdmPanel, tol: float = DEFAULT_TOL) -> ReconstructionResu
     Returns Unique with the reconstructed state, GhzFamily with a
     certificate when the panel belongs to a GHZ-class orbit, or
     Incompatible with a reason when no pure state reproduces the panel
-    within tol.
+    within tol.  Raises ``ValueError`` for a tol that is not positive (NaN
+    included).
     """
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
     # entry 1's eigenvectors are kept for the purification
     first = spectral_decompose(panel.entry(1).entries)
     spectra = [first[0]] + [np.linalg.eigvalsh(e.entries)[::-1] for e in panel.entries[1:]]

@@ -11,6 +11,14 @@ parts of that eigen-relation into one real linear system turns the
 subalgebra into the nullspace of a (2*2^n) x (3n+1) matrix m, which this
 module reads from the SVD of m's square QR factor R: R^T R = m^T m, so R has
 m's singular values and right singular vectors, with no 2*2^n-row factor.
+
+Almost every state is fixed by its marginals, and its subalgebra is then
+trivial.  For n >= 6 a cheaper certificate proves that first, from the rows
+of m at 2(3n+1) sampled basis indices: deleting rows only lowers singular
+values, so sigma_min(m) >= sigma_min(m_S), and every column of m has norm
+|psi|, so sigma_max(m) <= |m|_F = sqrt(3n+1)*|psi|.  A sampled sigma_min at
+or above the nullity threshold evaluated at that sigma_max bound therefore
+means that the full rule would find nullity 0 as well.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ from .tensors import (
     SingleQubitUnitary,
     _axis_first,
     _axis_restore,
+    _bit_flips,
     _grams,
     _qubit_factors,
 )
@@ -81,6 +90,32 @@ def _pauli_columns(psi: Ket) -> np.ndarray:
     return np.hstack(cols + [1j * psi.amplitudes[:, None]])
 
 
+def _sampled_rows(n: int) -> np.ndarray:
+    """2(3n+1) distinct basis indices, k * 0x9E3779B1 mod 2^n, for n >= 6.
+
+    The odd multiplier makes them distinct and varies every qubit's bit
+    across the sample.  A strided slice would fix the low qubits, and on
+    those rows iZ_j psi and i psi coincide, so m_S would be singular."""
+    return (np.arange(2 * (3 * n + 1), dtype=np.int64) * 0x9E3779B1) % 2**n
+
+
+def _sampled_pauli_rows(psi: Ket, rows: np.ndarray) -> np.ndarray:
+    """Rows ``rows`` of ``_pauli_columns(psi)``, gathered from amplitudes:
+    (iX_j psi)[i] = i psi[i^b_j], (iY_j psi)[i] = +-psi[i^b_j],
+    (iZ_j psi)[i] = +-i psi[i], with sign - where qubit j's bit of i is set."""
+    flips, bits = _bit_flips(rows, psi.n)
+    sign = 1.0 - 2.0 * bits
+    flipped = psi.amplitudes[flips]
+    own = psi.amplitudes[rows]
+    acts = np.stack([1j * flipped, sign * flipped, 1j * sign * own[:, None]], axis=2)
+    return np.hstack([acts.reshape(len(rows), -1), 1j * own[:, None]])
+
+
+def _null_threshold(sigma_max: float, m_rows: int) -> float:
+    """Singular values of the 2*2^n-row m below this count as zero."""
+    return max(1e-9, 1e-12 * sigma_max * m_rows)
+
+
 def element_action(element: AlgebraElement, psi: Ket) -> np.ndarray:
     """Raw amplitudes of sum_j i (x_j X_j + y_j Y_j + z_j Z_j) |psi>."""
     if element.n != psi.n:
@@ -122,15 +157,30 @@ def stabilizer_subalgebra(psi: Ket) -> StabilizerBasis:
     m's QR factor R (R^T R = m^T m).  A kernel vector with zero last
     coordinate annihilates psi; a nonzero last coordinate encodes theta, with
     the sign flipped because the phase column enters the system as +i*psi.
+
+    For n >= 6, where 2(3n+1) < 2^n, the rows m_S of m at the basis indices
+    of ``_sampled_rows`` are tried first.  If sigma_min(m_S) >=
+    max(1e-9, 1e-12 * sqrt(3n+1) * |psi| * 2^(n+1)), the threshold of the
+    rule below at its largest possible sigma_max(m), then sigma_min(m) lies
+    above the threshold too, and the empty basis is returned without
+    building m.  A state with a nontrivial subalgebra never passes (its null
+    vectors annihilate m_S as well), and a trivial one that fails takes the
+    full path, so the result is the full rule's either way.
     """
     n = psi.n
+    m_rows = 2 * 2**n
+    if 2 * (3 * n + 1) < 2**n:
+        sampled = _sampled_pauli_rows(psi, _sampled_rows(n))
+        sigma_min = np.linalg.svd(np.vstack([sampled.real, sampled.imag]), compute_uv=False)[-1]
+        frobenius = np.sqrt(3 * n + 1) * np.linalg.norm(psi.amplitudes)
+        if sigma_min >= _null_threshold(frobenius, m_rows):
+            return StabilizerBasis((), 0)
     cols = _pauli_columns(psi)
     m = np.vstack([cols.real, cols.imag])
     # 2*2^n >= 3n+1 rows for every n >= 1, so R is square and vh is the full
     # right factor; the threshold still scales with the shape of m, not of R
     _, svals, vh = np.linalg.svd(np.linalg.qr(m, mode="r"))
-    threshold = max(1e-9, 1e-12 * svals[0] * max(m.shape))
-    nullity = int(np.sum(svals < threshold))
+    nullity = int(np.sum(svals < _null_threshold(svals[0], m_rows)))
     basis_rows = _rref(vh[m.shape[1] - nullity :])
     elements = tuple(
         AlgebraElement(row[: 3 * n].reshape(n, 3), -row[3 * n])

@@ -12,9 +12,10 @@ Conventions used throughout the package:
   axis-first view ``_axis_first`` (a (2, 2**(n-1)) array with qubit j as
   the row index), its inverse ``_axis_restore``, their stack over every
   qubit ``_qubit_factors`` (whose ``_grams`` are the one-qubit marginals),
-  and the traced outer product ``_traced_outer``.  ``partial_trace`` is the
-  kernel for density matrices, with ``_trace_positions`` as its unchecked
-  array core.
+  and the traced outer product ``_traced_outer``; ``_bit_flips`` gives the
+  same one-qubit flips for a few gathered amplitudes.  ``partial_trace`` is
+  the kernel for density matrices, with ``_trace_positions`` as its
+  unchecked array core.
 * All values are immutable after construction; the operations below are
   pure functions and safe to call concurrently.
 """
@@ -54,6 +55,10 @@ class Ket:
                 f"expected {2**self.n} amplitudes for n={self.n}, got {amps.size}"
             )
         norm = np.linalg.norm(amps)
+        # NaN passes the "> 1e-6" test below; a NaN or infinity among the
+        # amplitudes makes the norm non-finite, so only then are they scanned
+        if not np.isfinite(norm) and not np.isfinite(amps).all():
+            raise ValueError("ket amplitudes must be finite")
         if abs(norm - 1.0) > 1e-6:
             raise ValueError(f"ket is not normalized (norm={norm!r})")
         if abs(norm - 1.0) > NORM_TOL:
@@ -82,6 +87,8 @@ def ket(amplitudes, n: int | None = None) -> Ket:
     if n is None:
         n = int(round(np.log2(amps.size)))
     norm = np.linalg.norm(amps)
+    if not np.isfinite(norm) and not np.isfinite(amps).all():
+        raise ValueError("ket amplitudes must be finite")
     if norm == 0.0:
         raise ValueError("cannot normalize the zero vector")
     return Ket(n, amps / norm)
@@ -126,13 +133,14 @@ class DensityMatrix:
     """State of a labeled subset of qubits: Hermitian, PSD, unit trace.
 
     Validation policy: the public constructor checks every matrix it is
-    given in full (shape, Hermiticity, unit trace and no eigenvalue below
-    -HERM_TOL), and so do ``partial_trace`` and ``panel_of_mixed``.  The
-    file loaders in ``io`` run their own checks with their own tolerances,
-    symmetrize and renormalize, and hand the result on through ``_trusted``
-    without a second eigensolve.  Marginals the package builds from a pure
-    state, rho = a^T a^*, are checked for the same trace and spectrum on the
-    small Gram a a^dagger instead, by ``_check_factor_grams``.
+    given in full (shape, finite entries, Hermiticity, unit trace and no
+    eigenvalue below -HERM_TOL), and so do ``partial_trace`` and
+    ``panel_of_mixed``.  The file loaders in ``io`` run their own checks
+    with their own tolerances, symmetrize and renormalize, and hand the
+    result on through ``_trusted`` without a second eigensolve.  Marginals
+    the package builds from a pure state, rho = a^T a^*, are checked for the
+    same trace and spectrum on the small Gram a a^dagger instead, by
+    ``_check_factor_grams``.
     """
 
     qubit_labels: tuple[int, ...]
@@ -166,6 +174,8 @@ class DensityMatrix:
         dim = 2 ** len(labels)
         if mat.shape != (dim, dim):
             raise ValueError(f"expected {dim}x{dim} matrix, got {mat.shape}")
+        if not np.isfinite(mat).all():
+            raise ValueError("matrix entries must be finite")
         if np.max(np.abs(mat - mat.conj().T)) > HERM_TOL:
             raise ValueError("matrix is not Hermitian")
         if abs(np.trace(mat).real - 1.0) > HERM_TOL:
@@ -190,6 +200,8 @@ class SingleQubitUnitary:
         mat = _frozen(np.asarray(self.entries))
         if mat.shape != (2, 2):
             raise ValueError(f"expected a 2x2 matrix, got {mat.shape}")
+        if not np.isfinite(mat).all():
+            raise ValueError("matrix entries must be finite")
         if np.max(np.abs(mat @ mat.conj().T - np.eye(2))) > UNITARY_TOL:
             raise ValueError("matrix is not unitary")
         object.__setattr__(self, "entries", mat)
@@ -264,6 +276,14 @@ def _axis_restore(a: np.ndarray, n: int, j: int) -> np.ndarray:
 def _qubit_factors(psi: Ket) -> np.ndarray:
     """(n, 2, 2**(n-1)) stack of ``_axis_first`` of psi at qubits 1..n."""
     return np.stack([_axis_first(psi.amplitudes, psi.n, j) for j in range(1, psi.n + 1)])
+
+
+def _bit_flips(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """For an int64 array of basis indices: the (len(rows), n) indices with
+    qubit j's bit flipped (column j-1), where X_j reads its amplitude, and
+    whether that bit is set at each index."""
+    masks = np.left_shift(1, np.arange(n - 1, -1, -1, dtype=np.int64))
+    return rows[:, None] ^ masks, (rows[:, None] & masks) != 0
 
 
 def _grams(a: np.ndarray) -> np.ndarray:

@@ -45,6 +45,12 @@ class TestClassify:
         with pytest.raises(ValueError):
             qm.classify(qm.basis_ket(1, 0))
 
+    @pytest.mark.parametrize("tol", [-1e-6, 0.0, float("nan")])
+    def test_rejects_tolerance_that_is_not_positive(self, tol):
+        # a NaN tol passes every margin, so a Haar state came out ghz-class
+        with pytest.raises(ValueError, match="tol"):
+            qm.classify(qm.haar_random_ket(3, 1), tol)
+
     def test_verdict_is_lu_invariant(self):
         for seed, psi in enumerate(
             [qm.ghz_state(4), qm.haar_random_ket(4, 21), qm.chi_state()]

@@ -67,6 +67,22 @@ class TestStateFiles:
         with pytest.raises(FileFormatError, match="header"):
             load_state(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_amplitude_names_its_line(self, tmp_path, value):
+        path = tmp_path / "state.txt"
+        path.write_text(f"qmarginal-state 1 2\nlabel x\n1.0 0.0\n0.0 {value}\n0.0 0.0\n0.0 0.0\n")
+        with pytest.raises(FileFormatError, match="state.txt:4: amplitude row 2 is not finite"):
+            load_state(path)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_json_non_finite_amplitude_rejected(self, tmp_path, value):
+        path = tmp_path / "state.json"
+        doc = {"format": "qmarginal-state", "version": 1, "n": 1,
+               "amplitudes": [[1.0, 0.0], [value, 0.0]]}
+        path.write_text(json.dumps(doc) + "\n")
+        with pytest.raises(FileFormatError, match="state.json: amplitude row 2 is not finite"):
+            load_state(path)
+
     def test_json_zero_qubits_rejected(self, tmp_path):
         path = tmp_path / "state.json"
         path.write_text(
@@ -175,6 +191,27 @@ class TestPanelFiles:
         with pytest.raises(FileFormatError, match=f"panel.txt:7: {message}"):
             load_panel(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_entry_names_its_line(self, tmp_path, value):
+        panel = qm.panel_of_pure(qm.ghz_state(2))
+        path = tmp_path / "panel.txt"
+        save_panel(path, panel)
+        lines = path.read_text().splitlines()
+        lines[6] = f"0.0 0.0 {value} 0.0"  # second row of entry 2
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FileFormatError, match="panel.txt:7: entry 2: matrix row 2 is not finite"):
+            load_panel(path)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("-inf")])
+    def test_json_non_finite_entry_rejected(self, tmp_path, value):
+        path = tmp_path / "panel.json"
+        self._json_panel(path, 2, [1, 2])
+        doc = json.loads(path.read_text())
+        doc["entries"][1]["matrix"][0][1][0] = value
+        path.write_text(json.dumps(doc) + "\n")
+        with pytest.raises(FileFormatError, match="panel.json: entry 2: matrix row 1 is not finite"):
+            load_panel(path)
+
     @staticmethod
     def _json_panel(path, n, omitted_labels):
         """A panel document with one maximally mixed entry per label."""
@@ -234,6 +271,22 @@ class TestCli:
         code, _, err = self.run(capsys, "analyze", str(path))
         assert code == 2
         assert "bad.state:3" in err
+
+    def test_analyze_non_finite_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "nan.state"
+        path.write_text("qmarginal-state 1 2\nnan 0\n0 0\n0 0\n0 0\n")
+        code, out, err = self.run(capsys, "analyze", str(path))
+        assert code == 2
+        assert "nan.state:2: amplitude row 1 is not finite" in err
+        assert "verdict" not in out
+
+    def test_analyze_nan_tolerance_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "haar.state"
+        save_state(path, qm.haar_random_ket(4, 101))
+        code, out, err = self.run(capsys, "analyze", "--tol", "nan", str(path))
+        assert code == 2
+        assert "tol must be positive" in err
+        assert "verdict" not in out
 
     def test_reconstruct_haar_panel(self, tmp_path, capsys):
         psi = qm.haar_random_ket(3, 102)

@@ -73,6 +73,11 @@ class TestReconstruct:
             assert abs(result.state.overlap(psi)) >= 1.0 - 1e-8
             assert result.residual <= 1e-9
 
+    @pytest.mark.parametrize("tol", [-1e-6, 0.0, float("nan")])
+    def test_rejects_tolerance_that_is_not_positive(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            qm.reconstruct(qm.panel_of_pure(qm.haar_random_ket(3, 1)), tol)
+
     def test_unbalanced_two_term_panel_gives_family(self):
         psi = qm.ghz_state(3, 0.6, 0.8)
         result = qm.reconstruct(qm.panel_of_pure(psi))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import qmarginal as qm
+from conftest import mixed_corpus, random_ghz_orbit
 from qmarginal.oracle import random_unitary_2x2
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -220,3 +221,87 @@ class TestVerifyGhzSubalgebra:
         basis = qm.stabilizer_subalgebra(qm.ghz_state(3))
         with pytest.raises(ValueError):
             qm.verify_ghz_subalgebra(basis, self.identity_locals(4))
+
+
+class TestSampledRowCertificate:
+    """For n >= 6 a trivial subalgebra is certified from a sampled block of
+    m's rows; everything else takes the full path, counted through
+    ``_pauli_columns``, which only the full path calls."""
+
+    @staticmethod
+    def count_full_path(monkeypatch):
+        calls = []
+        original = qm.stabilizer._pauli_columns
+
+        def counted(psi):
+            calls.append(psi)
+            return original(psi)
+
+        monkeypatch.setattr(qm.stabilizer, "_pauli_columns", counted)
+        return calls
+
+    @staticmethod
+    def echelon_bytes(basis):
+        return [(e.coords.tobytes(), e.phase) for e in basis.elements]
+
+    @pytest.mark.parametrize("n", [6, 9])
+    def test_gathered_rows_are_rows_of_the_full_system(self, n):
+        psi = qm.haar_random_ket(n, 3000 + n)
+        rows = qm.stabilizer._sampled_rows(n)
+        assert len(set(rows.tolist())) == len(rows) == 2 * (3 * n + 1)
+        np.testing.assert_array_equal(
+            qm.stabilizer._sampled_pauli_rows(psi, rows), qm.stabilizer._pauli_columns(psi)[rows]
+        )
+
+    @pytest.mark.parametrize("n", range(6, 11))
+    def test_matches_the_full_path_on_the_mixed_corpus(self, monkeypatch, n):
+        states = [psi for _, psi in mixed_corpus(n, 2, 3100 + 10 * n)]
+        certified = [qm.stabilizer_subalgebra(psi) for psi in states]
+        # with every sampled index at 0 the block has rank <= 2, so no
+        # certificate passes and each call runs the full rule
+        monkeypatch.setattr(
+            qm.stabilizer, "_sampled_rows", lambda n: np.zeros(2 * (3 * n + 1), dtype=np.int64)
+        )
+        calls = self.count_full_path(monkeypatch)
+        for psi, got in zip(states, certified):
+            want = qm.stabilizer_subalgebra(psi)
+            assert got.dimension == want.dimension
+            assert self.echelon_bytes(got) == self.echelon_bytes(want)
+        assert len(calls) == len(states)
+
+    @pytest.mark.parametrize("n", [6, 7])
+    @pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-9, 1e-12])
+    def test_near_ghz_dimension_matches_full_svd_past_the_certificate(self, n, eps):
+        amps = np.zeros(2**n, dtype=complex)
+        amps[[0, -1, 1]] = 0.6, 0.8, eps
+        for seed in range(3):
+            psi = qm.random_lu_orbit(qm.ket(amps), seed=90 + 10 * n + seed)
+            m = generator_matrix(psi)
+            svals = np.linalg.svd(m, compute_uv=False)
+            threshold = max(1e-9, 1e-12 * svals[0] * max(m.shape))
+            nullity = int(np.sum(svals < threshold))
+            assert qm.stabilizer_subalgebra(psi).dimension == nullity
+
+    def test_haar_states_skip_the_full_path_and_ghz_orbits_reach_it(self, monkeypatch):
+        calls = self.count_full_path(monkeypatch)
+        for n in range(6, 11):
+            for seed in range(4):
+                assert qm.stabilizer_subalgebra(qm.haar_random_ket(n, 3200 + 10 * n + seed)).dimension == 0
+        assert calls == []
+        for n in range(6, 11):
+            orbit, _ = random_ghz_orbit(n, 3300 + n)
+            assert qm.stabilizer_subalgebra(orbit).dimension == n - 1
+        assert len(calls) == 5
+
+    def test_state_off_the_sampled_rows_falls_back(self, monkeypatch):
+        # zero amplitude on every sampled index zeroes the i*psi column of
+        # the block; the state is still trivially stabilized
+        n = 6
+        rng = np.random.default_rng(3400)
+        amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        amps[qm.stabilizer._sampled_rows(n)] = 0.0
+        psi = qm.ket(amps)
+        assert independent_nullity(psi) == 0
+        calls = self.count_full_path(monkeypatch)
+        assert qm.stabilizer_subalgebra(psi).dimension == 0
+        assert len(calls) == 1

@@ -299,6 +299,18 @@ class TestConventions:
         with pytest.raises(ValueError):
             qm.SingleQubitUnitary(np.array([[1.0, 0.0], [1.0, 1.0]]), 1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_constructors_reject_non_finite_entries(self, bad):
+        # NaN compares False with every tolerance, so each check would pass it
+        with pytest.raises(ValueError, match="finite"):
+            qm.Ket(2, [bad, 0, 0, 0])
+        with pytest.raises(ValueError, match="finite"):
+            qm.ket([bad, 1.0])
+        with pytest.raises(ValueError, match="finite"):
+            qm.DensityMatrix((1,), np.array([[bad, 0.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="finite"):
+            qm.SingleQubitUnitary(np.array([[bad, 0.0], [0.0, 1.0]]), 1)
+
 
 def w_state(n):
     amps = np.zeros(2**n)
