@@ -78,18 +78,6 @@ class StabilizerBasis:
         object.__setattr__(self, "elements", elements)
 
 
-def _pauli_columns(psi: Ket) -> np.ndarray:
-    """Complex matrix whose columns are (iX_j)psi, (iY_j)psi, (iZ_j)psi
-    for each qubit j, followed by i*psi."""
-    n = psi.n
-    f = _qubit_factors(psi)
-    # on a qubit factor a: iX a = i(a1, a0), iY a = (a1, -a0), iZ a = i(a0, -a1)
-    acts = np.stack([1j * f[:, ::-1], f[:, ::-1], 1j * f], axis=1)  # (n, 3, 2, 2^(n-1))
-    acts[:, 1:, 1] *= -1
-    cols = [_axis_restore(acts[j - 1], n, j).T for j in range(1, n + 1)]
-    return np.hstack(cols + [1j * psi.amplitudes[:, None]])
-
-
 def _sampled_rows(n: int) -> np.ndarray:
     """2(3n+1) distinct basis indices, k * 0x9E3779B1 mod 2^n, for n >= 6.
 
@@ -99,16 +87,31 @@ def _sampled_rows(n: int) -> np.ndarray:
     return (np.arange(2 * (3 * n + 1), dtype=np.int64) * 0x9E3779B1) % 2**n
 
 
-def _sampled_pauli_rows(psi: Ket, rows: np.ndarray) -> np.ndarray:
-    """Rows ``rows`` of ``_pauli_columns(psi)``, gathered from amplitudes:
-    (iX_j psi)[i] = i psi[i^b_j], (iY_j psi)[i] = +-psi[i^b_j],
-    (iZ_j psi)[i] = +-i psi[i], with sign - where qubit j's bit of i is set."""
-    flips, bits = _bit_flips(rows, psi.n)
+def _pauli_system(psi: Ket, rows: np.ndarray) -> np.ndarray:
+    """Rows of m at the basis indices ``rows``: the real parts, then the
+    imaginary parts, of those rows of the complex matrix whose columns are
+    (iX_j)psi, (iY_j)psi, (iZ_j)psi for each qubit j, followed by i*psi.
+
+    Each entry is a gathered amplitude: (iX_j psi)[i] = i psi[i^b_j],
+    (iY_j psi)[i] = +-psi[i^b_j], (iZ_j psi)[i] = +-i psi[i], with sign -
+    where qubit j's bit of i is set, and i*(a + ib) = -b + ia.  The result
+    is column-major, the layout LAPACK factors without a copy."""
+    n = psi.n
+    flips, bits = _bit_flips(rows, n)
     sign = 1.0 - 2.0 * bits
     flipped = psi.amplitudes[flips]
     own = psi.amplitudes[rows]
-    acts = np.stack([1j * flipped, sign * flipped, 1j * sign * own[:, None]], axis=2)
-    return np.hstack([acts.reshape(len(rows), -1), 1j * own[:, None]])
+    # columns[c] holds column c of m, its real half then its imaginary half
+    columns = np.empty((3 * n + 1, 2, len(rows)))
+    acts = columns[:-1].reshape(n, 3, 2, len(rows))
+    acts[:, 0, 0] = -flipped.imag
+    acts[:, 0, 1] = flipped.real
+    acts[:, 1, 0] = sign * flipped.real
+    acts[:, 1, 1] = sign * flipped.imag
+    acts[:, 2, 0] = sign * -own.imag
+    acts[:, 2, 1] = sign * own.real
+    columns[-1] = -own.imag, own.real
+    return columns.reshape(3 * n + 1, -1).T
 
 
 def _null_threshold(sigma_max: float, m_rows: int) -> float:
@@ -170,13 +173,12 @@ def stabilizer_subalgebra(psi: Ket) -> StabilizerBasis:
     n = psi.n
     m_rows = 2 * 2**n
     if 2 * (3 * n + 1) < 2**n:
-        sampled = _sampled_pauli_rows(psi, _sampled_rows(n))
-        sigma_min = np.linalg.svd(np.vstack([sampled.real, sampled.imag]), compute_uv=False)[-1]
+        sampled = _pauli_system(psi, _sampled_rows(n))
+        sigma_min = np.linalg.svd(sampled, compute_uv=False)[-1]
         frobenius = np.sqrt(3 * n + 1) * np.linalg.norm(psi.amplitudes)
         if sigma_min >= _null_threshold(frobenius, m_rows):
             return StabilizerBasis((), 0)
-    cols = _pauli_columns(psi)
-    m = np.vstack([cols.real, cols.imag])
+    m = _pauli_system(psi, np.arange(2**n, dtype=np.int64))
     # 2*2^n >= 3n+1 rows for every n >= 1, so R is square and vh is the full
     # right factor; the threshold still scales with the shape of m, not of R
     _, svals, vh = np.linalg.svd(np.linalg.qr(m, mode="r"))

@@ -13,7 +13,7 @@ Conventions used throughout the package:
   the row index), its inverse ``_axis_restore``, their stack over every
   qubit ``_qubit_factors`` (whose ``_grams`` are the one-qubit marginals),
   and the traced outer product ``_traced_outer``; ``_bit_flips`` gives the
-  same one-qubit flips for a few gathered amplitudes.  ``partial_trace`` is
+  same one-qubit flips as indices, for gathering amplitudes.  ``partial_trace`` is
   the kernel for density matrices, with ``_trace_positions`` as its
   unchecked array core.
 * All values are immutable after construction; the operations below are
@@ -279,11 +279,11 @@ def _qubit_factors(psi: Ket) -> np.ndarray:
 
 
 def _bit_flips(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """For an int64 array of basis indices: the (len(rows), n) indices with
-    qubit j's bit flipped (column j-1), where X_j reads its amplitude, and
+    """For an int64 array of basis indices: the (n, len(rows)) indices with
+    qubit j's bit flipped (row j-1), where X_j reads its amplitude, and
     whether that bit is set at each index."""
-    masks = np.left_shift(1, np.arange(n - 1, -1, -1, dtype=np.int64))
-    return rows[:, None] ^ masks, (rows[:, None] & masks) != 0
+    masks = np.left_shift(1, np.arange(n - 1, -1, -1, dtype=np.int64))[:, None]
+    return rows ^ masks, (rows & masks) != 0
 
 
 def _grams(a: np.ndarray) -> np.ndarray:

@@ -225,19 +225,20 @@ class TestVerifyGhzSubalgebra:
 
 class TestSampledRowCertificate:
     """For n >= 6 a trivial subalgebra is certified from a sampled block of
-    m's rows; everything else takes the full path, counted through
-    ``_pauli_columns``, which only the full path calls."""
+    m's rows; everything else takes the full path, counted as the calls of
+    ``_pauli_system`` that gather all 2^n rows."""
 
     @staticmethod
     def count_full_path(monkeypatch):
         calls = []
-        original = qm.stabilizer._pauli_columns
+        original = qm.stabilizer._pauli_system
 
-        def counted(psi):
-            calls.append(psi)
-            return original(psi)
+        def counted(psi, rows):
+            if len(rows) == 2**psi.n:
+                calls.append(psi)
+            return original(psi, rows)
 
-        monkeypatch.setattr(qm.stabilizer, "_pauli_columns", counted)
+        monkeypatch.setattr(qm.stabilizer, "_pauli_system", counted)
         return calls
 
     @staticmethod
@@ -249,9 +250,17 @@ class TestSampledRowCertificate:
         psi = qm.haar_random_ket(n, 3000 + n)
         rows = qm.stabilizer._sampled_rows(n)
         assert len(set(rows.tolist())) == len(rows) == 2 * (3 * n + 1)
+        m = generator_matrix(psi)
         np.testing.assert_array_equal(
-            qm.stabilizer._sampled_pauli_rows(psi, rows), qm.stabilizer._pauli_columns(psi)[rows]
+            qm.stabilizer._pauli_system(psi, rows), m[np.concatenate([rows, rows + 2**n])]
         )
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    def test_all_gathered_rows_are_the_full_system_column_major(self, n):
+        psi = qm.random_lu_orbit(qm.ghz_state(n), seed=3050 + n) if n > 1 else qm.haar_random_ket(1, 3050)
+        m = qm.stabilizer._pauli_system(psi, np.arange(2**n, dtype=np.int64))
+        np.testing.assert_array_equal(m, generator_matrix(psi))
+        assert m.flags.f_contiguous
 
     @pytest.mark.parametrize("n", range(6, 11))
     def test_matches_the_full_path_on_the_mixed_corpus(self, monkeypatch, n):
