@@ -5,10 +5,17 @@ A generalized GHZ state is alpha|00...0> + beta|11...1> with both
 amplitudes nonzero.  States in the local-unitary orbit of that family are
 exactly the pure states that share their panel of one-qubit-removed
 marginals with some other pure state; everything else is pinned down
-uniquely.  ``classify`` returns the verdict together with a certificate
-(per-qubit basis changes plus the two amplitudes) whenever the state is in
-the GHZ class, and ``sibling``/``phase_family`` build the panel-sharing
-partner states from a certificate.
+uniquely.  ``classify`` decides this in closed form.  Write each marginal
+rho_(k), k != 1, as 1/2 sum_a sigma_a (x) B_a over qubit 1 and stack the
+real and imaginary parts of B_x, B_y, B_z into the 3-row Bloch matrix M.
+Every pure state with the same panel is psi with a unitary on qubit 1,
+which rotates M, so it keeps the panel exactly when it fixes M.  A rotation
+that fixes M and moves psi exists exactly when rank M <= 1 and qubit 1 is
+not pure, and by the paper's theorem those are the GHZ-class states.
+``classify`` returns the verdict together with a certificate (per-qubit
+basis changes plus the two amplitudes) whenever the state is in the GHZ
+class, and ``sibling``/``phase_family`` build the panel-sharing partner
+states from a certificate.
 """
 
 from __future__ import annotations
@@ -20,23 +27,20 @@ import numpy as np
 from .panels import panel_distance, panel_of_pure
 from .tensors import (
     DEGENERACY_TOL,
+    PAULIS,
     Ket,
     MultiIndex,
     SingleQubitUnitary,
-    _axis_first,
+    _bloch_factor,
     _grams,
-    _phase_fix_column,
     _qubit_factors,
     apply_local,
     apply_locals,
     schmidt_split,
-    spectral_decompose,
     tensor_insert,
 )
 
 DEFAULT_TOL = 1e-8
-# band around the degeneracy threshold where both branches are consulted
-NEAR_DEGENERACY_BAND = 10.0
 
 
 @dataclass(frozen=True)
@@ -134,193 +138,65 @@ def _certificate_from_bases(psi: Ket, bases: list[np.ndarray], tol: float) -> Gh
     )
 
 
-# ---------------------------------------------------------------------------
-# degenerate branch: product vectors in a two-dimensional subspace
-
-
-def _minor_coefficients(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
-    """Quadratic coefficients (s^2, st, t^2) of every 2x2 minor of the
-    site-m flattening of s*A + t*B.  Vectors a, b live on m_count qubits."""
-    m_count = int(round(np.log2(a.size)))
-    fa = _axis_first(a, m_count, m + 1)
-    fb = _axis_first(b, m_count, m + 1)
-
-    def dets(x, y):
-        return np.outer(x[0], y[1]) - np.outer(x[1], y[0])
-
-    daa = dets(fa, fa)
-    dbb = dets(fb, fb)
-    dab = dets(fa, fb)
-    dba = dets(fb, fa)
-    cols = fa.shape[1]
-    iu = np.triu_indices(cols, k=1)
-    return np.stack([daa[iu], (dab + dba)[iu], dbb[iu]], axis=1)
-
-
-def _polish_root(coeffs: np.ndarray, r: complex, flipped: bool) -> complex:
-    """Gauss-Newton on the summed squared minor magnitudes near a root.
-
-    In the standard chart the minors are q(r) = s2 + st*r + t2*r^2; the
-    flipped chart swaps the roles of the two endpoint vectors.
-    """
-    c0 = coeffs[:, 2] if flipped else coeffs[:, 0]
-    c1 = coeffs[:, 1]
-    c2 = coeffs[:, 0] if flipped else coeffs[:, 2]
-    for _ in range(25):
-        q = c0 + c1 * r + c2 * r * r
-        dq = c1 + 2.0 * c2 * r
-        denom = np.sum(np.abs(dq) ** 2)
-        if denom < 1e-300:
-            break
-        step = -np.sum(dq.conj() * q) / denom
-        r = r + step
-        if abs(step) < 1e-14:
-            break
-    return r
-
-
-def _second_singular_values(v: np.ndarray, m_count: int) -> float:
-    worst = 0.0
-    for m in range(m_count):
-        flat = _axis_first(v, m_count, m + 1)
-        s = np.linalg.svd(flat, compute_uv=False)
-        worst = max(worst, float(s[1]))
-    return worst
-
-
-def _product_factors(v: np.ndarray, m_count: int) -> list[np.ndarray]:
-    factors = []
-    for m in range(m_count):
-        flat = _axis_first(v, m_count, m + 1)
-        u, _, _ = np.linalg.svd(flat)
-        factors.append(_phase_fix_column(u[:, 0]))
-    return factors
-
-
-def _product_vectors_in_span(a: np.ndarray, b: np.ndarray, tol: float) -> list[np.ndarray] | None:
-    """All fully-product vectors in span{a, b} of an m-qubit space.
-
-    Every 2x2 minor of every single-site flattening of s*a + t*b is a
-    homogeneous quadratic in (s, t); the product vectors are their common
-    roots.  Candidates come from the largest-magnitude minor (any common
-    root is a root of every nonzero minor), get polished against the full
-    minor set, and are kept only if every site flattening is rank one.
-    """
-    m_count = int(round(np.log2(a.size)))
-    coeffs = np.concatenate(
-        [_minor_coefficients(a, b, m) for m in range(m_count)], axis=0
-    )
-    magnitudes = np.max(np.abs(coeffs), axis=1)
-    scale = float(magnitudes.max())
-    if scale < 1e-10:
-        # every vector in the span is product at every site
-        return None
-    coeffs = coeffs[magnitudes > 1e-10 * scale]
-    lead = coeffs[int(np.argmax(np.max(np.abs(coeffs), axis=1)))]
-    s2, st, t2 = lead
-
-    candidates: list[tuple[complex, bool]] = []  # (ratio, flipped chart)
-    eps = 1e-12 * max(abs(s2), abs(st), abs(t2))
-    if abs(t2) > eps:
-        for root in np.roots([t2, st, s2]):
-            candidates.append((complex(root), False))
-    elif abs(st) > eps:
-        candidates.append((complex(-s2 / st), False))
-        candidates.append((0.0 + 0.0j, True))
-    else:
-        candidates.append((0.0 + 0.0j, True))
-
-    vectors: list[np.ndarray] = []
-    for ratio, flipped in candidates:
-        if abs(ratio) > 1.0:
-            # move to the chart where the parameter stays inside the unit disk
-            ratio, flipped = 1.0 / ratio, not flipped
-        ratio = _polish_root(coeffs, ratio, flipped)
-        v = (ratio * a + b) if flipped else (a + ratio * b)
-        norm = np.linalg.norm(v)
-        if norm < 1e-8:
-            continue
-        v = v / norm
-        if _second_singular_values(v, m_count) > max(1e-6, tol):
-            continue
-        if any(abs(np.vdot(w, v)) > 1.0 - 1e-6 for w in vectors):
-            continue
-        vectors.append(v)
-    return vectors
-
-
 def degenerate_ghz_test(psi: Ket, tol: float = DEFAULT_TOL) -> GhzCertificate | None:
     """GHZ test for states whose one-qubit marginals are all maximally mixed.
 
-    Splits off qubit 1, finds the fully-product vectors in the two-
-    dimensional span carried by the rest of the register, and assembles a
-    certificate when there are exactly two of them with orthogonal factors
-    at every site.  Returns None when no certificate exists.
+    Raises ``ValueError`` when some marginal is not maximally mixed, then
+    runs ``classify``'s Bloch-rank test and returns its certificate, or
+    None when the state is determined by its panel.
     """
-    n = psi.n
     deviation = np.max(np.abs(_grams(_qubit_factors(psi)) - 0.5 * np.eye(2)), axis=(1, 2))
     if (off := deviation > max(tol, DEGENERACY_TOL)).any():
         raise ValueError(f"marginal of qubit {int(np.argmax(off)) + 1} is not maximally mixed")
-    split = schmidt_split(psi, 1)
-    if n == 2:
-        bases = [split.one_qubit_vectors, split.rest_vectors.T.copy()]
-        return _certificate_from_bases(psi, bases, tol)
-
-    vectors = _product_vectors_in_span(split.rest_vectors[0], split.rest_vectors[1], tol)
-    if vectors is None or len(vectors) != 2:
-        return None
-    w0, w1 = vectors
-    f0 = _product_factors(w0, n - 1)
-    f1 = _product_factors(w1, n - 1)
-    for m in range(n - 1):
-        if abs(np.vdot(f0[m], f1[m])) > 1e-6:
-            return None
-
-    # orthonormalize the factor pairs exactly, then recover the qubit-1 pair
-    bases = [np.zeros((2, 2), dtype=complex) for _ in range(n)]
-    for m in range(n - 1):
-        g = f1[m] - np.vdot(f0[m], f1[m]) * f0[m]
-        bases[m + 1][:, 0] = f0[m]
-        bases[m + 1][:, 1] = g / np.linalg.norm(g)
-    psi_matrix = psi.amplitudes.reshape(2, 2 ** (n - 1))
-    g0 = psi_matrix @ w0.conj()
-    g1 = psi_matrix @ w1.conj()
-    if np.linalg.norm(g0) < tol or np.linalg.norm(g1) < tol:
-        return None
-    g0 = g0 / np.linalg.norm(g0)
-    g1 = g1 - np.vdot(g0, g1) * g0
-    if np.linalg.norm(g1) < tol:
-        return None
-    bases[0][:, 0] = g0
-    bases[0][:, 1] = g1 / np.linalg.norm(g1)
-    return _certificate_from_bases(psi, bases, tol)
+    return classify(psi, tol).certificate
 
 
-# ---------------------------------------------------------------------------
-# classification
+def _ghz_bases(factors: np.ndarray, axis: np.ndarray) -> list[np.ndarray]:
+    """Per-qubit bases for the certificate of a state, given as its
+    ``_qubit_factors``, whose qubit-1 Bloch matrix has rank <= 1 along ``axis``.
+
+    Qubit 1's basis is the eigenbasis of axis . sigma, heavier branch first.
+    For a GHZ-class state that branch, psi with qubit 1 projected on column
+    0, is a product vector; each other qubit's basis is the eigenbasis of
+    its one-qubit Gram, with the branch's factor first.  The state then sits
+    on indices 0...0 and 1...1 in these bases.
+    """
+    _, first = np.linalg.eigh(np.einsum("a,aij->ij", axis, PAULIS))
+    branches = first.conj().T @ factors[0]
+    weights = np.linalg.norm(branches, axis=1)
+    heavy = int(np.argmax(weights))
+    phi = Ket(factors.shape[0] - 1, branches[heavy] / weights[heavy])
+    _, rest = np.linalg.eigh(_grams(_qubit_factors(phi)))
+    return [first[:, [heavy, 1 - heavy]], *rest[..., ::-1]]
 
 
 def classify(psi: Ket, tol: float = DEFAULT_TOL) -> Classification:
     """Main dichotomy: GHZ class (undetermined by the panel) or determined.
 
-    Steps: compare all one-qubit marginal spectra; a pure marginal or
-    unequal spectra force "determined"; equal non-degenerate spectra go
-    through the eigenbasis/antipodal-support test; fully degenerate spectra
-    go through the product-vector test.  States straddling the degeneracy
-    threshold are run through both branches and flagged when the branches
-    disagree.  Raises ``ValueError`` for a tol that is not positive (NaN
-    included: it compares False with every margin).
+    A pure marginal or unequal one-qubit spectra force "determined".
+    Otherwise the rank of qubit 1's Bloch matrix M decides (module
+    docstring): "determined" when its second singular value exceeds tol,
+    else "ghz-class" when ``_certificate_from_bases`` accepts the bases
+    built from M's axis (``_ghz_bases``).  The cutoff is tol because a third
+    amplitude eps on a GHZ-class state gives a second singular value of
+    about eps and an off-support amplitude of eps, which the certificate
+    also compares with tol.  The singular value comes from
+    ``tensors._bloch_factor`` without squaring, accurate far below tol;
+    the eigenvalues of M M^T would put its floor near 1e-8, at tol itself.
+    ``Diagnostics.branch`` names the spectral case ("degenerate" when every
+    marginal is maximally mixed) and ``ill_conditioned`` flags a rank <= 1
+    without a certificate.  Raises ``ValueError`` for a tol that is not
+    positive (NaN included: it compares False with every margin).
     """
     n = psi.n
     if n < 2:
         raise ValueError("classification needs at least 2 qubits")
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    rdms = _grams(_qubit_factors(psi))
-    spectra = np.linalg.eigvalsh(rdms)[:, ::-1].copy()
+    factors = _qubit_factors(psi)
+    spectra = np.linalg.eigvalsh(_grams(factors))[:, ::-1].copy()
     spectra.setflags(write=False)
-    gaps = spectra[:, 0] - spectra[:, 1]
-    degenerate = tuple(bool(g < DEGENERACY_TOL) for g in gaps)
+    degenerate = tuple(bool(g < DEGENERACY_TOL) for g in spectra[:, 0] - spectra[:, 1])
 
     def diag(branch: str, ill: bool = False) -> Diagnostics:
         return Diagnostics(spectra, degenerate, branch, ill)
@@ -329,23 +205,12 @@ def classify(psi: Ket, tol: float = DEFAULT_TOL) -> Classification:
         return Classification(False, None, diag("pure-marginal"))
     if np.max(spectra[:, 0]) - np.min(spectra[:, 0]) > tol:
         return Classification(False, None, diag("unequal-spectra"))
-
-    all_degenerate = all(degenerate)
-    near_band = (not all_degenerate) and float(np.min(gaps)) < NEAR_DEGENERACY_BAND * DEGENERACY_TOL
-
-    if all_degenerate:
-        cert = degenerate_ghz_test(psi, tol)
-        return Classification(cert is not None, cert, diag("degenerate"))
-
-    cert = _certificate_from_bases(psi, [spectral_decompose(rho)[1] for rho in rdms], tol)
-    ill = False
-    if near_band:
-        try:
-            cert_deg = degenerate_ghz_test(psi, max(tol, float(np.max(gaps))))
-        except ValueError:
-            cert_deg = None
-        ill = (cert is None) != (cert_deg is None)
-    return Classification(cert is not None, cert, diag("non-degenerate", ill))
+    branch = "degenerate" if all(degenerate) else "non-degenerate"
+    u, s, _ = np.linalg.svd(_bloch_factor(factors, 1), full_matrices=False)
+    if s[1] > tol:
+        return Classification(False, None, diag(branch))
+    cert = _certificate_from_bases(psi, _ghz_bases(factors, u[:, 0]), tol)
+    return Classification(cert is not None, cert, diag(branch, cert is None))
 
 
 def _family_member(cert: GhzCertificate, beta: complex) -> Ket:

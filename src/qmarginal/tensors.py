@@ -12,8 +12,10 @@ Conventions used throughout the package:
   axis-first view ``_axis_first`` (a (2, 2**(n-1)) array with qubit j as
   the row index), its inverse ``_axis_restore``, their stack over every
   qubit ``_qubit_factors`` (whose ``_grams`` are the one-qubit marginals),
-  and the traced outer product ``_traced_outer``; ``_bit_flips`` gives the
-  same one-qubit flips as indices, for gathering amplitudes.  ``partial_trace`` is
+  the traced outer product ``_traced_outer``, and ``_bloch_factor``, a
+  factor of the Gram of the marginals' Bloch matrix over one qubit;
+  ``_bit_flips`` gives the same one-qubit flips as indices, for gathering
+  amplitudes.  ``partial_trace`` is
   the kernel for density matrices, with ``_trace_positions`` as its
   unchecked array core.
 * All values are immutable after construction; the operations below are
@@ -306,6 +308,26 @@ def _traced_outer(left: np.ndarray, right: np.ndarray, n: int, k: int) -> np.nda
     """tr_k |left><right| for n-qubit amplitude vectors: the pure-state
     marginal rho_(k) when left is right."""
     return _axis_first(left, n, k).T @ _axis_first(right, n, k).conj()
+
+
+def _bloch_factor(factors: np.ndarray, j: int) -> np.ndarray:
+    """Real factor F, 3 x at most 32(n-1), with F F^T = M M^T, where M is
+    the Bloch matrix over qubit j of the marginals rho_(k), k != j: rho_(k) is
+    1/2 sum_a sigma_a (x) B_a over qubit j, and M stacks Re and Im of
+    B_x, B_y, B_z over k.  ``factors`` is ``_qubit_factors(psi)``.
+
+    M is never formed.  For each k, the pair flattening A (4 x 2**(n-2),
+    rows over qubits j and k) gives B_a = A^T (sigma_a^T (x) I) A^*, and with
+    A^T = QR every B_a is Q C_a Q^dagger for the (at most) 4 x 4 matrix
+    C_a = R (sigma_a^T (x) I) R^dagger, which keeps B_a's inner products.
+    F's singular values are M's, so a small one keeps its relative
+    precision, as it would not in the eigenvalues of M M^T.
+    """
+    n = factors.shape[0]
+    pairs = np.stack([_axis_first(factors[j - 1], n - 1, m).reshape(4, -1) for m in range(1, n)])
+    r = np.linalg.qr(pairs.swapaxes(-1, -2), mode="r").reshape(n - 1, -1, 2, 2)
+    c = np.einsum("ayx,kpxz,kqyz->akpq", PAULIS, r, r.conj()).reshape(3, -1)
+    return np.concatenate([c.real, c.imag], axis=1)
 
 
 def partial_trace(rho: DensityMatrix, traced) -> DensityMatrix:

@@ -115,7 +115,7 @@ class TestDegenerateBranch:
         assert {m.to_linear() for m in cert.support} == {0, 3}
 
     def test_rotated_balanced_orbits(self):
-        for n in (3, 4, 5):
+        for n in (3, 4, 5, 8, 12):
             orbit, _ = random_ghz_orbit(n, 5200 + n, balanced=True)
             cert = qm.degenerate_ghz_test(orbit)
             assert cert is not None
@@ -260,14 +260,41 @@ class TestAntipodalReduction:
 
 class TestNearThreshold:
     def test_weights_straddling_the_degeneracy_band_agree(self):
-        # gap between the two weights sits just above the 1e-8 threshold
-        for gap in (3e-8, 1e-7):
+        # gap between the two weights from 0 to just above the 1e-8
+        # threshold; marginal eigenbases near the threshold once turned
+        # gaps of 1e-8 to 2e-8 into "determined" (n = 4, seed 42 at 1e-8)
+        cases = [(4, 42, gap) for gap in (3e-8, 1e-7)]
+        cases += [
+            (n, seed, gap)
+            for gap in (1e-8, 1.2e-8, 1.5e-8, 2e-8, 3e-9, 0.0)
+            for n in range(3, 7)
+            for seed in (40, 41, 42, 43, 44)
+        ]
+        for n, seed, gap in cases:
             a2 = 0.5 + gap / 2
-            psi = qm.ghz_state(4, np.sqrt(a2), np.sqrt(1 - a2))
-            orbit = qm.random_lu_orbit(psi, seed=42)
+            psi = qm.ghz_state(n, np.sqrt(a2), np.sqrt(1 - a2))
+            orbit = qm.random_lu_orbit(psi, seed=seed)
             cls = qm.classify(orbit)
             assert cls.ghz_class
             assert not cls.diagnostics.ill_conditioned
+
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    def test_third_amplitude_threshold(self, n):
+        # 0.6|0..0> + 0.8|1..1> + eps|0..01>: the Bloch matrix over qubit 1
+        # has second singular value 1.13 eps, compared with tol = 1e-8.
+        # eps = 1e-8 is not pinned: 1.13e-8 sits only 13% above tol.
+        for eps in (1e-6, 1e-7, 1e-9, 1e-10, 1e-12, 0.0):
+            amps = np.zeros(2**n, dtype=complex)
+            amps[0], amps[-1], amps[1] = 0.6, 0.8, eps
+            for seed in range(6):
+                psi = qm.random_lu_orbit(qm.ket(amps), 2400 + 10 * n + seed)
+                cls = qm.classify(psi)
+                if eps >= 1e-7:
+                    assert cls.verdict == "determined"
+                    continue
+                assert cls.verdict == "ghz-class"
+                partner = qm.sibling(psi, cls.certificate)
+                assert qm.panels_equal(qm.panel_of_pure(psi), qm.panel_of_pure(partner), 1e-8)
 
     def test_spectra_recorded_for_every_qubit(self):
         cls = qm.classify(qm.haar_random_ket(4, 3))

@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 import qmarginal as qm
-from qmarginal.tensors import PAULI_X, PAULI_Z, reduced_one_qubit
+from qmarginal.reconstruct import _bloch_matrix
+from qmarginal.tensors import (
+    PAULI_X,
+    PAULI_Z,
+    _bloch_factor,
+    _qubit_factors,
+    _traced_outer,
+    reduced_one_qubit,
+)
 
 
 def dm(entries, labels):
@@ -332,3 +340,38 @@ class TestQubitFactorKernel:
             for j in range(1, n + 1):
                 want = np.linalg.eigvalsh(reduced_one_qubit(psi, j))[::-1]
                 np.testing.assert_allclose(spectra[j - 1], want, rtol=0, atol=1e-14)
+
+
+class TestBlochFactor:
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_gram_is_the_bloch_matrix_gram(self, n):
+        states = (
+            qm.haar_random_ket(n, 1500 + n),
+            qm.random_lu_orbit(qm.ghz_state(n, 0.6, 0.8), seed=1600 + n),
+            qm.random_lu_orbit(qm.ghz_state(n), seed=1700 + n),
+        )
+        for psi in states:
+            factors = _qubit_factors(psi)
+            for j in range(1, n + 1):
+                # with qubit j moved to the front, it is the first qubit of
+                # every marginal rho_(k), k != j, as _bloch_matrix reads them
+                front = np.moveaxis(psi.tensor(), j - 1, 0).reshape(-1)
+                m = _bloch_matrix([_traced_outer(front, front, n, k) for k in range(2, n + 1)])
+                f = _bloch_factor(factors, j)
+                assert f.shape[0] == 3 and f.shape[1] <= 32 * (n - 1)
+                np.testing.assert_allclose(f @ f.T, m @ m.T, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    def test_second_singular_value_keeps_relative_precision(self, n):
+        # 0.6|0..0> + 0.8|1..1> + eps|0..01> under an LU orbit: sigma_2 is
+        # 1.13 eps down to eps = 1e-12, where M M^T's eigenvalues would read
+        # rounding noise of order 1e-16 for sigma_2^2
+        for eps in (1e-6, 1e-8, 1e-10, 1e-12, 0.0):
+            amps = np.zeros(2**n, dtype=complex)
+            amps[0], amps[-1], amps[1] = 0.6, 0.8, eps
+            psi = qm.random_lu_orbit(qm.ket(amps), 2500 + n)
+            s = np.linalg.svd(_bloch_factor(_qubit_factors(psi), 1), compute_uv=False)
+            if eps:
+                assert 1.1 * eps < s[1] < 1.2 * eps
+            else:
+                assert s[1] < 1e-14
