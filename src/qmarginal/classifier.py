@@ -31,13 +31,11 @@ from .tensors import (
     Ket,
     MultiIndex,
     SingleQubitUnitary,
+    _act,
+    _axis_first,
     _bloch_factor,
     _grams,
     _qubit_factors,
-    apply_local,
-    apply_locals,
-    schmidt_split,
-    tensor_insert,
 )
 
 DEFAULT_TOL = 1e-8
@@ -50,6 +48,10 @@ class GhzCertificate:
     Applying ``locals_`` (one unitary per qubit, in label order) to the
     source state leaves amplitude only on the antipodal index pair
     ``support`` = (J, J-bar), with values ``alpha`` and ``beta``.
+
+    Invariants, checked here and relied on downstream: local k targets
+    qubit k; both support indices have n bits and are complements;
+    |alpha|^2 + |beta|^2 = 1 within 1e-6; neither amplitude is zero.
     """
 
     locals_: tuple[SingleQubitUnitary, ...]
@@ -59,7 +61,12 @@ class GhzCertificate:
 
     def __post_init__(self):
         object.__setattr__(self, "locals_", tuple(self.locals_))
+        n = len(self.locals_)
+        if tuple(u.target for u in self.locals_) != tuple(range(1, n + 1)):
+            raise ValueError(f"locals must target qubits 1..{n} in label order")
         j, jbar = self.support
+        if len(j.bits) != n or len(jbar.bits) != n:
+            raise ValueError(f"support indices must have {n} bits")
         if jbar != j.complement():
             raise ValueError("support indices are not an antipodal pair")
         if abs(abs(self.alpha) ** 2 + abs(self.beta) ** 2 - 1.0) > 1e-6:
@@ -104,10 +111,6 @@ class Classification:
         return "ghz-class" if self.ghz_class else "determined"
 
 
-def _rotate(psi: Ket, locals_) -> np.ndarray:
-    return apply_locals(locals_, psi).amplitudes
-
-
 def _certificate_from_bases(psi: Ket, bases: list[np.ndarray], tol: float) -> GhzCertificate | None:
     """Try to assemble a certificate from per-qubit basis columns.
 
@@ -116,23 +119,21 @@ def _certificate_from_bases(psi: Ket, bases: list[np.ndarray], tol: float) -> Gh
     is supported on one antipodal index pair within tol.
     """
     n = psi.n
-    locals_ = tuple(
-        SingleQubitUnitary(b.conj().T, j + 1) for j, b in enumerate(bases)
-    )
-    rotated = _rotate(psi, locals_)
+    ops = [(j + 1, b.conj().T) for j, b in enumerate(bases)]
+    rotated = _act(psi.amplitudes, n, ops)
     top = int(np.argmax(np.abs(rotated)))
     j_index = MultiIndex.from_linear(top, n)
     jbar_index = j_index.complement()
     other = jbar_index.to_linear()
-    off = np.abs(rotated).copy()
-    off[top] = 0.0
-    off[other] = 0.0
+    off = np.abs(rotated)
+    off[[top, other]] = 0.0
     if float(off.max()) > tol:
         return None
     alpha, beta = rotated[top], rotated[other]
     if abs(beta) <= tol:
         return None
     scale = np.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
+    locals_ = tuple(SingleQubitUnitary(m, j) for j, m in ops)
     return GhzCertificate(
         locals_, complex(alpha / scale), complex(beta / scale), (j_index, jbar_index)
     )
@@ -218,18 +219,15 @@ def _family_member(cert: GhzCertificate, beta: complex) -> Ket:
     amps = np.zeros(2**n, dtype=complex)
     amps[cert.support[0].to_linear()] = cert.alpha
     amps[cert.support[1].to_linear()] = beta
-    inv = [u.dagger() for u in cert.locals_]
-    return apply_locals(inv, Ket(n, amps))
+    return Ket(n, _act(amps, n, [(u.target, u.entries.conj().T) for u in cert.locals_]))
 
 
 def _check_certificate(psi: Ket, cert: GhzCertificate) -> None:
     if cert.n != psi.n:
         raise ValueError("certificate size does not match the state")
-    rotated = _rotate(psi, cert.locals_)
-    keep = {cert.support[0].to_linear(), cert.support[1].to_linear()}
-    off = np.abs(rotated).copy()
-    for idx in keep:
-        off[idx] = 0.0
+    rotated = _act(psi.amplitudes, psi.n, [(u.target, u.entries) for u in cert.locals_])
+    off = np.abs(rotated)
+    off[[m.to_linear() for m in cert.support]] = 0.0
     if float(off.max()) > 1e-6:
         raise ValueError("certificate does not rotate the state to an antipodal pair")
 
@@ -255,36 +253,18 @@ def _polar_unitary(m: np.ndarray) -> np.ndarray:
 
 
 def _extract_lj(psi: Ket, psi_prime: Ket, j: int, tol: float) -> SingleQubitUnitary:
-    split = schmidt_split(psi, j)
-    if not split.degenerate:
-        # the primed state lives in the span of the two Schmidt branches,
-        # so the transport is diagonal in the qubit-j Schmidt basis
-        overlaps = []
-        for i in range(2):
-            branch = tensor_insert(split.one_qubit_vectors[:, i], split.rest_vectors[i], j)
-            overlaps.append(np.vdot(branch, psi_prime.amplitudes))
-        mass = abs(overlaps[0]) ** 2 + abs(overlaps[1]) ** 2
-        if mass < 1.0 - max(100 * tol, 1e-7):
-            raise ValueError(
-                f"no single-qubit transport at qubit {j}: states do not share "
-                "their Schmidt branches"
-            )
-        phases = [o / abs(o) if abs(o) > 0 else 1.0 for o in overlaps]
-        v = split.one_qubit_vectors
-        mat = v @ np.diag(phases) @ v.conj().T
-    else:
-        # full 2x2 freedom: u relates the rest-side bases, v the qubit-side
-        # bases, and the transport is v^T u expressed in the unprimed basis
-        split_prime = schmidt_split(psi_prime, j)
-        u = split_prime.rest_vectors @ split.rest_vectors.conj().T  # u[i, l]
-        v_t = split.one_qubit_vectors.conj().T @ split_prime.one_qubit_vectors
-        lj = v_t @ u  # entries L[m, l] over the unprimed Schmidt basis
-        a = split.one_qubit_vectors
-        mat = a @ lj @ a.conj().T
-    transport = SingleQubitUnitary(_polar_unitary(mat), j)
-    if abs(apply_local(transport, psi).overlap(psi_prime)) < 1.0 - max(tol, 1e-10):
+    """Orthogonal Procrustes fit for A, A', the ``_axis_first`` views of psi
+    and psi' at qubit j.  If psi' = e^{i theta} (L on j) psi, then A' A^dagger
+    = e^{i theta} L A A^dagger with A A^dagger PSD, so its polar factor is
+    e^{i theta} L for every spectrum (one of many at rank 1, all right on
+    psi).  The fit is checked by its overlap with psi'."""
+    a = _axis_first(psi.amplitudes, psi.n, j)
+    a_prime = _axis_first(psi_prime.amplitudes, psi.n, j)
+    mat = _polar_unitary(a_prime @ a.conj().T)
+    moved = _act(psi.amplitudes, psi.n, [(j, mat)])
+    if abs(np.vdot(moved, psi_prime.amplitudes)) < 1.0 - max(tol, 1e-10):
         raise ValueError(f"no single-qubit transport found at qubit {j}")
-    return transport
+    return SingleQubitUnitary(mat, j)
 
 
 def _require_shared_panel(a: Ket, b: Ket, tol: float) -> None:
@@ -298,10 +278,15 @@ def extract_local_unitary(psi: Ket, psi_prime: Ket, j: int, tol: float = DEFAULT
     """One-qubit unitary L_j with (L_j on qubit j) psi = psi' up to phase.
 
     Exists exactly when the two states share their whole marginal panel;
-    raises when the panels differ beyond tol or no transport is found.
+    raises when the panels differ beyond tol, when no transport is found,
+    and for a tol that is not positive (NaN included).  L_j is the polar
+    factor of A' A^dagger = e^{i theta} L_j A A^dagger (A, A': the states with
+    qubit j as row index), as A A^dagger is PSD whatever its spectrum.
     """
     if psi.n != psi_prime.n:
         raise ValueError("qubit counts differ")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
     if not 1 <= j <= psi.n:
         raise ValueError(f"qubit label {j} out of range 1..{psi.n}")
     _require_shared_panel(psi, psi_prime, tol)

@@ -20,7 +20,7 @@ from .oracle import chi_state, search_sibling
 from .panels import subset_equal
 from .reconstruct import reconstruct
 from .stabilizer import stabilizer_subalgebra
-from .tensors import PAULI_Z, SingleQubitUnitary, apply_local
+from .tensors import PAULI_Z, Ket, _act
 
 EXIT_OK = 0
 EXIT_GHZ = 10
@@ -106,14 +106,12 @@ def _cmd_sibling_search(args) -> int:
 def _cmd_demo_chi(args) -> int:
     print("state definition: (1/sqrt(3)) (|0000> + |0001> + |1111>)")
     chi = chi_state()
-    partner = apply_local(SingleQubitUnitary(PAULI_Z, 1), chi)
+    ops = [(1, PAULI_Z)]
     if args.perturb:
         # deliberately corrupt the partner so the harness shows a failure
-        theta = 1e-3
-        rot = np.array(
-            [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
-        )
-        partner = apply_local(SingleQubitUnitary(rot, 2), partner)
+        c, s = np.cos(1e-3), np.sin(1e-3)
+        ops.append((2, np.array([[c, -s], [s, c]])))
+    partner = Ket(4, _act(chi.amplitudes, 4, ops))
     tol = 1e-10
     checks = [
         (

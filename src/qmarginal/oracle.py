@@ -17,7 +17,7 @@ import numpy as np
 
 from .classifier import _extract_lj, _require_shared_panel
 from .panels import panel_of_pure
-from .tensors import Ket, SingleQubitUnitary, apply_local, equal_up_to_phase, ket
+from .tensors import Ket, SingleQubitUnitary, _act, ket
 from .unitary_fit import PanelObjective, fit_pivot_unitary, grid_starts, random_starts
 
 DEFAULT_SEARCH_TOL = 1e-6
@@ -82,15 +82,14 @@ def search_sibling(
     for first in range(0, len(starts), block):
         results = fit_pivot_unitary(objective, starts[first : first + block])
         for trials, result in enumerate(results, first + 1):
-            candidate = apply_local(SingleQubitUnitary(result.unitary, 1), psi)
-            overlap = abs(candidate.overlap(psi))
-            if overlap >= 1.0 - tol:
+            moved = _act(psi.amplitudes, psi.n, [(1, result.unitary)])
+            if abs(np.vdot(moved, psi.amplitudes)) >= 1.0 - tol:
                 continue  # scalar locus: same state up to phase
             residual = math.sqrt(result.cost)
             best = min(best, residual)
             if result.cost < tol**2:
-                witness_u = SingleQubitUnitary(result.unitary, 1)
-                return SearchReport(True, (witness_u, candidate), residual, trials)
+                witness = (SingleQubitUnitary(result.unitary, 1), Ket(psi.n, moved))
+                return SearchReport(True, witness, residual, trials)
     return SearchReport(False, None, best, len(starts))
 
 
@@ -113,9 +112,8 @@ def random_unitary_2x2(rng: np.random.Generator) -> np.ndarray:
 def random_lu_orbit(psi: Ket, seed: int) -> Ket:
     """Apply an independent Haar-random unitary to every qubit."""
     rng = np.random.default_rng(seed)
-    for j in range(1, psi.n + 1):
-        psi = apply_local(SingleQubitUnitary(random_unitary_2x2(rng), j), psi)
-    return psi
+    ops = [(j, random_unitary_2x2(rng)) for j in range(1, psi.n + 1)]
+    return Ket(psi.n, _act(psi.amplitudes, psi.n, ops))
 
 
 def ghz_state(n: int, alpha: complex | None = None, beta: complex | None = None) -> Ket:
@@ -163,10 +161,13 @@ def lu_equivalence_check(
 
     Returns one unitary per qubit, each of which alone maps a to b up to a
     global phase; None when some transport fails verification (a tolerance
-    breach, since panel-equal states always admit one).
+    breach, since panel-equal states always admit one).  Raises
+    ``ValueError`` for a tol that is not positive (NaN included).
     """
     if a.n != b.n:
         raise ValueError("qubit counts differ")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
     _require_shared_panel(a, b, tol)
     out = []
     for j in range(1, a.n + 1):
@@ -174,7 +175,8 @@ def lu_equivalence_check(
             transport = _extract_lj(a, b, j, tol)
         except ValueError:
             return None
-        if not equal_up_to_phase(apply_local(transport, a), b, tol):
+        moved = _act(a.amplitudes, a.n, [(j, transport.entries)])
+        if abs(np.vdot(moved, b.amplitudes)) < 1.0 - tol:
             return None
         out.append(transport)
     return out

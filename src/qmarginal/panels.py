@@ -118,9 +118,12 @@ def panel_distance(a: RdmPanel, b: RdmPanel) -> float:
 
 
 def subset_equal(a: Ket, b: Ket, kept, tol: float = DEFAULT_TOL) -> bool:
-    """Do a and b share the marginals rho_(j) for every j in ``kept``?"""
+    """Do a and b share the marginals rho_(j) for every j in ``kept``?
+    Raises ``ValueError`` for a tol that is not positive (NaN included)."""
     if a.n != b.n:
         raise ValueError("qubit counts differ")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
     kept = sorted(int(k) for k in kept)
     if not kept or kept[0] < 1 or kept[-1] > a.n:
         raise ValueError(f"kept labels {kept} out of range 1..{a.n}")

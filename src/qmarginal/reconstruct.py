@@ -25,9 +25,8 @@ from .tensors import (
     PAULIS,
     DensityMatrix,
     Ket,
-    SingleQubitUnitary,
+    _act,
     _traced_outer,
-    apply_local,
     fix_global_phase,
     spectral_decompose,
     tensor_insert,
@@ -186,7 +185,7 @@ def _fit_qubit_one(panel: RdmPanel, chi: Ket, tol: float) -> ReconstructionResul
     u, s, vt = np.linalg.svd(target @ source.T)
     if np.linalg.det(u @ vt) < 0:
         u[:, 2] = -u[:, 2]
-    fitted = apply_local(SingleQubitUnitary(_su2_from_rotation(u @ vt), 1), chi).amplitudes
+    fitted = _act(amps, n, [(1, _su2_from_rotation(u @ vt))])
     state = Ket(n, fix_global_phase(fitted / np.linalg.norm(fitted)))
     residual = check_panel(state, panel)
     if residual > tol:

@@ -18,6 +18,10 @@ Conventions used throughout the package:
   amplitudes.  ``partial_trace`` is
   the kernel for density matrices, with ``_trace_positions`` as its
   unchecked array core.
+* ``_act`` is the one-qubit action kernel.  Matrices the package built
+  go through it raw, with no ``SingleQubitUnitary`` and no ``Ket`` per
+  step; the public ``apply_local(s)`` check every target, then build one
+  ``Ket``.
 * All values are immutable after construction; the operations below are
   pure functions and safe to call concurrently.
 """
@@ -416,19 +420,26 @@ def spectral_decompose(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return evals[order], evecs
 
 
+def _act(amps: np.ndarray, n: int, ops) -> np.ndarray:
+    """Apply each (target, 2x2 matrix) of ``ops`` in turn to a 2**n amplitude
+    vector: the raw one-qubit action kernel, with no check and no wrapping."""
+    for j, m in ops:
+        amps = _axis_restore(m @ _axis_first(amps, n, j), n, j)
+    return amps
+
+
 def apply_local(u: SingleQubitUnitary, psi: Ket) -> Ket:
     """Apply a single-qubit unitary to its target qubit of a ket."""
-    j = u.target
-    if not 1 <= j <= psi.n:
-        raise ValueError(f"qubit label {j} out of range 1..{psi.n}")
-    a = _axis_first(psi.amplitudes, psi.n, j)
-    return Ket(psi.n, _axis_restore(u.entries @ a, psi.n, j))
+    return apply_locals((u,), psi)
 
 
 def apply_locals(unitaries, psi: Ket) -> Ket:
-    for u in unitaries:
-        psi = apply_local(u, psi)
-    return psi
+    """Apply single-qubit unitaries in order, all targets checked first."""
+    ops = [(u.target, u.entries) for u in unitaries]
+    for j, _ in ops:
+        if not 1 <= j <= psi.n:
+            raise ValueError(f"qubit label {j} out of range 1..{psi.n}")
+    return Ket(psi.n, _act(psi.amplitudes, psi.n, ops))
 
 
 def equal_up_to_phase(a: Ket, b: Ket, tol: float = 1e-9) -> bool:

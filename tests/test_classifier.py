@@ -92,6 +92,29 @@ class TestClassify:
             )
 
 
+class TestGhzCertificate:
+    def certificate_parts(self, n=3):
+        cert = qm.classify(random_ghz_orbit(n, 4242)[0]).certificate
+        return list(cert.locals_), cert.alpha, cert.beta, cert.support
+
+    def test_rebuilt_from_its_parts(self):
+        locals_, alpha, beta, support = self.certificate_parts()
+        assert qm.GhzCertificate(locals_, alpha, beta, support).n == 3
+
+    def test_rejects_locals_out_of_label_order(self):
+        locals_, alpha, beta, support = self.certificate_parts()
+        locals_[0], locals_[1] = locals_[1], locals_[0]
+        with pytest.raises(ValueError, match="label order"):
+            qm.GhzCertificate(locals_, alpha, beta, support)
+
+    @pytest.mark.parametrize("bits", [2, 4])
+    def test_rejects_support_whose_length_is_not_n(self, bits):
+        locals_, alpha, beta, _ = self.certificate_parts()
+        first = qm.MultiIndex((0,) * bits)
+        with pytest.raises(ValueError, match="bits"):
+            qm.GhzCertificate(locals_, alpha, beta, (first, first.complement()))
+
+
 class TestDegenerateBranch:
     def test_balanced_four_qubit_support(self):
         cert = qm.degenerate_ghz_test(qm.ghz_state(4))
@@ -187,10 +210,22 @@ class TestExtractLocalUnitary:
             assert abs(mat[0, 1]) < 1e-9 and abs(mat[1, 0]) < 1e-9
             assert abs(mat[0, 0] + mat[1, 1]) < 1e-9
 
-    def test_identity_for_equal_states(self):
-        psi = qm.haar_random_ket(4, 91)
-        transport = qm.extract_local_unitary(psi, psi, 2)
-        assert abs(abs(np.trace(transport.entries)) - 2.0) < 1e-9
+    @pytest.mark.parametrize("kind", ["haar", "bell-bell", "product"])
+    def test_identity_for_equal_states(self, kind):
+        # Haar: a non-degenerate marginal; Bell x Bell: every marginal
+        # maximally mixed; product: a rank-1 marginal, where the transport
+        # is not unique and only its action on psi is pinned
+        bell = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
+        psi = {
+            "haar": lambda: qm.haar_random_ket(4, 91),
+            "bell-bell": lambda: qm.random_lu_orbit(qm.Ket(4, np.kron(bell, bell)), 92),
+            "product": lambda: qm.random_product_ket(4, 93),
+        }[kind]()
+        for j in range(1, 5):
+            transport = qm.extract_local_unitary(psi, psi, j)
+            assert qm.equal_up_to_phase(qm.apply_local(transport, psi), psi, 1e-12)
+            if kind == "haar":
+                assert abs(abs(np.trace(transport.entries)) - 2.0) < 1e-9
 
     def test_balanced_two_term_pair_gives_phase_ratio(self):
         e1 = qm.eta_state(3, np.exp(1j * 0.5))
@@ -200,9 +235,10 @@ class TestExtractLocalUnitary:
         np.testing.assert_allclose(mat[1, 1], np.exp(1j * 1.7), atol=1e-9)
         assert abs(mat[0, 1]) < 1e-9
 
+    @pytest.mark.parametrize("balanced", [False, True])
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
-    def test_round_trip_on_generated_pairs(self, n):
-        orbit, _ = random_ghz_orbit(n, 9000 + n)
+    def test_round_trip_on_generated_pairs(self, n, balanced):
+        orbit, _ = random_ghz_orbit(n, 9000 + n, balanced)
         cert = qm.classify(orbit).certificate
         partner = qm.sibling(orbit, cert)
         for j in range(1, n + 1):
@@ -213,6 +249,13 @@ class TestExtractLocalUnitary:
     def test_rejects_unrelated_states(self):
         with pytest.raises(ValueError):
             qm.extract_local_unitary(qm.haar_random_ket(3, 1), qm.haar_random_ket(3, 2), 1)
+
+    @pytest.mark.parametrize("tol", [-1e-6, 0.0, float("nan")])
+    def test_rejects_tolerance_that_is_not_positive(self, tol):
+        # a NaN tol once returned a "transport" between unrelated states
+        a, b = qm.haar_random_ket(3, 1), qm.haar_random_ket(3, 2)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            qm.extract_local_unitary(a, b, 1, tol)
 
 
 class TestAntipodalReduction:

@@ -138,6 +138,12 @@ class TestLuEquivalenceCheck:
         with pytest.raises(ValueError):
             qm.lu_equivalence_check(qm.haar_random_ket(3, 1), qm.haar_random_ket(3, 2))
 
+    @pytest.mark.parametrize("tol", [-1e-6, 0.0, float("nan")])
+    def test_rejects_tolerance_that_is_not_positive(self, tol):
+        a, b = qm.haar_random_ket(3, 1), qm.haar_random_ket(3, 2)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            qm.lu_equivalence_check(a, b, tol)
+
 
 class TestPanelObjective:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])

@@ -127,6 +127,13 @@ class TestSubsetEqual:
         with pytest.raises(ValueError):
             qm.subset_equal(self.chi, self.partner, {5})
 
+    @pytest.mark.parametrize("tol", [-1e-6, 0.0, float("nan")])
+    def test_rejects_tolerance_that_is_not_positive(self, tol):
+        # a NaN tol once called two unrelated Haar states equal
+        a, b = qm.haar_random_ket(3, 1), qm.haar_random_ket(3, 2)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            qm.subset_equal(a, b, {1, 2, 3}, tol)
+
 
 class TestPanelSubset:
     def test_requires_nonempty_kept(self):

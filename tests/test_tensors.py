@@ -209,11 +209,25 @@ class TestApplyLocal:
 
         rng = np.random.default_rng(90 + n)
         psi = qm.haar_random_ket(n, 91 + n)
-        for j in range(1, n + 1):
-            u = random_unitary_2x2(rng)
+        mats = [random_unitary_2x2(rng) for _ in range(n)]
+        for j, u in enumerate(mats, start=1):
             op = np.kron(np.kron(np.eye(2 ** (j - 1)), u), np.eye(2 ** (n - j)))
             out = qm.apply_local(qm.SingleQubitUnitary(u, j), psi)
             np.testing.assert_allclose(out.amplitudes, op @ psi.amplitudes, atol=1e-13, rtol=0)
+        full = np.ones((1, 1))
+        for u in mats:
+            full = np.kron(full, u)
+        out = qm.apply_locals([qm.SingleQubitUnitary(u, j) for j, u in enumerate(mats, 1)], psi)
+        np.testing.assert_allclose(out.amplitudes, full @ psi.amplitudes, atol=1e-13, rtol=0)
+
+    @pytest.mark.parametrize("bad", [0, 4])
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_apply_locals_rejects_out_of_range_target_anywhere(self, bad, position):
+        psi = qm.haar_random_ket(3, 12)
+        locals_ = [qm.SingleQubitUnitary(PAULI_X, j) for j in (1, 2, 3)]
+        locals_[position] = qm.SingleQubitUnitary(PAULI_Z, bad)
+        with pytest.raises(ValueError, match="out of range"):
+            qm.apply_locals(locals_, psi)
 
 
 class TestEqualUpToPhase:
