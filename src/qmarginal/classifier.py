@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .panels import panel_distance, panel_of_pure
+from .panels import panel_distance, panel_of_pure, panels_equal
 from .tensors import (
     DEGENERACY_TOL,
     PAULIS,
@@ -252,26 +252,32 @@ def _polar_unitary(m: np.ndarray) -> np.ndarray:
     return u @ vh
 
 
-def _extract_lj(psi: Ket, psi_prime: Ket, j: int, tol: float) -> SingleQubitUnitary:
+def _fit_transport(psi: Ket, psi_prime: Ket, j: int) -> tuple[np.ndarray, float]:
     """Orthogonal Procrustes fit for A, A', the ``_axis_first`` views of psi
-    and psi' at qubit j.  If psi' = e^{i theta} (L on j) psi, then A' A^dagger
-    = e^{i theta} L A A^dagger with A A^dagger PSD, so its polar factor is
-    e^{i theta} L for every spectrum (one of many at rank 1, all right on
-    psi).  The fit is checked by its overlap with psi'."""
+    and psi' at qubit j, and its overlap |<psi'|(L on j) psi>|.  If psi' =
+    e^{i theta} (L on j) psi, then A' A^dagger = e^{i theta} L A A^dagger
+    with A A^dagger PSD, so its polar factor is e^{i theta} L for every
+    spectrum (one of many at rank 1, all right on psi)."""
     a = _axis_first(psi.amplitudes, psi.n, j)
     a_prime = _axis_first(psi_prime.amplitudes, psi.n, j)
     mat = _polar_unitary(a_prime @ a.conj().T)
     moved = _act(psi.amplitudes, psi.n, [(j, mat)])
-    if abs(np.vdot(moved, psi_prime.amplitudes)) < 1.0 - max(tol, 1e-10):
+    return mat, abs(np.vdot(moved, psi_prime.amplitudes))
+
+
+def _extract_lj(psi: Ket, psi_prime: Ket, j: int, tol: float) -> SingleQubitUnitary:
+    """``_fit_transport``, checked by its overlap with psi'."""
+    mat, overlap = _fit_transport(psi, psi_prime, j)
+    if overlap < 1.0 - max(tol, 1e-10):
         raise ValueError(f"no single-qubit transport found at qubit {j}")
     return SingleQubitUnitary(mat, j)
 
 
 def _require_shared_panel(a: Ket, b: Ket, tol: float) -> None:
     """Raise unless the two states' panels agree within max(tol, 1e-10)."""
-    dist = panel_distance(panel_of_pure(a), panel_of_pure(b))
-    if dist > max(tol, 1e-10):
-        raise ValueError(f"panels differ by {dist:.3e}, beyond tolerance")
+    pa, pb = panel_of_pure(a), panel_of_pure(b)
+    if not panels_equal(pa, pb, max(tol, 1e-10)):
+        raise ValueError(f"panels differ by {panel_distance(pa, pb):.3e}, beyond tolerance")
 
 
 def extract_local_unitary(psi: Ket, psi_prime: Ket, j: int, tol: float = DEFAULT_TOL) -> SingleQubitUnitary:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import _extract_lj, _require_shared_panel
+from .classifier import _fit_transport, _require_shared_panel
 from .panels import panel_of_pure
 from .tensors import Ket, SingleQubitUnitary, _act, ket
 from .unitary_fit import PanelObjective, fit_pivot_unitary, grid_starts, random_starts
@@ -171,12 +171,10 @@ def lu_equivalence_check(
     _require_shared_panel(a, b, tol)
     out = []
     for j in range(1, a.n + 1):
-        try:
-            transport = _extract_lj(a, b, j, tol)
-        except ValueError:
+        mat, overlap = _fit_transport(a, b, j)
+        # 1 - tol is never weaker than extract_local_unitary's threshold
+        # 1 - max(tol, 1e-10), and stricter for tol < 1e-10
+        if overlap < 1.0 - tol:
             return None
-        moved = _act(a.amplitudes, a.n, [(j, transport.entries)])
-        if abs(np.vdot(moved, b.amplitudes)) < 1.0 - tol:
-            return None
-        out.append(transport)
+        out.append(SingleQubitUnitary(mat, j))
     return out

@@ -23,7 +23,10 @@ Conventions used throughout the package:
   step; the public ``apply_local(s)`` check every target, then build one
   ``Ket``.
 * All values are immutable after construction; the operations below are
-  pure functions and safe to call concurrently.
+  pure functions and safe to call concurrently.  A panel entry of a pure
+  state keeps its factor and builds its dense matrix on the first read of
+  ``entries`` (see ``DensityMatrix``); two threads racing on that read
+  compute the same bits twice, which is harmless.
 """
 
 from __future__ import annotations
@@ -146,11 +149,16 @@ class DensityMatrix:
     result on through ``_trusted`` without a second eigensolve.  Marginals
     the package builds from a pure state, rho = a^T a^*, are checked for the
     same trace and spectrum on the small Gram a a^dagger instead, by
-    ``_check_factor_grams``.
+    ``_check_factor_grams``.  The entries of ``panel_of_pure`` keep their
+    factor ``a`` (``_factored``) and build ``entries`` on first read, frozen
+    like every other; two threads racing on that read compute the same bits
+    twice and one result stays.
     """
 
     qubit_labels: tuple[int, ...]
     entries: np.ndarray
+
+    _factor = None  # the factor a of rho = a^T a^*, kept by ``_factored``
 
     @classmethod
     def _from_factor(cls, labels: tuple[int, ...], a: np.ndarray) -> "DensityMatrix":
@@ -158,6 +166,29 @@ class DensityMatrix:
         of a pure state with one qubit traced out, as ``_axis_first`` gives)."""
         _check_factor_grams(_grams(a))
         return cls._trusted(labels, a.T @ a.conj())
+
+    @classmethod
+    def _factored(cls, labels: tuple[int, ...], a: np.ndarray) -> "DensityMatrix":
+        """``_from_factor`` for a factor its caller has already validated.
+
+        No check and no copy: ``a`` is frozen in place and kept, and
+        ``entries`` is built from it on first read.
+        """
+        a.setflags(write=False)
+        rho = cls.__new__(cls)
+        object.__setattr__(rho, "qubit_labels", labels)
+        object.__setattr__(rho, "_factor", a)
+        return rho
+
+    def __getattr__(self, name: str):
+        # reached only when the normal lookup fails: for ``entries``, that
+        # is the first read on a factored matrix
+        if name != "entries" or self._factor is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        mat = self._factor.T @ self._factor.conj()
+        mat.setflags(write=False)
+        object.__setattr__(self, "entries", mat)
+        return mat
 
     @classmethod
     def _trusted(cls, labels: tuple[int, ...], mat: np.ndarray) -> "DensityMatrix":

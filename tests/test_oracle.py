@@ -138,6 +138,19 @@ class TestLuEquivalenceCheck:
         with pytest.raises(ValueError):
             qm.lu_equivalence_check(qm.haar_random_ket(3, 1), qm.haar_random_ket(3, 2))
 
+    @pytest.mark.parametrize("tol", [1e-12, 1e-8])
+    def test_transports_at_tolerances_either_side_of_the_floor(self, tol):
+        # extract_local_unitary floors its overlap threshold at 1e-10; below
+        # that floor each transport must still reach overlap 1 - tol
+        psi, _ = random_ghz_orbit(5, 91)
+        partner = qm.sibling(psi, qm.classify(psi).certificate)
+        for a, b in ((psi, partner), (psi, psi)):
+            transports = qm.lu_equivalence_check(a, b, tol)
+            assert [t.target for t in transports] == [1, 2, 3, 4, 5]
+            for t in transports:
+                assert np.array_equal(t.entries, qm.extract_local_unitary(a, b, t.target, tol).entries)
+                assert abs(qm.apply_local(t, a).overlap(b)) >= 1.0 - tol
+
     @pytest.mark.parametrize("tol", [-1e-6, 0.0, float("nan")])
     def test_rejects_tolerance_that_is_not_positive(self, tol):
         a, b = qm.haar_random_ket(3, 1), qm.haar_random_ket(3, 2)

@@ -1,10 +1,16 @@
 """Panels of one-qubit-removed marginals."""
 
+import copy
+import pickle
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 import qmarginal as qm
 from conftest import random_ghz_orbit
+from qmarginal.io import load_panel, save_panel
 from qmarginal.tensors import PAULI_Z, _traced_outer
 
 
@@ -106,6 +112,13 @@ class TestPanelsEqual:
                 qm.panel_of_pure(qm.haar_random_ket(3, 1)),
             )
 
+    @pytest.mark.parametrize("tol", [-1e-6, 0.0, float("nan")])
+    def test_rejects_tolerance_that_is_not_positive(self, tol):
+        # a NaN tol once called a panel unequal to itself, and 0.0 equal
+        panel = qm.panel_of_pure(qm.haar_random_ket(3, 1))
+        with pytest.raises(ValueError, match="tol must be positive"):
+            qm.panels_equal(panel, panel, tol)
+
 
 class TestSubsetEqual:
     def setup_method(self):
@@ -148,6 +161,153 @@ class TestPanelSubset:
         assert sub.matches(qm.panel_of_pure(partner), 1e-10)
         full = qm.PanelSubset(qm.panel_of_pure(chi), frozenset({1, 2, 3, 4}))
         assert not full.matches(qm.panel_of_pure(partner), 1e-10)
+
+    @pytest.mark.parametrize("tol", [-1e-6, 0.0, float("nan")])
+    def test_rejects_tolerance_that_is_not_positive(self, tol):
+        panel = qm.panel_of_pure(qm.haar_random_ket(3, 1))
+        with pytest.raises(ValueError, match="tol must be positive"):
+            qm.PanelSubset(panel, frozenset({1})).matches(panel, tol)
+
+
+TOL_GRID = [10.0**-k for k in range(6, 17)]
+
+
+def _built(panel):
+    """Which entries have built their dense matrix."""
+    return ["entries" in vars(e) for e in panel.entries]
+
+
+def _sibling_pair(n, seed):
+    psi, _ = random_ghz_orbit(n, seed)
+    return psi, qm.sibling(psi, qm.classify(psi).certificate)
+
+
+def _near_pair(n, seed, delta):
+    """A GHZ orbit and its sibling moved by delta in a random direction."""
+    psi, sib = _sibling_pair(n, seed)
+    v = [1.0, 1j] @ np.random.default_rng(seed).standard_normal((2, 2**n))
+    return psi, qm.ket(sib.amplitudes + delta * v / np.linalg.norm(v))
+
+
+def _dense_distance(a, b, kept):
+    """The reference: largest entrywise deviation over the kept marginals."""
+    marginal = lambda psi, j: _traced_outer(psi.amplitudes, psi.amplitudes, psi.n, j)
+    return max(np.max(np.abs(marginal(a, j) - marginal(b, j))) for j in kept)
+
+
+class TestFactoredPanels:
+    """Pure panels keep their factors; equality is certified from them and
+    falls back to the dense max-entry comparison."""
+
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    @pytest.mark.parametrize("kind", ["sibling", "haar", "near"])
+    def test_panels_equal_is_the_dense_comparison(self, n, kind):
+        psi, _ = random_ghz_orbit(n, 40 + n)
+        other = {
+            "sibling": lambda: _sibling_pair(n, 40 + n)[1],
+            "haar": lambda: qm.haar_random_ket(n, 50 + n),
+            "near": lambda: _near_pair(n, 40 + n, 1e-9)[1],
+        }[kind]()
+        dist = qm.panel_distance(qm.panel_of_pure(psi), qm.panel_of_pure(other))
+        for tol in TOL_GRID:
+            pa, pb = qm.panel_of_pure(psi), qm.panel_of_pure(other)
+            assert qm.panels_equal(pa, pb, tol) == (dist <= tol)
+
+    def test_near_equal_pair_falls_back_to_the_dense_comparison(self):
+        psi, other = _near_pair(8, 48, 1e-9)
+        pa, pb = qm.panel_of_pure(psi), qm.panel_of_pure(other)
+        tol = 1e-10
+        frob = [np.linalg.norm(x.entries - y.entries) for x, y in zip(pa.entries, pb.entries)]
+        # no entry pair can be certified, yet every one is within tol
+        assert min(frob) > tol
+        assert qm.panel_distance(pa, pb) <= tol
+        pa, pb = qm.panel_of_pure(psi), qm.panel_of_pure(other)
+        assert qm.panels_equal(pa, pb, tol)
+        assert all(_built(pa)) and all(_built(pb))
+
+    @pytest.mark.parametrize("source", ["mixed", "file"])
+    def test_factored_against_dense_panel_of_the_same_state(self, source, tmp_path):
+        psi, sib = _sibling_pair(5, 61)
+        if source == "mixed":
+            dense = qm.panel_of_mixed(sib.density())
+        else:
+            save_panel(tmp_path / "sib.panel", qm.panel_of_pure(sib))
+            dense = load_panel(tmp_path / "sib.panel")
+        assert not any(e._factor is not None for e in dense.entries)
+        haar = qm.panel_of_pure(qm.haar_random_ket(5, 62))
+        for tol in TOL_GRID[:8]:  # down to 1e-13, above the rounding of either path
+            factored = qm.panels_equal(qm.panel_of_pure(psi), qm.panel_of_pure(sib), tol)
+            assert factored
+            assert qm.panels_equal(qm.panel_of_pure(psi), dense, tol) == factored
+            assert qm.panels_equal(dense, qm.panel_of_pure(psi), tol) == factored
+            assert not qm.panels_equal(haar, dense, tol)
+
+    def test_n12_sibling_check_builds_no_entry(self):
+        psi, sib = _sibling_pair(12, 71)
+        pa, pb = qm.panel_of_pure(psi), qm.panel_of_pure(sib)
+        assert qm.panels_equal(pa, pb)
+        assert not any(_built(pa) + _built(pb))
+
+    def test_deepcopy_and_repr_of_unbuilt_entries(self):
+        psi = qm.haar_random_ket(5, 72)
+        panel = qm.panel_of_pure(psi)
+        clones = (copy.deepcopy(panel), pickle.loads(pickle.dumps(panel)))
+        for clone in clones:
+            assert not any(_built(clone))
+        assert repr(clones[0].entry(2)).startswith("DensityMatrix(qubit_labels=(1, 3, 4, 5)")
+        for j in range(1, 6):
+            expected = _traced_outer(psi.amplitudes, psi.amplitudes, 5, j)
+            for p in (panel, *clones):
+                entries = p.entry(j).entries
+                assert entries.tobytes() == expected.tobytes()
+                assert not entries.flags.writeable
+                assert p.entry(j).entries is entries  # built once, then cached
+
+    def test_concurrent_first_reads_agree(self):
+        # a race on the first read computes the same bits twice; every
+        # reader must see the reference matrix, read-only
+        psi = qm.haar_random_ket(8, 73)
+        expected = [_traced_outer(psi.amplitudes, psi.amplitudes, 8, j).tobytes() for j in range(1, 9)]
+        panel = qm.panel_of_pure(psi)
+        seen, start = [], threading.Barrier(4)
+
+        def read():
+            start.wait(timeout=10)
+            for e in panel.entries:
+                seen.append((e.qubit_labels, e.entries.tobytes(), e.entries.flags.writeable))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(seen) == 4 * 8
+        for labels, data, writeable in seen:
+            j = next(q for q in range(1, 9) if q not in labels)
+            assert data == expected[j - 1] and not writeable
+        assert all(e.entries.tobytes() == expected[j] for j, e in enumerate(panel.entries))
+
+    def test_subset_comparisons_are_the_dense_comparison(self):
+        chi = qm.chi_state()
+        pairs = [
+            (chi, qm.apply_local(qm.SingleQubitUnitary(PAULI_Z, 1), chi)),
+            _sibling_pair(4, 81),
+            _sibling_pair(6, 82),
+            _near_pair(6, 83, 1e-9),
+        ]
+        for a, b in pairs:
+            for kept in ({1, 2, 3}, {4}, set(range(1, a.n + 1))):
+                dist = _dense_distance(a, b, kept)
+                for tol in TOL_GRID:
+                    sub = qm.PanelSubset(qm.panel_of_pure(a), frozenset(kept))
+                    assert sub.matches(qm.panel_of_pure(b), tol) == (dist <= tol)
+                    assert qm.subset_equal(a, b, kept, tol) == (dist <= tol)
 
 
 class TestCrossEntryConsistency:
