@@ -299,6 +299,32 @@ def extract_local_unitary(psi: Ket, psi_prime: Ket, j: int, tol: float = DEFAULT
     return _extract_lj(psi, psi_prime, j, tol)
 
 
+def lu_equivalence_check(
+    a: Ket, b: Ket, tol: float = 1e-8
+) -> list[SingleQubitUnitary] | None:
+    """Per-qubit transports between two panel-equal states.
+
+    Returns one unitary per qubit, each of which alone maps a to b up to a
+    global phase; None when some transport fails verification (a tolerance
+    breach, since panel-equal states always admit one).  Raises
+    ``ValueError`` for a tol that is not positive (NaN included).
+    """
+    if a.n != b.n:
+        raise ValueError("qubit counts differ")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    _require_shared_panel(a, b, tol)
+    out = []
+    for j in range(1, a.n + 1):
+        mat, overlap = _fit_transport(a, b, j)
+        # 1 - tol is never weaker than extract_local_unitary's threshold
+        # 1 - max(tol, 1e-10), and stricter for tol < 1e-10
+        if overlap < 1.0 - tol:
+            return None
+        out.append(SingleQubitUnitary(mat, j))
+    return out
+
+
 def diagonal_phases(u: SingleQubitUnitary) -> tuple[RelativePhases, np.ndarray]:
     """Diagonalize a 2x2 unitary as e^{i a} diag(e^{i b}, e^{-i b}).
 

@@ -280,7 +280,11 @@ def load_panel(path) -> RdmPanel:
         head = lines[row].split()
         if len(head) != 2 or head[0] != "entry":
             raise FileFormatError(path, row + 1, "expected 'entry <omitted-qubit>'")
-        omitted = int(head[1])
+        try:
+            omitted = int(head[1])
+        except ValueError as err:
+            message = f"entry label must be an integer, got {head[1]!r}"
+            raise FileFormatError(path, row + 1, message) from err
         if not 1 <= omitted <= n or omitted in entries:
             raise FileFormatError(path, row + 1, f"bad or repeated entry label {omitted}")
         start = row + 1

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import _fit_transport, _require_shared_panel
 from .panels import panel_of_pure
 from .tensors import Ket, SingleQubitUnitary, _act, ket
 from .unitary_fit import PanelObjective, fit_pivot_unitary, grid_starts, random_starts
@@ -61,6 +60,13 @@ def search_sibling(
     past the witness are computed and discarded; ``trials`` counts the
     starts up to and including the witness, or all of them.  Raises
     ``ValueError`` for a negative budget or a tol that is not positive.
+
+    The search stays blind to the classifier on purpose: it imports
+    nothing from ``classifier``, reads no Bloch matrix and takes no rank
+    or singular-value decision, not even from the QR factor its descent
+    runs on.  Its only verdicts are a dense panel mismatch below tol**2
+    and an overlap test, so when it agrees with ``classify`` the two
+    answers come from independent arguments.
     """
     if psi.n < 2:
         raise ValueError("sibling search needs at least 2 qubits")
@@ -152,29 +158,3 @@ def chi_state() -> Ket:
     amps[0b0001] = 1.0
     amps[0b1111] = 1.0
     return ket(amps, 4)
-
-
-def lu_equivalence_check(
-    a: Ket, b: Ket, tol: float = 1e-8
-) -> list[SingleQubitUnitary] | None:
-    """Per-qubit transports between two panel-equal states.
-
-    Returns one unitary per qubit, each of which alone maps a to b up to a
-    global phase; None when some transport fails verification (a tolerance
-    breach, since panel-equal states always admit one).  Raises
-    ``ValueError`` for a tol that is not positive (NaN included).
-    """
-    if a.n != b.n:
-        raise ValueError("qubit counts differ")
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    _require_shared_panel(a, b, tol)
-    out = []
-    for j in range(1, a.n + 1):
-        mat, overlap = _fit_transport(a, b, j)
-        # 1 - tol is never weaker than extract_local_unitary's threshold
-        # 1 - max(tol, 1e-10), and stricter for tol < 1e-10
-        if overlap < 1.0 - tol:
-            return None
-        out.append(SingleQubitUnitary(mat, j))
-    return out

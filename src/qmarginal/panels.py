@@ -21,8 +21,6 @@ import numpy as np
 from .tensors import (
     DensityMatrix,
     Ket,
-    _check_factor_grams,
-    _grams,
     _qubit_factors,
     _trace_positions,
     partial_trace,
@@ -83,12 +81,12 @@ class PanelSubset:
 def panel_of_pure(psi: Ket) -> RdmPanel:
     """Panel map for pure states: entry j traces out qubit j of |psi><psi|.
     Each entry keeps its 2 x 2**(n-1) factor (a read-only slice of one
-    (n, 2, 2**(n-1)) stack) and builds its dense matrix on first read."""
+    (n, 2, 2**(n-1)) stack) and builds its dense matrix on first read.
+    Nothing is re-checked: a ``Ket`` is normalized, so every factor has
+    unit trace and a PSD Gram by construction."""
     if psi.n < 2:
         raise ValueError("panels need at least 2 qubits")
-    f = _qubit_factors(psi)
-    _check_factor_grams(_grams(f))
-    return RdmPanel(psi.n, _factored_entries(f))
+    return RdmPanel(psi.n, _factored_entries(_qubit_factors(psi)))
 
 
 def _factored_entries(f: np.ndarray) -> tuple[DensityMatrix, ...]:

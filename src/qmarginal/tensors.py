@@ -147,12 +147,14 @@ class DensityMatrix:
     ``panel_of_mixed``.  The file loaders in ``io`` run their own checks
     with their own tolerances, symmetrize and renormalize, and hand the
     result on through ``_trusted`` without a second eigensolve.  Marginals
-    the package builds from a pure state, rho = a^T a^*, are checked for the
+    the package builds from a factor, rho = a^T a^*, are checked for the
     same trace and spectrum on the small Gram a a^dagger instead, by
-    ``_check_factor_grams``.  The entries of ``panel_of_pure`` keep their
-    factor ``a`` (``_factored``) and build ``entries`` on first read, frozen
-    like every other; two threads racing on that read compute the same bits
-    twice and one result stays.
+    ``_check_factor_grams`` in ``_from_factor``.  The entries of
+    ``panel_of_pure`` are not checked at all: they come from a ``Ket``,
+    normalized at its own constructor, so each has unit trace and is PSD by
+    construction.  They keep their factor ``a`` (``_factored``) and build
+    ``entries`` on first read, frozen like every other; two threads racing
+    on that read compute the same bits twice and one result stays.
     """
 
     qubit_labels: tuple[int, ...]
@@ -169,7 +171,8 @@ class DensityMatrix:
 
     @classmethod
     def _factored(cls, labels: tuple[int, ...], a: np.ndarray) -> "DensityMatrix":
-        """``_from_factor`` for a factor its caller has already validated.
+        """``_from_factor`` for a factor valid by construction, such as a
+        slice of a ``Ket``'s ``_qubit_factors``.
 
         No check and no copy: ``a`` is frozen in place and kept, and
         ``entries`` is built from it on first read.

@@ -14,16 +14,25 @@ every marginal fixed, so it is left out.  There is no chart along the way,
 so the step cannot run off along a periodic parameter, and every iterate is
 unitary up to rounding.  The Jacobian is analytic: with a the axis-first
 view of U psi for qubit k and b_a that of the tangent i sigma_a U psi,
-d rho_(k) = b_a^T conj(a) plus its adjoint.
+d rho_(k) = b_a^T conj(a) plus its adjoint (``PanelObjective.residuals``,
+the dense reference).
+
+Every residual is a fixed 8-column matrix times a coefficient vector that
+depends on U alone (see ``PanelObjective``).  So one QR factor R of those
+columns, at most 8 x 8 and built once per objective, gives the cost, the
+gradient and the Gauss-Newton matrix exactly, in O(1) work per start at
+every n, from the compressed residual itself and never from its square.
+Only the final cost of each start is read off the dense marginals
+(``PanelObjective.costs``), so callers see the panel mismatch itself.
 
 The starts of one call descend together as a stack of unitaries.  Each
 pass of the loop builds the 3 x 3 normal equations of every start still
-moving from 2 x 2 Gram blocks (``PanelObjective.normal_equations``),
-without forming the Jacobian, and solves them in one batched call.  Each
-start keeps its own damping, accept/reject decision and stopping test, so
-it follows the path it would follow alone, up to rounding.  The search
-knows nothing of Bloch matrices, which keeps it independent of the
-classifier.
+moving (``PanelObjective.normal_equations``), without forming the
+Jacobian, and solves them in one batched call.  Each start keeps its own
+damping, accept/reject decision and stopping test, so it follows the path
+it would follow alone, up to rounding.  The search knows nothing of Bloch
+matrices and takes no rank decision from R, which keeps it independent of
+the classifier.
 """
 
 from __future__ import annotations
@@ -32,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensors import PAULIS, _axis_first, _axis_restore
+from .tensors import PAULIS, _axis_first, _axis_restore, _traced_outer
 
 # Levenberg-Marquardt settings: initial damping, its change after an
 # accepted or a rejected step, and the iteration cap (accepted or not).
@@ -95,17 +104,49 @@ def random_starts(rng: np.random.Generator, count: int) -> list[np.ndarray]:
 
 
 class PanelObjective:
-    """Residuals of the marginals of (U on pivot) psi against fixed targets."""
+    """Residuals of the marginals of (U on pivot) psi against fixed targets.
+
+    Split on the pivot bit, the marginal rho_(k) of U psi has the 2 x 2
+    blocks sum_cd U_ac conj(U_bd) S_cd, where S_cd are those of psi's own
+    marginal S_k.  So with T_ab the blocks of target_k, the residual block
+    ab is B_k c_ab: B_k has the vectorized S_cd and T_ab as its 8 columns,
+    and c_ab = (U_a0 conj(U_b0), U_a0 conj(U_b1), U_a1 conj(U_b0),
+    U_a1 conj(U_b1), -e_ab) is the same for every target.  Stacking the
+    B_k into B = QR gives ||B c|| = ||R c|| for every c, so the cost is
+    sum_ab ||R c_ab||^2 with R at most 8 x 8, whatever n: the compressed
+    residual R c_ab is formed directly, never its square.  R is built once
+    here from one QR per target and one more over their stacked R's, so no
+    more than one B_k is held at a time.
+    """
 
     def __init__(self, amplitudes: np.ndarray, n: int, pivot: int, targets: dict[int, np.ndarray]):
         self.n = n
         self.pivot = pivot
-        self.psi_pivot = _axis_first(np.asarray(amplitudes, dtype=complex), n, pivot)
+        amplitudes = np.asarray(amplitudes, dtype=complex)
+        self.psi_pivot = _axis_first(amplitudes, n, pivot)
         self.targets = {k: np.asarray(t, dtype=complex) for k, t in targets.items()}
         # where each target's axis-first entries sit in a pivot-first vector
         positions = _axis_restore(np.arange(2**n).reshape(2, -1), n, pivot)
         self._gather = np.array([_axis_first(positions, n, k) for k in self.targets])
         self._target_stack = np.array(list(self.targets.values()))
+        # one R per target, merged by one more QR: B itself is never stacked
+        factors = []
+        for k, target in self.targets.items():
+            own = _traced_outer(amplitudes, amplitudes, n, k)  # S_k
+            columns = np.concatenate([self._blocks(own, k), self._blocks(target, k)]).T
+            factors.append(np.linalg.qr(columns, mode="r"))
+        r = np.linalg.qr(np.concatenate(factors), mode="r")
+        # transposed, so that rows (a, b) of kron(U, conj(U)) multiply them
+        self._r_own, self._r_target = r[:, :4].T, r[:, 4:].T
+
+    def _blocks(self, mat: np.ndarray, k: int) -> np.ndarray:
+        """The 2 x 2 blocks of a matrix on the qubits other than k, split on
+        the pivot bit: row 2a + b of the (4, 4**(n-2)) result is block ab,
+        flattened."""
+        place = self.pivot - 1 - (k < self.pivot)  # pivot's bit among the kept qubits
+        high, low = 2**place, 2 ** (self.n - 2 - place)
+        split = mat.reshape(high, 2, low, high, 2, low)
+        return split.transpose(1, 4, 0, 2, 3, 5).reshape(4, -1)
 
     def marginals(self, unitary: np.ndarray) -> dict[int, np.ndarray]:
         moved = _axis_restore(unitary @ self.psi_pivot, self.n, self.pivot)
@@ -120,7 +161,8 @@ class PanelObjective:
 
         The residuals are the real and imaginary parts of rho_(k) - target_k
         over the targets; the Jacobian has one column per direction sigma_a,
-        the derivative along exp(i t sigma_a) U at t = 0.
+        the derivative along exp(i t sigma_a) U at t = 0.  This is the dense
+        reference that ``normal_equations`` and ``costs`` reproduce.
         """
         # U psi and the tangents i sigma_a U psi, as amplitude vectors
         stack = _axis_restore(_GENERATORS @ (unitary @ self.psi_pivot), self.n, self.pivot)
@@ -134,45 +176,51 @@ class PanelObjective:
             slopes.append(d_rho.view(np.float64).reshape(3, -1))
         return np.concatenate(values), np.concatenate(slopes, axis=1).T
 
+    def costs(self, unitaries: np.ndarray) -> np.ndarray:
+        """Dense cost r.r for a stack (m, 2, 2) of U, from the marginals
+        themselves: the panel mismatch that callers read off a result."""
+        m = len(unitaries)
+        views = (unitaries @ self.psi_pivot).reshape(m, -1)[:, self._gather]
+        diff = np.swapaxes(views, -1, -2) @ views.conj() - self._target_stack
+        parts = diff.view(np.float64).reshape(m, -1)
+        return np.einsum("mi,mi->m", parts, parts)
+
     def normal_equations(self, unitaries: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Cost r.r, gradient J^T r and matrix J^T J for a stack (m, 2, 2) of U.
 
-        r and J are those of ``residuals``, but J is never formed.  With X_g
-        the axis-first view for qubit k of G_g U psi (G_0 = I, G_a = i
-        sigma_a) and the 2 x 2 Gram blocks G_gh = conj(X_g) X_h^T, summed
-        over the targets T_k:
-
-            diff = X_0^T conj(X_0) - T_k,  cost = ||diff||_F^2,
-            (J^T r)_a = 2 Re tr(conj(X_a) diff X_0^T),
-            (J^T J)_ab = 2 Re [tr(G_ab G_00) + tr(G_a0 G_b0)].
-
-        Both identities need Hermitian targets, as panel entries are.  diff
-        is built explicitly, so the cost does not cancel near zero.
-        Returns arrays of shape (m,), (m, 3) and (m, 3, 3).
+        r and J are those of ``residuals``, neither formed.  The dense
+        residual is B c, with c the c_ab of all four blocks (see the class),
+        and B = Q R with Q an isometry that does not depend on U.  So r = Q
+        (R c) and J = Q (R dc) for the compressed residual R c and its
+        derivatives, and the cost, J^T r and J^T J are exactly the Gram
+        entries of these four vectors, at most 4 x 8 complex each.  Row ab
+        of W = kron(U, conj(U)) holds the U-part of c_ab, so the compressed
+        residual is, transposed, W R_own^T - R_target^T, where R_own and
+        R_target are R's first and last 4 columns.  Along exp(i t sigma_a) U
+        it moves by dW_a R_own^T, with dW_a = kron(V_a, conj(U)) + kron(U,
+        conj(V_a)) and V_a = i sigma_a U.  Returns arrays of shape (m,),
+        (m, 3) and (m, 3, 3).
         """
         m = len(unitaries)
-        stack = (_GENERATORS @ (unitaries @ self.psi_pivot)[:, None]).reshape(m, 4, -1)
-        views = stack[:, :, self._gather]  # (m, 4, targets, 2, 2**(n-1))
-        first = views[:, 0]
-        diff = np.swapaxes(first, -1, -2) @ first.conj() - self._target_stack
-        parts = diff.view(np.float64).reshape(m, -1)
-        cost = np.einsum("mi,mi->m", parts, parts)
-        pulled = diff @ np.swapaxes(first, -1, -2)  # diff X_0^T
-        grad = 2 * np.einsum("makic,mkci->ma", views[:, 1:].conj(), pulled).real
-        blocks = np.swapaxes(views, 1, 2).reshape(m, len(self._gather), 8, -1)
-        gram = (blocks.conj() @ np.swapaxes(blocks, -1, -2)).reshape(m, -1, 4, 2, 4, 2)
-        gram = gram.transpose(0, 1, 2, 4, 3, 5)  # (m, targets, g, h, 2, 2)
-        normal = np.einsum("mkabij,mkji->mab", gram[:, :, 1:, 1:], gram[:, :, 0, 0])
-        normal += np.einsum("mkaij,mkbji->mab", gram[:, :, 1:, 0], gram[:, :, 1:, 0])
-        return cost, grad, 2 * normal.real
+        moved = _GENERATORS @ unitaries[:, None]  # U, then V_a = i sigma_a U
+        # entry (g, a, b, c, d): (G_g U)_ac conj(U_bd), plus U_ac conj(V_bd) for g > 0
+        coeffs = moved[:, :, :, None, :, None] * unitaries.conj()[:, None, None, :, None, :]
+        coeffs[:, 1:] += unitaries[:, None, :, None, :, None] * moved[:, 1:, None, :, None, :].conj()
+        vectors = coeffs.reshape(m, 4, 4, 4) @ self._r_own
+        vectors[:, 0] -= self._r_target
+        parts = vectors.view(np.float64).reshape(m, 4, -1)
+        gram = parts @ np.swapaxes(parts, 1, 2)
+        return gram[:, 0, 0], gram[:, 1:, 0], gram[:, 1:, 1:]
 
 
 def fit_pivot_unitary(objective: PanelObjective, starts: list[np.ndarray]) -> list[FitResult]:
     """Levenberg-Marquardt from every start at once, with Marquardt's
     diagonal scaling; results come back in start order.
 
-    A start drops out of the stack when its gradient or its step reaches
-    rounding level, or after MAX_STEPS iterations.
+    A start drops out of the stack when its gradient reaches rounding
+    level, after trying a step that does, or after MAX_STEPS iterations.
+    The descent runs on the compressed normal equations; each result's
+    cost is then evaluated once on the dense marginals (``costs``).
     """
     if not len(starts):
         return []
@@ -190,10 +238,6 @@ def fit_pivot_unitary(objective: PanelObjective, starts: list[np.ndarray]) -> li
         scale = np.maximum(scale, SCALE_FLOOR * scale.max(axis=1, keepdims=True))
         system = normal[live] + (damping[live, None] * scale)[:, :, None] * np.eye(3)
         step = np.linalg.solve(system, -grad[live, :, None])[:, :, 0]
-        moving = np.linalg.norm(step, axis=1) > STEP_TOL
-        live, step = live[moving], step[moving]
-        if not live.size:
-            break
         trial = _rotations(step) @ unitaries[live]
         trial_cost, trial_grad, trial_normal = objective.normal_equations(trial)
         better = trial_cost < cost[live]
@@ -201,4 +245,7 @@ def fit_pivot_unitary(objective: PanelObjective, starts: list[np.ndarray]) -> li
         unitaries[taken], cost[taken] = trial[better], trial_cost[better]
         grad[taken], normal[taken] = trial_grad[better], trial_normal[better]
         damping[live] = np.where(better, damping[live] / DAMPING_DOWN, damping[live] * DAMPING_UP)
-    return [FitResult(u, float(c)) for u, c in zip(unitaries, cost)]
+        # a step at rounding level is still tried, then ends its start: near
+        # a zero residual it is the Gauss-Newton step that squares the cost
+        live = live[np.linalg.norm(step, axis=1) > STEP_TOL]
+    return [FitResult(u, float(c)) for u, c in zip(unitaries, objective.costs(unitaries))]

@@ -174,6 +174,12 @@ class TestPanelFiles:
         with pytest.raises(FileFormatError, match="missing matrix row"):
             load_panel(path)
 
+    def test_non_integer_entry_label_names_its_line(self, tmp_path):
+        path = tmp_path / "panel.txt"
+        path.write_text("qmarginal-panel 1 2\nentry x\n1.0 0.0 0.0 0.0\n0.0 0.0 0.0 0.0\n")
+        with pytest.raises(FileFormatError, match="panel.txt:2: entry label must be an integer"):
+            load_panel(path)
+
     @pytest.mark.parametrize(
         "bad_row, message",
         [
@@ -306,6 +312,15 @@ class TestCli:
         assert code == 0
         assert "outcome: ghz-family" in out
         assert "alpha" in out
+
+    def test_reconstruct_non_integer_entry_label_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "panel.txt"
+        path.write_text("qmarginal-panel 1 2\nentry x\n1.0 0.0 0.0 0.0\n0.0 0.0 0.0 0.0\n")
+        code, out, err = self.run(capsys, "reconstruct", str(path))
+        assert code == 2
+        assert err.startswith("error: ")
+        assert "panel.txt:2: entry label must be an integer, got 'x'" in err
+        assert "outcome" not in out
 
     def test_reconstruct_inconsistent_panel(self, tmp_path, capsys):
         panel = qm.panel_of_pure(qm.haar_random_ket(3, 103))

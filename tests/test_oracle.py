@@ -44,6 +44,19 @@ class TestSearchSibling:
             report = qm.search_sibling(orbit)
             assert report.found, n
 
+    def test_ghz_orbit_witness_at_six_qubits(self):
+        orbit, _ = random_ghz_orbit(6, 7600)
+        report = qm.search_sibling(orbit)
+        assert report.found
+        _, partner = report.witness
+        assert qm.panel_distance(qm.panel_of_pure(orbit), qm.panel_of_pure(partner)) <= 1e-8
+        assert not qm.equal_up_to_phase(partner, orbit, 1e-6)
+
+    def test_haar_state_has_none_at_six_qubits(self):
+        report = qm.search_sibling(qm.haar_random_ket(6, 7601))
+        assert not report.found
+        assert report.best_residual > 1e-4
+
     def test_product_states_have_none(self):
         # unitaries moving only the factor reproduce the panel but give the
         # same state back, so the scalar exclusion must reject them
@@ -288,6 +301,17 @@ class TestAgreement:
             if found != ghz:
                 disagreements.append((kind, found, ghz))
         assert not disagreements, disagreements[:5]
+
+    def test_found_and_trials_pinned_on_a_fixed_corpus(self):
+        # recorded from the descent on the dense marginals, which the
+        # compressed normal equations must reproduce
+        expected = [(True, 2), (True, 2), (False, 64), (False, 64), (False, 64)] * 3
+        reports = [
+            qm.search_sibling(psi)
+            for n in (3, 4, 5)
+            for _, psi in mixed_corpus(n, 1, 7700 + 100 * n)
+        ]
+        assert [(r.found, r.trials) for r in reports] == expected
 
     def test_witness_states_are_valid(self):
         orbit, _ = random_ghz_orbit(4, 7500)
