@@ -26,7 +26,6 @@ import numpy as np
 
 from .panels import panel_distance, panel_of_pure, panels_equal
 from .tensors import (
-    DEGENERACY_TOL,
     PAULIS,
     Ket,
     MultiIndex,
@@ -37,8 +36,17 @@ from .tensors import (
     _grams,
     _qubit_factors,
 )
-
-DEFAULT_TOL = 1e-8
+from .tolerances import (
+    CERTIFICATE_TOL,
+    CLASSIFY_TOL,
+    DEGENERACY_TOL,
+    NORM_REJECT_TOL,
+    PHASE_CONDITION_FLOOR,
+    PHASE_CONDITION_TOL,
+    SHARED_PANEL_FLOOR,
+    TRANSPORT_OVERLAP_FLOOR,
+    TRANSPORT_TOL,
+)
 
 
 @dataclass(frozen=True)
@@ -51,7 +59,7 @@ class GhzCertificate:
 
     Invariants, checked here and relied on downstream: local k targets
     qubit k; both support indices have n bits and are complements;
-    |alpha|^2 + |beta|^2 = 1 within 1e-6; neither amplitude is zero.
+    |alpha|^2 + |beta|^2 = 1 within NORM_REJECT_TOL; neither amplitude is zero.
     """
 
     locals_: tuple[SingleQubitUnitary, ...]
@@ -69,7 +77,7 @@ class GhzCertificate:
             raise ValueError(f"support indices must have {n} bits")
         if jbar != j.complement():
             raise ValueError("support indices are not an antipodal pair")
-        if abs(abs(self.alpha) ** 2 + abs(self.beta) ** 2 - 1.0) > 1e-6:
+        if abs(abs(self.alpha) ** 2 + abs(self.beta) ** 2 - 1.0) > NORM_REJECT_TOL:
             raise ValueError("|alpha|^2 + |beta|^2 must be 1")
         if abs(self.alpha * self.beta) == 0.0:
             raise ValueError("alpha and beta must both be nonzero")
@@ -139,7 +147,7 @@ def _certificate_from_bases(psi: Ket, bases: list[np.ndarray], tol: float) -> Gh
     )
 
 
-def degenerate_ghz_test(psi: Ket, tol: float = DEFAULT_TOL) -> GhzCertificate | None:
+def degenerate_ghz_test(psi: Ket, tol: float = CLASSIFY_TOL) -> GhzCertificate | None:
     """GHZ test for states whose one-qubit marginals are all maximally mixed.
 
     Raises ``ValueError`` when some marginal is not maximally mixed, then
@@ -171,7 +179,7 @@ def _ghz_bases(factors: np.ndarray, axis: np.ndarray) -> list[np.ndarray]:
     return [first[:, [heavy, 1 - heavy]], *rest[..., ::-1]]
 
 
-def classify(psi: Ket, tol: float = DEFAULT_TOL) -> Classification:
+def classify(psi: Ket, tol: float = CLASSIFY_TOL) -> Classification:
     """Main dichotomy: GHZ class (undetermined by the panel) or determined.
 
     A pure marginal or unequal one-qubit spectra force "determined".
@@ -228,7 +236,7 @@ def _check_certificate(psi: Ket, cert: GhzCertificate) -> None:
     rotated = _act(psi.amplitudes, psi.n, [(u.target, u.entries) for u in cert.locals_])
     off = np.abs(rotated)
     off[[m.to_linear() for m in cert.support]] = 0.0
-    if float(off.max()) > 1e-6:
+    if float(off.max()) > CERTIFICATE_TOL:
         raise ValueError("certificate does not rotate the state to an antipodal pair")
 
 
@@ -268,19 +276,19 @@ def _fit_transport(psi: Ket, psi_prime: Ket, j: int) -> tuple[np.ndarray, float]
 def _extract_lj(psi: Ket, psi_prime: Ket, j: int, tol: float) -> SingleQubitUnitary:
     """``_fit_transport``, checked by its overlap with psi'."""
     mat, overlap = _fit_transport(psi, psi_prime, j)
-    if overlap < 1.0 - max(tol, 1e-10):
+    if overlap < 1.0 - max(tol, TRANSPORT_OVERLAP_FLOOR):
         raise ValueError(f"no single-qubit transport found at qubit {j}")
     return SingleQubitUnitary(mat, j)
 
 
 def _require_shared_panel(a: Ket, b: Ket, tol: float) -> None:
-    """Raise unless the two states' panels agree within max(tol, 1e-10)."""
+    """Raise unless the two states' panels agree within max(tol, SHARED_PANEL_FLOOR)."""
     pa, pb = panel_of_pure(a), panel_of_pure(b)
-    if not panels_equal(pa, pb, max(tol, 1e-10)):
+    if not panels_equal(pa, pb, max(tol, SHARED_PANEL_FLOOR)):
         raise ValueError(f"panels differ by {panel_distance(pa, pb):.3e}, beyond tolerance")
 
 
-def extract_local_unitary(psi: Ket, psi_prime: Ket, j: int, tol: float = DEFAULT_TOL) -> SingleQubitUnitary:
+def extract_local_unitary(psi: Ket, psi_prime: Ket, j: int, tol: float = TRANSPORT_TOL) -> SingleQubitUnitary:
     """One-qubit unitary L_j with (L_j on qubit j) psi = psi' up to phase.
 
     Exists exactly when the two states share their whole marginal panel;
@@ -300,7 +308,7 @@ def extract_local_unitary(psi: Ket, psi_prime: Ket, j: int, tol: float = DEFAULT
 
 
 def lu_equivalence_check(
-    a: Ket, b: Ket, tol: float = 1e-8
+    a: Ket, b: Ket, tol: float = TRANSPORT_TOL
 ) -> list[SingleQubitUnitary] | None:
     """Per-qubit transports between two panel-equal states.
 
@@ -318,7 +326,7 @@ def lu_equivalence_check(
     for j in range(1, a.n + 1):
         mat, overlap = _fit_transport(a, b, j)
         # 1 - tol is never weaker than extract_local_unitary's threshold
-        # 1 - max(tol, 1e-10), and stricter for tol < 1e-10
+        # 1 - max(tol, TRANSPORT_OVERLAP_FLOOR), and stricter below that floor
         if overlap < 1.0 - tol:
             return None
         out.append(SingleQubitUnitary(mat, j))
@@ -338,7 +346,9 @@ def diagonal_phases(u: SingleQubitUnitary) -> tuple[RelativePhases, np.ndarray]:
     return RelativePhases((theta0 + theta1) / 2.0, (theta0 - theta1) / 2.0), evecs
 
 
-def antipodal_support_reduction(psi: Ket, phases, tol: float = DEFAULT_TOL) -> set[MultiIndex]:
+def antipodal_support_reduction(
+    psi: Ket, phases, tol: float = PHASE_CONDITION_TOL
+) -> set[MultiIndex]:
     """Indices where the pairwise phase-consistency condition allows a
     nonzero amplitude, given per-qubit diagonal transports.
 
@@ -355,22 +365,13 @@ def antipodal_support_reduction(psi: Ket, phases, tol: float = DEFAULT_TOL) -> s
         raise ValueError(f"expected {n} phase pairs, got {len(pairs)}")
     if any(abs(np.sin(b)) <= tol for _, b in pairs):
         raise ValueError("every transport must be non-scalar (|sin beta_j| > tol)")
-    allowed: set[MultiIndex] = set()
-    for index in range(2**n):
-        bits = MultiIndex.from_linear(index, n)
-        ok = True
-        for j in range(n):
-            for k in range(n):
-                aj, bj = pairs[j]
-                ak, bk = pairs[k]
-                delta = aj - ak + (-1) ** bits.bits[j] * bj - (-1) ** bits.bits[k] * bk
-                if abs(np.exp(1j * delta) - 1.0) > max(tol, 1e-9):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            allowed.add(bits)
+    a, b = np.array(pairs, dtype=float).T
+    # sb[i, j] = (-1)^(bit j of index i) * b_j
+    sb = (1 - 2 * ((np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1)) * b
+    # delta[i, j, k] = a_j - a_k + s_ij b_j - s_ik b_k
+    delta = a[:, None] - a + sb[:, :, None] - sb[:, None, :]
+    broken = (np.abs(np.exp(1j * delta) - 1.0) > max(tol, PHASE_CONDITION_FLOOR)).any(axis=(1, 2))
+    allowed = {MultiIndex.from_linear(int(i), n) for i in np.flatnonzero(~broken)}
     if len(allowed) > 2:
         raise ValueError(f"phase condition admits {len(allowed)} indices; not antipodal")
     if len(allowed) == 2:

@@ -21,6 +21,7 @@ from .panels import subset_equal
 from .reconstruct import reconstruct
 from .stabilizer import stabilizer_subalgebra
 from .tensors import PAULI_Z, Ket, _act
+from .tolerances import CHI_DEMO_TOL, CLASSIFY_TOL, RECONSTRUCT_TOL, SEARCH_BUDGET, SEARCH_TOL
 
 EXIT_OK = 0
 EXIT_GHZ = 10
@@ -112,15 +113,14 @@ def _cmd_demo_chi(args) -> int:
         c, s = np.cos(1e-3), np.sin(1e-3)
         ops.append((2, np.array([[c, -s], [s, c]])))
     partner = Ket(4, _act(chi.amplitudes, 4, ops))
-    tol = 1e-10
     checks = [
         (
             "marginals omitting qubits 1, 2, 3 all match the sign-flipped partner",
-            subset_equal(chi, partner, {1, 2, 3}, tol),
+            subset_equal(chi, partner, {1, 2, 3}, CHI_DEMO_TOL),
         ),
         (
             "marginal omitting qubit 4 differs",
-            not subset_equal(chi, partner, {4}, tol),
+            not subset_equal(chi, partner, {4}, CHI_DEMO_TOL),
         ),
         (
             "classification: determined",
@@ -148,19 +148,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="classify a state file")
     p.add_argument("state_file")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=CLASSIFY_TOL)
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("reconstruct", help="recover pure states from a panel file")
     p.add_argument("panel_file")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=RECONSTRUCT_TOL)
     p.add_argument("--out", default=None, help="write the reconstructed state here")
     p.set_defaults(func=_cmd_reconstruct)
 
     p = sub.add_parser("sibling-search", help="brute-force search for a panel-sharing partner")
     p.add_argument("state_file")
-    p.add_argument("--budget", type=int, default=64)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--budget", type=int, default=SEARCH_BUDGET)
+    p.add_argument("--tol", type=float, default=SEARCH_TOL)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_sibling_search)
 

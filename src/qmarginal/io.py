@@ -17,15 +17,12 @@ from pathlib import Path
 import numpy as np
 
 from .panels import RdmPanel
-from .tensors import HERM_TOL, DensityMatrix, Ket
+from .tensors import DensityMatrix, Ket
+from .tolerances import HERM_TOL, LOAD_HERM_TOL, LOAD_WARN_TOL, NORM_REJECT_TOL
 
 STATE_FORMAT = "qmarginal-state"
 PANEL_FORMAT = "qmarginal-panel"
 FORMAT_VERSION = 1
-
-LOAD_NORM_TOL = 1e-6
-LOAD_WARN_TOL = 1e-9
-LOAD_HERM_TOL = 1e-6
 
 
 class FileFormatError(ValueError):
@@ -81,7 +78,7 @@ def _require_finite(values: np.ndarray, path, first_line: int | None, what: str)
 
 def _normalized_ket(n: int, amps: np.ndarray, path) -> Ket:
     norm = float(np.linalg.norm(amps))
-    if abs(norm - 1.0) > LOAD_NORM_TOL:
+    if abs(norm - 1.0) > NORM_REJECT_TOL:
         raise FileFormatError(path, None, f"state norm is {norm!r}, expected 1")
     if abs(norm - 1.0) > LOAD_WARN_TOL:
         warnings.warn(
@@ -192,7 +189,7 @@ def _entry_from_raw(raw: np.ndarray, n: int, omitted: int, path, line: int | Non
         raise FileFormatError(path, line, f"entry {omitted} is not Hermitian within {LOAD_HERM_TOL}")
     sym = 0.5 * (raw + raw.conj().T)
     trace = float(np.trace(sym).real)
-    if abs(trace - 1.0) > LOAD_NORM_TOL:
+    if abs(trace - 1.0) > NORM_REJECT_TOL:
         raise FileFormatError(path, line, f"entry {omitted} has trace {trace!r}")
     sym = sym / trace
     lowest = np.linalg.eigvalsh(sym)[0]

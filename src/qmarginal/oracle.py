@@ -16,11 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .panels import panel_of_pure
-from .tensors import Ket, SingleQubitUnitary, _act, ket
+from .tensors import Ket, SingleQubitUnitary, _act, ket, reduced_one_qubit
+from .tolerances import ETA_UNIT_TOL, SEARCH_BUDGET, SEARCH_TOL
 from .unitary_fit import PanelObjective, fit_pivot_unitary, grid_starts, random_starts
-
-DEFAULT_SEARCH_TOL = 1e-6
-DEFAULT_BUDGET = 64
 
 
 @dataclass(frozen=True)
@@ -40,8 +38,8 @@ class SearchReport:
 
 def search_sibling(
     psi: Ket,
-    tol: float = DEFAULT_SEARCH_TOL,
-    budget: int = DEFAULT_BUDGET,
+    tol: float = SEARCH_TOL,
+    budget: int = SEARCH_BUDGET,
     seed: int = 0,
 ) -> SearchReport:
     """Look for a distinct pure state with the same marginal panel.
@@ -84,16 +82,20 @@ def search_sibling(
     else:
         starts += random_starts(np.random.default_rng(seed), budget - len(starts))
 
+    # <psi|(U on qubit 1) psi> = tr(U G) for the qubit-1 Gram G = A A^dagger
+    gram = reduced_one_qubit(psi, 1)
     best = math.inf
     for first in range(0, len(starts), block):
         results = fit_pivot_unitary(objective, starts[first : first + block])
-        for trials, result in enumerate(results, first + 1):
-            moved = _act(psi.amplitudes, psi.n, [(1, result.unitary)])
-            if abs(np.vdot(moved, psi.amplitudes)) >= 1.0 - tol:
+        unitaries = np.array([result.unitary for result in results])
+        scalar = np.abs(np.einsum("mac,ca->m", unitaries, gram)) >= 1.0 - tol
+        for trials, (result, on_locus) in enumerate(zip(results, scalar), first + 1):
+            if on_locus:
                 continue  # scalar locus: same state up to phase
             residual = math.sqrt(result.cost)
             best = min(best, residual)
             if result.cost < tol**2:
+                moved = _act(psi.amplitudes, psi.n, [(1, result.unitary)])
                 witness = (SingleQubitUnitary(result.unitary, 1), Ket(psi.n, moved))
                 return SearchReport(True, witness, residual, trials)
     return SearchReport(False, None, best, len(starts))
@@ -136,7 +138,7 @@ def ghz_state(n: int, alpha: complex | None = None, beta: complex | None = None)
 
 def eta_state(n: int, eta: complex) -> Ket:
     """(|00...0> + eta |11...1>)/sqrt(2) for |eta| = 1."""
-    if abs(abs(eta) - 1.0) > 1e-12:
+    if abs(abs(eta) - 1.0) > ETA_UNIT_TOL:
         raise ValueError("eta must have unit magnitude")
     return ghz_state(n, 1.0 / math.sqrt(2.0), eta / math.sqrt(2.0))
 

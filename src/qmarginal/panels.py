@@ -25,8 +25,7 @@ from .tensors import (
     _trace_positions,
     partial_trace,
 )
-
-DEFAULT_TOL = 1e-9
+from .tolerances import PANEL_TOL
 
 
 @dataclass(frozen=True)
@@ -68,7 +67,7 @@ class PanelSubset:
             raise ValueError(f"kept labels {sorted(kept)} out of range")
         object.__setattr__(self, "kept", kept)
 
-    def matches(self, other: "RdmPanel | PanelSubset", tol: float = DEFAULT_TOL) -> bool:
+    def matches(self, other: "RdmPanel | PanelSubset", tol: float = PANEL_TOL) -> bool:
         """Raises ``ValueError`` for a tol that is not positive (NaN included)."""
         other_panel = other.panel if isinstance(other, PanelSubset) else other
         if other_panel.n != self.panel.n:
@@ -107,7 +106,7 @@ def panel_of_mixed(rho: DensityMatrix) -> RdmPanel:
     return RdmPanel(n, tuple(partial_trace(rho, {j}) for j in range(1, n + 1)))
 
 
-def panels_equal(a: RdmPanel, b: RdmPanel, tol: float = DEFAULT_TOL) -> bool:
+def panels_equal(a: RdmPanel, b: RdmPanel, tol: float = PANEL_TOL) -> bool:
     """Entrywise max-norm equality of two panels: ``panel_distance(a, b) <= tol``.
     Raises ``ValueError`` for a tol that is not positive (NaN included)."""
     if a.n != b.n:
@@ -126,7 +125,7 @@ def panel_distance(a: RdmPanel, b: RdmPanel) -> float:
     )
 
 
-def subset_equal(a: Ket, b: Ket, kept, tol: float = DEFAULT_TOL) -> bool:
+def subset_equal(a: Ket, b: Ket, kept, tol: float = PANEL_TOL) -> bool:
     """Do a and b share the marginals rho_(j) for every j in ``kept``?
     Raises ``ValueError`` for a tol that is not positive (NaN included)."""
     if a.n != b.n:

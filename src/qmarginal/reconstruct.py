@@ -21,7 +21,6 @@ import numpy as np
 from .classifier import GhzCertificate, classify
 from .panels import RdmPanel, panel_consistency, panel_distance, panel_of_pure
 from .tensors import (
-    DEGENERACY_TOL,
     PAULIS,
     DensityMatrix,
     Ket,
@@ -31,8 +30,10 @@ from .tensors import (
     spectral_decompose,
     tensor_insert,
 )
+from .tolerances import CONSISTENCY_FLOOR, DEGENERACY_TOL, RECONSTRUCT_TOL
 
-DEFAULT_TOL = 1e-9
+# the name under which the benchmark (perfbench/workloads.py) reads the default
+DEFAULT_TOL = RECONSTRUCT_TOL
 _SIGMAS = np.array([np.eye(2), *PAULIS])  # sigma_0 = I, then X, Y, Z
 
 
@@ -61,7 +62,7 @@ def check_panel(psi: Ket, panel: RdmPanel) -> float:
 
 
 def purify_over_qubit(
-    rdm: DensityMatrix, j: int, tol: float = DEFAULT_TOL
+    rdm: DensityMatrix, j: int, tol: float = RECONSTRUCT_TOL
 ) -> tuple[Ket, bool]:
     """Pure n-qubit candidate whose marginal over qubit j is ``rdm``.
 
@@ -97,7 +98,7 @@ def _purification(
     return Ket(n, amps), bool(p0 - p1 < DEGENERACY_TOL)
 
 
-def reconstruct(panel: RdmPanel, tol: float = DEFAULT_TOL) -> ReconstructionResult:
+def reconstruct(panel: RdmPanel, tol: float = RECONSTRUCT_TOL) -> ReconstructionResult:
     """Recover the pure state(s) behind a marginal panel.
 
     Returns Unique with the reconstructed state, GhzFamily with a
@@ -118,7 +119,7 @@ def reconstruct(panel: RdmPanel, tol: float = DEFAULT_TOL) -> ReconstructionResu
                 f"entry {j} has rank > 2 (third eigenvalue {evals[2]:.3e})",
             )
     consistency = panel_consistency(panel)
-    if consistency > max(tol, 1e-9):
+    if consistency > max(tol, CONSISTENCY_FLOOR):
         return ReconstructionResult(
             "incompatible", None, None, consistency,
             f"one-qubit marginals disagree across entries by {consistency:.3e}",

@@ -37,9 +37,7 @@ from .tensors import (
     _grams,
     _qubit_factors,
 )
-
-ACTION_TOL = 1e-8
-_RREF_PIVOT_TOL = 1e-10
+from .tolerances import ACTION_TOL, NULL_FLOOR, NULL_REL_TOL, PRODUCT_TOL, RREF_PIVOT_TOL
 
 
 @dataclass(frozen=True)
@@ -116,7 +114,7 @@ def _pauli_system(psi: Ket, rows: np.ndarray) -> np.ndarray:
 
 def _null_threshold(sigma_max: float, m_rows: int) -> float:
     """Singular values of the 2*2^n-row m below this count as zero."""
-    return max(1e-9, 1e-12 * sigma_max * m_rows)
+    return max(NULL_FLOOR, NULL_REL_TOL * sigma_max * m_rows)
 
 
 def element_action(element: AlgebraElement, psi: Ket) -> np.ndarray:
@@ -132,7 +130,7 @@ def element_action(element: AlgebraElement, psi: Ket) -> np.ndarray:
     return out
 
 
-def _rref(rows: np.ndarray, pivot_tol: float = _RREF_PIVOT_TOL) -> np.ndarray:
+def _rref(rows: np.ndarray) -> np.ndarray:
     """Reduced row echelon form over the reals (for a canonical basis)."""
     m = np.array(rows, dtype=float)
     r = 0
@@ -140,7 +138,7 @@ def _rref(rows: np.ndarray, pivot_tol: float = _RREF_PIVOT_TOL) -> np.ndarray:
         if r >= m.shape[0]:
             break
         pivot = r + int(np.argmax(np.abs(m[r:, c])))
-        if abs(m[pivot, c]) < pivot_tol:
+        if abs(m[pivot, c]) < RREF_PIVOT_TOL:
             continue
         m[[r, pivot]] = m[[pivot, r]]
         m[r] = m[r] / m[r, c]
@@ -162,9 +160,9 @@ def stabilizer_subalgebra(psi: Ket) -> StabilizerBasis:
     the sign flipped because the phase column enters the system as +i*psi.
 
     For n >= 6, where 2(3n+1) < 2^n, the rows m_S of m at the basis indices
-    of ``_sampled_rows`` are tried first.  If sigma_min(m_S) >=
-    max(1e-9, 1e-12 * sqrt(3n+1) * |psi| * 2^(n+1)), the threshold of the
-    rule below at its largest possible sigma_max(m), then sigma_min(m) lies
+    of ``_sampled_rows`` are tried first.  If sigma_min(m_S) >= max(NULL_FLOOR,
+    NULL_REL_TOL * sqrt(3n+1) * |psi| * 2^(n+1)), the threshold of the rule
+    below at its largest possible sigma_max(m), then sigma_min(m) lies
     above the threshold too, and the empty basis is returned without
     building m.  A state with a nontrivial subalgebra never passes (its null
     vectors annihilate m_S as well), and a trivial one that fails takes the
@@ -202,7 +200,7 @@ def undetermined_by_dimension(psi: Ket) -> str:
     n = psi.n
     if n == 4 or n < 3:
         return "inapplicable"
-    if np.min(np.linalg.eigvalsh(_grams(_qubit_factors(psi)))[:, 0]) < 1e-10:
+    if np.min(np.linalg.eigvalsh(_grams(_qubit_factors(psi)))[:, 0]) < PRODUCT_TOL:
         return "determined"
     return "undetermined" if stabilizer_subalgebra(psi).dimension == n - 1 else "determined"
 

@@ -35,11 +35,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-NORM_TOL = 1e-12
-HERM_TOL = 1e-10
-UNITARY_TOL = 1e-10
-DEGENERACY_TOL = 1e-8
-PHASE_FIX_FLOOR = 1e-9
+from .tolerances import (
+    DEGENERACY_TOL,
+    HERM_TOL,
+    NORM_REJECT_TOL,
+    PHASE_EQUAL_TOL,
+    PHASE_FIX_FLOOR,
+    RENORMALIZE_TOL,
+    UNITARY_TOL,
+)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -64,13 +68,13 @@ class Ket:
                 f"expected {2**self.n} amplitudes for n={self.n}, got {amps.size}"
             )
         norm = np.linalg.norm(amps)
-        # NaN passes the "> 1e-6" test below; a NaN or infinity among the
+        # NaN passes the norm test below; a NaN or infinity among the
         # amplitudes makes the norm non-finite, so only then are they scanned
         if not np.isfinite(norm) and not np.isfinite(amps).all():
             raise ValueError("ket amplitudes must be finite")
-        if abs(norm - 1.0) > 1e-6:
+        if abs(norm - 1.0) > NORM_REJECT_TOL:
             raise ValueError(f"ket is not normalized (norm={norm!r})")
-        if abs(norm - 1.0) > NORM_TOL:
+        if abs(norm - 1.0) > RENORMALIZE_TOL:
             amps = _frozen(amps / norm)
         object.__setattr__(self, "amplitudes", amps)
 
@@ -84,10 +88,9 @@ class Ket:
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
     def density(self) -> "DensityMatrix":
-        # |psi><psi| from the 1 x 2^n factor: checked in O(2^n), no eigensolve
-        return DensityMatrix._from_factor(
-            tuple(range(1, self.n + 1)), self.amplitudes.reshape(1, -1)
-        )
+        # a Ket is normalized, so |psi><psi| has unit trace and is PSD by construction
+        a = self.amplitudes.reshape(1, -1)
+        return DensityMatrix._trusted(tuple(range(1, self.n + 1)), a.T @ a.conj())
 
 
 def ket(amplitudes, n: int | None = None) -> Ket:
@@ -146,13 +149,11 @@ class DensityMatrix:
     eigenvalue below -HERM_TOL), and so do ``partial_trace`` and
     ``panel_of_mixed``.  The file loaders in ``io`` run their own checks
     with their own tolerances, symmetrize and renormalize, and hand the
-    result on through ``_trusted`` without a second eigensolve.  Marginals
-    the package builds from a factor, rho = a^T a^*, are checked for the
-    same trace and spectrum on the small Gram a a^dagger instead, by
-    ``_check_factor_grams`` in ``_from_factor``.  The entries of
-    ``panel_of_pure`` are not checked at all: they come from a ``Ket``,
-    normalized at its own constructor, so each has unit trace and is PSD by
-    construction.  They keep their factor ``a`` (``_factored``) and build
+    result on through ``_trusted`` without a second eigensolve.
+    ``Ket.density()`` and the entries of ``panel_of_pure`` are not checked
+    at all: they come from a ``Ket``, normalized at its own constructor, so
+    each has unit trace and is PSD by construction.  The panel entries keep
+    their factor ``a`` of rho = a^T a^* (``_factored``) and build
     ``entries`` on first read, frozen like every other; two threads racing
     on that read compute the same bits twice and one result stays.
     """
@@ -163,15 +164,8 @@ class DensityMatrix:
     _factor = None  # the factor a of rho = a^T a^*, kept by ``_factored``
 
     @classmethod
-    def _from_factor(cls, labels: tuple[int, ...], a: np.ndarray) -> "DensityMatrix":
-        """rho = a^T a^* for an r x 2^k factor ``a`` (r = 2 for a marginal
-        of a pure state with one qubit traced out, as ``_axis_first`` gives)."""
-        _check_factor_grams(_grams(a))
-        return cls._trusted(labels, a.T @ a.conj())
-
-    @classmethod
     def _factored(cls, labels: tuple[int, ...], a: np.ndarray) -> "DensityMatrix":
-        """``_from_factor`` for a factor valid by construction, such as a
+        """rho = a^T a^* for a factor valid by construction, such as a
         slice of a ``Ket``'s ``_qubit_factors``.
 
         No check and no copy: ``a`` is frozen in place and kept, and
@@ -254,7 +248,7 @@ class SingleQubitUnitary:
 class SchmidtSplit:
     """Schmidt decomposition of a ket across one qubit vs the rest.
 
-    ``degenerate`` is set when the two weights agree within 1e-8; the
+    ``degenerate`` is set when the two weights agree within DEGENERACY_TOL; the
     returned bases are then one arbitrary orthonormal choice among many.
     """
 
@@ -331,17 +325,6 @@ def _grams(a: np.ndarray) -> np.ndarray:
     return a @ a.conj().swapaxes(-1, -2)
 
 
-def _check_factor_grams(grams: np.ndarray) -> None:
-    """Unit trace and no eigenvalue below -HERM_TOL for rho = a^T a^*, read in
-    O(2^k) from the Gram a a^dagger (or a stack, in one eigensolve), which has
-    rho's nonzero spectrum; Hermiticity holds by construction."""
-    traces = np.trace(grams, axis1=-2, axis2=-1)
-    if (off := np.abs(traces.real - 1.0) > HERM_TOL).any():
-        raise ValueError(f"trace is {traces[off].flat[0]!r}, expected 1")
-    if np.min(np.linalg.eigvalsh(grams)[..., 0]) < -HERM_TOL:
-        raise ValueError("matrix has a significantly negative eigenvalue")
-
-
 def _traced_outer(left: np.ndarray, right: np.ndarray, n: int, k: int) -> np.ndarray:
     """tr_k |left><right| for n-qubit amplitude vectors: the pure-state
     marginal rho_(k) when left is right."""
@@ -398,7 +381,7 @@ def reduced_one_qubit(psi: Ket, j: int) -> np.ndarray:
 
 
 def fix_global_phase(amplitudes: np.ndarray) -> np.ndarray:
-    """Rotate the first amplitude above 1e-9 in magnitude to be real > 0."""
+    """Rotate the first amplitude above PHASE_FIX_FLOOR in magnitude to be real > 0."""
     amps = np.asarray(amplitudes, dtype=complex)
     for c in amps.reshape(-1):
         if abs(c) > PHASE_FIX_FLOOR:
@@ -476,7 +459,7 @@ def apply_locals(unitaries, psi: Ket) -> Ket:
     return Ket(psi.n, _act(psi.amplitudes, psi.n, ops))
 
 
-def equal_up_to_phase(a: Ket, b: Ket, tol: float = 1e-9) -> bool:
+def equal_up_to_phase(a: Ket, b: Ket, tol: float = PHASE_EQUAL_TOL) -> bool:
     """True when a and b differ by at most a global phase."""
     if a.n != b.n:
         raise ValueError("qubit counts differ")

@@ -7,6 +7,7 @@ import qmarginal as qm
 from conftest import random_ghz_orbit
 from qmarginal.oracle import random_unitary_2x2
 from qmarginal.tensors import PAULI_Z
+from qmarginal.tolerances import PHASE_CONDITION_FLOOR, PHASE_CONDITION_TOL
 
 
 def rotated_amplitudes(psi, cert):
@@ -299,6 +300,36 @@ class TestAntipodalReduction:
     def test_scalar_transport_rejected(self):
         with pytest.raises(ValueError):
             qm.antipodal_support_reduction(qm.ghz_state(3), [(0.1, 0.0)] * 3)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_matches_the_loop_over_indices_and_pairs(self, n):
+        tol = PHASE_CONDITION_TOL
+        rng = np.random.default_rng(40 + n)
+        for case in range(32):
+            if case % 4 == 0:  # generic phases: no index is allowed
+                a, b = rng.uniform(-np.pi, np.pi, (2, n))
+            elif case % 4 == 1:  # a_j + s_j b_j equal for all j: the index s alone
+                b = rng.uniform(0.1, 3.0, n) * rng.choice([-1, 1], n)
+                a = rng.uniform(-np.pi, np.pi) - rng.choice([-1, 1], n) * b
+            elif case % 4 == 2:  # b_j = s_j beta, equal a_j (mod 2 pi): the pair s, -s
+                b = rng.uniform(0.1, 3.0) * rng.choice([-1, 1], n)
+                a = rng.uniform(-np.pi, np.pi) + 2 * np.pi * rng.integers(-1, 2, n)
+            else:  # exact quarter turns and half turns: a pair, on the lattice
+                a = rng.integers(0, 2, n) * np.pi
+                b = rng.choice([-1, 1], n) * np.pi / 2
+            pairs = list(zip(a, b))
+            expected = set()
+            for index in range(2**n):
+                s = [(-1) ** ((index >> (n - 1 - j)) & 1) for j in range(n)]
+                if all(
+                    abs(np.exp(1j * (a[j] - a[k] + s[j] * b[j] - s[k] * b[k])) - 1.0)
+                    <= max(tol, PHASE_CONDITION_FLOOR)
+                    for j in range(n)
+                    for k in range(n)
+                ):
+                    expected.add(index)
+            allowed = qm.antipodal_support_reduction(qm.ghz_state(n), pairs, tol)
+            assert {m.to_linear() for m in allowed} == expected
 
 
 class TestNearThreshold:

@@ -302,13 +302,6 @@ class TestConventions:
         with pytest.raises(ValueError, match="negative eigenvalue"):
             qm.DensityMatrix((1, 2, 3), mat)
 
-    def test_density_matrix_from_factor_checks_trace(self):
-        a = qm.haar_random_ket(4, 32).amplitudes.reshape(2, 8)
-        rho = qm.DensityMatrix._from_factor((2, 3, 4), a)
-        np.testing.assert_allclose(rho.entries, a.T @ a.conj(), atol=1e-15)
-        with pytest.raises(ValueError, match="trace"):
-            qm.DensityMatrix._from_factor((2, 3, 4), 1.001 * a)
-
     def test_ket_density_is_the_outer_product(self):
         psi = qm.haar_random_ket(5, 33)
         rho = psi.density()
