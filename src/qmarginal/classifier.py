@@ -32,6 +32,7 @@ from .tensors import (
     SingleQubitUnitary,
     _act,
     _axis_first,
+    _bit_flips,
     _bloch_factor,
     _grams,
     _qubit_factors,
@@ -150,14 +151,15 @@ def _certificate_from_bases(psi: Ket, bases: list[np.ndarray], tol: float) -> Gh
 def degenerate_ghz_test(psi: Ket, tol: float = CLASSIFY_TOL) -> GhzCertificate | None:
     """GHZ test for states whose one-qubit marginals are all maximally mixed.
 
-    Raises ``ValueError`` when some marginal is not maximally mixed, then
-    runs ``classify``'s Bloch-rank test and returns its certificate, or
-    None when the state is determined by its panel.
+    Raises ``ValueError`` when ``classify`` finds some marginal not maximally
+    mixed (``Diagnostics.degenerate``, whatever tol is), else returns its
+    certificate, or None when the state is determined by its panel.
     """
-    deviation = np.max(np.abs(_grams(_qubit_factors(psi)) - 0.5 * np.eye(2)), axis=(1, 2))
-    if (off := deviation > max(tol, DEGENERACY_TOL)).any():
-        raise ValueError(f"marginal of qubit {int(np.argmax(off)) + 1} is not maximally mixed")
-    return classify(psi, tol).certificate
+    cls = classify(psi, tol)
+    if not all(cls.diagnostics.degenerate):
+        j = cls.diagnostics.degenerate.index(False) + 1
+        raise ValueError(f"marginal of qubit {j} is not maximally mixed")
+    return cls.certificate
 
 
 def _ghz_bases(factors: np.ndarray, axis: np.ndarray) -> list[np.ndarray]:
@@ -367,7 +369,8 @@ def antipodal_support_reduction(
         raise ValueError("every transport must be non-scalar (|sin beta_j| > tol)")
     a, b = np.array(pairs, dtype=float).T
     # sb[i, j] = (-1)^(bit j of index i) * b_j
-    sb = (1 - 2 * ((np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1)) * b
+    _, bits = _bit_flips(np.arange(2**n, dtype=np.int64), n)
+    sb = (1 - 2 * bits.T) * b
     # delta[i, j, k] = a_j - a_k + s_ij b_j - s_ik b_k
     delta = a[:, None] - a + sb[:, :, None] - sb[:, None, :]
     broken = (np.abs(np.exp(1j * delta) - 1.0) > max(tol, PHASE_CONDITION_FLOOR)).any(axis=(1, 2))

@@ -87,30 +87,58 @@ def _normalized_ket(n: int, amps: np.ndarray, path) -> Ket:
     return Ket(n, amps / norm)
 
 
-def load_state(path) -> StateFile:
-    path = Path(path)
+def _text(path: Path) -> str:
     if not path.exists():
         raise FileFormatError(path, None, "file not found")
-    if path.suffix == ".json":
-        try:
-            doc = json.loads(path.read_text())
-        except json.JSONDecodeError as err:
-            raise FileFormatError(path, err.lineno, f"invalid JSON: {err.msg}") from err
-        return _state_from_json(doc, path)
-    lines = path.read_text().splitlines()
+    return path.read_text()
+
+
+def _document(path: Path):
+    """The parsed content of a .json state or panel file."""
+    try:
+        return json.loads(_text(path))
+    except json.JSONDecodeError as err:
+        raise FileFormatError(path, err.lineno, f"invalid JSON: {err.msg}") from err
+
+
+def _header(path: Path, fmt: str, least: int) -> tuple[list[str], int]:
+    """The lines of a text state or panel file and the qubit count of its
+    header '<fmt> <version> <n>', checked for version and least n."""
+    lines = _text(path).splitlines()
     if not lines:
         raise FileFormatError(path, 1, "empty file")
     header = lines[0].split()
-    if len(header) != 3 or header[0] != STATE_FORMAT:
-        raise FileFormatError(path, 1, f"expected header '{STATE_FORMAT} <version> <n>'")
+    if len(header) != 3 or header[0] != fmt:
+        raise FileFormatError(path, 1, f"expected header '{fmt} <version> <n>'")
     try:
         version, n = int(header[1]), int(header[2])
     except ValueError as err:
         raise FileFormatError(path, 1, "version and qubit count must be integers") from err
     if version != FORMAT_VERSION:
         raise FileFormatError(path, 1, f"unsupported version {version}")
-    if n < 1:
+    if n < least:
         raise FileFormatError(path, 1, f"invalid qubit count {n}")
+    return lines, n
+
+
+def _document_n(doc, path: Path, fmt: str, least: int) -> int:
+    """``_header``'s checks on a JSON document, whose caller names a missing
+    key or a malformed value."""
+    if doc["format"] != fmt:
+        raise FileFormatError(path, None, f"format is {doc['format']!r}")
+    if int(doc["version"]) != FORMAT_VERSION:
+        raise FileFormatError(path, None, f"unsupported version {doc['version']}")
+    n = int(doc["n"])
+    if n < least:
+        raise FileFormatError(path, None, f"invalid qubit count {n}")
+    return n
+
+
+def load_state(path) -> StateFile:
+    path = Path(path)
+    if path.suffix == ".json":
+        return _state_from_json(_document(path), path)
+    lines, n = _header(path, STATE_FORMAT, 1)
     row = 1
     label = None
     if row < len(lines) and lines[row].startswith("label "):
@@ -137,17 +165,13 @@ def load_state(path) -> StateFile:
 
 def _state_from_json(doc, path) -> StateFile:
     try:
-        if doc["format"] != STATE_FORMAT:
-            raise FileFormatError(path, None, f"format is {doc['format']!r}")
-        if int(doc["version"]) != FORMAT_VERSION:
-            raise FileFormatError(path, None, f"unsupported version {doc['version']}")
-        n = int(doc["n"])
+        n = _document_n(doc, path, STATE_FORMAT, 1)
         pairs = doc["amplitudes"]
         amps = np.array([complex(re, im) for re, im in pairs])
+    except FileFormatError:
+        raise
     except (KeyError, TypeError, ValueError) as err:
         raise FileFormatError(path, None, f"invalid state document: {err}") from err
-    if n < 1:
-        raise FileFormatError(path, None, f"invalid qubit count {n}")
     if amps.size != 2**n:
         raise FileFormatError(path, None, f"expected {2**n} amplitudes, got {amps.size}")
     _require_finite(amps, path, None, "amplitude")
@@ -246,28 +270,9 @@ def _matrix_rows(lines: list[str], start: int, dim: int, omitted: int, path) -> 
 
 def load_panel(path) -> RdmPanel:
     path = Path(path)
-    if not path.exists():
-        raise FileFormatError(path, None, "file not found")
     if path.suffix == ".json":
-        try:
-            doc = json.loads(path.read_text())
-        except json.JSONDecodeError as err:
-            raise FileFormatError(path, err.lineno, f"invalid JSON: {err.msg}") from err
-        return _panel_from_json(doc, path)
-    lines = path.read_text().splitlines()
-    if not lines:
-        raise FileFormatError(path, 1, "empty file")
-    header = lines[0].split()
-    if len(header) != 3 or header[0] != PANEL_FORMAT:
-        raise FileFormatError(path, 1, f"expected header '{PANEL_FORMAT} <version> <n>'")
-    try:
-        version, n = int(header[1]), int(header[2])
-    except ValueError as err:
-        raise FileFormatError(path, 1, "version and qubit count must be integers") from err
-    if version != FORMAT_VERSION:
-        raise FileFormatError(path, 1, f"unsupported version {version}")
-    if n < 2:
-        raise FileFormatError(path, 1, f"invalid qubit count {n}")
+        return _panel_from_json(_document(path), path)
+    lines, n = _header(path, PANEL_FORMAT, 2)
     dim = 2 ** (n - 1)
     entries: dict[int, DensityMatrix] = {}
     row = 1
@@ -296,13 +301,7 @@ def load_panel(path) -> RdmPanel:
 
 def _panel_from_json(doc, path) -> RdmPanel:
     try:
-        if doc["format"] != PANEL_FORMAT:
-            raise FileFormatError(path, None, f"format is {doc['format']!r}")
-        if int(doc["version"]) != FORMAT_VERSION:
-            raise FileFormatError(path, None, f"unsupported version {doc['version']}")
-        n = int(doc["n"])
-        if n < 2:
-            raise FileFormatError(path, None, f"invalid qubit count {n}")
+        n = _document_n(doc, path, PANEL_FORMAT, 2)
         entries: dict[int, DensityMatrix] = {}
         for item in doc["entries"]:
             omitted = int(item["omitted"])
@@ -315,9 +314,9 @@ def _panel_from_json(doc, path) -> RdmPanel:
                 raise FileFormatError(path, None, f"entry {omitted} has shape {raw.shape}")
             _require_finite(raw, path, None, f"entry {omitted}: matrix")
             entries[omitted] = _entry_from_raw(raw, n, omitted, path, None)
+    except FileFormatError:
+        raise
     except (KeyError, TypeError, ValueError) as err:
-        if isinstance(err, FileFormatError):
-            raise
         raise FileFormatError(path, None, f"invalid panel document: {err}") from err
     if sorted(entries) != list(range(1, n + 1)):
         raise FileFormatError(path, None, "panel must contain one entry per qubit")

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .panels import panel_of_pure
 from .tensors import Ket, SingleQubitUnitary, _act, ket, reduced_one_qubit
 from .tolerances import ETA_UNIT_TOL, SEARCH_BUDGET, SEARCH_TOL
 from .unitary_fit import PanelObjective, fit_pivot_unitary, grid_starts, random_starts
@@ -72,9 +71,7 @@ def search_sibling(
         raise ValueError(f"budget must be non-negative, got {budget}")
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    panel = panel_of_pure(psi)
-    targets = {j: panel.entry(j).entries for j in range(2, psi.n + 1)}
-    objective = PanelObjective(psi.amplitudes, psi.n, 1, targets)
+    objective = PanelObjective(psi.amplitudes, psi.n)
     starts = grid_starts()
     block = len(starts)  # starts per stacked descent: one grid's worth
     if budget < len(starts):

@@ -25,6 +25,7 @@ from .tensors import (
     DensityMatrix,
     Ket,
     _act,
+    _blocks,
     _traced_outer,
     fix_global_phase,
     spectral_decompose,
@@ -139,12 +140,11 @@ def _bloch_matrix(entries: list[np.ndarray]) -> np.ndarray:
     """
     blocks = []
     for rho in entries:
-        d = rho.shape[0] // 2
-        r = rho.reshape(2, d, 2, d)
+        x = _blocks(rho, rho.shape[0].bit_length() - 1, 1)
         b = np.stack([
-            r[0, :, 1] + r[1, :, 0],
-            1j * (r[0, :, 1] - r[1, :, 0]),
-            r[0, :, 0] - r[1, :, 1],
+            x[0, 1] + x[1, 0],
+            1j * (x[0, 1] - x[1, 0]),
+            x[0, 0] - x[1, 1],
         ]).reshape(3, -1)
         blocks += [b.real, b.imag]
     return np.concatenate(blocks, axis=1)

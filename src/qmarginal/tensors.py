@@ -15,9 +15,11 @@ Conventions used throughout the package:
   the traced outer product ``_traced_outer``, and ``_bloch_factor``, a
   factor of the Gram of the marginals' Bloch matrix over one qubit;
   ``_bit_flips`` gives the same one-qubit flips as indices, for gathering
-  amplitudes.  ``partial_trace`` is
-  the kernel for density matrices, with ``_trace_positions`` as its
-  unchecked array core.
+  amplitudes.  ``_blocks`` is the matrix form of ``_axis_first``: the
+  2 x 2 blocks of a matrix split on one of its qubits, and the only code
+  that splits a matrix by qubit.  ``partial_trace`` is the kernel for
+  density matrices, with ``_trace_positions``, a fold of ``_blocks``, as
+  its unchecked array core.
 * ``_act`` is the one-qubit action kernel.  Matrices the package built
   go through it raw, with no ``SingleQubitUnitary`` and no ``Ket`` per
   step; the public ``apply_local(s)`` check every target, then build one
@@ -326,9 +328,20 @@ def _grams(a: np.ndarray) -> np.ndarray:
 
 
 def _traced_outer(left: np.ndarray, right: np.ndarray, n: int, k: int) -> np.ndarray:
-    """tr_k |left><right| for n-qubit amplitude vectors: the pure-state
-    marginal rho_(k) when left is right."""
-    return _axis_first(left, n, k).T @ _axis_first(right, n, k).conj()
+    """tr_k |left><right| for n-qubit amplitude vectors, or for stacks of
+    them: the pure-state marginal rho_(k) when left is right."""
+    return _axis_first(left, n, k).swapaxes(-1, -2) @ _axis_first(right, n, k).conj()
+
+
+def _blocks(mat: np.ndarray, k: int, p: int) -> np.ndarray:
+    """The 2 x 2 blocks <a|_p M |b>_p of a k-qubit matrix M over its qubit
+    at 1-based position p, as a (2, 2, 2**(k-1), 2**(k-1)) array indexed
+    [a, b]: the matrix form of ``_axis_first``, rows and columns of each
+    block over the other qubits in order.  A view when p is 1 or k.
+    """
+    high, low = 2 ** (p - 1), 2 ** (k - p)
+    split = mat.reshape(high, 2, low, high, 2, low)
+    return split.transpose(1, 4, 0, 2, 3, 5).reshape(2, 2, high * low, high * low)
 
 
 def _bloch_factor(factors: np.ndarray, j: int) -> np.ndarray:
@@ -366,13 +379,13 @@ def _trace_positions(mat: np.ndarray, k: int, positions) -> np.ndarray:
     """Trace the qubits at the given 0-based positions out of a k-qubit matrix.
 
     The raw kernel of ``partial_trace``: no check and no wrapping, for
-    matrices the package already holds as a ``DensityMatrix``.
+    matrices the package already holds as a ``DensityMatrix``.  The last
+    position goes first, so the ones still to trace keep their places.
     """
-    tensor = mat.reshape((2,) * (2 * k))
     for pos in sorted(positions, reverse=True):
-        tensor = np.trace(tensor, axis1=pos, axis2=pos + tensor.ndim // 2)
-    dim = 2 ** (k - len(positions))
-    return tensor.reshape(dim, dim)
+        split = _blocks(mat, k, pos + 1)
+        mat, k = split[0, 0] + split[1, 1], k - 1
+    return mat
 
 
 def reduced_one_qubit(psi: Ket, j: int) -> np.ndarray:

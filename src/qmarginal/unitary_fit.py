@@ -1,15 +1,16 @@
-"""Least-squares fitting of a one-qubit unitary against target marginals.
+"""Least-squares fitting of a one-qubit unitary against a state's own marginals.
 
 The sibling search (``oracle.search_sibling``) minimizes
 
-    f(U) = sum_k || rho_(k)((U on pivot) psi) - target_k ||_F^2
+    f(U) = sum_{k >= 2} || rho_(k)((U on qubit 1) psi) - rho_(k)(psi) ||_F^2
 
-over the unitary group U(2).  Each start is a point of the chart
+over the unitary group U(2): a U with f(U) = 0 that moves psi gives a
+distinct state with psi's panel.  Each start is a point of the chart
 U(theta) = exp(i theta_0) exp(i (theta_1 X + theta_2 Y + theta_3 Z)), from a
 fixed grid plus seeded random points when a caller supplies them, so results
 are reproducible.  From there a Levenberg-Marquardt descent moves U on the
 group itself, U <- exp(i sum_a delta_a sigma_a) U with sigma_a = X, Y, Z on
-the pivot; the identity direction only turns the global phase and leaves
+qubit 1; the identity direction only turns the global phase and leaves
 every marginal fixed, so it is left out.  There is no chart along the way,
 so the step cannot run off along a periodic parameter, and every iterate is
 unitary up to rounding.  The Jacobian is analytic: with a the axis-first
@@ -17,13 +18,14 @@ view of U psi for qubit k and b_a that of the tangent i sigma_a U psi,
 d rho_(k) = b_a^T conj(a) plus its adjoint (``PanelObjective.residuals``,
 the dense reference).
 
-Every residual is a fixed 8-column matrix times a coefficient vector that
-depends on U alone (see ``PanelObjective``).  So one QR factor R of those
-columns, at most 8 x 8 and built once per objective, gives the cost, the
-gradient and the Gauss-Newton matrix exactly, in O(1) work per start at
-every n, from the compressed residual itself and never from its square.
-Only the final cost of each start is read off the dense marginals
-(``PanelObjective.costs``), so callers see the panel mismatch itself.
+Every residual is a fixed 4-column matrix, the 2 x 2 blocks of psi's own
+marginals over qubit 1, times a coefficient vector that depends on U alone
+(see ``PanelObjective``).  So one QR factor R of those columns, at most
+4 x 4 and built once per objective, gives the cost, the gradient and the
+Gauss-Newton matrix exactly, in O(1) work per start at every n, from the
+compressed residual itself and never from its square.  Only the final cost
+of each start is read off the dense marginals (``PanelObjective.costs``),
+so callers see the panel mismatch itself.
 
 The starts of one call descend together as a stack of unitaries.  Each
 pass of the loop builds the 3 x 3 normal equations of every start still
@@ -41,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensors import PAULIS, _axis_first, _axis_restore, _traced_outer
+from .tensors import PAULIS, _axis_first, _axis_restore, _blocks, _traced_outer
 
 # Levenberg-Marquardt settings: initial damping, its change after an
 # accepted or a rejected step, and the iteration cap (accepted or not).
@@ -104,75 +106,55 @@ def random_starts(rng: np.random.Generator, count: int) -> list[np.ndarray]:
 
 
 class PanelObjective:
-    """Residuals of the marginals of (U on pivot) psi against fixed targets.
+    """Residuals of the marginals of (U on qubit 1) psi against psi's own.
 
-    Split on the pivot bit, the marginal rho_(k) of U psi has the 2 x 2
-    blocks sum_cd U_ac conj(U_bd) S_cd, where S_cd are those of psi's own
-    marginal S_k.  So with T_ab the blocks of target_k, the residual block
-    ab is B_k c_ab: B_k has the vectorized S_cd and T_ab as its 8 columns,
-    and c_ab = (U_a0 conj(U_b0), U_a0 conj(U_b1), U_a1 conj(U_b0),
-    U_a1 conj(U_b1), -e_ab) is the same for every target.  Stacking the
-    B_k into B = QR gives ||B c|| = ||R c|| for every c, so the cost is
-    sum_ab ||R c_ab||^2 with R at most 8 x 8, whatever n: the compressed
-    residual R c_ab is formed directly, never its square.  R is built once
-    here from one QR per target and one more over their stacked R's, so no
-    more than one B_k is held at a time.
+    Split on qubit 1, the marginal rho_(k) of U psi has the 2 x 2 blocks
+    sum_cd U_ac conj(U_bd) S_cd, where S_cd are those of psi's own marginal
+    S_k, the target.  So the residual block ab is sum_cd (W - I)_{ab,cd}
+    S_cd with W = kron(U, conj(U)): B_k c_ab, where B_k has the vectorized
+    S_cd as its 4 columns and c_ab = (U_a0 conj(U_b0), U_a0 conj(U_b1),
+    U_a1 conj(U_b0), U_a1 conj(U_b1)) - e_ab is the same for every k.
+    Stacking the B_k into B = QR gives ||B c|| = ||R c|| for every c, so
+    the cost is sum_ab ||R c_ab||^2 with R at most 4 x 4, whatever n: the
+    compressed residual R c_ab is formed directly, never its square.  R is
+    built once here from one QR per marginal and one more over their
+    stacked R's, so no more than one B_k is held at a time.
     """
 
-    def __init__(self, amplitudes: np.ndarray, n: int, pivot: int, targets: dict[int, np.ndarray]):
+    def __init__(self, amplitudes: np.ndarray, n: int):
         self.n = n
-        self.pivot = pivot
         amplitudes = np.asarray(amplitudes, dtype=complex)
-        self.psi_pivot = _axis_first(amplitudes, n, pivot)
-        self.targets = {k: np.asarray(t, dtype=complex) for k, t in targets.items()}
-        # where each target's axis-first entries sit in a pivot-first vector
-        positions = _axis_restore(np.arange(2**n).reshape(2, -1), n, pivot)
-        self._gather = np.array([_axis_first(positions, n, k) for k in self.targets])
-        self._target_stack = np.array(list(self.targets.values()))
-        # one R per target, merged by one more QR: B itself is never stacked
+        self.factor = _axis_first(amplitudes, n, 1)  # psi, qubit 1 as the row index
+        # S_k for k = 2..n: the targets, and the columns of B_k
+        self.own = {k: _traced_outer(amplitudes, amplitudes, n, k) for k in range(2, n + 1)}
+        # one R per marginal, merged by one more QR: B itself is never stacked
         factors = []
-        for k, target in self.targets.items():
-            own = _traced_outer(amplitudes, amplitudes, n, k)  # S_k
-            columns = np.concatenate([self._blocks(own, k), self._blocks(target, k)]).T
+        for own in self.own.values():
+            columns = _blocks(own, n - 1, 1).reshape(4, -1).T  # the vectorized S_cd
             factors.append(np.linalg.qr(columns, mode="r"))
-        r = np.linalg.qr(np.concatenate(factors), mode="r")
-        # transposed, so that rows (a, b) of kron(U, conj(U)) multiply them
-        self._r_own, self._r_target = r[:, :4].T, r[:, 4:].T
-
-    def _blocks(self, mat: np.ndarray, k: int) -> np.ndarray:
-        """The 2 x 2 blocks of a matrix on the qubits other than k, split on
-        the pivot bit: row 2a + b of the (4, 4**(n-2)) result is block ab,
-        flattened."""
-        place = self.pivot - 1 - (k < self.pivot)  # pivot's bit among the kept qubits
-        high, low = 2**place, 2 ** (self.n - 2 - place)
-        split = mat.reshape(high, 2, low, high, 2, low)
-        return split.transpose(1, 4, 0, 2, 3, 5).reshape(4, -1)
+        # transposed, so that rows (a, b) of kron(U, conj(U)) multiply it
+        self._r = np.linalg.qr(np.concatenate(factors), mode="r").T
 
     def marginals(self, unitary: np.ndarray) -> dict[int, np.ndarray]:
-        moved = _axis_restore(unitary @ self.psi_pivot, self.n, self.pivot)
-        out = {}
-        for k in self.targets:
-            a = _axis_first(moved, self.n, k)
-            out[k] = a.T @ a.conj()
-        return out
+        moved = _axis_restore(unitary @ self.factor, self.n, 1)
+        return {k: _traced_outer(moved, moved, self.n, k) for k in self.own}
 
     def residuals(self, unitary: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Residual vector at U and its Jacobian in the X, Y, Z step directions.
 
-        The residuals are the real and imaginary parts of rho_(k) - target_k
-        over the targets; the Jacobian has one column per direction sigma_a,
+        The residuals are the real and imaginary parts of rho_(k) - S_k
+        over k = 2..n; the Jacobian has one column per direction sigma_a,
         the derivative along exp(i t sigma_a) U at t = 0.  This is the dense
         reference that ``normal_equations`` and ``costs`` reproduce.
         """
         # U psi and the tangents i sigma_a U psi, as amplitude vectors
-        stack = _axis_restore(_GENERATORS @ (unitary @ self.psi_pivot), self.n, self.pivot)
+        stack = _axis_restore(_GENERATORS @ (unitary @ self.factor), self.n, 1)
         values, slopes = [], []
-        for k, target in self.targets.items():
-            flat = _axis_first(stack, self.n, k)
+        for k, own in self.own.items():
             # products[0] is rho_(k) = a^T conj(a); products[1:] are b_a^T conj(a)
-            products = np.swapaxes(flat, -1, -2) @ flat[0].conj()
+            products = _traced_outer(stack, stack[0], self.n, k)
             d_rho = products[1:] + np.swapaxes(products[1:], -1, -2).conj()
-            values.append((products[0] - target).view(np.float64).reshape(-1))
+            values.append((products[0] - own).view(np.float64).reshape(-1))
             slopes.append(d_rho.view(np.float64).reshape(3, -1))
         return np.concatenate(values), np.concatenate(slopes, axis=1).T
 
@@ -180,9 +162,9 @@ class PanelObjective:
         """Dense cost r.r for a stack (m, 2, 2) of U, from the marginals
         themselves: the panel mismatch that callers read off a result."""
         m = len(unitaries)
-        views = (unitaries @ self.psi_pivot).reshape(m, -1)[:, self._gather]
-        diff = np.swapaxes(views, -1, -2) @ views.conj() - self._target_stack
-        parts = diff.view(np.float64).reshape(m, -1)
+        moved = _axis_restore(unitaries @ self.factor, self.n, 1)
+        diff = [_traced_outer(moved, moved, self.n, k) - own for k, own in self.own.items()]
+        parts = np.concatenate([d.view(np.float64).reshape(m, -1) for d in diff], axis=1)
         return np.einsum("mi,mi->m", parts, parts)
 
     def normal_equations(self, unitaries: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -193,11 +175,10 @@ class PanelObjective:
         and B = Q R with Q an isometry that does not depend on U.  So r = Q
         (R c) and J = Q (R dc) for the compressed residual R c and its
         derivatives, and the cost, J^T r and J^T J are exactly the Gram
-        entries of these four vectors, at most 4 x 8 complex each.  Row ab
+        entries of these four vectors, at most 4 x 4 complex each.  Row ab
         of W = kron(U, conj(U)) holds the U-part of c_ab, so the compressed
-        residual is, transposed, W R_own^T - R_target^T, where R_own and
-        R_target are R's first and last 4 columns.  Along exp(i t sigma_a) U
-        it moves by dW_a R_own^T, with dW_a = kron(V_a, conj(U)) + kron(U,
+        residual is, transposed, (W - I) R^T.  Along exp(i t sigma_a) U it
+        moves by dW_a R^T, with dW_a = kron(V_a, conj(U)) + kron(U,
         conj(V_a)) and V_a = i sigma_a U.  Returns arrays of shape (m,),
         (m, 3) and (m, 3, 3).
         """
@@ -206,8 +187,8 @@ class PanelObjective:
         # entry (g, a, b, c, d): (G_g U)_ac conj(U_bd), plus U_ac conj(V_bd) for g > 0
         coeffs = moved[:, :, :, None, :, None] * unitaries.conj()[:, None, None, :, None, :]
         coeffs[:, 1:] += unitaries[:, None, :, None, :, None] * moved[:, 1:, None, :, None, :].conj()
-        vectors = coeffs.reshape(m, 4, 4, 4) @ self._r_own
-        vectors[:, 0] -= self._r_target
+        vectors = coeffs.reshape(m, 4, 4, 4) @ self._r
+        vectors[:, 0] -= self._r
         parts = vectors.view(np.float64).reshape(m, 4, -1)
         gram = parts @ np.swapaxes(parts, 1, 2)
         return gram[:, 0, 0], gram[:, 1:, 0], gram[:, 1:, 1:]

@@ -7,7 +7,7 @@ import qmarginal as qm
 from conftest import random_ghz_orbit
 from qmarginal.oracle import random_unitary_2x2
 from qmarginal.tensors import PAULI_Z
-from qmarginal.tolerances import PHASE_CONDITION_FLOOR, PHASE_CONDITION_TOL
+from qmarginal.tolerances import DEGENERACY_TOL, PHASE_CONDITION_FLOOR, PHASE_CONDITION_TOL
 
 
 def rotated_amplitudes(psi, cert):
@@ -153,6 +153,30 @@ class TestDegenerateBranch:
         bell = np.array([1, 0, 0, 1]) / np.sqrt(2)
         psi = qm.Ket(4, np.kron(bell, bell))
         assert qm.degenerate_ghz_test(psi) is None
+
+    def test_weight_gap_past_the_degeneracy_threshold_is_rejected(self):
+        # weights 0.5 +- 7.5e-9: a gap of 1.5e-8 > DEGENERACY_TOL, so classify
+        # calls no qubit degenerate; the largest entry of Gram - I/2 is only
+        # half the gap, 7.5e-9, which once let the state through
+        psi = qm.ghz_state(3, np.sqrt(0.5 + 7.5e-9), np.sqrt(0.5 - 7.5e-9))
+        assert not any(qm.classify(psi).diagnostics.degenerate)
+        with pytest.raises(ValueError, match="marginal of qubit 1 is not maximally mixed"):
+            qm.degenerate_ghz_test(psi)
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-6])
+    @pytest.mark.parametrize("ratio", [0.5, 0.9, 0.99, 1.01, 1.1, 2.0])
+    def test_precondition_is_classify_degeneracy(self, ratio, tol):
+        # raises exactly when some qubit's weight gap is not below DEGENERACY_TOL
+        gap = ratio * DEGENERACY_TOL
+        source = qm.ghz_state(4, np.sqrt(0.5 + gap / 2), np.sqrt(0.5 - gap / 2))
+        for psi in (source, qm.random_lu_orbit(source, seed=5300)):
+            degenerate = qm.classify(psi, tol).diagnostics.degenerate
+            assert all(degenerate) == (ratio < 1)
+            if all(degenerate):
+                assert qm.degenerate_ghz_test(psi, tol) is not None
+            else:
+                with pytest.raises(ValueError, match="not maximally mixed"):
+                    qm.degenerate_ghz_test(psi, tol)
 
 
 class TestSiblingAndFamily:

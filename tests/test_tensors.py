@@ -1,5 +1,7 @@
 """Core tensor operations: splicing, partial trace, Schmidt splits."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,9 @@ from qmarginal.tensors import (
     PAULI_X,
     PAULI_Z,
     _bloch_factor,
+    _blocks,
     _qubit_factors,
+    _trace_positions,
     _traced_outer,
     reduced_one_qubit,
 )
@@ -382,3 +386,52 @@ class TestBlochFactor:
                 assert 1.1 * eps < s[1] < 1.2 * eps
             else:
                 assert s[1] < 1e-14
+
+
+def random_matrix(k, rng):
+    d = 2**k
+    return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+
+
+class TestMatrixKernels:
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_blocks_are_projector_sandwiches(self, k):
+        mat = random_matrix(k, np.random.default_rng(3000 + k))
+        for p in range(1, k + 1):
+            blocks = _blocks(mat, k, p)
+            assert blocks.shape == (2, 2, 2 ** (k - 1), 2 ** (k - 1))
+            for a, b in itertools.product(range(2), repeat=2):
+                # (I (x) <a| (x) I) M (I (x) |b> (x) I), with <a| and |b> at position p
+                bra = np.kron(np.kron(np.eye(2 ** (p - 1)), np.eye(2)[a][None, :]), np.eye(2 ** (k - p)))
+                ket = np.kron(np.kron(np.eye(2 ** (p - 1)), np.eye(2)[b][:, None]), np.eye(2 ** (k - p)))
+                np.testing.assert_array_equal(blocks[a, b], bra @ mat @ ket)
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_trace_positions_match_einsum(self, k):
+        mat = random_matrix(k, np.random.default_rng(3100 + k))
+        rows, cols = "abcde"[:k], "fghij"[:k]
+        for size in range(k + 1):
+            for positions in itertools.combinations(range(k), size):
+                kept = [q for q in range(k) if q not in positions]
+                # a traced position shares its row and column letter
+                columns = "".join(rows[q] if q in positions else cols[q] for q in range(k))
+                out = "".join(rows[q] for q in kept) + "".join(cols[q] for q in kept)
+                dim = 2 ** len(kept)
+                want = np.einsum(f"{rows}{columns}->{out}", mat.reshape((2,) * (2 * k))).reshape(dim, dim)
+                # the order the positions come in does not matter
+                got = _trace_positions(mat, k, positions[::-1])
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_traced_outer_on_a_stack_is_per_element(self, n):
+        rng = np.random.default_rng(3200 + n)
+        left, right = rng.standard_normal((2, 3, 2**n)) + 1j * rng.standard_normal((2, 3, 2**n))
+        for k in range(1, n + 1):
+            stacked = _traced_outer(left, right, n, k)
+            against_one = _traced_outer(left, right[0], n, k)
+            assert stacked.shape == against_one.shape == (3, 2 ** (n - 1), 2 ** (n - 1))
+            for i in range(3):
+                want = _traced_outer(left[i], right[i], n, k)
+                np.testing.assert_allclose(stacked[i], want, rtol=0, atol=1e-14)
+                want = _traced_outer(left[i], right[0], n, k)
+                np.testing.assert_allclose(against_one[i], want, rtol=0, atol=1e-14)
