@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .panels import RdmPanel
-from .tensors import DensityMatrix, Ket
+from .tensors import DensityMatrix, Ket, _rank_two_factor
 from .tolerances import HERM_TOL, LOAD_HERM_TOL, LOAD_WARN_TOL, NORM_REJECT_TOL
 
 STATE_FORMAT = "qmarginal-state"
@@ -216,21 +216,26 @@ def _entry_from_raw(raw: np.ndarray, n: int, omitted: int, path, line: int | Non
     if abs(trace - 1.0) > NORM_REJECT_TOL:
         raise FileFormatError(path, line, f"entry {omitted} has trace {trace!r}")
     sym = sym / trace
+    labels = tuple(q for q in range(1, n + 1) if q != omitted)
+    # the entry of a pure state's panel has rank <= 2: its top two
+    # eigenpairs leave a remainder at rounding level, no eigenvalue lies
+    # below -remainder, and the entry passes with no full eigensolve
+    factor, remainder = _rank_two_factor(sym)
+    if remainder <= HERM_TOL:
+        return DensityMatrix._trusted(labels, sym, factor, remainder)
     lowest = np.linalg.eigvalsh(sym)[0]
     if lowest < -LOAD_HERM_TOL:
         raise FileFormatError(path, line, f"entry {omitted} is not positive semidefinite")
     if lowest < -HERM_TOL:
-        # clip only what breaks the DensityMatrix invariant: the rank-2
-        # entries of a pure state's panel read back with a lowest eigenvalue
-        # of about -1e-17, which needs no rebuild and so no eigenvectors
+        # clip only what breaks the DensityMatrix invariant; the factor
+        # describes the matrix before the clip, so it is not kept
         evals, evecs = np.linalg.eigh(sym)
         clipped = np.clip(evals, 0.0, None)
         sym = (evecs * clipped) @ evecs.conj().T
-        sym = sym / float(np.trace(sym).real)
-    labels = tuple(q for q in range(1, n + 1) if q != omitted)
+        return DensityMatrix._trusted(labels, sym / float(np.trace(sym).real))
     # the eigvalsh above is the entry's spectrum check: checked at the
     # loader's tolerances, Hermitian and of unit trace
-    return DensityMatrix._trusted(labels, sym)
+    return DensityMatrix._trusted(labels, sym, factor, remainder)
 
 
 def _matrix_rows(lines: list[str], start: int, dim: int, omitted: int, path) -> np.ndarray:

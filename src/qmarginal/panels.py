@@ -6,10 +6,11 @@ obtained by tracing out one qubit at a time; entry j lives on qubit labels
 of study here, so panel comparison uses an absolute entrywise max-norm.
 
 A pure state's panel keeps the factor of every entry and builds the dense
-matrices only when they are read.  The equality tests certify a pair of
-such entries from their two factors (``_certified``) and compare the dense
-matrices only when that certificate fails, so their answer is the dense
-comparison's either way.
+matrices only when they are read; a panel read from a file keeps the
+factors ``load_panel`` certified, each with its remainder.  The equality
+tests certify a pair of such entries from their two factors
+(``_certified``) and compare the dense matrices only when that certificate
+fails, so their answer is the dense comparison's either way.
 """
 
 from __future__ import annotations
@@ -21,9 +22,10 @@ import numpy as np
 from .tensors import (
     DensityMatrix,
     Ket,
+    _factor_marginal,
+    _one_qubit_marginal,
     _qubit_factors,
     _trace_positions,
-    partial_trace,
 )
 from .tolerances import PANEL_TOL
 
@@ -103,7 +105,13 @@ def panel_of_mixed(rho: DensityMatrix) -> RdmPanel:
         raise ValueError("expected a density matrix on qubits 1..n")
     if n < 2:
         raise ValueError("panels need at least 2 qubits")
-    return RdmPanel(n, tuple(partial_trace(rho, {j}) for j in range(1, n + 1)))
+    # the partial trace of a validated DensityMatrix is Hermitian, PSD and
+    # of unit trace by construction: no entry is checked again
+    labels = rho.qubit_labels
+    return RdmPanel(n, tuple(
+        DensityMatrix._trusted(labels[:j] + labels[j + 1:], _trace_positions(rho.entries, n, [j]))
+        for j in range(n)
+    ))
 
 
 def panels_equal(a: RdmPanel, b: RdmPanel, tol: float = PANEL_TOL) -> bool:
@@ -156,9 +164,9 @@ def _entries_within(pairs, tol: float) -> bool:
 
 def _certified(pairs, tol: float) -> np.ndarray:
     """Per pair (x, y), a proof from the factors that max |x - y| <= tol,
-    for x = a^T a^* and y = b^T b^*; False where either has no factor, or
-    there is no proof.  Every factor comes from ``_factored_entries``, so all
-    are 2 x 2^k with the same k, and one stacked QR serves every pair.
+    for x ~ a^T a^* and y ~ b^T b^*; False where either has no factor, or
+    there is no proof.  Every factor is 2 x 2^k with the same k, and one
+    stacked QR serves every pair.
 
     With C = [a; b] and J = diag(1, 1, -1, -1), x - y = C^T J C^*, and with
     C^T = QR (Q with orthonormal columns), ||x - y||_F = ||R J R^dagger||_F:
@@ -172,7 +180,9 @@ def _certified(pairs, tol: float) -> np.ndarray:
     Stability of Numerical Algorithms, Thm 19.4, constant c taken as 4), so
     the computed norm is below ||x - y||_F by at most 4 (4 N c u) + 16 u;
     the dense path's two-term products and one subtraction add at most
-    16 u to each entry it reads.
+    16 u to each entry it reads.  A factor read from a file is not its
+    entry exactly: its certified ``_remainder`` bounds ||x - a^T a^*||_F,
+    and is added to the slack.
     """
     ok = np.zeros(len(pairs), dtype=bool)
     both = [i for i, (x, y) in enumerate(pairs) if x._factor is not None and y._factor is not None]
@@ -181,20 +191,29 @@ def _certified(pairs, tol: float) -> np.ndarray:
         r = np.linalg.qr(c.swapaxes(-1, -2), mode="r")
         diff = (r * [1.0, 1.0, -1.0, -1.0]) @ r.conj().swapaxes(-1, -2)
         slack = (64 * c.shape[-1] + 32) * 2.0**-53
+        slack += np.array([pairs[i][0]._remainder + pairs[i][1]._remainder for i in both])
         ok[both] = np.linalg.norm(diff, axis=(-2, -1)) + slack <= tol
     return ok
 
 
 def panel_consistency(panel: RdmPanel) -> float:
     """Largest disagreement between one-qubit marginals computed from
-    different panel entries (zero for panels that came from one state)."""
+    different panel entries (zero for panels that came from one state).
+
+    An entry that is its factor's product exactly (remainder 0, as in
+    ``panel_of_pure``) gives its marginals from the factor; every other
+    entry from its dense matrix, one pass per position.
+    """
     n = panel.n
     singles: dict[int, list[np.ndarray]] = {m: [] for m in range(1, n + 1)}
     for entry in panel.entries:
         k = entry.k
-        for p, m in enumerate(entry.qubit_labels):
-            others = [q for q in range(k) if q != p]
-            singles[m].append(_trace_positions(entry.entries, k, others))
+        exact = entry._factor is not None and entry._remainder == 0.0
+        for p, m in enumerate(entry.qubit_labels, start=1):
+            if exact:
+                singles[m].append(_factor_marginal(entry._factor, k, p))
+            else:
+                singles[m].append(_one_qubit_marginal(entry.entries, k, p))
     worst = 0.0
     for mats in singles.values():
         for other in mats[1:]:

@@ -2,8 +2,15 @@
 
 Given the n-tuple of one-qubit-removed marginals, the inverse image among
 pure states is either a single state, the one-parameter family attached to
-a GHZ-class certificate, or empty.  Every panel takes one closed-form path
-(``_fit_qubit_one``).  Purifying entry 1 pins the state down to a unitary
+a GHZ-class certificate, or empty.  A marginal of a pure state has rank
+<= 2 (the Schmidt split across the omitted qubit), so an entry of rank
+above 2 makes the panel incompatible.  That rank check reads the entry's
+factor where it has one within tol (every entry of ``panel_of_pure``, and
+the rank-2 entries ``load_panel`` certified): the factor has rank <= 2 and
+its remainder bounds the third eigenvalue, so no eigensolve runs.  Any
+other entry takes a full ``eigvalsh``.  Every panel then takes one
+closed-form path (``_fit_qubit_one``).  Purifying entry 1, from the SVD of
+its factor or else from its eigenvectors, pins the state down to a unitary
 on qubit 1, whatever entry 1's spectrum.  That unitary rotates the Bloch
 matrix of the other entries over qubit 1, and the best rotation is an
 orthogonal Procrustes problem.  If the panel's Bloch matrix has rank >= 2,
@@ -75,13 +82,31 @@ def purify_over_qubit(
     pure state is limited to rank 2 by the Schmidt decomposition across
     the omitted qubit.
     """
-    evals, evecs = spectral_decompose(rdm.entries)
+    evals, evecs = _leading_pairs(rdm, tol)
     if evals.size > 2 and evals[2] > tol:
         raise PanelRankError(
             f"marginal omitting qubit {j} has rank > 2 "
             f"(third eigenvalue {evals[2]:.3e})"
         )
     return _purification(evals, evecs, j, len(rdm.qubit_labels) + 1, tol)
+
+
+def _certified_rank_two(rdm: DensityMatrix, tol: float) -> bool:
+    """Does rdm keep a factor within tol of it?  That factor has rank <= 2,
+    so by Weyl rdm's third eigenvalue is at most the remainder, at most tol."""
+    return rdm._factor is not None and rdm._remainder <= tol
+
+
+def _leading_pairs(rdm: DensityMatrix, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Descending eigenvalues and eigenvector columns of rdm, for the rank
+    check and the purification.  For an entry ``_certified_rank_two`` they
+    are the two of its factor a, from the SVD of a (2 x d): a = U S V^T
+    gives a^T a^* = V S^2 V^dagger.  Every other entry takes the dense
+    ``spectral_decompose``, and so has all of its eigenvalues."""
+    if _certified_rank_two(rdm, tol):
+        _, s, vt = np.linalg.svd(rdm._factor, full_matrices=False)
+        return s * s, vt.T
+    return spectral_decompose(rdm.entries)
 
 
 def _purification(
@@ -110,10 +135,13 @@ def reconstruct(panel: RdmPanel, tol: float = RECONSTRUCT_TOL) -> Reconstruction
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    # entry 1's eigenvectors are kept for the purification
-    first = spectral_decompose(panel.entry(1).entries)
-    spectra = [first[0]] + [np.linalg.eigvalsh(e.entries)[::-1] for e in panel.entries[1:]]
-    for j, evals in enumerate(spectra, start=1):
+    # entry 1's eigenvectors are kept for the purification; an entry
+    # certified rank <= 2 needs no eigenvalue for the rank check
+    first = _leading_pairs(panel.entry(1), tol)
+    for j, rdm in enumerate(panel.entries, start=1):
+        if j > 1 and _certified_rank_two(rdm, tol):
+            continue
+        evals = first[0] if j == 1 else np.linalg.eigvalsh(rdm.entries)[::-1]
         if evals.size > 2 and evals[2] > tol:
             return ReconstructionResult(
                 "incompatible", None, None, float(evals[2]),

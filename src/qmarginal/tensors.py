@@ -16,10 +16,19 @@ Conventions used throughout the package:
   factor of the Gram of the marginals' Bloch matrix over one qubit;
   ``_bit_flips`` gives the same one-qubit flips as indices, for gathering
   amplitudes.  ``_blocks`` is the matrix form of ``_axis_first``: the
-  2 x 2 blocks of a matrix split on one of its qubits, and the only code
-  that splits a matrix by qubit.  ``partial_trace`` is the kernel for
-  density matrices, with ``_trace_positions``, a fold of ``_blocks``, as
-  its unchecked array core.
+  2 x 2 blocks of a matrix split on one of its qubits, and with
+  ``_split``, the view under it, the only code that splits a matrix by
+  qubit.  ``partial_trace`` is the kernel for density matrices, with
+  ``_trace_positions``, a fold of ``_blocks``, as its unchecked array core;
+  ``_one_qubit_marginal`` reads one qubit's marginal off the split in one
+  pass, and ``_factor_marginal`` the same from a factor.
+* A panel entry is rank <= 2 when it comes from a pure state.  Entries of
+  ``panel_of_pure`` keep their exact 2 x 2**k factor; a dense entry read
+  from a file gets one from ``_rank_two_factor`` (its top two eigenpairs),
+  with a remainder that bounds, through rounding, how far the factor's
+  product is from the entry.  Downstream code reads the factor wherever
+  that remainder is small enough for its purpose, and the dense matrix
+  otherwise.
 * ``_act`` is the one-qubit action kernel.  Matrices the package built
   go through it raw, with no ``SingleQubitUnitary`` and no ``Ket`` per
   step; the public ``apply_local(s)`` check every target, then build one
@@ -148,22 +157,32 @@ class DensityMatrix:
 
     Validation policy: the public constructor checks every matrix it is
     given in full (shape, finite entries, Hermiticity, unit trace and no
-    eigenvalue below -HERM_TOL), and so do ``partial_trace`` and
-    ``panel_of_mixed``.  The file loaders in ``io`` run their own checks
-    with their own tolerances, symmetrize and renormalize, and hand the
-    result on through ``_trusted`` without a second eigensolve.
-    ``Ket.density()`` and the entries of ``panel_of_pure`` are not checked
-    at all: they come from a ``Ket``, normalized at its own constructor, so
-    each has unit trace and is PSD by construction.  The panel entries keep
-    their factor ``a`` of rho = a^T a^* (``_factored``) and build
-    ``entries`` on first read, frozen like every other; two threads racing
-    on that read compute the same bits twice and one result stays.
+    eigenvalue below -HERM_TOL), and so does ``partial_trace``.  The file
+    loaders in ``io`` run their own checks with their own tolerances,
+    symmetrize and renormalize, and hand the result on through
+    ``_trusted``.  ``Ket.density()``, the entries of ``panel_of_pure`` and
+    those of ``panel_of_mixed`` are not checked at all: they come from a
+    normalized ``Ket`` or a validated ``DensityMatrix``, so each has unit
+    trace and is PSD by construction.
+
+    An entry may keep a factor ``a`` (2 x 2**k) with rho ~ a^T a^*, and
+    ``_remainder``, a bound on ||rho - a^T a^*||_F that holds through
+    rounding.  The entries of ``panel_of_pure`` keep their exact factor
+    (``_factored``, remainder 0) and build ``entries`` on first read,
+    frozen like every other; two threads racing on that read compute the
+    same bits twice and one result stays.  A dense panel entry read from a
+    file keeps the factor of its top two eigenpairs and the remainder that
+    ``_rank_two_factor`` certifies: by Weyl, no eigenvalue of rho lies
+    below -remainder, and none but the top two above it.  A remainder
+    within HERM_TOL is the loader's PSD check, and one within a rank
+    tolerance proves rank <= 2 with no eigensolve.
     """
 
     qubit_labels: tuple[int, ...]
     entries: np.ndarray
 
-    _factor = None  # the factor a of rho = a^T a^*, kept by ``_factored``
+    _factor = None  # a factor a of rho ~ a^T a^*, kept by ``_factored`` and ``_trusted``
+    _remainder = 0.0  # a bound on ||rho - a^T a^*||_F; 0 for ``_factored``
 
     @classmethod
     def _factored(cls, labels: tuple[int, ...], a: np.ndarray) -> "DensityMatrix":
@@ -190,15 +209,27 @@ class DensityMatrix:
         return mat
 
     @classmethod
-    def _trusted(cls, labels: tuple[int, ...], mat: np.ndarray) -> "DensityMatrix":
-        """Wrap a fresh complex matrix its caller has already validated.
+    def _trusted(
+        cls,
+        labels: tuple[int, ...],
+        mat: np.ndarray,
+        factor: np.ndarray | None = None,
+        remainder: float = 0.0,
+    ) -> "DensityMatrix":
+        """Wrap a fresh complex matrix its caller has already validated,
+        with a factor of it and the certified remainder of that factor
+        (``_rank_two_factor``) when given.
 
-        No check and no copy: ``mat`` is frozen in place.
+        No check and no copy: ``mat`` and ``factor`` are frozen in place.
         """
         mat.setflags(write=False)
         rho = cls.__new__(cls)
         object.__setattr__(rho, "qubit_labels", labels)
         object.__setattr__(rho, "entries", mat)
+        if factor is not None:
+            factor.setflags(write=False)
+            object.__setattr__(rho, "_factor", factor)
+            object.__setattr__(rho, "_remainder", remainder)
         return rho
 
     def __post_init__(self):
@@ -333,15 +364,36 @@ def _traced_outer(left: np.ndarray, right: np.ndarray, n: int, k: int) -> np.nda
     return _axis_first(left, n, k).swapaxes(-1, -2) @ _axis_first(right, n, k).conj()
 
 
+def _split(mat: np.ndarray, k: int, p: int) -> np.ndarray:
+    """A k-qubit matrix as a (high, 2, low, high, 2, low) view over its
+    qubit at 1-based position p: row and column each split into the qubits
+    before p, qubit p, and the qubits after it."""
+    high, low = 2 ** (p - 1), 2 ** (k - p)
+    return mat.reshape(high, 2, low, high, 2, low)
+
+
 def _blocks(mat: np.ndarray, k: int, p: int) -> np.ndarray:
     """The 2 x 2 blocks <a|_p M |b>_p of a k-qubit matrix M over its qubit
     at 1-based position p, as a (2, 2, 2**(k-1), 2**(k-1)) array indexed
     [a, b]: the matrix form of ``_axis_first``, rows and columns of each
     block over the other qubits in order.  A view when p is 1 or k.
     """
-    high, low = 2 ** (p - 1), 2 ** (k - p)
-    split = mat.reshape(high, 2, low, high, 2, low)
-    return split.transpose(1, 4, 0, 2, 3, 5).reshape(2, 2, high * low, high * low)
+    split = _split(mat, k, p)
+    rest = split.shape[0] * split.shape[2]
+    return split.transpose(1, 4, 0, 2, 3, 5).reshape(2, 2, rest, rest)
+
+
+def _one_qubit_marginal(mat: np.ndarray, k: int, p: int) -> np.ndarray:
+    """The 2 x 2 marginal of a k-qubit matrix at 1-based position p: the
+    trace of each of its ``_blocks``, read off the diagonal of the split
+    view in one pass, with no copy."""
+    return np.einsum("iajibj->ab", _split(mat, k, p))
+
+
+def _factor_marginal(a: np.ndarray, k: int, p: int) -> np.ndarray:
+    """``_one_qubit_marginal`` of a^T a^* from its factor a (rows of 2**k
+    amplitudes): the summed Grams of the rows' ``_axis_first`` at p."""
+    return _grams(_axis_first(a, k, p)).sum(axis=0)
 
 
 def _bloch_factor(factors: np.ndarray, j: int) -> np.ndarray:
@@ -386,6 +438,52 @@ def _trace_positions(mat: np.ndarray, k: int, positions) -> np.ndarray:
         split = _blocks(mat, k, pos + 1)
         mat, k = split[0, 0] + split[1, 1], k - 1
     return mat
+
+
+# columns of the fixed start of ``_rank_two_factor``: the two pairs it
+# keeps, plus two of oversampling
+_RANGE_COLUMNS = 4
+# least dimension at which ``_rank_two_factor`` certifies: below it a full
+# eigvalsh costs less than the certificate's dozen numpy calls
+_CERTIFY_MIN_DIM = 32
+
+
+def _rank_two_factor(mat: np.ndarray) -> tuple[np.ndarray | None, float]:
+    """A factor a (2 x d) of the top two eigenpairs of a Hermitian d x d
+    matrix rho, their eigenvalues clipped at 0, and a bound e on
+    ||rho - a^T a^*||_F that holds through rounding.
+
+    a^T a^* is PSD of rank <= 2, so by Weyl every eigenvalue of rho lies at
+    or above -e, and all but the top two at or below e: a small e proves
+    rho PSD, and of rank <= 2 up to e, with no full eigensolve.  The pairs
+    come from one pass of subspace iteration on ``_RANGE_COLUMNS`` columns
+    of a fixed Gaussian start, then Rayleigh-Ritz (Halko, Martinsson and
+    Tropp, SIAM Rev. 53, 217 (2011)).  For rho of rank at most that many
+    columns the pass spans its range exactly, up to rounding.  The start
+    and the pass count decide no verdict: poor pairs only make e large, and
+    the caller then takes the full eigensolve.  Below ``_CERTIFY_MIN_DIM``
+    there is no factor: (None, inf).
+
+    e is formed from rho - a^T a^* itself, with no cancellation and no PSD
+    assumption.  Rounding (u = 2^-53): each entry of the computed a^T a^*
+    is off by at most 8u sum_i |a_ix| |a_iy|, whose Frobenius norm is at
+    most 8u ||a||_F^2 (taken as 16u, to cover the rounding of ||a||_F^2);
+    the subtraction moves each entry by at most u of itself, and the norm,
+    two sums of d^2 squares, is low by at most a relative (2 d^2 + 2)u.
+    So the computed norm times 1 + (2 d^2 + 8)u, plus 16u ||a||_F^2, bounds
+    the exact one.
+    """
+    d = len(mat)
+    if d < _CERTIFY_MIN_DIM:
+        return None, np.inf
+    start = np.random.default_rng(0).standard_normal((d, _RANGE_COLUMNS))
+    q = np.linalg.qr(mat @ start)[0]
+    w, v = np.linalg.eigh(q.conj().T @ mat @ q)
+    top = np.maximum(w[:-3:-1], 0.0)
+    a = np.ascontiguousarray((q @ v[:, :-3:-1] * np.sqrt(top)).T)
+    u = 2.0**-53
+    e = float(np.linalg.norm(mat - a.T @ a.conj()))
+    return a, e * (1 + (2 * d * d + 8) * u) + 16 * u * float(np.vdot(a, a).real)
 
 
 def reduced_one_qubit(psi: Ket, j: int) -> np.ndarray:

@@ -11,7 +11,9 @@ defaults are the library's.
 
 The Levenberg-Marquardt settings of ``unitary_fit`` (the damping, its two
 factors, the step cap and the gradient, step and scale floors) stay in that
-module: they steer the descent, and no verdict is read off them.
+module: they steer the descent, and no verdict is read off them.  So do the
+start, width and size switch of ``tensors._rank_two_factor``: a poor factor
+only leaves its remainder large, and the caller then takes the eigensolve.
 """
 
 # -- validation of input ------------------------------------------------------

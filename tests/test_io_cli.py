@@ -158,6 +158,26 @@ class TestPanelFiles:
         assert np.linalg.eigvalsh(loaded)[0] >= -1e-15
         np.testing.assert_allclose(loaded, raw, atol=2e-8, rtol=0)
 
+    @pytest.mark.parametrize("depth, clipped", [(1e-8, True), (1e-12, False)])
+    def test_negative_direction_in_a_large_entry(self, tmp_path, depth, clipped):
+        # a pure n = 6 entry with -depth |v><v|, v outside its range: the
+        # certificate cannot pass it below -1e-10, so the eigensolve clips
+        panel = qm.panel_of_pure(qm.haar_random_ket(6, 31))
+        rho = panel.entry(3).entries
+        v = np.linalg.eigh(rho)[1][:, 0]
+        raw = rho - depth * np.outer(v, v.conj())
+        raw /= np.trace(raw).real
+        path = tmp_path / "panel.txt"
+        save_panel(path, panel)
+        lines = path.read_text().splitlines()
+        start = lines.index("entry 3") + 1
+        lines[start:start + 32] = [" ".join(map(repr, row)) for row in raw.view(np.float64).tolist()]
+        path.write_text("\n".join(lines) + "\n")
+        loaded = load_panel(path).entry(3)
+        assert (np.linalg.eigvalsh(loaded.entries)[0] >= -1e-15) == clipped
+        assert (loaded._factor is None) == clipped
+        np.testing.assert_allclose(loaded.entries, raw, atol=2 * depth, rtol=0)
+
     def test_non_hermitian_entry_rejected(self, tmp_path):
         panel = qm.panel_of_pure(qm.ghz_state(2))
         path = tmp_path / "panel.txt"

@@ -11,7 +11,7 @@ import pytest
 import qmarginal as qm
 from conftest import random_ghz_orbit
 from qmarginal.io import load_panel, save_panel
-from qmarginal.tensors import PAULI_Z, _traced_outer
+from qmarginal.tensors import PAULI_Z, DensityMatrix, _trace_positions, _traced_outer
 
 
 class TestPanelOfPure:
@@ -88,6 +88,21 @@ class TestPanelOfMixed:
         b = qm.panel_of_pure(psi)
         for j in range(1, 4):
             np.testing.assert_allclose(a.entry(j).entries, b.entry(j).entries, atol=1e-13)
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_entries_are_the_partial_traces_bit_for_bit(self, n):
+        rho = qm.DensityMatrix(tuple(range(1, n + 1)), _random_mixed(n, 45 + n))
+        panel = qm.panel_of_mixed(rho)
+        for j in range(1, n + 1):
+            want = qm.partial_trace(rho, {j})
+            assert panel.entry(j).qubit_labels == want.qubit_labels
+            assert panel.entry(j).entries.tobytes() == want.entries.tobytes()
+            assert not panel.entry(j).entries.flags.writeable
+
+    def test_invalid_matrix_is_rejected_by_its_own_constructor(self):
+        # panel_of_mixed checks no entry: its input was validated when built
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            qm.DensityMatrix((1, 2), np.diag([0.6, 0.5, -0.1, 0.0]))
 
 
 class TestPanelsEqual:
@@ -172,6 +187,14 @@ class TestPanelSubset:
 TOL_GRID = [10.0**-k for k in range(6, 17)]
 
 
+def _random_mixed(n, seed):
+    """A full-rank density matrix on n qubits, as a plain array."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((2**n, 2**n)) + 1j * rng.standard_normal((2**n, 2**n))
+    rho = g @ g.conj().T
+    return 0.5 * (rho + rho.conj().T) / np.trace(rho).real
+
+
 def _built(panel):
     """Which entries have built their dense matrix."""
     return ["entries" in vars(e) for e in panel.entries]
@@ -242,6 +265,33 @@ class TestFactoredPanels:
             assert qm.panels_equal(dense, qm.panel_of_pure(psi), tol) == factored
             assert not qm.panels_equal(haar, dense, tol)
 
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_loaded_factors_compare_like_dense(self, n, tmp_path):
+        psi, sib = _sibling_pair(n, 90 + n)
+        save_panel(tmp_path / "sib.panel", qm.panel_of_pure(sib))
+        loaded = load_panel(tmp_path / "sib.panel")
+        assert all(e._factor is not None and 0 < e._remainder <= 1e-13 for e in loaded.entries)
+        for other in (psi, _near_pair(n, 90 + n, 1e-9)[1], qm.haar_random_ket(n, 95 + n)):
+            dist = qm.panel_distance(qm.panel_of_pure(other), loaded)
+            for tol in TOL_GRID:
+                assert qm.panels_equal(qm.panel_of_pure(other), loaded, tol) == (dist <= tol)
+                assert qm.panels_equal(loaded, qm.panel_of_pure(other), tol) == (dist <= tol)
+
+    def test_remainder_keeps_a_factor_from_proving_too_much(self):
+        # an entry whose factor is psi's own, but whose matrix is moved by
+        # delta: the factors agree exactly, the entries do not
+        psi = qm.haar_random_ket(6, 97)
+        exact = qm.panel_of_pure(psi)
+        delta = 1e-8
+        e = exact.entry(1)
+        moved = np.array(e.entries)
+        moved[0, 0] += delta
+        moved[1, 1] -= delta
+        entries = (DensityMatrix._trusted(e.qubit_labels, moved, e._factor.copy(), delta * np.sqrt(2)),)
+        panel = qm.RdmPanel(6, entries + exact.entries[1:])
+        for tol in (delta / 2, 2 * delta):
+            assert qm.panels_equal(panel, qm.panel_of_pure(psi), tol) == (delta <= tol)
+
     def test_n12_sibling_check_builds_no_entry(self):
         psi, sib = _sibling_pair(12, 71)
         pa, pb = qm.panel_of_pure(psi), qm.panel_of_pure(sib)
@@ -310,7 +360,45 @@ class TestFactoredPanels:
                     assert qm.subset_equal(a, b, kept, tol) == (dist <= tol)
 
 
+def _fold_consistency(panel):
+    """The reference: each one-qubit marginal traced down one position at a time."""
+    singles = {m: [] for m in range(1, panel.n + 1)}
+    for entry in panel.entries:
+        k = entry.k
+        for p, m in enumerate(entry.qubit_labels):
+            others = [q for q in range(k) if q != p]
+            singles[m].append(_trace_positions(entry.entries, k, others))
+    return max(float(np.max(np.abs(ms[0] - other))) for ms in singles.values() for other in ms[1:])
+
+
+def _rotated_entry_panel(n, seed):
+    """A pure panel whose entry 2 is rotated on qubit 1 by 0.01 rad."""
+    panel = qm.panel_of_pure(qm.haar_random_ket(n, seed))
+    c, s = np.cos(0.01), np.sin(0.01)
+    u = np.kron(np.array([[c, -s], [s, c]]), np.eye(2 ** (n - 2)))
+    entries = list(panel.entries)
+    entries[1] = qm.DensityMatrix(entries[1].qubit_labels, u @ entries[1].entries @ u.conj().T)
+    return qm.RdmPanel(n, tuple(entries))
+
+
 class TestCrossEntryConsistency:
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    @pytest.mark.parametrize("kind", ["haar", "perturbed", "mixed"])
+    @pytest.mark.parametrize("loaded", [False, True])
+    def test_matches_the_fold_reference(self, n, kind, loaded, tmp_path):
+        if kind == "haar":
+            panel = qm.panel_of_pure(qm.haar_random_ket(n, 210 + n))
+        elif kind == "perturbed":
+            panel = _rotated_entry_panel(n, 220 + n)
+        else:
+            panel = qm.panel_of_mixed(qm.DensityMatrix(tuple(range(1, n + 1)), _random_mixed(n, 230 + n)))
+        if loaded:
+            # entries with a factor that is not exact: read from the matrix
+            save_panel(tmp_path / "panel.txt", panel)
+            panel = load_panel(tmp_path / "panel.txt")
+        # one pass per position sums in another order than the fold
+        assert abs(qm.panel_consistency(panel) - _fold_consistency(panel)) <= 4 * 2.0**-52
+
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_single_qubit_marginals_agree_across_entries(self, n):
         psi = qm.haar_random_ket(n, 200 + n)

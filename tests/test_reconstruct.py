@@ -5,8 +5,10 @@ import pytest
 
 import qmarginal as qm
 from conftest import random_ghz_orbit
+from qmarginal.io import load_panel, save_panel
 from qmarginal.reconstruct import _su2_from_rotation
 from qmarginal.tensors import PAULIS, reduced_one_qubit
+from qmarginal.tolerances import HERM_TOL, RECONSTRUCT_TOL
 
 
 def family_contains(result, source, tol=1e-8):
@@ -179,6 +181,83 @@ class TestReconstruct:
             else:
                 assert qm.classify(psi).ghz_class
                 assert result.outcome == "ghz-family"
+
+    @pytest.mark.parametrize("n", [3, 6])
+    @pytest.mark.parametrize("scale, outcome", [(2.0, "incompatible"), (0.5, "unique")])
+    def test_rank_excess_in_a_loaded_entry(self, tmp_path, n, scale, outcome):
+        # delta |v><v| mixed into entry 2, v outside its range: its third
+        # eigenvalue is delta, on either side of tol
+        psi = qm.haar_random_ket(n, 2400 + n)
+        panel = qm.panel_of_pure(psi)
+        rho = panel.entry(2).entries
+        v = np.linalg.eigh(rho)[1][:, 0]
+        delta = scale * RECONSTRUCT_TOL
+        entries = list(panel.entries)
+        entries[1] = qm.DensityMatrix(entries[1].qubit_labels, (1 - delta) * rho + delta * np.outer(v, v.conj()))
+        dense = qm.RdmPanel(n, tuple(entries))
+        save_panel(tmp_path / "panel.txt", dense)
+        loaded = load_panel(tmp_path / "panel.txt")
+        result = qm.reconstruct(loaded)
+        assert result.outcome == outcome
+        # the same reason as the eigensolve of the in-memory entries
+        assert result.reason == qm.reconstruct(dense).reason
+        if outcome == "incompatible":
+            assert result.reason == f"entry 2 has rank > 2 (third eigenvalue {delta:.3e})"
+        else:
+            assert qm.equal_up_to_phase(result.state, psi, 1e-8)
+        if n == 6:
+            # not PSD-certified at load, yet certified rank <= 2 within tol
+            assert loaded.entry(2)._factor is not None
+            assert HERM_TOL < loaded.entry(2)._remainder <= 2 * delta
+
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_loaded_full_rank_panel_keeps_its_reason(self, tmp_path, n):
+        rng = np.random.default_rng(2500 + n)
+        g = rng.standard_normal((2**n, 2**n)) + 1j * rng.standard_normal((2**n, 2**n))
+        rho = g @ g.conj().T
+        panel = qm.panel_of_mixed(qm.DensityMatrix(tuple(range(1, n + 1)), rho / np.trace(rho).real))
+        save_panel(tmp_path / "panel.txt", panel)
+        result = qm.reconstruct(load_panel(tmp_path / "panel.txt"))
+        assert result.outcome == "incompatible"
+        assert result.reason == qm.reconstruct(panel).reason
+        assert result.reason.startswith("entry 1 has rank > 2 (third eigenvalue ")
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_loaded_degenerate_and_rank_one_entries(self, tmp_path, n):
+        balanced, _ = random_ghz_orbit(n, 2600 + n, balanced=True)
+        product = qm.random_product_ket(n, 2610 + n)
+        for psi, outcome in ((balanced, "ghz-family"), (product, "unique")):
+            save_panel(tmp_path / "panel.txt", qm.panel_of_pure(psi))
+            loaded = load_panel(tmp_path / "panel.txt")
+            assert all(e._remainder <= HERM_TOL for e in loaded.entries)
+            result = qm.reconstruct(loaded)
+            assert result.outcome == outcome
+            if outcome == "unique":
+                assert qm.equal_up_to_phase(result.state, psi, 1e-8)
+            else:
+                assert family_contains(result, psi)
+
+    @pytest.mark.parametrize("kind", ["haar", "ghz-orbit", "product"])
+    def test_pure_panels_need_no_dense_eigensolve(self, tmp_path, monkeypatch, kind):
+        n, d = 8, 128
+        psi = {
+            "haar": lambda: qm.haar_random_ket(n, 2700),
+            "ghz-orbit": lambda: random_ghz_orbit(n, 2701)[0],
+            "product": lambda: qm.random_product_ket(n, 2702),
+        }[kind]()
+        save_panel(tmp_path / "panel.txt", qm.panel_of_pure(psi))
+        dense = []
+        for name in ("eigvalsh", "eigh", "svd"):
+            def counted(a, *args, _solve=getattr(np.linalg, name), _name=name, **kwargs):
+                if np.shape(a)[-2:] == (d, d):
+                    dense.append(_name)
+                return _solve(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        from_file = qm.reconstruct(load_panel(tmp_path / "panel.txt"))
+        in_memory = qm.reconstruct(qm.panel_of_pure(psi))
+        assert dense == []
+        assert from_file.outcome == in_memory.outcome != "incompatible"
 
     def test_outcomes_match_classification(self):
         cases = [

@@ -8,11 +8,15 @@ import pytest
 import qmarginal as qm
 from qmarginal.reconstruct import _bloch_matrix
 from qmarginal.tensors import (
+    _CERTIFY_MIN_DIM,
     PAULI_X,
     PAULI_Z,
     _bloch_factor,
     _blocks,
+    _factor_marginal,
+    _one_qubit_marginal,
     _qubit_factors,
+    _rank_two_factor,
     _trace_positions,
     _traced_outer,
     reduced_one_qubit,
@@ -435,3 +439,65 @@ class TestMatrixKernels:
                 np.testing.assert_allclose(stacked[i], want, rtol=0, atol=1e-14)
                 want = _traced_outer(left[i], right[0], n, k)
                 np.testing.assert_allclose(against_one[i], want, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_one_qubit_marginals_match_the_fold(self, k):
+        rng = np.random.default_rng(3300 + k)
+        mat = random_matrix(k, rng)
+        a = rng.standard_normal((2, 2**k)) + 1j * rng.standard_normal((2, 2**k))
+        product = a.T @ a.conj()
+        for p in range(1, k + 1):
+            others = [q for q in range(k) if q != p - 1]
+            # the fold sums in another order: equal to rounding
+            want = _trace_positions(mat, k, others)
+            np.testing.assert_allclose(_one_qubit_marginal(mat, k, p), want, rtol=0, atol=1e-13)
+            want = _trace_positions(product, k, others)
+            np.testing.assert_allclose(_factor_marginal(a, k, p), want, rtol=0, atol=1e-13)
+
+
+def exact_remainder(mat, a):
+    """||mat - a^T a^*||_F in extended precision: the reference for the bound."""
+    a = a.astype(np.clongdouble)
+    diff = mat.astype(np.clongdouble) - a.T @ a.conj()
+    return float(np.sqrt(np.sum(np.abs(diff) ** 2)))
+
+
+class TestRankTwoFactor:
+    """The certificate of load_panel: a rank-2 factor and a bound on its remainder."""
+
+    @pytest.mark.parametrize("n", [6, 8])
+    @pytest.mark.parametrize("kind", ["haar", "ghz-balanced", "product"])
+    def test_pure_marginals_are_certified(self, n, kind):
+        psi = {
+            "haar": lambda: qm.haar_random_ket(n, 3400 + n),
+            "ghz-balanced": lambda: qm.random_lu_orbit(qm.ghz_state(n), 3410 + n),
+            "product": lambda: qm.random_product_ket(n, 3420 + n),
+        }[kind]()
+        for j in (1, n):
+            rho = _traced_outer(psi.amplitudes, psi.amplitudes, n, j)
+            a, remainder = _rank_two_factor(rho)
+            assert a.shape == (2, 2 ** (n - 1))
+            assert exact_remainder(rho, a) <= remainder <= 1e-13
+
+    @pytest.mark.parametrize("delta", [1e-12, 1e-9, 1e-3])
+    def test_remainder_bounds_a_third_eigenvalue(self, delta):
+        psi = qm.haar_random_ket(7, 3430)
+        rho = _traced_outer(psi.amplitudes, psi.amplitudes, 7, 2)
+        v = np.linalg.eigh(rho)[1][:, 0]  # a direction outside rho's range
+        rho = (1 - delta) * rho + delta * np.outer(v, v.conj())
+        a, remainder = _rank_two_factor(rho)
+        assert exact_remainder(rho, a) <= remainder
+        assert np.linalg.eigvalsh(rho)[-3] <= remainder <= 2 * delta
+
+    def test_full_rank_matrix_is_not_certified(self):
+        g = random_matrix(6, np.random.default_rng(3440))
+        rho = g @ g.conj().T
+        rho /= np.trace(rho).real
+        a, remainder = _rank_two_factor(rho)
+        assert exact_remainder(rho, a) <= remainder
+        assert remainder >= np.linalg.eigvalsh(rho)[-3] > 1e-3
+
+    def test_small_matrices_take_the_eigensolve(self):
+        # below the switch a full eigvalsh is cheaper than the certificate
+        rho = np.eye(_CERTIFY_MIN_DIM // 2, dtype=complex) / (_CERTIFY_MIN_DIM // 2)
+        assert _rank_two_factor(rho) == (None, np.inf)
