@@ -22,7 +22,6 @@ import numpy as np
 from .tensors import (
     DensityMatrix,
     Ket,
-    _factor_marginal,
     _one_qubit_marginal,
     _qubit_factors,
     _trace_positions,
@@ -100,6 +99,9 @@ def _factored_entries(f: np.ndarray) -> tuple[DensityMatrix, ...]:
 
 def panel_of_mixed(rho: DensityMatrix) -> RdmPanel:
     """Panel map for arbitrary density matrices on qubits 1..n."""
+    if not isinstance(rho, DensityMatrix):
+        # its entries are trusted because rho was checked when built
+        raise TypeError(f"expected a DensityMatrix, got {type(rho).__name__}")
     n = rho.k
     if rho.qubit_labels != tuple(range(1, n + 1)):
         raise ValueError("expected a density matrix on qubits 1..n")
@@ -198,22 +200,13 @@ def _certified(pairs, tol: float) -> np.ndarray:
 
 def panel_consistency(panel: RdmPanel) -> float:
     """Largest disagreement between one-qubit marginals computed from
-    different panel entries (zero for panels that came from one state).
-
-    An entry that is its factor's product exactly (remainder 0, as in
-    ``panel_of_pure``) gives its marginals from the factor; every other
-    entry from its dense matrix, one pass per position.
-    """
+    different panel entries (zero for panels that came from one state),
+    each read off an entry's dense matrix in one pass per position."""
     n = panel.n
     singles: dict[int, list[np.ndarray]] = {m: [] for m in range(1, n + 1)}
     for entry in panel.entries:
-        k = entry.k
-        exact = entry._factor is not None and entry._remainder == 0.0
         for p, m in enumerate(entry.qubit_labels, start=1):
-            if exact:
-                singles[m].append(_factor_marginal(entry._factor, k, p))
-            else:
-                singles[m].append(_one_qubit_marginal(entry.entries, k, p))
+            singles[m].append(_one_qubit_marginal(entry.entries, entry.k, p))
     worst = 0.0
     for mats in singles.values():
         for other in mats[1:]:

@@ -21,14 +21,14 @@ Conventions used throughout the package:
   qubit.  ``partial_trace`` is the kernel for density matrices, with
   ``_trace_positions``, a fold of ``_blocks``, as its unchecked array core;
   ``_one_qubit_marginal`` reads one qubit's marginal off the split in one
-  pass, and ``_factor_marginal`` the same from a factor.
+  pass.
 * A panel entry is rank <= 2 when it comes from a pure state.  Entries of
   ``panel_of_pure`` keep their exact 2 x 2**k factor; a dense entry read
-  from a file gets one from ``_rank_two_factor`` (its top two eigenpairs),
-  with a remainder that bounds, through rounding, how far the factor's
-  product is from the entry.  Downstream code reads the factor wherever
-  that remainder is small enough for its purpose, and the dense matrix
-  otherwise.
+  from a file that is rank 2 up to ``RANK_TWO_CUTOFF`` gets one from
+  ``_rank_two_factor`` (its top two eigenpairs), with a remainder that
+  bounds, through rounding, how far the factor's product is from the
+  entry.  Downstream code reads the factor wherever that remainder is
+  small enough for its purpose, and the dense matrix otherwise.
 * ``_act`` is the one-qubit action kernel.  Matrices the package built
   go through it raw, with no ``SingleQubitUnitary`` and no ``Ket`` per
   step; the public ``apply_local(s)`` check every target, then build one
@@ -42,6 +42,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +53,7 @@ from .tolerances import (
     NORM_REJECT_TOL,
     PHASE_EQUAL_TOL,
     PHASE_FIX_FLOOR,
+    RANK_TWO_CUTOFF,
     RENORMALIZE_TOL,
     UNITARY_TOL,
 )
@@ -171,11 +173,12 @@ class DensityMatrix:
     (``_factored``, remainder 0) and build ``entries`` on first read,
     frozen like every other; two threads racing on that read compute the
     same bits twice and one result stays.  A dense panel entry read from a
-    file keeps the factor of its top two eigenpairs and the remainder that
-    ``_rank_two_factor`` certifies: by Weyl, no eigenvalue of rho lies
-    below -remainder, and none but the top two above it.  A remainder
-    within HERM_TOL is the loader's PSD check, and one within a rank
-    tolerance proves rank <= 2 with no eigensolve.
+    file that is rank 2 within ``RANK_TWO_CUTOFF`` keeps the factor of its
+    top two eigenpairs and the remainder that ``_rank_two_factor``
+    certifies: by Weyl, no eigenvalue of rho lies below -remainder, and
+    none but the top two above it.  A remainder within HERM_TOL is the
+    loader's PSD check, and one within a rank tolerance proves rank <= 2
+    with no eigensolve.
     """
 
     qubit_labels: tuple[int, ...]
@@ -213,20 +216,23 @@ class DensityMatrix:
         cls,
         labels: tuple[int, ...],
         mat: np.ndarray,
-        factor: np.ndarray | None = None,
-        remainder: float = 0.0,
+        *,
+        certified: tuple[np.ndarray, float] | None = None,
     ) -> "DensityMatrix":
         """Wrap a fresh complex matrix its caller has already validated,
-        with a factor of it and the certified remainder of that factor
-        (``_rank_two_factor``) when given.
+        with ``certified``, a factor of it and that factor's remainder as
+        ``_rank_two_factor`` returns them, when given.  The factor and its
+        remainder come together or not at all: an exact factor (remainder
+        0) comes only from ``_factored``.
 
-        No check and no copy: ``mat`` and ``factor`` are frozen in place.
+        No check and no copy: ``mat`` and the factor are frozen in place.
         """
         mat.setflags(write=False)
         rho = cls.__new__(cls)
         object.__setattr__(rho, "qubit_labels", labels)
         object.__setattr__(rho, "entries", mat)
-        if factor is not None:
+        if certified is not None:
+            factor, remainder = certified
             factor.setflags(write=False)
             object.__setattr__(rho, "_factor", factor)
             object.__setattr__(rho, "_remainder", remainder)
@@ -390,12 +396,6 @@ def _one_qubit_marginal(mat: np.ndarray, k: int, p: int) -> np.ndarray:
     return np.einsum("iajibj->ab", _split(mat, k, p))
 
 
-def _factor_marginal(a: np.ndarray, k: int, p: int) -> np.ndarray:
-    """``_one_qubit_marginal`` of a^T a^* from its factor a (rows of 2**k
-    amplitudes): the summed Grams of the rows' ``_axis_first`` at p."""
-    return _grams(_axis_first(a, k, p)).sum(axis=0)
-
-
 def _bloch_factor(factors: np.ndarray, j: int) -> np.ndarray:
     """Real factor F, 3 x at most 32(n-1), with F F^T = M M^T, where M is
     the Bloch matrix over qubit j of the marginals rho_(k), k != j: rho_(k) is
@@ -448,10 +448,20 @@ _RANGE_COLUMNS = 4
 _CERTIFY_MIN_DIM = 32
 
 
-def _rank_two_factor(mat: np.ndarray) -> tuple[np.ndarray | None, float]:
+@functools.cache
+def _range_start(d: int) -> np.ndarray:
+    """The fixed Gaussian start of ``_rank_two_factor`` for dimension d."""
+    start = np.random.default_rng(0).standard_normal((d, _RANGE_COLUMNS))
+    start.setflags(write=False)
+    return start
+
+
+def _rank_two_factor(mat: np.ndarray) -> tuple[np.ndarray, float] | None:
     """A factor a (2 x d) of the top two eigenpairs of a Hermitian d x d
     matrix rho, their eigenvalues clipped at 0, and a bound e on
-    ||rho - a^T a^*||_F that holds through rounding.
+    ||rho - a^T a^*||_F that holds through rounding; None when rho is
+    further than ``RANK_TWO_CUTOFF`` from rank 2, or below
+    ``_CERTIFY_MIN_DIM``.
 
     a^T a^* is PSD of rank <= 2, so by Weyl every eigenvalue of rho lies at
     or above -e, and all but the top two at or below e: a small e proves
@@ -461,8 +471,9 @@ def _rank_two_factor(mat: np.ndarray) -> tuple[np.ndarray | None, float]:
     Tropp, SIAM Rev. 53, 217 (2011)).  For rho of rank at most that many
     columns the pass spans its range exactly, up to rounding.  The start
     and the pass count decide no verdict: poor pairs only make e large, and
-    the caller then takes the full eigensolve.  Below ``_CERTIFY_MIN_DIM``
-    there is no factor: (None, inf).
+    the caller then takes the full eigensolve.  The third Ritz value is at
+    most rho's third eigenvalue (Cauchy interlacing), which is at most e:
+    when it already exceeds the cutoff, e is not formed.
 
     e is formed from rho - a^T a^* itself, with no cancellation and no PSD
     assumption.  Rounding (u = 2^-53): each entry of the computed a^T a^*
@@ -475,15 +486,17 @@ def _rank_two_factor(mat: np.ndarray) -> tuple[np.ndarray | None, float]:
     """
     d = len(mat)
     if d < _CERTIFY_MIN_DIM:
-        return None, np.inf
-    start = np.random.default_rng(0).standard_normal((d, _RANGE_COLUMNS))
-    q = np.linalg.qr(mat @ start)[0]
+        return None
+    q = np.linalg.qr(mat @ _range_start(d))[0]
     w, v = np.linalg.eigh(q.conj().T @ mat @ q)
+    if w[-3] > RANK_TWO_CUTOFF:
+        return None
     top = np.maximum(w[:-3:-1], 0.0)
     a = np.ascontiguousarray((q @ v[:, :-3:-1] * np.sqrt(top)).T)
     u = 2.0**-53
     e = float(np.linalg.norm(mat - a.T @ a.conj()))
-    return a, e * (1 + (2 * d * d + 8) * u) + 16 * u * float(np.vdot(a, a).real)
+    e = e * (1 + (2 * d * d + 8) * u) + 16 * u * float(np.vdot(a, a).real)
+    return (a, e) if e <= RANK_TWO_CUTOFF else None
 
 
 def reduced_one_qubit(psi: Ket, j: int) -> np.ndarray:

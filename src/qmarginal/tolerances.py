@@ -12,8 +12,14 @@ defaults are the library's.
 The Levenberg-Marquardt settings of ``unitary_fit`` (the damping, its two
 factors, the step cap and the gradient, step and scale floors) stay in that
 module: they steer the descent, and no verdict is read off them.  So do the
-start, width and size switch of ``tensors._rank_two_factor``: a poor factor
-only leaves its remainder large, and the caller then takes the eigensolve.
+start, width and size switch of ``tensors._rank_two_factor``: a poor or
+missing factor only sends its reader to the eigensolve or the dense matrix,
+with the same answer.  Its RANK_TWO_CUTOFF steers in the same way, and is
+in the table because it is read against a computed quantity: 1e-6 is three
+orders above the default tol of every reader of a factor (RECONSTRUCT_TOL,
+PANEL_TOL), as loose as the loosest tolerances here (LOAD_HERM_TOL,
+SEARCH_TOL), so a matrix further from rank 2, as every entry of a
+full-rank panel is, keeps no factor: no default reader could use it.
 """
 
 # -- validation of input ------------------------------------------------------
@@ -28,6 +34,8 @@ HERM_TOL = 1e-10
 UNITARY_TOL = 1e-10
 # a loaded panel entry's Hermiticity defect and -(lowest eigenvalue): the file is rejected above
 LOAD_HERM_TOL = 1e-6
+# a loaded entry's remainder past its rank-2 factor above which the factor is not kept (steers only)
+RANK_TWO_CUTOFF = 1e-6
 # |norm - 1| of a loaded state above which it is renormalized with a warning
 LOAD_WARN_TOL = 1e-9
 # ||eta| - 1| of eta_state's phase: rejected above

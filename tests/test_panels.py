@@ -99,10 +99,15 @@ class TestPanelOfMixed:
             assert panel.entry(j).entries.tobytes() == want.entries.tobytes()
             assert not panel.entry(j).entries.flags.writeable
 
-    def test_invalid_matrix_is_rejected_by_its_own_constructor(self):
-        # panel_of_mixed checks no entry: its input was validated when built
+    def test_only_a_validated_matrix_reaches_it(self):
+        # panel_of_mixed checks no entry: its input was validated when built,
+        # so a raw array, valid or not, is refused before any entry is made
+        bad = np.diag([0.6, 0.5, -0.1, 0.0]).astype(complex)
         with pytest.raises(ValueError, match="negative eigenvalue"):
-            qm.DensityMatrix((1, 2), np.diag([0.6, 0.5, -0.1, 0.0]))
+            qm.DensityMatrix((1, 2), bad)
+        for raw in (bad, np.eye(4, dtype=complex) / 4):
+            with pytest.raises(TypeError, match="expected a DensityMatrix"):
+                qm.panel_of_mixed(raw)
 
 
 class TestPanelsEqual:
@@ -287,7 +292,7 @@ class TestFactoredPanels:
         moved = np.array(e.entries)
         moved[0, 0] += delta
         moved[1, 1] -= delta
-        entries = (DensityMatrix._trusted(e.qubit_labels, moved, e._factor.copy(), delta * np.sqrt(2)),)
+        entries = (DensityMatrix._trusted(e.qubit_labels, moved, certified=(e._factor.copy(), delta * np.sqrt(2))),)
         panel = qm.RdmPanel(6, entries + exact.entries[1:])
         for tol in (delta / 2, 2 * delta):
             assert qm.panels_equal(panel, qm.panel_of_pure(psi), tol) == (delta <= tol)

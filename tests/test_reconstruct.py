@@ -217,7 +217,9 @@ class TestReconstruct:
         rho = g @ g.conj().T
         panel = qm.panel_of_mixed(qm.DensityMatrix(tuple(range(1, n + 1)), rho / np.trace(rho).real))
         save_panel(tmp_path / "panel.txt", panel)
-        result = qm.reconstruct(load_panel(tmp_path / "panel.txt"))
+        loaded = load_panel(tmp_path / "panel.txt")
+        assert all(e._factor is None for e in loaded.entries)  # too far from rank 2 to keep one
+        result = qm.reconstruct(loaded)
         assert result.outcome == "incompatible"
         assert result.reason == qm.reconstruct(panel).reason
         assert result.reason.startswith("entry 1 has rank > 2 (third eigenvalue ")
@@ -229,7 +231,7 @@ class TestReconstruct:
         for psi, outcome in ((balanced, "ghz-family"), (product, "unique")):
             save_panel(tmp_path / "panel.txt", qm.panel_of_pure(psi))
             loaded = load_panel(tmp_path / "panel.txt")
-            assert all(e._remainder <= HERM_TOL for e in loaded.entries)
+            assert all(e._factor is not None and e._remainder <= HERM_TOL for e in loaded.entries)
             result = qm.reconstruct(loaded)
             assert result.outcome == outcome
             if outcome == "unique":

@@ -13,7 +13,6 @@ from qmarginal.tensors import (
     PAULI_Z,
     _bloch_factor,
     _blocks,
-    _factor_marginal,
     _one_qubit_marginal,
     _qubit_factors,
     _rank_two_factor,
@@ -21,6 +20,7 @@ from qmarginal.tensors import (
     _traced_outer,
     reduced_one_qubit,
 )
+from qmarginal.tolerances import RANK_TWO_CUTOFF
 
 
 def dm(entries, labels):
@@ -444,15 +444,11 @@ class TestMatrixKernels:
     def test_one_qubit_marginals_match_the_fold(self, k):
         rng = np.random.default_rng(3300 + k)
         mat = random_matrix(k, rng)
-        a = rng.standard_normal((2, 2**k)) + 1j * rng.standard_normal((2, 2**k))
-        product = a.T @ a.conj()
         for p in range(1, k + 1):
             others = [q for q in range(k) if q != p - 1]
             # the fold sums in another order: equal to rounding
             want = _trace_positions(mat, k, others)
             np.testing.assert_allclose(_one_qubit_marginal(mat, k, p), want, rtol=0, atol=1e-13)
-            want = _trace_positions(product, k, others)
-            np.testing.assert_allclose(_factor_marginal(a, k, p), want, rtol=0, atol=1e-13)
 
 
 def exact_remainder(mat, a):
@@ -479,25 +475,43 @@ class TestRankTwoFactor:
             assert a.shape == (2, 2 ** (n - 1))
             assert exact_remainder(rho, a) <= remainder <= 1e-13
 
-    @pytest.mark.parametrize("delta", [1e-12, 1e-9, 1e-3])
-    def test_remainder_bounds_a_third_eigenvalue(self, delta):
+    @staticmethod
+    def _third_mixed_in(delta):
         psi = qm.haar_random_ket(7, 3430)
         rho = _traced_outer(psi.amplitudes, psi.amplitudes, 7, 2)
         v = np.linalg.eigh(rho)[1][:, 0]  # a direction outside rho's range
-        rho = (1 - delta) * rho + delta * np.outer(v, v.conj())
+        return (1 - delta) * rho + delta * np.outer(v, v.conj())
+
+    @pytest.mark.parametrize("delta", [1e-12, 1e-9, 1e-7, RANK_TWO_CUTOFF / 4])
+    def test_remainder_bounds_a_third_eigenvalue(self, delta):
+        rho = self._third_mixed_in(delta)
         a, remainder = _rank_two_factor(rho)
         assert exact_remainder(rho, a) <= remainder
         assert np.linalg.eigvalsh(rho)[-3] <= remainder <= 2 * delta
 
-    def test_full_rank_matrix_is_not_certified(self):
+    @pytest.mark.parametrize("delta", [2 * RANK_TWO_CUTOFF, 1e-3])
+    def test_no_factor_beyond_the_cutoff(self, delta):
+        assert _rank_two_factor(self._third_mixed_in(delta)) is None
+
+    def test_remainder_spread_thin_past_the_cutoff_keeps_no_factor(self):
+        # 100 small eigenvalues past the top two: each, and so the third
+        # Ritz value, is below the cutoff, but the remainder is not
+        psi = qm.haar_random_ket(8, 3435)
+        rho = _traced_outer(psi.amplitudes, psi.amplitudes, 8, 1)
+        outside = np.linalg.eigh(rho)[1][:, :100]
+        delta = 5e-5
+        rho = (1 - delta) * rho + (delta / 100) * outside @ outside.conj().T
+        assert np.linalg.eigvalsh(rho)[-3] < RANK_TWO_CUTOFF < delta / 10
+        assert _rank_two_factor(rho) is None
+
+    def test_full_rank_matrix_keeps_no_factor(self):
         g = random_matrix(6, np.random.default_rng(3440))
         rho = g @ g.conj().T
         rho /= np.trace(rho).real
-        a, remainder = _rank_two_factor(rho)
-        assert exact_remainder(rho, a) <= remainder
-        assert remainder >= np.linalg.eigvalsh(rho)[-3] > 1e-3
+        assert np.linalg.eigvalsh(rho)[-3] > 1e-3
+        assert _rank_two_factor(rho) is None
 
     def test_small_matrices_take_the_eigensolve(self):
         # below the switch a full eigvalsh is cheaper than the certificate
         rho = np.eye(_CERTIFY_MIN_DIM // 2, dtype=complex) / (_CERTIFY_MIN_DIM // 2)
-        assert _rank_two_factor(rho) == (None, np.inf)
+        assert _rank_two_factor(rho) is None
