@@ -356,7 +356,11 @@ def antipodal_support_reduction(
 
     Requires every transport to be non-scalar (|sin beta_j| > tol); the
     allowed set is then contained in one antipodal pair, and anything else
-    signals numerical inconsistency upstream.
+    signals numerical inconsistency upstream.  The two errors for a wider
+    set fire only for tol below PHASE_CONDITION_FLOOR, when some
+    |sin beta_j| lies between tol and that floor, so the phase test reads
+    the transport as scalar; at or above the floor they cannot, up to
+    rounding.
     """
     n = psi.n
     pairs = [

@@ -221,7 +221,7 @@ def _entry_from_raw(raw: np.ndarray, n: int, omitted: int, path, line: int | Non
     # eigenpairs leave a remainder at rounding level, no eigenvalue lies
     # below -remainder, and the entry passes with no full eigensolve
     certified = _rank_two_factor(sym)
-    if certified is not None and certified[1] <= HERM_TOL:
+    if certified is not None:
         return DensityMatrix._trusted(labels, sym, certified=certified)
     lowest = np.linalg.eigvalsh(sym)[0]
     if lowest < -LOAD_HERM_TOL:
@@ -234,9 +234,8 @@ def _entry_from_raw(raw: np.ndarray, n: int, omitted: int, path, line: int | Non
         sym = (evecs * clipped) @ evecs.conj().T
         return DensityMatrix._trusted(labels, sym / float(np.trace(sym).real))
     # the eigvalsh above is the entry's spectrum check: checked at the
-    # loader's tolerances, Hermitian and of unit trace; a factor within the
-    # cutoff stays for the readers whose tol its remainder meets
-    return DensityMatrix._trusted(labels, sym, certified=certified)
+    # loader's tolerances, Hermitian and of unit trace
+    return DensityMatrix._trusted(labels, sym)
 
 
 def _matrix_rows(lines: list[str], start: int, dim: int, omitted: int, path) -> np.ndarray:

@@ -43,20 +43,21 @@ def search_sibling(
 ) -> SearchReport:
     """Look for a distinct pure state with the same marginal panel.
 
-    Runs up to ``budget`` descents of the summed squared panel mismatch of
+    Runs ``budget`` descents of the summed squared panel mismatch of
     (L on qubit 1) psi, starting from a fixed grid followed by seeded
-    random points, and stops at the first witness.  A minimizer counts as
-    a witness when its cost drops below tol**2 and the transported state is
-    not phase-equal to psi (overlap below 1 - tol).  Near-scalar minimizers
-    are rejected and do not count towards ``best_residual``, so it is
-    ``inf`` when every descent ends on the scalar locus, as on every
-    determined state measured (Haar and product states, n = 3..5).
+    random points, all as one stacked descent, and reports the first
+    witness in start order.  A minimizer counts as a witness when its cost
+    drops below tol**2 and the transported state is not phase-equal to psi
+    (overlap below 1 - tol).  Near-scalar minimizers are rejected and do
+    not count towards ``best_residual``, so it is ``inf`` when every
+    descent ends on the scalar locus, as on every determined state
+    measured (Haar and product states, n = 3..5).
 
-    The descents run in blocks of 16 starts (the size of the grid), in
-    start order, each block as one stacked descent.  So up to 15 descents
-    past the witness are computed and discarded; ``trials`` counts the
-    starts up to and including the witness, or all of them.  Raises
-    ``ValueError`` for a negative budget or a tol that is not positive.
+    Every start descends, so a GHZ-class state spends the whole budget
+    (``SEARCH_BUDGET`` = 64 by default) even when an early start is a
+    witness; ``trials`` counts the starts up to and including the witness,
+    or all of them.  Raises ``ValueError`` for a negative budget or a tol
+    that is not positive.
 
     The search stays blind to the classifier on purpose: it imports
     nothing from ``classifier``, reads no Bloch matrix and takes no rank
@@ -73,28 +74,27 @@ def search_sibling(
         raise ValueError(f"tol must be positive, got {tol}")
     objective = PanelObjective(psi.amplitudes, psi.n)
     starts = grid_starts()
-    block = len(starts)  # starts per stacked descent: one grid's worth
     if budget < len(starts):
         starts = starts[:budget]
     else:
         starts += random_starts(np.random.default_rng(seed), budget - len(starts))
 
+    results = fit_pivot_unitary(objective, starts)
     # <psi|(U on qubit 1) psi> = tr(U G) for the qubit-1 Gram G = A A^dagger
     gram = reduced_one_qubit(psi, 1)
+    # the reshape keeps the (0, 2, 2) shape of an empty budget
+    unitaries = np.array([result.unitary for result in results]).reshape(-1, 2, 2)
+    scalar = np.abs(np.einsum("mac,ca->m", unitaries, gram)) >= 1.0 - tol
     best = math.inf
-    for first in range(0, len(starts), block):
-        results = fit_pivot_unitary(objective, starts[first : first + block])
-        unitaries = np.array([result.unitary for result in results])
-        scalar = np.abs(np.einsum("mac,ca->m", unitaries, gram)) >= 1.0 - tol
-        for trials, (result, on_locus) in enumerate(zip(results, scalar), first + 1):
-            if on_locus:
-                continue  # scalar locus: same state up to phase
-            residual = math.sqrt(result.cost)
-            best = min(best, residual)
-            if result.cost < tol**2:
-                moved = _act(psi.amplitudes, psi.n, [(1, result.unitary)])
-                witness = (SingleQubitUnitary(result.unitary, 1), Ket(psi.n, moved))
-                return SearchReport(True, witness, residual, trials)
+    for trials, (result, on_locus) in enumerate(zip(results, scalar), 1):
+        if on_locus:
+            continue  # scalar locus: same state up to phase
+        residual = math.sqrt(result.cost)
+        best = min(best, residual)
+        if result.cost < tol**2:
+            moved = _act(psi.amplitudes, psi.n, [(1, result.unitary)])
+            witness = (SingleQubitUnitary(result.unitary, 1), Ket(psi.n, moved))
+            return SearchReport(True, witness, residual, trials)
     return SearchReport(False, None, best, len(starts))
 
 

@@ -86,15 +86,11 @@ def panel_of_pure(psi: Ket) -> RdmPanel:
     unit trace and a PSD Gram by construction."""
     if psi.n < 2:
         raise ValueError("panels need at least 2 qubits")
-    return RdmPanel(psi.n, _factored_entries(_qubit_factors(psi)))
-
-
-def _factored_entries(f: np.ndarray) -> tuple[DensityMatrix, ...]:
-    """Entry j of the panel whose ``_qubit_factors`` stack is f, unchecked."""
-    qubits = range(1, len(f) + 1)
-    return tuple(
-        DensityMatrix._factored(tuple(q for q in qubits if q != j), a) for j, a in zip(qubits, f)
-    )
+    qubits = range(1, psi.n + 1)
+    return RdmPanel(psi.n, tuple(
+        DensityMatrix._factored(tuple(q for q in qubits if q != j), a)
+        for j, a in zip(qubits, _qubit_factors(psi))
+    ))
 
 
 def panel_of_mixed(rho: DensityMatrix) -> RdmPanel:
@@ -137,15 +133,12 @@ def panel_distance(a: RdmPanel, b: RdmPanel) -> float:
 
 def subset_equal(a: Ket, b: Ket, kept, tol: float = PANEL_TOL) -> bool:
     """Do a and b share the marginals rho_(j) for every j in ``kept``?
-    Raises ``ValueError`` for a tol that is not positive (NaN included)."""
+    ``PanelSubset.matches`` on their two pure panels, so it raises that
+    class's ``ValueError`` for an empty or out-of-range ``kept`` and for a
+    tol that is not positive (NaN included)."""
     if a.n != b.n:
         raise ValueError("qubit counts differ")
-    _check_tol(tol)
-    kept = sorted(int(k) for k in kept)
-    if not kept or kept[0] < 1 or kept[-1] > a.n:
-        raise ValueError(f"kept labels {kept} out of range 1..{a.n}")
-    ea, eb = _factored_entries(_qubit_factors(a)), _factored_entries(_qubit_factors(b))
-    return _entries_within(((ea[j - 1], eb[j - 1]) for j in kept), tol)
+    return PanelSubset(panel_of_pure(a), kept).matches(panel_of_pure(b), tol)
 
 
 def _check_tol(tol: float) -> None:

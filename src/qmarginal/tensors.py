@@ -24,7 +24,7 @@ Conventions used throughout the package:
   pass.
 * A panel entry is rank <= 2 when it comes from a pure state.  Entries of
   ``panel_of_pure`` keep their exact 2 x 2**k factor; a dense entry read
-  from a file that is rank 2 up to ``RANK_TWO_CUTOFF`` gets one from
+  from a file that is rank 2 up to HERM_TOL gets one from
   ``_rank_two_factor`` (its top two eigenpairs), with a remainder that
   bounds, through rounding, how far the factor's product is from the
   entry.  Downstream code reads the factor wherever that remainder is
@@ -53,7 +53,6 @@ from .tolerances import (
     NORM_REJECT_TOL,
     PHASE_EQUAL_TOL,
     PHASE_FIX_FLOOR,
-    RANK_TWO_CUTOFF,
     RENORMALIZE_TOL,
     UNITARY_TOL,
 )
@@ -173,12 +172,11 @@ class DensityMatrix:
     (``_factored``, remainder 0) and build ``entries`` on first read,
     frozen like every other; two threads racing on that read compute the
     same bits twice and one result stays.  A dense panel entry read from a
-    file that is rank 2 within ``RANK_TWO_CUTOFF`` keeps the factor of its
-    top two eigenpairs and the remainder that ``_rank_two_factor``
-    certifies: by Weyl, no eigenvalue of rho lies below -remainder, and
-    none but the top two above it.  A remainder within HERM_TOL is the
-    loader's PSD check, and one within a rank tolerance proves rank <= 2
-    with no eigensolve.
+    file that is rank 2 within HERM_TOL keeps the factor of its top two
+    eigenpairs and the remainder that ``_rank_two_factor`` certifies: by
+    Weyl, no eigenvalue of rho lies below -remainder, and none but the top
+    two above it.  So the remainder is the loader's PSD check, and proves
+    rank <= 2 within any rank tolerance it meets, with no eigensolve.
     """
 
     qubit_labels: tuple[int, ...]
@@ -459,9 +457,8 @@ def _range_start(d: int) -> np.ndarray:
 def _rank_two_factor(mat: np.ndarray) -> tuple[np.ndarray, float] | None:
     """A factor a (2 x d) of the top two eigenpairs of a Hermitian d x d
     matrix rho, their eigenvalues clipped at 0, and a bound e on
-    ||rho - a^T a^*||_F that holds through rounding; None when rho is
-    further than ``RANK_TWO_CUTOFF`` from rank 2, or below
-    ``_CERTIFY_MIN_DIM``.
+    ||rho - a^T a^*||_F that holds through rounding; None when that bound
+    exceeds HERM_TOL, or when rho is below ``_CERTIFY_MIN_DIM``.
 
     a^T a^* is PSD of rank <= 2, so by Weyl every eigenvalue of rho lies at
     or above -e, and all but the top two at or below e: a small e proves
@@ -473,7 +470,7 @@ def _rank_two_factor(mat: np.ndarray) -> tuple[np.ndarray, float] | None:
     and the pass count decide no verdict: poor pairs only make e large, and
     the caller then takes the full eigensolve.  The third Ritz value is at
     most rho's third eigenvalue (Cauchy interlacing), which is at most e:
-    when it already exceeds the cutoff, e is not formed.
+    when it already exceeds HERM_TOL, e is not formed.
 
     e is formed from rho - a^T a^* itself, with no cancellation and no PSD
     assumption.  Rounding (u = 2^-53): each entry of the computed a^T a^*
@@ -489,14 +486,14 @@ def _rank_two_factor(mat: np.ndarray) -> tuple[np.ndarray, float] | None:
         return None
     q = np.linalg.qr(mat @ _range_start(d))[0]
     w, v = np.linalg.eigh(q.conj().T @ mat @ q)
-    if w[-3] > RANK_TWO_CUTOFF:
+    if w[-3] > HERM_TOL:
         return None
     top = np.maximum(w[:-3:-1], 0.0)
     a = np.ascontiguousarray((q @ v[:, :-3:-1] * np.sqrt(top)).T)
     u = 2.0**-53
     e = float(np.linalg.norm(mat - a.T @ a.conj()))
     e = e * (1 + (2 * d * d + 8) * u) + 16 * u * float(np.vdot(a, a).real)
-    return (a, e) if e <= RANK_TWO_CUTOFF else None
+    return (a, e) if e <= HERM_TOL else None
 
 
 def reduced_one_qubit(psi: Ket, j: int) -> np.ndarray:

@@ -7,7 +7,8 @@ import qmarginal as qm
 from conftest import random_ghz_orbit
 from qmarginal.oracle import random_unitary_2x2
 from qmarginal.tensors import PAULI_Z
-from qmarginal.tolerances import DEGENERACY_TOL, PHASE_CONDITION_FLOOR, PHASE_CONDITION_TOL
+from qmarginal.classifier import _certificate_from_bases
+from qmarginal.tolerances import CLASSIFY_TOL, DEGENERACY_TOL, PHASE_CONDITION_FLOOR, PHASE_CONDITION_TOL
 
 
 def rotated_amplitudes(psi, cert):
@@ -114,6 +115,15 @@ class TestGhzCertificate:
         first = qm.MultiIndex((0,) * bits)
         with pytest.raises(ValueError, match="bits"):
             qm.GhzCertificate(locals_, alpha, beta, (first, first.complement()))
+
+    # _certificate_from_bases rejects a rotated state with mass off its
+    # top antipodal pair, and one whose second amplitude is zero
+    @pytest.mark.parametrize(
+        "psi", [qm.haar_random_ket(3, 5), qm.basis_ket(3, 0)], ids=["off-support", "beta-zero"]
+    )
+    def test_bases_that_give_no_certificate(self, psi):
+        identity = [np.eye(2, dtype=complex)] * 3
+        assert _certificate_from_bases(psi, identity, CLASSIFY_TOL) is None
 
 
 class TestDegenerateBranch:
@@ -325,6 +335,16 @@ class TestAntipodalReduction:
         with pytest.raises(ValueError):
             qm.antipodal_support_reduction(qm.ghz_state(3), [(0.1, 0.0)] * 3)
 
+    # below PHASE_CONDITION_FLOOR a |sin beta_j| of 1e-10 passes the scalar
+    # check, yet the phase test reads that transport as scalar
+    def test_nearly_scalar_transports_admit_every_index(self):
+        with pytest.raises(ValueError, match="phase condition admits 8 indices; not antipodal"):
+            qm.antipodal_support_reduction(qm.ghz_state(3), [(0.0, 1e-10)] * 3, 1e-12)
+
+    def test_one_nearly_scalar_transport_admits_a_non_antipodal_pair(self):
+        with pytest.raises(ValueError, match="phase condition admits a non-antipodal pair"):
+            qm.antipodal_support_reduction(qm.ghz_state(2), [(1.0, 1e-10), (0.0, 1.0)], 1e-12)
+
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_matches_the_loop_over_indices_and_pairs(self, n):
         tol = PHASE_CONDITION_TOL
@@ -393,6 +413,20 @@ class TestNearThreshold:
                 assert cls.verdict == "ghz-class"
                 partner = qm.sibling(psi, cls.certificate)
                 assert qm.panels_equal(qm.panel_of_pure(psi), qm.panel_of_pure(partner), 1e-8)
+
+    @pytest.mark.parametrize("seed", [None, 2460, 2461])
+    def test_rank_one_without_a_certificate_is_ill_conditioned(self, seed):
+        # 0.2|000> + 0.98|111> + 1.3e-8|100>: sigma_2 = 7.3e-9 is below tol,
+        # but the perturbation leaves about 1.3e-8 off the antipodal pair
+        amps = np.zeros(8, dtype=complex)
+        amps[0], amps[-1], amps[0b100] = 0.2, np.sqrt(0.96), 1.3e-8
+        psi = qm.ket(amps)
+        if seed is not None:
+            psi = qm.random_lu_orbit(psi, seed)
+        cls = qm.classify(psi)
+        assert cls.verdict == "determined"
+        assert cls.diagnostics.branch == "non-degenerate"
+        assert cls.diagnostics.ill_conditioned
 
     def test_spectra_recorded_for_every_qubit(self):
         cls = qm.classify(qm.haar_random_ket(4, 3))

@@ -270,6 +270,19 @@ class TestStackedDescent:
         orbit, _ = random_ghz_orbit(4, 7500)
         assert qm.search_sibling(orbit).trials == 2
 
+    @pytest.mark.parametrize("psi", [qm.haar_random_ket(3, 317), qm.ghz_state(3)], ids=["haar", "ghz"])
+    def test_one_descent_call_per_search(self, psi, monkeypatch):
+        # the whole budget descends as one stack, witness or not
+        calls = []
+
+        def counted(objective, starts):
+            calls.append(len(starts))
+            return fit_pivot_unitary(objective, starts)
+
+        monkeypatch.setattr("qmarginal.oracle.fit_pivot_unitary", counted)
+        qm.search_sibling(psi, budget=64)
+        assert calls == [64]
+
     def test_rejects_negative_budget(self):
         with pytest.raises(ValueError, match="budget"):
             qm.search_sibling(qm.ghz_state(3), budget=-1)

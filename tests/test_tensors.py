@@ -20,7 +20,7 @@ from qmarginal.tensors import (
     _traced_outer,
     reduced_one_qubit,
 )
-from qmarginal.tolerances import RANK_TWO_CUTOFF
+from qmarginal.tolerances import HERM_TOL
 
 
 def dm(entries, labels):
@@ -482,26 +482,26 @@ class TestRankTwoFactor:
         v = np.linalg.eigh(rho)[1][:, 0]  # a direction outside rho's range
         return (1 - delta) * rho + delta * np.outer(v, v.conj())
 
-    @pytest.mark.parametrize("delta", [1e-12, 1e-9, 1e-7, RANK_TWO_CUTOFF / 4])
+    @pytest.mark.parametrize("delta", [1e-12, 1e-11, HERM_TOL / 4])
     def test_remainder_bounds_a_third_eigenvalue(self, delta):
         rho = self._third_mixed_in(delta)
         a, remainder = _rank_two_factor(rho)
         assert exact_remainder(rho, a) <= remainder
         assert np.linalg.eigvalsh(rho)[-3] <= remainder <= 2 * delta
 
-    @pytest.mark.parametrize("delta", [2 * RANK_TWO_CUTOFF, 1e-3])
-    def test_no_factor_beyond_the_cutoff(self, delta):
+    @pytest.mark.parametrize("delta", [2 * HERM_TOL, 1e-9, 1e-7, 1e-3])
+    def test_no_factor_beyond_herm_tol(self, delta):
         assert _rank_two_factor(self._third_mixed_in(delta)) is None
 
-    def test_remainder_spread_thin_past_the_cutoff_keeps_no_factor(self):
+    def test_remainder_spread_thin_past_herm_tol_keeps_no_factor(self):
         # 100 small eigenvalues past the top two: each, and so the third
-        # Ritz value, is below the cutoff, but the remainder is not
+        # Ritz value, is below HERM_TOL, but the remainder is not
         psi = qm.haar_random_ket(8, 3435)
         rho = _traced_outer(psi.amplitudes, psi.amplitudes, 8, 1)
         outside = np.linalg.eigh(rho)[1][:, :100]
-        delta = 5e-5
+        delta = 5e-9
         rho = (1 - delta) * rho + (delta / 100) * outside @ outside.conj().T
-        assert np.linalg.eigvalsh(rho)[-3] < RANK_TWO_CUTOFF < delta / 10
+        assert np.linalg.eigvalsh(rho)[-3] < HERM_TOL < delta / 10
         assert _rank_two_factor(rho) is None
 
     def test_full_rank_matrix_keeps_no_factor(self):
