@@ -189,10 +189,13 @@ def classify(psi: Ket, tol: float = CLASSIFY_TOL) -> Classification:
     docstring): "determined" when its second singular value exceeds tol,
     else "ghz-class" when ``_certificate_from_bases`` accepts the bases
     built from M's axis (``_ghz_bases``).  The cutoff is tol because a third
-    amplitude eps on a GHZ-class state gives a second singular value of
-    about eps and an off-support amplitude of eps, which the certificate
-    also compares with tol.  The singular value comes from
-    ``tensors._bloch_factor`` without squaring, accurate far below tol;
+    amplitude eps on a GHZ-class state gives a second singular value
+    proportional to eps, which the certificate's off-support amplitude eps
+    meets at the same tol.  The ratio depends on the amplitudes: about
+    1.131 for 0.6|0..0> + 0.8|1..1> + eps|0..01>, about 0.57 for
+    0.2|000> + sqrt(0.96)|111> + eps|100>; ROADMAP.md item 2 tracks these
+    constants across the package's thresholds.  The singular value comes
+    from ``tensors._bloch_factor`` without squaring, accurate far below tol;
     the eigenvalues of M M^T would put its floor near 1e-8, at tol itself.
     ``Diagnostics.branch`` names the spectral case ("degenerate" when every
     marginal is maximally mixed) and ``ill_conditioned`` flags a rank <= 1

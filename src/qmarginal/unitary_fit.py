@@ -22,19 +22,23 @@ Every residual is a fixed 4-column matrix, the 2 x 2 blocks of psi's own
 marginals over qubit 1, times a coefficient vector that depends on U alone
 (see ``PanelObjective``).  So one QR factor R of those columns, at most
 4 x 4 and built once per objective, gives the cost, the gradient and the
-Gauss-Newton matrix exactly, in O(1) work per start at every n, from the
-compressed residual itself and never from its square.  Only the final cost
-of each start is read off the dense marginals (``PanelObjective.costs``),
-so callers see the panel mismatch itself.
+Gauss-Newton matrix exactly, in O(1) work per start at every n.  Read as
+2 x 2 matrices X_j, the columns of R^T move to Y_j = U X_j U^dagger, so
+the compressed residual is Y - R^T and its tangent along i sigma_a U is
+i [sigma_a, Y]: both are formed directly, never the residual's square.
+Only the final cost of each start is read off the dense marginals
+(``PanelObjective.costs``), so callers see the panel mismatch itself.
 
 The starts of one call descend together as a stack of unitaries.  Each
 pass of the loop builds the 3 x 3 normal equations of every start still
-moving (``PanelObjective.normal_equations``), without forming the
-Jacobian, and solves them in one batched call.  Each start keeps its own
-damping, accept/reject decision and stopping test, so it follows the path
-it would follow alone, up to rounding.  The search knows nothing of Bloch
-matrices and takes no rank decision from R, which keeps it independent of
-the classifier.
+moving (``PanelObjective.normal_equations``) from two flat matrix products
+over the whole stack, without forming the Jacobian, solves them in one
+batched call, and turns each U by its step entry by entry.  Each start
+keeps its own damping, accept/reject decision and stopping test, and no
+product mixes two starts, so it follows the path it would follow alone,
+up to rounding.
+The search knows nothing of Bloch matrices and takes no rank decision from
+R, which keeps it independent of the classifier.
 """
 
 from __future__ import annotations
@@ -57,11 +61,19 @@ MAX_STEPS = 100
 GRAD_TOL = 1e-15
 STEP_TOL = 1e-12
 SCALE_FLOOR = 1e-12
+# complex entries of dense marginal differences that ``PanelObjective.costs``
+# holds at once (4 MB): a whole budget of 64 starts up to n = 5, two at a
+# time at n = 8
+COST_CHUNK = 2**18
 
 # I, i X, i Y, i Z: the identity and the three step directions
 _GENERATORS = np.array([np.eye(2), *(1j * p for p in PAULIS)])
-# X, Y, Z as the rows of a (3, 4) matrix, for t . sigma over a stack of t
-_PAULI_ROWS = np.array(PAULIS).reshape(3, 4)
+# vec Y -> vec Y, then vec Y -> vec i [sigma_a, Y] for a = X, Y, Z, stacked
+# as (16, 4) with vec row-major: the map from Y to the compressed residual
+# (before R^T is subtracted) and its three tangents (``normal_equations``)
+_TANGENT_MAPS = np.concatenate(
+    [np.eye(4)] + [1j * (np.kron(p, np.eye(2)) - np.kron(np.eye(2), p.T)) for p in PAULIS]
+)
 
 
 @dataclass(frozen=True)
@@ -79,10 +91,25 @@ def unitary_from_params(theta) -> np.ndarray:
 
 def _rotations(t: np.ndarray) -> np.ndarray:
     """exp(i (t1 X + t2 Y + t3 Z)) for a stack (..., 3) of rotation vectors."""
-    r = np.linalg.norm(t, axis=-1)[..., None, None]
-    generator = (t @ _PAULI_ROWS).reshape(t.shape[:-1] + (2, 2))
+    p, q = _su2_entries(t)
+    return np.stack([np.stack([p, q], -1), np.stack([-q.conj(), p.conj()], -1)], -2)
+
+
+def _su2_entries(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """p and q with exp(i t . sigma) = [[p, q], [-conj(q), conj(p)]], for a
+    stack (..., 3) of t: cos|t| I + i sin|t| t.sigma / |t|."""
+    r = np.linalg.norm(t, axis=-1)
     # sin(r)/r as sinc, so that t = 0 gives the identity
-    return np.cos(r) * np.eye(2) + 1j * np.sinc(r / np.pi) * generator
+    st = np.sinc(r / np.pi)[..., None] * t
+    return np.cos(r) + 1j * st[..., 2], st[..., 1] + 1j * st[..., 0]
+
+
+def _turn(t: np.ndarray, unitaries: np.ndarray) -> np.ndarray:
+    """exp(i t . sigma) U for stacks (m, 3) of t and (m, 2, 2) of U, row
+    by row from the entries p, q: no batched 2 x 2 product."""
+    p, q = (x[:, None] for x in _su2_entries(t))
+    top, bottom = unitaries[:, 0], unitaries[:, 1]
+    return np.stack([p * top + q * bottom, p.conj() * bottom - q.conj() * top], axis=1)
 
 
 def grid_starts() -> list[np.ndarray]:
@@ -102,7 +129,9 @@ def grid_starts() -> list[np.ndarray]:
 
 
 def random_starts(rng: np.random.Generator, count: int) -> list[np.ndarray]:
-    return [rng.uniform(-np.pi, np.pi, size=4) for _ in range(count)]
+    """count seeded points of the chart, uniform in [-pi, pi)^4: one draw,
+    the same stream as count draws of 4."""
+    return list(rng.uniform(-np.pi, np.pi, size=(count, 4)))
 
 
 class PanelObjective:
@@ -160,12 +189,26 @@ class PanelObjective:
 
     def costs(self, unitaries: np.ndarray) -> np.ndarray:
         """Dense cost r.r for a stack (m, 2, 2) of U, from the marginals
-        themselves: the panel mismatch that callers read off a result."""
+        themselves: the panel mismatch that callers read off a result.
+
+        The starts go through in chunks that hold about COST_CHUNK entries
+        of marginal differences at a time; each start's arithmetic, and so
+        its cost, is the same whatever chunk it falls in.
+        """
+        chunk = max(1, COST_CHUNK // sum(own.size for own in self.own.values()))
+        out = np.empty(len(unitaries))
+        for start in range(0, len(unitaries), chunk):
+            out[start : start + chunk] = self._dense_costs(unitaries[start : start + chunk])
+        return out
+
+    def _dense_costs(self, unitaries: np.ndarray) -> np.ndarray:
         m = len(unitaries)
         moved = _axis_restore(unitaries @ self.factor, self.n, 1)
         diff = [_traced_outer(moved, moved, self.n, k) - own for k, own in self.own.items()]
         parts = np.concatenate([d.view(np.float64).reshape(m, -1) for d in diff], axis=1)
-        return np.einsum("mi,mi->m", parts, parts)
+        # a row-wise sum: einsum's reduction rounds differently with the
+        # stack's size, which would tie a cost to its chunk
+        return np.sum(parts * parts, axis=1)
 
     def normal_equations(self, unitaries: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Cost r.r, gradient J^T r and matrix J^T J for a stack (m, 2, 2) of U.
@@ -175,21 +218,28 @@ class PanelObjective:
         and B = Q R with Q an isometry that does not depend on U.  So r = Q
         (R c) and J = Q (R dc) for the compressed residual R c and its
         derivatives, and the cost, J^T r and J^T J are exactly the Gram
-        entries of these four vectors, at most 4 x 4 complex each.  Row ab
-        of W = kron(U, conj(U)) holds the U-part of c_ab, so the compressed
-        residual is, transposed, (W - I) R^T.  Along exp(i t sigma_a) U it
-        moves by dW_a R^T, with dW_a = kron(V_a, conj(U)) + kron(U,
-        conj(V_a)) and V_a = i sigma_a U.  Returns arrays of shape (m,),
-        (m, 3) and (m, 3, 3).
+        entries of these four vectors, at most 4 x 4 complex each.
+
+        Read column j of R^T as a 2 x 2 matrix X_j (row-major, as c_ab
+        orders its entries).  Then kron(U, conj(U)) vec X_j = vec Y_j with
+        Y_j = U X_j U^dagger, so the compressed residual is Y - R^T.  Along
+        exp(i t sigma_a) U it moves by i [sigma_a, Y], a fixed linear map
+        of Y.  So one product of the rows of kron(U, conj(U)) for every
+        start, (4m, 4), with R^T gives Y, and one product of the fixed
+        (16, 4) stack of the identity and the three commutator maps with Y,
+        laid out as (4, m k), gives the residual and its tangents; R has k
+        <= 4 rows (k = 1 at n = 2).  Returns arrays of shape (m,), (m, 3)
+        and (m, 3, 3).
         """
         m = len(unitaries)
-        moved = _GENERATORS @ unitaries[:, None]  # U, then V_a = i sigma_a U
-        # entry (g, a, b, c, d): (G_g U)_ac conj(U_bd), plus U_ac conj(V_bd) for g > 0
-        coeffs = moved[:, :, :, None, :, None] * unitaries.conj()[:, None, None, :, None, :]
-        coeffs[:, 1:] += unitaries[:, None, :, None, :, None] * moved[:, 1:, None, :, None, :].conj()
-        vectors = coeffs.reshape(m, 4, 4, 4) @ self._r
-        vectors[:, 0] -= self._r
-        parts = vectors.view(np.float64).reshape(m, 4, -1)
+        k = self._r.shape[1]
+        # rows (a, b, start) of kron(U, conj(U)), columns (c, d)
+        u = unitaries.transpose(1, 0, 2)
+        kron = u[:, None, :, :, None] * u.conj()[None, :, :, None, :]
+        y = kron.reshape(4 * m, 4) @ self._r  # vec Y_j, as (a, b), start, j
+        vectors = (_TANGENT_MAPS @ y.reshape(4, m * k)).reshape(4, 4, m, k)
+        vectors[0] -= self._r[:, None, :]
+        parts = vectors.transpose(2, 0, 1, 3).copy().view(np.float64).reshape(m, 4, -1)
         gram = parts @ np.swapaxes(parts, 1, 2)
         return gram[:, 0, 0], gram[:, 1:, 0], gram[:, 1:, 1:]
 
@@ -219,7 +269,7 @@ def fit_pivot_unitary(objective: PanelObjective, starts: list[np.ndarray]) -> li
         scale = np.maximum(scale, SCALE_FLOOR * scale.max(axis=1, keepdims=True))
         system = normal[live] + (damping[live, None] * scale)[:, :, None] * np.eye(3)
         step = np.linalg.solve(system, -grad[live, :, None])[:, :, 0]
-        trial = _rotations(step) @ unitaries[live]
+        trial = _turn(step, unitaries[live])
         trial_cost, trial_grad, trial_normal = objective.normal_equations(trial)
         better = trial_cost < cost[live]
         taken = live[better]

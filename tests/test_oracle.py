@@ -1,12 +1,15 @@
 """Brute-force sibling search and the random-state generators."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import qmarginal as qm
 from conftest import mixed_corpus, random_ghz_orbit
 from qmarginal.oracle import random_unitary_2x2
-from qmarginal.unitary_fit import PanelObjective, fit_pivot_unitary, grid_starts
+from qmarginal import unitary_fit
+from qmarginal.unitary_fit import PanelObjective, fit_pivot_unitary, grid_starts, random_starts
 
 
 class TestSearchSibling:
@@ -219,7 +222,8 @@ class TestDescent:
 
 
 class TestStackedDescent:
-    """The stacked normal equations and the oracle's blocks of 16 starts."""
+    """The stacked normal equations, and a search that descends its whole
+    budget as one stack."""
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_normal_equations_match_residuals(self, n):
@@ -255,13 +259,61 @@ class TestStackedDescent:
             assert np.max(np.abs(u.conj().T @ u - np.eye(2))) < 1e-12
             assert result.cost < 1e-24
 
+    @pytest.mark.parametrize(
+        "psi",
+        [qm.haar_random_ket(3, 317), random_ghz_orbit(4, 7500)[0], qm.ket([0, 1, 1, 0, 1, 0, 0, 0])],
+        ids=["haar", "ghz-orbit", "w"],
+    )
+    def test_each_start_follows_its_own_path_in_a_stack(self, psi):
+        # no product in a pass mixes two starts, so a start of a stack of 64
+        # ends where it ends alone
+        objective = PanelObjective(psi.amplitudes, psi.n)
+        starts = grid_starts() + random_starts(np.random.default_rng(0), 48)
+        stacked = fit_pivot_unitary(objective, starts)
+        for start, result in zip(starts, stacked):
+            (alone,) = fit_pivot_unitary(objective, [start])
+            np.testing.assert_allclose(result.unitary, alone.unitary, rtol=0, atol=1e-12)
+            assert result.cost == pytest.approx(alone.cost, rel=1e-12, abs=1e-28)
+
+    def test_random_starts_are_one_draw_of_the_same_stream(self):
+        rng = np.random.default_rng(11)
+        expected = [rng.uniform(-np.pi, np.pi, size=4) for _ in range(48)]
+        np.testing.assert_array_equal(random_starts(np.random.default_rng(11), 48), expected)
+        assert random_starts(np.random.default_rng(11), 0) == []
+
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_costs_do_not_depend_on_the_chunk(self, n, monkeypatch):
+        psi = qm.haar_random_ket(n, 960 + n)
+        objective = PanelObjective(psi.amplitudes, n)
+        rng = np.random.default_rng(970 + n)
+        unitaries = np.array([random_unitary_2x2(rng) for _ in range(17)])
+        whole = objective.costs(unitaries)
+        monkeypatch.setattr(unitary_fit, "COST_CHUNK", 1)  # one start per chunk
+        np.testing.assert_array_equal(objective.costs(unitaries), whole)
+        for u, cost in zip(unitaries, whole):
+            res, _ = objective.residuals(u)
+            assert cost == pytest.approx(float(res @ res), rel=1e-12, abs=0)
+
+    def test_search_memory_is_bounded_at_eight_qubits(self):
+        # holding every start's dense marginal differences at once peaked at
+        # 226 MiB here; chunks of COST_CHUNK entries keep it near 12 MiB
+        psi = qm.haar_random_ket(8, 3)
+        tracemalloc.start()
+        try:
+            report = qm.search_sibling(psi, budget=64)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (report.found, report.trials) == (False, 64)
+        assert peak < 32 * 2**20
+
     def test_empty_start_list(self):
         psi = qm.haar_random_ket(3, 5)
         objective = PanelObjective(psi.amplitudes, 3)
         assert fit_pivot_unitary(objective, []) == []
 
     @pytest.mark.parametrize("budget", [0, 1, 5, 16, 17, 20])
-    def test_partial_blocks_spend_the_whole_budget(self, budget):
+    def test_search_spends_the_whole_budget(self, budget):
         report = qm.search_sibling(qm.haar_random_ket(3, 317), budget=budget)
         assert (report.found, report.trials) == (False, budget)
 
