@@ -198,17 +198,14 @@ class PanelObjective:
         chunk = max(1, COST_CHUNK // sum(own.size for own in self.own.values()))
         out = np.empty(len(unitaries))
         for start in range(0, len(unitaries), chunk):
-            out[start : start + chunk] = self._dense_costs(unitaries[start : start + chunk])
+            block = unitaries[start : start + chunk]
+            moved = _axis_restore(block @ self.factor, self.n, 1)
+            diff = [_traced_outer(moved, moved, self.n, k) - own for k, own in self.own.items()]
+            parts = np.concatenate([d.view(np.float64).reshape(len(block), -1) for d in diff], axis=1)
+            # a row-wise sum: einsum's reduction rounds differently with the
+            # stack's size, which would tie a cost to its chunk
+            out[start : start + chunk] = np.sum(parts * parts, axis=1)
         return out
-
-    def _dense_costs(self, unitaries: np.ndarray) -> np.ndarray:
-        m = len(unitaries)
-        moved = _axis_restore(unitaries @ self.factor, self.n, 1)
-        diff = [_traced_outer(moved, moved, self.n, k) - own for k, own in self.own.items()]
-        parts = np.concatenate([d.view(np.float64).reshape(m, -1) for d in diff], axis=1)
-        # a row-wise sum: einsum's reduction rounds differently with the
-        # stack's size, which would tie a cost to its chunk
-        return np.sum(parts * parts, axis=1)
 
     def normal_equations(self, unitaries: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Cost r.r, gradient J^T r and matrix J^T J for a stack (m, 2, 2) of U.
