@@ -202,9 +202,10 @@ class PanelObjective:
             moved = _axis_restore(block @ self.factor, self.n, 1)
             diff = [_traced_outer(moved, moved, self.n, k) - own for k, own in self.own.items()]
             parts = np.concatenate([d.view(np.float64).reshape(len(block), -1) for d in diff], axis=1)
-            # a row-wise sum: einsum's reduction rounds differently with the
-            # stack's size, which would tie a cost to its chunk
-            out[start : start + chunk] = np.sum(parts * parts, axis=1)
+            # squared in place, then summed row by row: einsum's reduction
+            # rounds differently with the stack's size, which would tie a
+            # cost to its chunk
+            out[start : start + chunk] = np.sum(np.square(parts, out=parts), axis=1)
         return out
 
     def normal_equations(self, unitaries: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

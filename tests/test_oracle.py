@@ -7,8 +7,9 @@ import pytest
 
 import qmarginal as qm
 from conftest import mixed_corpus, random_ghz_orbit
-from qmarginal.oracle import random_unitary_2x2
 from qmarginal import unitary_fit
+from qmarginal.oracle import random_unitary_2x2
+from qmarginal.tensors import PAULIS
 from qmarginal.unitary_fit import PanelObjective, fit_pivot_unitary, grid_starts, random_starts
 
 
@@ -274,6 +275,21 @@ class TestStackedDescent:
             (alone,) = fit_pivot_unitary(objective, [start])
             np.testing.assert_allclose(result.unitary, alone.unitary, rtol=0, atol=1e-12)
             assert result.cost == pytest.approx(alone.cost, rel=1e-12, abs=1e-28)
+
+    def test_step_turns_each_unitary_by_its_rotation(self):
+        # exp(i t . sigma) from an eigendecomposition is the reference for
+        # the closed form, and its product with U for the entrywise turn
+        rng = np.random.default_rng(990)
+        steps = rng.normal(size=(9, 3))
+        steps[0] = 0.0
+        unitaries = np.array([random_unitary_2x2(rng) for _ in range(9)])
+        generators = np.einsum("ma,aij->mij", steps, np.array(PAULIS))
+        values, vectors = np.linalg.eigh(generators)
+        expected = np.einsum("mij,mj,mkj->mik", vectors, np.exp(1j * values), vectors.conj())
+        np.testing.assert_allclose(unitary_fit._rotations(steps), expected, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(
+            unitary_fit._turn(steps, unitaries), expected @ unitaries, rtol=0, atol=1e-14
+        )
 
     def test_random_starts_are_one_draw_of_the_same_stream(self):
         rng = np.random.default_rng(11)
