@@ -36,9 +36,8 @@ over the whole stack, without forming the Jacobian, solves them in one
 batched call, and turns each U by its step entry by entry.  Each start
 keeps its own damping, accept/reject decision and stopping test, and no
 product mixes two starts, so it follows the path it would follow alone,
-up to rounding.
-The search knows nothing of Bloch matrices and takes no rank decision from
-R, which keeps it independent of the classifier.
+up to rounding.  The search knows nothing of Bloch matrices and takes no
+rank decision from R, which keeps it independent of the classifier.
 """
 
 from __future__ import annotations
@@ -237,7 +236,7 @@ class PanelObjective:
         y = kron.reshape(4 * m, 4) @ self._r  # vec Y_j, as (a, b), start, j
         vectors = (_TANGENT_MAPS @ y.reshape(4, m * k)).reshape(4, 4, m, k)
         vectors[0] -= self._r[:, None, :]
-        parts = vectors.transpose(2, 0, 1, 3).copy().view(np.float64).reshape(m, 4, -1)
+        parts = vectors.transpose(2, 0, 1, 3).view(np.float64).reshape(m, 4, -1)
         gram = parts @ np.swapaxes(parts, 1, 2)
         return gram[:, 0, 0], gram[:, 1:, 0], gram[:, 1:, 1:]
 

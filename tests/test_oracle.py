@@ -311,8 +311,9 @@ class TestStackedDescent:
             assert cost == pytest.approx(float(res @ res), rel=1e-12, abs=0)
 
     def test_search_memory_is_bounded_at_eight_qubits(self):
-        # holding every start's dense marginal differences at once peaked at
-        # 226 MiB here; chunks of COST_CHUNK entries keep it near 12 MiB
+        # holding the dense marginal differences of all 64 starts at once
+        # peaked at 226 MiB on this search; chunks of COST_CHUNK entries
+        # keep it near 13 MiB
         psi = qm.haar_random_ket(8, 3)
         tracemalloc.start()
         try:
