@@ -34,6 +34,7 @@ from .tensors import (
     _axis_first,
     _bit_flips,
     _bloch_factor,
+    _check_tol,
     _grams,
     _qubit_factors,
 )
@@ -205,8 +206,7 @@ def classify(psi: Ket, tol: float = CLASSIFY_TOL) -> Classification:
     n = psi.n
     if n < 2:
         raise ValueError("classification needs at least 2 qubits")
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    _check_tol(tol)
     factors = _qubit_factors(psi)
     spectra = np.linalg.eigvalsh(_grams(factors))[:, ::-1].copy()
     spectra.setflags(write=False)
@@ -278,14 +278,6 @@ def _fit_transport(psi: Ket, psi_prime: Ket, j: int) -> tuple[np.ndarray, float]
     return mat, abs(np.vdot(moved, psi_prime.amplitudes))
 
 
-def _extract_lj(psi: Ket, psi_prime: Ket, j: int, tol: float) -> SingleQubitUnitary:
-    """``_fit_transport``, checked by its overlap with psi'."""
-    mat, overlap = _fit_transport(psi, psi_prime, j)
-    if overlap < 1.0 - max(tol, TRANSPORT_OVERLAP_FLOOR):
-        raise ValueError(f"no single-qubit transport found at qubit {j}")
-    return SingleQubitUnitary(mat, j)
-
-
 def _require_shared_panel(a: Ket, b: Ket, tol: float) -> None:
     """Raise unless the two states' panels agree within max(tol, SHARED_PANEL_FLOOR)."""
     pa, pb = panel_of_pure(a), panel_of_pure(b)
@@ -304,12 +296,14 @@ def extract_local_unitary(psi: Ket, psi_prime: Ket, j: int, tol: float = TRANSPO
     """
     if psi.n != psi_prime.n:
         raise ValueError("qubit counts differ")
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    _check_tol(tol)
     if not 1 <= j <= psi.n:
         raise ValueError(f"qubit label {j} out of range 1..{psi.n}")
     _require_shared_panel(psi, psi_prime, tol)
-    return _extract_lj(psi, psi_prime, j, tol)
+    mat, overlap = _fit_transport(psi, psi_prime, j)
+    if overlap < 1.0 - max(tol, TRANSPORT_OVERLAP_FLOOR):
+        raise ValueError(f"no single-qubit transport found at qubit {j}")
+    return SingleQubitUnitary(mat, j)
 
 
 def lu_equivalence_check(
@@ -324,8 +318,7 @@ def lu_equivalence_check(
     """
     if a.n != b.n:
         raise ValueError("qubit counts differ")
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    _check_tol(tol)
     _require_shared_panel(a, b, tol)
     out = []
     for j in range(1, a.n + 1):

@@ -42,8 +42,12 @@ class StateFile:
     label: str | None = None
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _text_rows(values: np.ndarray) -> list[str]:
+    """One line per row of a 2-D complex array, its (re, im) pairs written
+    as Python floats: repr gives the shortest text that reads back to the
+    same bits, signed zeros and exponent form included."""
+    pairs = np.ascontiguousarray(values, dtype=complex).view(np.float64)
+    return [" ".join(map(repr, row)) for row in pairs.tolist()]
 
 
 def save_state(path, psi: Ket, label: str | None = None) -> None:
@@ -62,7 +66,7 @@ def save_state(path, psi: Ket, label: str | None = None) -> None:
     lines = [f"{STATE_FORMAT} {FORMAT_VERSION} {psi.n}"]
     if label is not None:
         lines.append(f"label {label}")
-    lines.extend(f"{_fmt(c.real)} {_fmt(c.imag)}" for c in psi.amplitudes)
+    lines.extend(_text_rows(psi.amplitudes[:, None]))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -144,19 +148,7 @@ def load_state(path) -> StateFile:
     if row < len(lines) and lines[row].startswith("label "):
         label = lines[row][len("label "):].strip()
         row += 1
-    amps = np.zeros(2**n, dtype=complex)
-    for i in range(2**n):
-        lineno = row + i + 1
-        if row + i >= len(lines):
-            raise FileFormatError(path, lineno, f"missing amplitude row {i + 1} of {2**n}")
-        parts = lines[row + i].split()
-        if len(parts) != 2:
-            raise FileFormatError(path, lineno, "expected two floats per amplitude row")
-        try:
-            amps[i] = complex(float(parts[0]), float(parts[1]))
-        except ValueError as err:
-            raise FileFormatError(path, lineno, f"invalid float: {lines[row + i]!r}") from err
-    _require_finite(amps, path, row + 1, "amplitude")
+    amps = _rows(lines, row, 2**n, 1, path, "", "amplitude", f" of {2**n}")[:, 0]
     extra = row + 2**n
     if any(line.strip() for line in lines[extra:]):
         raise FileFormatError(path, extra + 1, "unexpected trailing content")
@@ -201,10 +193,7 @@ def save_panel(path, panel: RdmPanel) -> None:
     lines = [f"{PANEL_FORMAT} {FORMAT_VERSION} {panel.n}"]
     for j in range(1, panel.n + 1):
         lines.append(f"entry {j}")
-        # rows of interleaved (re, im) Python floats: repr gives the same
-        # shortest-roundtrip text as _fmt without one numpy scalar per value
-        pairs = np.ascontiguousarray(panel.entry(j).entries).view(np.float64)
-        lines.extend(" ".join(map(repr, row)) for row in pairs.tolist())
+        lines.extend(_text_rows(panel.entry(j).entries))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -238,39 +227,45 @@ def _entry_from_raw(raw: np.ndarray, n: int, omitted: int, path, line: int | Non
     return DensityMatrix._trusted(labels, sym)
 
 
-def _matrix_rows(lines: list[str], start: int, dim: int, omitted: int, path) -> np.ndarray:
-    """The dim x dim complex matrix held in lines[start:start + dim].
+def _rows(lines: list[str], start: int, count: int, width: int, path,
+          prefix: str, noun: str, of: str = "") -> np.ndarray:
+    """The count x width complex array held in lines[start:start + count],
+    each line width (re, im) pairs of floats, every one finite.
 
     numpy's text reader parses a well-formed block in one call.  Anything it
-    does not read as dim rows of 2 * dim floats goes through the row-by-row
-    parse, which accepts what ``float`` accepts and names the first bad line.
+    does not read as count rows of 2 * width floats goes through the
+    row-by-row parse, which accepts what ``float`` accepts and names the
+    first bad line; it holds only the rows the file has, whatever count its
+    header claims.  Messages start with ``prefix`` and call a row a
+    '``noun`` row'; ``of`` follows the number of a missing row.
     """
-    block = lines[start:start + dim]
+    block = lines[start:start + count]
     # the first-row check keeps a block of blank lines (numpy warns on
     # empty input) away from the text reader
-    if len(block) == dim and len(block[0].split()) == 2 * dim:
+    values = None
+    if len(block) == count and len(block[0].split()) == 2 * width:
         try:
             values = np.loadtxt(block, dtype=np.float64, comments=None, ndmin=2)
         except ValueError:
-            values = None
-        if values is not None and values.shape == (dim, 2 * dim):
-            return values.view(complex)
-    raw = np.zeros((dim, dim), dtype=complex)
-    for r in range(dim):
-        lineno = start + r + 1
-        if start + r >= len(lines):
-            raise FileFormatError(path, lineno, f"entry {omitted}: missing matrix row {r + 1}")
-        parts = lines[start + r].split()
-        if len(parts) != 2 * dim:
-            raise FileFormatError(
-                path, lineno, f"entry {omitted}: expected {2 * dim} floats, got {len(parts)}"
-            )
-        try:
-            values = [float(p) for p in parts]
-        except ValueError as err:
-            raise FileFormatError(path, lineno, "invalid float in matrix row") from err
-        raw[r] = np.array(values[0::2]) + 1j * np.array(values[1::2])
-    return raw
+            pass  # the row-by-row parse names the bad line
+    if values is None or values.shape != (count, 2 * width):
+        parsed = []
+        for r in range(count):
+            lineno = start + r + 1
+            if r >= len(block):
+                raise FileFormatError(path, lineno, f"{prefix}missing {noun} row {r + 1}{of}")
+            parts = block[r].split()
+            if len(parts) != 2 * width:
+                raise FileFormatError(
+                    path, lineno, f"{prefix}expected {2 * width} floats, got {len(parts)}"
+                )
+            try:
+                parsed.append([float(p) for p in parts])
+            except ValueError as err:
+                raise FileFormatError(path, lineno, f"invalid float in {noun} row") from err
+        values = np.array(parsed, dtype=np.float64)
+    _require_finite(values, path, start + 1, f"{prefix}{noun}")
+    return values.view(complex)
 
 
 def load_panel(path) -> RdmPanel:
@@ -295,8 +290,7 @@ def load_panel(path) -> RdmPanel:
         if not 1 <= omitted <= n or omitted in entries:
             raise FileFormatError(path, row + 1, f"bad or repeated entry label {omitted}")
         start = row + 1
-        raw = _matrix_rows(lines, start, dim, omitted, path)
-        _require_finite(raw, path, start + 1, f"entry {omitted}: matrix")
+        raw = _rows(lines, start, dim, dim, path, f"entry {omitted}: ", "matrix")
         entries[omitted] = _entry_from_raw(raw, n, omitted, path, row + 1)
         row = start + dim
     if any(line.strip() for line in lines[row:]):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensors import Ket, SingleQubitUnitary, _act, ket, reduced_one_qubit
+from .tensors import Ket, SingleQubitUnitary, _act, _check_tol, ket, reduced_one_qubit
 from .tolerances import ETA_UNIT_TOL, SEARCH_BUDGET, SEARCH_TOL
 from .unitary_fit import PanelObjective, fit_pivot_unitary, grid_starts, random_starts
 
@@ -70,8 +70,7 @@ def search_sibling(
         raise ValueError("sibling search needs at least 2 qubits")
     if budget < 0:
         raise ValueError(f"budget must be non-negative, got {budget}")
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    _check_tol(tol)
     objective = PanelObjective(psi.amplitudes, psi.n)
     starts = grid_starts()
     if budget < len(starts):

@@ -22,6 +22,7 @@ import numpy as np
 from .tensors import (
     DensityMatrix,
     Ket,
+    _check_tol,
     _one_qubit_marginal,
     _qubit_factors,
     _trace_positions,
@@ -139,11 +140,6 @@ def subset_equal(a: Ket, b: Ket, kept, tol: float = PANEL_TOL) -> bool:
     if a.n != b.n:
         raise ValueError("qubit counts differ")
     return PanelSubset(panel_of_pure(a), kept).matches(panel_of_pure(b), tol)
-
-
-def _check_tol(tol: float) -> None:
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
 
 
 def _entries_within(pairs, tol: float) -> bool:

@@ -13,10 +13,9 @@ closed-form path (``_fit_qubit_one``).  Purifying entry 1, from the SVD of
 its factor or else from its eigenvectors, pins the state down to a unitary
 on qubit 1, whatever entry 1's spectrum.  That unitary rotates the Bloch
 matrix of the other entries over qubit 1, and the best rotation is an
-orthogonal Procrustes problem.  If the panel's Bloch matrix has rank >= 2,
-only the identity rotation fixes it and the state is unique.  If its rank
-is <= 1, every rotation about its axis fits too, and ``classify`` decides
-whether those rotations give a GHZ-class family or only the one state.
+orthogonal Procrustes problem.  By the paper's theorem, the fitted state
+shares its panel with other pure states exactly when it is GHZ-class, so
+``classify`` of that state decides between a family and the one state.
 """
 
 from __future__ import annotations
@@ -33,6 +32,7 @@ from .tensors import (
     Ket,
     _act,
     _blocks,
+    _check_tol,
     _traced_outer,
     fix_global_phase,
     spectral_decompose,
@@ -80,15 +80,19 @@ def purify_over_qubit(
     (and hence the candidate) is one choice among a unitary's worth.
     Raises PanelRankError when the matrix has rank above 2: a marginal of a
     pure state is limited to rank 2 by the Schmidt decomposition across
-    the omitted qubit.
+    the omitted qubit.  Raises ``ValueError`` unless ``rdm`` is on the
+    qubits of 1..n other than j, for n one more than its qubit count.
     """
+    n = len(rdm.qubit_labels) + 1
+    if set(rdm.qubit_labels) != set(range(1, n + 1)) - {j}:
+        raise ValueError(f"a marginal omitting qubit {j} of {n} is on {rdm.qubit_labels}")
     evals, evecs = _leading_pairs(rdm, tol)
     if evals.size > 2 and evals[2] > tol:
         raise PanelRankError(
             f"marginal omitting qubit {j} has rank > 2 "
             f"(third eigenvalue {evals[2]:.3e})"
         )
-    return _purification(evals, evecs, j, len(rdm.qubit_labels) + 1, tol)
+    return _purification(evals, evecs, j, n, tol)
 
 
 def _certified_rank_two(rdm: DensityMatrix, tol: float) -> bool:
@@ -113,7 +117,7 @@ def _purification(
     evals: np.ndarray, evecs: np.ndarray, j: int, n: int, tol: float
 ) -> tuple[Ket, bool]:
     """``purify_over_qubit`` from a spectrum already checked for rank <= 2."""
-    p0, p1 = max(float(evals[0]), 0.0), max(float(evals[1]), 0.0)
+    p0, p1 = (max(float(p), 0.0) for p in evals[:2])
     if p1 < tol:
         p1 = 0.0  # rank 1: the second eigenvector is null-space noise
     total = p0 + p1
@@ -133,8 +137,7 @@ def reconstruct(panel: RdmPanel, tol: float = RECONSTRUCT_TOL) -> Reconstruction
     within tol.  Raises ``ValueError`` for a tol that is not positive (NaN
     included).
     """
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    _check_tol(tol)
     # entry 1's eigenvectors are kept for the purification; an entry
     # certified rank <= 2 needs no eigenvalue for the rank check
     first = _leading_pairs(panel.entry(1), tol)
@@ -200,18 +203,17 @@ def _fit_qubit_one(panel: RdmPanel, chi: Ket, tol: float) -> ReconstructionResul
     (``_bloch_matrix``) by some R in SO(3), so the best U is the rotation
     that carries chi's matrix onto the panel's: orthogonal Procrustes with
     det R = +1 (Kabsch, Acta Cryst. A32, 922 (1976)), lifted to SU(2).  A
-    residual above tol means no U reproduces the panel.  If the panel's
-    matrix has rank >= 2, only the identity rotation fixes it, so the state
-    is unique.  If its rank is <= 1, every rotation about its axis fits as
-    well.  By the paper's theorem those rotations give states other than
-    this one only when it is GHZ-class, which ``classify`` decides; it also
-    supplies the family's certificate.
+    residual above tol means no U reproduces the panel.  Otherwise, by the
+    paper's theorem, other pure states share the panel exactly when the
+    fitted state is GHZ-class.  ``classify`` decides that from the unsquared
+    second singular value of the state's own Bloch matrix, and supplies the
+    family's certificate; no squared singular value of the fit decides.
     """
     n = panel.n
     amps = chi.amplitudes
     target = _bloch_matrix([panel.entry(k).entries for k in range(2, n + 1)])
     source = _bloch_matrix([_traced_outer(amps, amps, n, k) for k in range(2, n + 1)])
-    u, s, vt = np.linalg.svd(target @ source.T)
+    u, _, vt = np.linalg.svd(target @ source.T)
     if np.linalg.det(u @ vt) < 0:
         u[:, 2] = -u[:, 2]
     fitted = _act(amps, n, [(1, _su2_from_rotation(u @ vt))])
@@ -222,14 +224,7 @@ def _fit_qubit_one(panel: RdmPanel, chi: Ket, tol: float) -> ReconstructionResul
             "incompatible", None, None, residual,
             f"no unitary freedom reproduces the panel (best {residual:.3e})",
         )
-    # target @ source.T is R M M^T after the fit, so s holds the squared
-    # singular values of the panel's Bloch matrix M, whose norm is at most
-    # sqrt(2(n - 1)) since its columns come from density matrices.  A panel
-    # within tol of one whose M has rank 1 has s[1] of order tol at most, so
-    # s[1] above tol shows rank >= 2.  The cutoff is absolute because M = 0
-    # for a maximally entangled pair, where a relative one would read noise.
-    if s[1] <= tol:
-        cls = classify(state)
-        if cls.ghz_class:
-            return ReconstructionResult("ghz-family", state, cls.certificate, residual)
+    cls = classify(state)
+    if cls.ghz_class:
+        return ReconstructionResult("ghz-family", state, cls.certificate, residual)
     return ReconstructionResult("unique", state, None, residual)

@@ -58,6 +58,13 @@ from .tolerances import (
 )
 
 
+def _check_tol(tol: float) -> None:
+    """Reject a caller's tol that is not positive, NaN included: NaN
+    compares False with every margin."""
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=complex)
     out.setflags(write=False)

@@ -67,7 +67,8 @@ PHASE_CONDITION_FLOOR = 1e-9
 
 # largest entrywise deviation of two panels (or panel subsets) that still counts as equal
 PANEL_TOL = 1e-9
-# reconstruct: third eigenvalue (rank > 2), fit residual (incompatible) and Bloch s_2 (rank <= 1)
+# reconstruct: third eigenvalue (rank > 2) and fit residual (incompatible); the family
+# verdict is classify's, at CLASSIFY_TOL
 RECONSTRUCT_TOL = 1e-9
 # floor under reconstruct's tol for the cross-entry disagreement of one-qubit marginals
 CONSISTENCY_FLOOR = 1e-9

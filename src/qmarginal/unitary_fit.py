@@ -164,6 +164,8 @@ class PanelObjective:
         self._r = np.linalg.qr(np.concatenate(factors), mode="r").T
 
     def marginals(self, unitary: np.ndarray) -> dict[int, np.ndarray]:
+        """rho_(k) of (U on qubit 1) psi for k = 2..n, for one U (2, 2) or
+        a stack (m, 2, 2) of them."""
         moved = _axis_restore(unitary @ self.factor, self.n, 1)
         return {k: _traced_outer(moved, moved, self.n, k) for k in self.own}
 
@@ -198,9 +200,10 @@ class PanelObjective:
         out = np.empty(len(unitaries))
         for start in range(0, len(unitaries), chunk):
             block = unitaries[start : start + chunk]
-            moved = _axis_restore(block @ self.factor, self.n, 1)
-            diff = [_traced_outer(moved, moved, self.n, k) - own for k, own in self.own.items()]
-            parts = np.concatenate([d.view(np.float64).reshape(len(block), -1) for d in diff], axis=1)
+            diff = self.marginals(block)
+            for k, own in self.own.items():
+                diff[k] -= own
+            parts = np.concatenate([d.view(np.float64).reshape(len(block), -1) for d in diff.values()], axis=1)
             # squared in place, then summed row by row: einsum's reduction
             # rounds differently with the stack's size, which would tie a
             # cost to its chunk

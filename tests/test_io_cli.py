@@ -61,6 +61,38 @@ class TestStateFiles:
         with pytest.raises(FileFormatError, match="state.txt:3"):
             load_state(path)
 
+    def test_text_bytes_are_pinned(self, tmp_path):
+        # shortest-roundtrip floats, signed zeros kept, exponent form as
+        # repr; the norm is within 1e-12 of 1, so Ket keeps the amplitudes
+        psi = qm.Ket(2, np.array([0.6, complex(-0.0, 2.5e-17), complex(0.0, -0.0), 0.8 - 1e-07j]))
+        path = tmp_path / "state.txt"
+        save_state(path, psi, label="pinned")
+        assert path.read_bytes() == (
+            b"qmarginal-state 1 2\n"
+            b"label pinned\n"
+            b"0.6 0.0\n"
+            b"-0.0 2.5e-17\n"
+            b"0.0 -0.0\n"
+            b"0.8 -1e-07\n"
+        )
+
+    @pytest.mark.parametrize(
+        "bad_row, message",
+        [("1.0", "expected 2 floats, got 1"), ("1.0 x", "invalid float in amplitude row")],
+    )
+    def test_bad_row_names_its_line(self, tmp_path, bad_row, message):
+        path = tmp_path / "state.txt"
+        path.write_text(f"qmarginal-state 1 1\n1.0 0.0\n{bad_row}\n")
+        with pytest.raises(FileFormatError, match=f"state.txt:3: {message}"):
+            load_state(path)
+
+    def test_header_claiming_too_many_qubits_names_the_missing_row(self, tmp_path):
+        # 2**50 amplitudes claimed, one held: nothing is allocated for the rest
+        path = tmp_path / "state.txt"
+        path.write_text("qmarginal-state 1 50\n1.0 0.0\n")
+        with pytest.raises(FileFormatError, match=f"state.txt:3: missing amplitude row 2 of {2**50}"):
+            load_state(path)
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "state.txt"
         path.write_text("who-knows 9\n")
@@ -194,6 +226,14 @@ class TestPanelFiles:
         with pytest.raises(FileFormatError, match="missing matrix row"):
             load_panel(path)
 
+    def test_header_claiming_too_many_qubits_names_the_short_row(self, tmp_path):
+        # rows of 2**29 (re, im) pairs claimed: the first row's width fails
+        path = tmp_path / "panel.txt"
+        path.write_text("qmarginal-panel 1 30\nentry 1\n1.0 0.0\n")
+        message = f"panel.txt:3: entry 1: expected {2**30} floats, got 2"
+        with pytest.raises(FileFormatError, match=message):
+            load_panel(path)
+
     def test_non_integer_entry_label_names_its_line(self, tmp_path):
         path = tmp_path / "panel.txt"
         path.write_text("qmarginal-panel 1 2\nentry x\n1.0 0.0 0.0 0.0\n0.0 0.0 0.0 0.0\n")
@@ -297,6 +337,21 @@ class TestCli:
         code, _, err = self.run(capsys, "analyze", str(path))
         assert code == 2
         assert "bad.state:3" in err
+
+    @pytest.mark.parametrize(
+        "command, name, text",
+        [
+            ("analyze", "big.state", "qmarginal-state 1 50\n1.0 0.0\n"),
+            ("reconstruct", "big.panel", "qmarginal-panel 1 30\nentry 1\n1.0 0.0\n"),
+        ],
+    )
+    def test_header_claiming_too_many_qubits_exits_2(self, tmp_path, capsys, command, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        code, out, err = self.run(capsys, command, str(path))
+        assert code == 2
+        assert err.startswith("error: ") and f"{name}:3: " in err
+        assert out == ""
 
     def test_analyze_non_finite_file_exits_2(self, tmp_path, capsys):
         path = tmp_path / "nan.state"

@@ -64,6 +64,14 @@ class TestPurifyOverQubit:
             back = qm.panel_of_pure(candidate).entry(2)
             assert np.max(np.abs(back.entries - rdm.entries)) < 1e-12
 
+    @pytest.mark.parametrize("entry, j", [(1, 2), (3, 1), (2, 4)])
+    def test_marginal_on_other_qubits_is_rejected(self, entry, j):
+        # entry 1 is on qubits 2, 3; purified over qubit 2 it would come
+        # back as a marginal on qubits 1, 3
+        rdm = qm.panel_of_pure(qm.haar_random_ket(3, 1510)).entry(entry)
+        with pytest.raises(ValueError, match=f"omitting qubit {j} of 3"):
+            qm.purify_over_qubit(rdm, j)
+
 
 class TestReconstruct:
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -259,6 +267,25 @@ class TestReconstruct:
         in_memory = qm.reconstruct(qm.panel_of_pure(psi))
         assert dense == []
         assert from_file.outcome == in_memory.outcome != "incompatible"
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_family_verdict_is_classify_across_the_flip(self, n):
+        # the eps states 0.6|0..0> + 0.8|1..1> + eps|0..01>, LU-rotated:
+        # classify flips near eps = 8.8e-9, inside the sweep
+        sweep = [*np.geomspace(1e-12, 1e-5, 15), 8e-9, 8.8e-9, 9.5e-9]
+        verdicts = set()
+        for eps in sweep:
+            amps = np.zeros(2**n, dtype=complex)
+            amps[0], amps[-1], amps[1] = 0.6, 0.8, eps
+            for seed in (0, 1):
+                psi = qm.random_lu_orbit(qm.Ket(n, amps / np.linalg.norm(amps)), seed)
+                result = qm.reconstruct(qm.panel_of_pure(psi))
+                if result.state is None:
+                    continue
+                ghz_class = qm.classify(psi).ghz_class
+                assert (result.outcome == "ghz-family") == ghz_class, (eps, seed)
+                verdicts.add(ghz_class)
+        assert verdicts == {True, False}
 
     def test_outcomes_match_classification(self):
         cases = [
