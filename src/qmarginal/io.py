@@ -1,10 +1,23 @@
 """State and panel files.
 
-Both formats are line-oriented plain text with a one-line header carrying
-the format name, version, and qubit count, followed by numeric rows of
-(re, im) pairs; floats are written with shortest-roundtrip precision so a
-save/load cycle is lossless.  Files whose extension is ``.json`` use a
-structured alternative with the same schema.
+A file holds a header (format name, version, qubit count n), a state's
+optional label, and rows of (re, im) pairs: a state's 2**n amplitudes one
+per row, a panel's n entries each as 2**(n-1) rows of 2**(n-1) pairs after
+a line 'entry <omitted-qubit>'.  The text encoding writes one header line
+'<format> <version> <n>', then 'label <text>', then the rows, floats in
+shortest-roundtrip form so that a save/load cycle is lossless.  A file
+whose extension is ``.json`` holds the same parts as one object: string
+``format``, integer ``version`` and ``n``, string ``label``, and
+``amplitudes`` (an array of [re, im] pairs) or ``entries`` (objects with an
+integer ``omitted`` and a ``matrix``, an array of rows of [re, im] pairs).
+
+Both encodings decode to the same parts: header fields, label, and rows of
+text with their line numbers.  A JSON value decodes to its ``repr``, the
+form the text writer uses, so only a JSON integer reads as an integer and
+only a number as a float; JSON rows have no line numbers.  One set of
+checks then runs for both: format and version, the qubit count (at most
+MAX_FILE_QUBITS), row count and width, number syntax, finiteness, entry
+labels and their count.
 """
 
 from __future__ import annotations
@@ -18,7 +31,7 @@ import numpy as np
 
 from .panels import RdmPanel
 from .tensors import DensityMatrix, Ket, _rank_two_factor
-from .tolerances import HERM_TOL, LOAD_HERM_TOL, LOAD_WARN_TOL, NORM_REJECT_TOL
+from .tolerances import HERM_TOL, LOAD_HERM_TOL, LOAD_WARN_TOL, MAX_FILE_QUBITS, NORM_REJECT_TOL
 
 STATE_FORMAT = "qmarginal-state"
 PANEL_FORMAT = "qmarginal-panel"
@@ -42,12 +55,16 @@ class StateFile:
     label: str | None = None
 
 
+def _pairs(values: np.ndarray) -> np.ndarray:
+    """A 2-D complex array as floats, each entry's (re, im) side by side."""
+    return np.ascontiguousarray(values, dtype=complex).view(np.float64)
+
+
 def _text_rows(values: np.ndarray) -> list[str]:
     """One line per row of a 2-D complex array, its (re, im) pairs written
     as Python floats: repr gives the shortest text that reads back to the
     same bits, signed zeros and exponent form included."""
-    pairs = np.ascontiguousarray(values, dtype=complex).view(np.float64)
-    return [" ".join(map(repr, row)) for row in pairs.tolist()]
+    return [" ".join(map(repr, row)) for row in _pairs(values).tolist()]
 
 
 def save_state(path, psi: Ket, label: str | None = None) -> None:
@@ -57,7 +74,7 @@ def save_state(path, psi: Ket, label: str | None = None) -> None:
             "format": STATE_FORMAT,
             "version": FORMAT_VERSION,
             "n": psi.n,
-            "amplitudes": [[c.real, c.imag] for c in psi.amplitudes],
+            "amplitudes": _pairs(psi.amplitudes[:, None]).tolist(),
         }
         if label is not None:
             doc["label"] = label
@@ -70,121 +87,16 @@ def save_state(path, psi: Ket, label: str | None = None) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _require_finite(values: np.ndarray, path, first_line: int | None, what: str) -> None:
-    """Reject the first row of ``values`` that holds a NaN or an infinity;
-    row r was read from line first_line + r (None: no line numbers)."""
-    finite = np.isfinite(values).reshape(len(values), -1).all(axis=1)
-    if not finite.all():
-        row = int(np.argmin(finite))
-        line = None if first_line is None else first_line + row
-        raise FileFormatError(path, line, f"{what} row {row + 1} is not finite")
-
-
-def _normalized_ket(n: int, amps: np.ndarray, path) -> Ket:
-    norm = float(np.linalg.norm(amps))
-    if abs(norm - 1.0) > NORM_REJECT_TOL:
-        raise FileFormatError(path, None, f"state norm is {norm!r}, expected 1")
-    if abs(norm - 1.0) > LOAD_WARN_TOL:
-        warnings.warn(
-            f"{path}: state norm deviates by {abs(norm - 1.0):.2e}; renormalizing"
-        )
-    return Ket(n, amps / norm)
-
-
-def _text(path: Path) -> str:
-    if not path.exists():
-        raise FileFormatError(path, None, "file not found")
-    return path.read_text()
-
-
-def _document(path: Path):
-    """The parsed content of a .json state or panel file."""
-    try:
-        return json.loads(_text(path))
-    except json.JSONDecodeError as err:
-        raise FileFormatError(path, err.lineno, f"invalid JSON: {err.msg}") from err
-
-
-def _header(path: Path, fmt: str, least: int) -> tuple[list[str], int]:
-    """The lines of a text state or panel file and the qubit count of its
-    header '<fmt> <version> <n>', checked for version and least n."""
-    lines = _text(path).splitlines()
-    if not lines:
-        raise FileFormatError(path, 1, "empty file")
-    header = lines[0].split()
-    if len(header) != 3 or header[0] != fmt:
-        raise FileFormatError(path, 1, f"expected header '{fmt} <version> <n>'")
-    try:
-        version, n = int(header[1]), int(header[2])
-    except ValueError as err:
-        raise FileFormatError(path, 1, "version and qubit count must be integers") from err
-    if version != FORMAT_VERSION:
-        raise FileFormatError(path, 1, f"unsupported version {version}")
-    if n < least:
-        raise FileFormatError(path, 1, f"invalid qubit count {n}")
-    return lines, n
-
-
-def _document_n(doc, path: Path, fmt: str, least: int) -> int:
-    """``_header``'s checks on a JSON document, whose caller names a missing
-    key or a malformed value."""
-    if doc["format"] != fmt:
-        raise FileFormatError(path, None, f"format is {doc['format']!r}")
-    if int(doc["version"]) != FORMAT_VERSION:
-        raise FileFormatError(path, None, f"unsupported version {doc['version']}")
-    n = int(doc["n"])
-    if n < least:
-        raise FileFormatError(path, None, f"invalid qubit count {n}")
-    return n
-
-
-def load_state(path) -> StateFile:
-    path = Path(path)
-    if path.suffix == ".json":
-        return _state_from_json(_document(path), path)
-    lines, n = _header(path, STATE_FORMAT, 1)
-    row = 1
-    label = None
-    if row < len(lines) and lines[row].startswith("label "):
-        label = lines[row][len("label "):].strip()
-        row += 1
-    amps = _rows(lines, row, 2**n, 1, path, "", "amplitude", f" of {2**n}")[:, 0]
-    extra = row + 2**n
-    if any(line.strip() for line in lines[extra:]):
-        raise FileFormatError(path, extra + 1, "unexpected trailing content")
-    return StateFile(n, _normalized_ket(n, amps, path), label)
-
-
-def _state_from_json(doc, path) -> StateFile:
-    try:
-        n = _document_n(doc, path, STATE_FORMAT, 1)
-        pairs = doc["amplitudes"]
-        amps = np.array([complex(re, im) for re, im in pairs])
-    except FileFormatError:
-        raise
-    except (KeyError, TypeError, ValueError) as err:
-        raise FileFormatError(path, None, f"invalid state document: {err}") from err
-    if amps.size != 2**n:
-        raise FileFormatError(path, None, f"expected {2**n} amplitudes, got {amps.size}")
-    _require_finite(amps, path, None, "amplitude")
-    return StateFile(n, _normalized_ket(n, amps, path), doc.get("label"))
-
-
 def save_panel(path, panel: RdmPanel) -> None:
     path = Path(path)
     if path.suffix == ".json":
+        dim = 2 ** (panel.n - 1)
         doc = {
             "format": PANEL_FORMAT,
             "version": FORMAT_VERSION,
             "n": panel.n,
             "entries": [
-                {
-                    "omitted": j,
-                    "matrix": [
-                        [[c.real, c.imag] for c in rw]
-                        for rw in panel.entry(j).entries
-                    ],
-                }
+                {"omitted": j, "matrix": _pairs(panel.entry(j).entries).reshape(dim, dim, 2).tolist()}
                 for j in range(1, panel.n + 1)
             ],
         }
@@ -195,6 +107,134 @@ def save_panel(path, panel: RdmPanel) -> None:
         lines.append(f"entry {j}")
         lines.extend(_text_rows(panel.entry(j).entries))
     path.write_text("\n".join(lines) + "\n")
+
+
+def _line(first: int | None, offset: int) -> int | None:
+    """The line of the row ``offset`` rows after one on line ``first``."""
+    return None if first is None else first + offset
+
+
+def _open(path: Path) -> tuple[dict | list[str], int | None, list]:
+    """(JSON object or text lines, header line, header fields) of a file.
+    A JSON version and n are decoded to their repr."""
+    if not path.exists():
+        raise FileFormatError(path, None, "file not found")
+    text = path.read_text()
+    if path.suffix != ".json":
+        lines = text.splitlines()
+        if not lines:
+            raise FileFormatError(path, 1, "empty file")
+        return lines, 1, lines[0].split()
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as err:
+        raise FileFormatError(path, err.lineno, f"invalid JSON: {err.msg}") from err
+    except ValueError as err:  # an integer beyond Python's digit limit
+        raise FileFormatError(path, None, f"invalid JSON: {err}") from err
+    if not isinstance(doc, dict):
+        raise FileFormatError(path, None, "expected a JSON object")
+    return doc, None, [doc.get("format"), repr(doc.get("version")), repr(doc.get("n"))]
+
+
+def _qubit_count(path, line: int | None, fields: list, fmt: str, least: int) -> int:
+    """The n of header fields [format, version, n], checked for format,
+    version, and least <= n <= MAX_FILE_QUBITS."""
+    if len(fields) != 3 or fields[0] != fmt:
+        raise FileFormatError(path, line, f"expected header '{fmt} <version> <n>'")
+    try:
+        version, n = int(fields[1]), int(fields[2])
+    except ValueError as err:
+        raise FileFormatError(path, line, "version and qubit count must be integers") from err
+    if version != FORMAT_VERSION:
+        raise FileFormatError(path, line, f"unsupported version {version}")
+    if not least <= n <= MAX_FILE_QUBITS:
+        raise FileFormatError(path, line, f"invalid qubit count {n}")
+    return n
+
+
+def _json_rows(value, path, key: str, column: bool = False) -> list[str]:
+    """The text rows of a JSON array of rows of [re, im] pairs (``column``:
+    of bare pairs, one per row), each value written as its repr."""
+    rows = [[pair] for pair in value] if column and isinstance(value, list) else value
+    if not isinstance(rows, list) or not all(
+        isinstance(row, list) and row and all(isinstance(p, list) and len(p) == 2 for p in row)
+        for row in rows
+    ):
+        shape = "an array of [re, im] pairs" if column else "an array of rows of [re, im] pairs"
+        raise FileFormatError(path, None, f"expected {key!r} as {shape}")
+    return [" ".join(repr(x) for pair in row for x in pair) for row in rows]
+
+
+def _rows(rows: list[str], first: int | None, count: int, width: int, path,
+          prefix: str, noun: str, of: str = "") -> np.ndarray:
+    """The count x width complex array held in rows[:count], each row width
+    (re, im) pairs of floats, every one finite; row r is on line first + r.
+
+    numpy's text reader parses a well-formed block in one call.  Anything it
+    does not read as count rows of 2 * width floats goes through the
+    row-by-row parse, which accepts what ``float`` accepts and names the
+    first bad line; it holds only the rows the file has, whatever count its
+    header claims.  Messages start with ``prefix`` and call a row a
+    '``noun`` row'; ``of`` follows the number of a missing row.
+    """
+    block = rows[:count]
+    # the first-row check keeps a block of blank lines (numpy warns on
+    # empty input) away from the text reader
+    values = None
+    if len(block) == count and len(block[0].split()) == 2 * width:
+        try:
+            values = np.loadtxt(block, dtype=np.float64, comments=None, ndmin=2)
+        except ValueError:
+            pass  # the row-by-row parse names the bad line
+    if values is None or values.shape != (count, 2 * width):
+        parsed = []
+        for r in range(count):
+            line = _line(first, r)
+            if r >= len(block):
+                raise FileFormatError(path, line, f"{prefix}missing {noun} row {r + 1}{of}")
+            parts = block[r].split()
+            if len(parts) != 2 * width:
+                raise FileFormatError(path, line, f"{prefix}expected {2 * width} floats, got {len(parts)}")
+            try:
+                parsed.append([float(p) for p in parts])
+            except ValueError as err:
+                raise FileFormatError(path, line, f"invalid float in {noun} row") from err
+        values = np.array(parsed, dtype=np.float64)
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        r = int(np.argmin(finite))
+        raise FileFormatError(path, _line(first, r), f"{prefix}{noun} row {r + 1} is not finite")
+    return values.view(complex)
+
+
+def _no_trailing(rows: list[str], count: int, first: int | None, path) -> None:
+    if any(row.strip() for row in rows[count:]):
+        raise FileFormatError(path, _line(first, count), "unexpected trailing content")
+
+
+def load_state(path) -> StateFile:
+    path = Path(path)
+    body, line, fields = _open(path)
+    n = _qubit_count(path, line, fields, STATE_FORMAT, 1)
+    if isinstance(body, dict):
+        label, first = body.get("label"), None
+        rows = _json_rows(body.get("amplitudes"), path, "amplitudes", column=True)
+    else:
+        has_label = len(body) > 1 and body[1].startswith("label ")
+        label = body[1][len("label "):].strip() if has_label else None
+        first = 2 + has_label
+        rows = body[first - 1:]
+    if label is not None and not isinstance(label, str):
+        raise FileFormatError(path, None, "label must be a string")
+    count = 2**n
+    amps = _rows(rows, first, count, 1, path, "", "amplitude", f" of {count}")[:, 0]
+    _no_trailing(rows, count, first, path)
+    norm = float(np.linalg.norm(amps))
+    if abs(norm - 1.0) > NORM_REJECT_TOL:
+        raise FileFormatError(path, None, f"state norm is {norm!r}, expected 1")
+    if abs(norm - 1.0) > LOAD_WARN_TOL:
+        warnings.warn(f"{path}: state norm deviates by {abs(norm - 1.0):.2e}; renormalizing")
+    return StateFile(n, Ket(n, amps / norm), label)
 
 
 def _entry_from_raw(raw: np.ndarray, n: int, omitted: int, path, line: int | None) -> DensityMatrix:
@@ -227,96 +267,51 @@ def _entry_from_raw(raw: np.ndarray, n: int, omitted: int, path, line: int | Non
     return DensityMatrix._trusted(labels, sym)
 
 
-def _rows(lines: list[str], start: int, count: int, width: int, path,
-          prefix: str, noun: str, of: str = "") -> np.ndarray:
-    """The count x width complex array held in lines[start:start + count],
-    each line width (re, im) pairs of floats, every one finite.
-
-    numpy's text reader parses a well-formed block in one call.  Anything it
-    does not read as count rows of 2 * width floats goes through the
-    row-by-row parse, which accepts what ``float`` accepts and names the
-    first bad line; it holds only the rows the file has, whatever count its
-    header claims.  Messages start with ``prefix`` and call a row a
-    '``noun`` row'; ``of`` follows the number of a missing row.
-    """
-    block = lines[start:start + count]
-    # the first-row check keeps a block of blank lines (numpy warns on
-    # empty input) away from the text reader
-    values = None
-    if len(block) == count and len(block[0].split()) == 2 * width:
-        try:
-            values = np.loadtxt(block, dtype=np.float64, comments=None, ndmin=2)
-        except ValueError:
-            pass  # the row-by-row parse names the bad line
-    if values is None or values.shape != (count, 2 * width):
-        parsed = []
-        for r in range(count):
-            lineno = start + r + 1
-            if r >= len(block):
-                raise FileFormatError(path, lineno, f"{prefix}missing {noun} row {r + 1}{of}")
-            parts = block[r].split()
-            if len(parts) != 2 * width:
-                raise FileFormatError(
-                    path, lineno, f"{prefix}expected {2 * width} floats, got {len(parts)}"
-                )
-            try:
-                parsed.append([float(p) for p in parts])
-            except ValueError as err:
-                raise FileFormatError(path, lineno, f"invalid float in {noun} row") from err
-        values = np.array(parsed, dtype=np.float64)
-    _require_finite(values, path, start + 1, f"{prefix}{noun}")
-    return values.view(complex)
+def _text_entries(lines: list[str], n: int, path):
+    """(label text, its line, rows, first row's line) of each entry of a
+    text panel.  The last entry's rows run to the end of the file, so that
+    its trailing check covers what follows it."""
+    dim = 2 ** (n - 1)
+    row = 1
+    for k in range(n):
+        if row >= len(lines):
+            raise FileFormatError(path, row + 1, f"expected {n} entries, found {k}")
+        head = lines[row].split()
+        if len(head) != 2 or head[0] != "entry":
+            raise FileFormatError(path, row + 1, "expected 'entry <omitted-qubit>'")
+        end = row + 1 + dim if k < n - 1 else len(lines)
+        yield head[1], row + 1, lines[row + 1:end], row + 2
+        row += 1 + dim
 
 
 def load_panel(path) -> RdmPanel:
     path = Path(path)
-    if path.suffix == ".json":
-        return _panel_from_json(_document(path), path)
-    lines, n = _header(path, PANEL_FORMAT, 2)
+    body, line, fields = _open(path)
+    n = _qubit_count(path, line, fields, PANEL_FORMAT, 2)
+    if isinstance(body, dict):
+        items = body.get("entries")
+        if not isinstance(items, list) or not all(isinstance(item, dict) for item in items):
+            raise FileFormatError(path, None, "expected 'entries' as an array of objects")
+        # the same parts as _text_entries gives, with no line numbers
+        blocks = (
+            (repr(item.get("omitted")), None, _json_rows(item.get("matrix"), path, "matrix"), None)
+            for item in items
+        )
+    else:
+        blocks = _text_entries(body, n, path)
     dim = 2 ** (n - 1)
     entries: dict[int, DensityMatrix] = {}
-    row = 1
-    for _ in range(n):
-        if row >= len(lines):
-            raise FileFormatError(path, row + 1, f"expected {n} entries, found {len(entries)}")
-        head = lines[row].split()
-        if len(head) != 2 or head[0] != "entry":
-            raise FileFormatError(path, row + 1, "expected 'entry <omitted-qubit>'")
+    for label, line, rows, first in blocks:
         try:
-            omitted = int(head[1])
+            omitted = int(label)
         except ValueError as err:
-            message = f"entry label must be an integer, got {head[1]!r}"
-            raise FileFormatError(path, row + 1, message) from err
+            message = f"entry label must be an integer, got {label!r}"
+            raise FileFormatError(path, line, message) from err
         if not 1 <= omitted <= n or omitted in entries:
-            raise FileFormatError(path, row + 1, f"bad or repeated entry label {omitted}")
-        start = row + 1
-        raw = _rows(lines, start, dim, dim, path, f"entry {omitted}: ", "matrix")
-        entries[omitted] = _entry_from_raw(raw, n, omitted, path, row + 1)
-        row = start + dim
-    if any(line.strip() for line in lines[row:]):
-        raise FileFormatError(path, row + 1, "unexpected trailing content")
-    return RdmPanel(n, tuple(entries[j] for j in range(1, n + 1)))
-
-
-def _panel_from_json(doc, path) -> RdmPanel:
-    try:
-        n = _document_n(doc, path, PANEL_FORMAT, 2)
-        entries: dict[int, DensityMatrix] = {}
-        for item in doc["entries"]:
-            omitted = int(item["omitted"])
-            if not 1 <= omitted <= n or omitted in entries:
-                raise FileFormatError(path, None, f"bad or repeated entry label {omitted}")
-            raw = np.array(
-                [[complex(re, im) for re, im in rw] for rw in item["matrix"]]
-            )
-            if raw.shape != (2 ** (n - 1), 2 ** (n - 1)):
-                raise FileFormatError(path, None, f"entry {omitted} has shape {raw.shape}")
-            _require_finite(raw, path, None, f"entry {omitted}: matrix")
-            entries[omitted] = _entry_from_raw(raw, n, omitted, path, None)
-    except FileFormatError:
-        raise
-    except (KeyError, TypeError, ValueError) as err:
-        raise FileFormatError(path, None, f"invalid panel document: {err}") from err
-    if sorted(entries) != list(range(1, n + 1)):
+            raise FileFormatError(path, line, f"bad or repeated entry label {omitted}")
+        raw = _rows(rows, first, dim, dim, path, f"entry {omitted}: ", "matrix")
+        entries[omitted] = _entry_from_raw(raw, n, omitted, path, line)
+        _no_trailing(rows, dim, first, path)
+    if len(entries) != n:
         raise FileFormatError(path, None, "panel must contain one entry per qubit")
     return RdmPanel(n, tuple(entries[j] for j in range(1, n + 1)))

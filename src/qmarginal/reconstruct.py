@@ -33,9 +33,9 @@ from .tensors import (
     _act,
     _blocks,
     _check_tol,
+    _phase_fix_column,
     _traced_outer,
     fix_global_phase,
-    spectral_decompose,
     tensor_insert,
 )
 from .tolerances import CONSISTENCY_FLOOR, DEGENERACY_TOL, RECONSTRUCT_TOL
@@ -102,15 +102,18 @@ def _certified_rank_two(rdm: DensityMatrix, tol: float) -> bool:
 
 
 def _leading_pairs(rdm: DensityMatrix, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Descending eigenvalues and eigenvector columns of rdm, for the rank
-    check and the purification.  For an entry ``_certified_rank_two`` they
-    are the two of its factor a, from the SVD of a (2 x d): a = U S V^T
-    gives a^T a^* = V S^2 V^dagger.  Every other entry takes the dense
-    ``spectral_decompose``, and so has all of its eigenvalues."""
+    """Descending eigenvalues and the two leading eigenvector columns of
+    rdm, for the rank check and the purification.  For an entry
+    ``_certified_rank_two`` they are those of its factor a, from the SVD of
+    a (2 x d): a = U S V^T gives a^T a^* = V S^2 V^dagger.  Every other
+    entry, validated when it was built, takes a dense eigensolve, and so
+    has all of its eigenvalues; only its two columns are phase-fixed."""
     if _certified_rank_two(rdm, tol):
         _, s, vt = np.linalg.svd(rdm._factor, full_matrices=False)
         return s * s, vt.T
-    return spectral_decompose(rdm.entries)
+    evals, evecs = np.linalg.eigh(rdm.entries)
+    order = np.argsort(evals)[::-1]
+    return evals[order], np.stack([_phase_fix_column(evecs[:, i]) for i in order[:2]], axis=1)
 
 
 def _purification(

@@ -34,6 +34,9 @@ UNITARY_TOL = 1e-10
 LOAD_HERM_TOL = 1e-6
 # |norm - 1| of a loaded state above which it is renormalized with a warning
 LOAD_WARN_TOL = 1e-9
+# qubit count of a state or panel file's header: rejected above; np.arange(2**n, dtype=np.int64),
+# which the stabilizer and classifier index arrays are built with, wraps from n = 63 on
+MAX_FILE_QUBITS = 62
 # ||eta| - 1| of eta_state's phase: rejected above
 ETA_UNIT_TOL = 1e-12
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -302,6 +303,187 @@ class TestPanelFiles:
             load_panel(path)
 
 
+STATE_TEXT = "qmarginal-state 1 1\n1.0 0.0\n0.0 0.0\n"
+PANEL_TEXT = (
+    "qmarginal-panel 1 2\n"
+    "entry 1\n0.5 0.0 0.0 0.0\n0.0 0.0 0.5 0.0\n"
+    "entry 2\n0.5 0.0 0.0 0.0\n0.0 0.0 0.5 0.0\n"
+)
+MIXED = [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
+
+
+def state_doc(**fields):
+    """A one-qubit state document, |0>, with ``fields`` replaced."""
+    doc = {"format": "qmarginal-state", "version": 1, "n": 1,
+           "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}
+    return json.dumps({**doc, **fields})
+
+
+def panel_doc(n=2, entries=None, **fields):
+    """A two-qubit panel document of maximally mixed entries, with
+    ``entries`` (a list of (omitted, matrix)) and ``fields`` replaced."""
+    entries = entries if entries is not None else [(1, MIXED), (2, MIXED)]
+    doc = {"format": "qmarginal-panel", "version": 1, "n": n,
+           "entries": [{"omitted": j, "matrix": m} for j, m in entries]}
+    return json.dumps({**doc, **fields})
+
+
+# (file name, content, message after 'name[:line]: ') of files each loader
+# rejects; every check but the text grammar runs for both encodings
+STATE_REJECTIONS = [
+    ("state.txt", "", "state.txt:1: empty file"),
+    ("state.txt", "qmarginal-state one 1\n1.0 0.0\n0.0 0.0\n",
+     "state.txt:1: version and qubit count must be integers"),
+    ("state.txt", "qmarginal-state 2 1\n1.0 0.0\n0.0 0.0\n", "state.txt:1: unsupported version 2"),
+    ("state.txt", "qmarginal-state 1 0\n1.0 0.0\n", "state.txt:1: invalid qubit count 0"),
+    ("state.txt", "qmarginal-state 1 100000\n1.0 0.0\n", "state.txt:1: invalid qubit count 100000"),
+    ("state.txt", "qmarginal-state 1 63\n1.0 0.0\n", "state.txt:1: invalid qubit count 63"),
+    ("state.txt", STATE_TEXT + "0.0 0.0\n", "state.txt:4: unexpected trailing content"),
+    ("state.json", "not json\n", "state.json:1: invalid JSON: Expecting value"),
+    ("state.json", '{"n": ' + "1" * 5000 + "}\n", "state.json: invalid JSON: Exceeds the limit"),
+    ("state.json", "[]\n", "state.json: expected a JSON object"),
+    ("state.json", state_doc(format="qmarginal-panel"),
+     "state.json: expected header 'qmarginal-state <version> <n>'"),
+    ("state.json", state_doc(version=2), "state.json: unsupported version 2"),
+    ("state.json", state_doc(version="1"), "state.json: version and qubit count must be integers"),
+    ("state.json", state_doc(version=1.0), "state.json: version and qubit count must be integers"),
+    ("state.json", state_doc(n=1.7), "state.json: version and qubit count must be integers"),
+    ("state.json", state_doc(n="1"), "state.json: version and qubit count must be integers"),
+    ("state.json", state_doc(n=True), "state.json: version and qubit count must be integers"),
+    ("state.json", state_doc(n=100000), "state.json: invalid qubit count 100000"),
+    ("state.json", state_doc(label=5), "state.json: label must be a string"),
+    ("state.json", state_doc(amplitudes=[[1.0, 0.0]]), "state.json: missing amplitude row 2 of 2"),
+    ("state.json", state_doc(amplitudes=[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]),
+     "state.json: unexpected trailing content"),
+    ("state.json", state_doc(amplitudes=[["1.0", 0.0], [0.0, 0.0]]),
+     "state.json: invalid float in amplitude row"),
+    ("state.json", state_doc(amplitudes=[[True, 0.0], [0.0, 0.0]]),
+     "state.json: invalid float in amplitude row"),
+    ("state.json", state_doc(amplitudes=[[1, 0, 5], [0, 0]]),
+     "state.json: expected 'amplitudes' as an array of [re, im] pairs"),
+    ("state.json", state_doc(amplitudes=[1.0, 0.0]),
+     "state.json: expected 'amplitudes' as an array of [re, im] pairs"),
+    ("state.json", state_doc(amplitudes=None),
+     "state.json: expected 'amplitudes' as an array of [re, im] pairs"),
+]
+
+PANEL_REJECTIONS = [
+    ("panel.txt", "", "panel.txt:1: empty file"),
+    ("panel.txt", PANEL_TEXT.replace(" 1 2\n", " 1 two\n", 1),
+     "panel.txt:1: version and qubit count must be integers"),
+    ("panel.txt", PANEL_TEXT.replace(" 1 2\n", " 2 2\n", 1), "panel.txt:1: unsupported version 2"),
+    ("panel.txt", "qmarginal-panel 1 1\nentry 1\n1.0 0.0\n", "panel.txt:1: invalid qubit count 1"),
+    ("panel.txt", "qmarginal-panel 1 100000\nentry 1\n1.0 0.0\n",
+     "panel.txt:1: invalid qubit count 100000"),
+    ("panel.txt", PANEL_TEXT.replace("0.5 0.0 0.0 0.0\n", "1.0 0.0 0.0 0.0\n", 1),
+     "panel.txt:2: entry 1 has trace 1.5"),
+    ("panel.txt", PANEL_TEXT.replace("0.5 0.0 0.0 0.0\n0.0 0.0 0.5 0.0\n",
+                                     "1.5 0.0 0.0 0.0\n0.0 0.0 -0.5 0.0\n", 1),
+     "panel.txt:2: entry 1 is not positive semidefinite"),
+    ("panel.txt", PANEL_TEXT.split("entry 2")[0], "panel.txt:5: expected 2 entries, found 1"),
+    ("panel.txt", PANEL_TEXT.replace("entry 1", "item 1"),
+     "panel.txt:2: expected 'entry <omitted-qubit>'"),
+    ("panel.txt", PANEL_TEXT.replace("entry 1", "entry 3"), "panel.txt:2: bad or repeated entry label 3"),
+    ("panel.txt", PANEL_TEXT.replace("entry 2", "entry 1"), "panel.txt:5: bad or repeated entry label 1"),
+    ("panel.txt", PANEL_TEXT + "0.0\n", "panel.txt:8: unexpected trailing content"),
+    ("panel.json", "not json\n", "panel.json:1: invalid JSON: Expecting value"),
+    ("panel.json", panel_doc(format="qmarginal-state"),
+     "panel.json: expected header 'qmarginal-panel <version> <n>'"),
+    ("panel.json", panel_doc(version=2), "panel.json: unsupported version 2"),
+    ("panel.json", panel_doc(version=True), "panel.json: version and qubit count must be integers"),
+    ("panel.json", panel_doc(n=2.0), "panel.json: version and qubit count must be integers"),
+    ("panel.json", panel_doc(n=100000), "panel.json: invalid qubit count 100000"),
+    ("panel.json", panel_doc(entries=[(1, [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]), (2, MIXED)]),
+     "panel.json: entry 1 has trace 1.5"),
+    ("panel.json", panel_doc(entries=[(1, [[[1.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-0.5, 0.0]]]), (2, MIXED)]),
+     "panel.json: entry 1 is not positive semidefinite"),
+    ("panel.json", panel_doc(entries=[(3, MIXED), (2, MIXED)]), "panel.json: bad or repeated entry label 3"),
+    ("panel.json", panel_doc(entries=[(2.7, MIXED), (2, MIXED)]),
+     "panel.json: entry label must be an integer, got '2.7'"),
+    ("panel.json", panel_doc(entries=[("1", MIXED), (2, MIXED)]),
+     "panel.json: entry label must be an integer, got \"'1'\""),
+    ("panel.json", panel_doc(entries=[(1, MIXED[:1]), (2, MIXED)]), "panel.json: entry 1: missing matrix row 2"),
+    ("panel.json", panel_doc(entries=[(1, [MIXED[0] + [[0.0, 0.0]], MIXED[1]]), (2, MIXED)]),
+     "panel.json: entry 1: expected 4 floats, got 6"),
+    ("panel.json", panel_doc(entries=[(1, MIXED + [MIXED[1]]), (2, MIXED)]),
+     "panel.json: unexpected trailing content"),
+    ("panel.json", panel_doc(entries=[(1, [[["x", 0.0], [0.0, 0.0]], MIXED[1]]), (2, MIXED)]),
+     "panel.json: invalid float in matrix row"),
+    ("panel.json", panel_doc(entries=[(1, [[0.5, 0.0, 0.0, 0.0], MIXED[1]]), (2, MIXED)]),
+     "panel.json: expected 'matrix' as an array of rows of [re, im] pairs"),
+    ("panel.json", panel_doc(entries=[(1, [[[0.5, 0.0, 0.0], [0.0]], MIXED[1]]), (2, MIXED)]),
+     "panel.json: expected 'matrix' as an array of rows of [re, im] pairs"),
+    ("panel.json", panel_doc(entries=[]).replace('"entries": []', '"entries": 5'),
+     "panel.json: expected 'entries' as an array of objects"),
+    ("panel.json", panel_doc(n=3, entries=[(1, [[[0.25, 0.0]] * 4] * 4), (2, [[[0.25, 0.0]] * 4] * 4)]),
+     "panel.json: panel must contain one entry per qubit"),
+]
+
+
+class TestLoaderChecks:
+    @pytest.mark.parametrize("load, name", [
+        (load_state, "state.txt"), (load_state, "state.json"),
+        (load_panel, "panel.txt"), (load_panel, "panel.json"),
+    ])
+    def test_missing_file(self, tmp_path, load, name):
+        with pytest.raises(FileFormatError, match=re.escape(f"{name}: file not found")):
+            load(tmp_path / name)
+
+    @pytest.mark.parametrize("name, content, message", STATE_REJECTIONS,
+                             ids=[m for *_, m in STATE_REJECTIONS])
+    def test_state_rejections(self, tmp_path, name, content, message):
+        path = tmp_path / name
+        path.write_text(content)
+        with pytest.raises(FileFormatError, match=re.escape(message)):
+            load_state(path)
+
+    @pytest.mark.parametrize("name, content, message", PANEL_REJECTIONS,
+                             ids=[m for *_, m in PANEL_REJECTIONS])
+    def test_panel_rejections(self, tmp_path, name, content, message):
+        path = tmp_path / name
+        path.write_text(content)
+        with pytest.raises(FileFormatError, match=re.escape(message)):
+            load_panel(path)
+
+    def test_row_by_row_parse_accepts_what_float_accepts(self, tmp_path):
+        # '1_0e-1' is no float to numpy's text reader, but float() reads it as 1.0
+        path = tmp_path / "state.txt"
+        path.write_text(STATE_TEXT.replace("1.0 0.0", "1_0e-1 0.0"))
+        np.testing.assert_array_equal(load_state(path).ket.amplitudes, [1.0, 0.0])
+        path = tmp_path / "panel.txt"
+        path.write_text(PANEL_TEXT.replace("0.5 0.0 0.0 0.0", "0.5_0 0.0 0.0 0.0", 1))
+        np.testing.assert_array_equal(load_panel(path).entry(1).entries, np.eye(2) / 2)
+
+    def test_largest_qubit_count_reads_rows(self, tmp_path):
+        # n = 62 passes the header check; the first missing row fails
+        path = tmp_path / "state.txt"
+        path.write_text("qmarginal-state 1 62\n1.0 0.0\n")
+        with pytest.raises(FileFormatError, match=f"state.txt:3: missing amplitude row 2 of {2**62}"):
+            load_state(path)
+
+    @pytest.mark.parametrize("label", [None, "a label"])
+    def test_json_state_bytes_are_pinned(self, tmp_path, label):
+        psi = qm.Ket(1, np.array([0.6, complex(-0.0, 0.8)]))
+        path = tmp_path / "state.json"
+        save_state(path, psi, label=label)
+        tail = "" if label is None else ',\n "label": "a label"'
+        assert path.read_text() == (
+            '{\n "format": "qmarginal-state",\n "version": 1,\n "n": 1,\n "amplitudes": [\n'
+            "  [\n   0.6,\n   0.0\n  ],\n  [\n   -0.0,\n   0.8\n  ]\n ]" + tail + "\n}\n"
+        )
+
+    def test_json_panel_bytes_are_pinned(self, tmp_path):
+        e1 = np.array([[0.75, complex(2.5e-17, -0.0)], [complex(2.5e-17, 0.0), 0.25]])
+        panel = qm.RdmPanel(2, (qm.DensityMatrix((2,), e1), qm.DensityMatrix((1,), np.eye(2) / 2)))
+        path = tmp_path / "panel.json"
+        save_panel(path, panel)
+        assert path.read_text() == (
+            '{"format": "qmarginal-panel", "version": 1, "n": 2, "entries": ['
+            '{"omitted": 1, "matrix": [[[0.75, 0.0], [2.5e-17, -0.0]], [[2.5e-17, 0.0], [0.25, 0.0]]]}, '
+            '{"omitted": 2, "matrix": [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]}]}\n'
+        )
+
+
 class TestCli:
     def run(self, capsys, *argv):
         code = main(list(argv))
@@ -351,6 +533,24 @@ class TestCli:
         code, out, err = self.run(capsys, command, str(path))
         assert code == 2
         assert err.startswith("error: ") and f"{name}:3: " in err
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "command, name, text, where",
+        [
+            ("analyze", "big.state", "qmarginal-state 1 100000\n1.0 0.0\n", "big.state:1: "),
+            ("reconstruct", "big.panel", "qmarginal-panel 1 100000\nentry 1\n1.0 0.0\n", "big.panel:1: "),
+            ("analyze", "big.json", state_doc(n=100000), "big.json: "),
+            ("reconstruct", "big.json", panel_doc(n=100000), "big.json: "),
+        ],
+        ids=["state-text", "panel-text", "state-json", "panel-json"],
+    )
+    def test_header_beyond_the_qubit_bound_exits_2(self, tmp_path, capsys, command, name, text, where):
+        path = tmp_path / name
+        path.write_text(text)
+        code, out, err = self.run(capsys, command, str(path))
+        assert code == 2
+        assert err.startswith("error: ") and f"{where}invalid qubit count 100000" in err
         assert out == ""
 
     def test_analyze_non_finite_file_exits_2(self, tmp_path, capsys):
