@@ -119,7 +119,12 @@ def _open(path: Path) -> tuple[dict | list[str], int | None, list]:
     A JSON version and n are decoded to their repr."""
     if not path.exists():
         raise FileFormatError(path, None, "file not found")
-    text = path.read_text()
+    try:
+        text = path.read_text()
+    except OSError as err:  # a directory, or no permission to read
+        raise FileFormatError(path, None, f"cannot read: {err.strerror}") from err
+    except UnicodeDecodeError as err:
+        raise FileFormatError(path, None, f"not {err.encoding} text: {err.reason} at byte {err.start}") from err
     if path.suffix != ".json":
         lines = text.splitlines()
         if not lines:

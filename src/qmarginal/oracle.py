@@ -56,8 +56,10 @@ def search_sibling(
     Every start descends, so a GHZ-class state spends the whole budget
     (``SEARCH_BUDGET`` = 64 by default) even when an early start is a
     witness; ``trials`` counts the starts up to and including the witness,
-    or all of them.  Raises ``ValueError`` for a negative budget or a tol
-    that is not positive.
+    or all of them.  The dense panel mismatch is computed only for the
+    starts read here: those up to the witness that end off the scalar
+    locus.  Raises ``ValueError`` for a negative budget or a tol that is
+    not positive.
 
     The search stays blind to the classifier on purpose: it imports
     nothing from ``classifier``, reads no Bloch matrix and takes no rank

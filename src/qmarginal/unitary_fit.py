@@ -26,14 +26,19 @@ Gauss-Newton matrix exactly, in O(1) work per start at every n.  Read as
 2 x 2 matrices X_j, the columns of R^T move to Y_j = U X_j U^dagger, so
 the compressed residual is Y - R^T and its tangent along i sigma_a U is
 i [sigma_a, Y]: both are formed directly, never the residual's square.
-Only the final cost of each start is read off the dense marginals
-(``PanelObjective.costs``), so callers see the panel mismatch itself.
+The cost a result reports is the dense one, read off the marginals
+themselves (``PanelObjective.costs``), so callers see the panel mismatch
+itself.  It is computed when a caller first reads it: the sibling search
+reads it only for the starts it may report, and a start that ends on the
+scalar locus never builds its dense marginals.
 
 The starts of one call descend together as a stack of unitaries.  Each
 pass of the loop builds the 3 x 3 normal equations of every start still
 moving (``PanelObjective.normal_equations``) from two flat matrix products
 over the whole stack, without forming the Jacobian, solves them in one
-batched call, and turns each U by its step entry by entry.  Each start
+batched call, and turns each U by its step entry by entry.  The stack holds
+only the starts still moving, in start order; a start that stops leaves it
+once, and its unitary is written back to the result in its place.  Each start
 keeps its own damping, accept/reject decision and stopping test, and no
 product mixes two starts, so it follows the path it would follow alone,
 up to rounding.  The search knows nothing of Bloch matrices and takes no
@@ -43,6 +48,7 @@ rank decision from R, which keeps it independent of the classifier.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -77,8 +83,20 @@ _TANGENT_MAPS = np.concatenate(
 
 @dataclass(frozen=True)
 class FitResult:
+    """Where one start's descent ended, and the objective it descended.
+
+    ``cost`` is the dense cost there, the sum of squared panel residual
+    entries (``PanelObjective.costs``), computed on first read and then
+    kept.  It is bit for bit the cost that start has in a call on the whole
+    stack, since no start's cost depends on the chunk it falls in.
+    """
+
     unitary: np.ndarray
-    cost: float  # sum of squared residual entries
+    objective: PanelObjective
+
+    @cached_property
+    def cost(self) -> float:
+        return float(self.objective.costs(self.unitary[None])[0])
 
 
 def unitary_from_params(theta) -> np.ndarray:
@@ -251,32 +269,41 @@ def fit_pivot_unitary(objective: PanelObjective, starts: list[np.ndarray]) -> li
     A start drops out of the stack when its gradient reaches rounding
     level, after trying a step that does, or after MAX_STEPS iterations.
     The descent runs on the compressed normal equations; each result's
-    cost is then evaluated once on the dense marginals (``costs``).
+    cost is the dense one, evaluated on the marginals (``costs``) when it
+    is first read.
     """
     if not len(starts):
         return []
-    unitaries = unitary_from_params(np.asarray(starts, dtype=float))
+    ends = unitary_from_params(np.asarray(starts, dtype=float))
+    # the starts still moving, in start order: where each sits in ``ends``,
+    # its unitary, cost, normal equations and damping
+    index = np.arange(len(ends))
+    unitaries = ends.copy()
     cost, grad, normal = objective.normal_equations(unitaries)
-    damping = np.full(len(unitaries), DAMPING_START)
-    live = np.arange(len(unitaries))
+    damping = np.full(len(ends), DAMPING_START)
+    # the gradient test comes before the solve: a start whose Jacobian
+    # vanishes would make its system singular
+    moving = np.max(np.abs(grad), axis=1) > GRAD_TOL
     for _ in range(MAX_STEPS):
-        # the gradient test comes before the solve: a start whose Jacobian
-        # vanishes would make its system singular
-        live = live[np.max(np.abs(grad[live]), axis=1) > GRAD_TOL]
-        if not live.size:
-            break
-        scale = np.diagonal(normal[live], axis1=1, axis2=2)
+        if not moving.all():
+            ends[index[~moving]] = unitaries[~moving]
+            index, unitaries, cost, grad, normal, damping = (
+                x[moving] for x in (index, unitaries, cost, grad, normal, damping)
+            )
+            if not index.size:
+                break
+        scale = np.diagonal(normal, axis1=1, axis2=2)
         scale = np.maximum(scale, SCALE_FLOOR * scale.max(axis=1, keepdims=True))
-        system = normal[live] + (damping[live, None] * scale)[:, :, None] * np.eye(3)
-        step = np.linalg.solve(system, -grad[live, :, None])[:, :, 0]
-        trial = _turn(step, unitaries[live])
+        system = normal + (damping[:, None] * scale)[:, :, None] * np.eye(3)
+        step = np.linalg.solve(system, -grad[:, :, None])[:, :, 0]
+        trial = _turn(step, unitaries)
         trial_cost, trial_grad, trial_normal = objective.normal_equations(trial)
-        better = trial_cost < cost[live]
-        taken = live[better]
-        unitaries[taken], cost[taken] = trial[better], trial_cost[better]
-        grad[taken], normal[taken] = trial_grad[better], trial_normal[better]
-        damping[live] = np.where(better, damping[live] / DAMPING_DOWN, damping[live] * DAMPING_UP)
+        better = trial_cost < cost
+        unitaries[better], cost[better] = trial[better], trial_cost[better]
+        grad[better], normal[better] = trial_grad[better], trial_normal[better]
+        damping = np.where(better, damping / DAMPING_DOWN, damping * DAMPING_UP)
         # a step at rounding level is still tried, then ends its start: near
         # a zero residual it is the Gauss-Newton step that squares the cost
-        live = live[np.linalg.norm(step, axis=1) > STEP_TOL]
-    return [FitResult(u, float(c)) for u, c in zip(unitaries, objective.costs(unitaries))]
+        moving = (np.linalg.norm(step, axis=1) > STEP_TOL) & (np.max(np.abs(grad), axis=1) > GRAD_TOL)
+    ends[index] = unitaries
+    return [FitResult(u, objective) for u in ends]

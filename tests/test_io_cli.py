@@ -429,6 +429,24 @@ class TestLoaderChecks:
         with pytest.raises(FileFormatError, match=re.escape(f"{name}: file not found")):
             load(tmp_path / name)
 
+    @pytest.mark.parametrize("load", [load_state, load_panel], ids=["state", "panel"])
+    @pytest.mark.parametrize("suffix", [".txt", ".json"])
+    def test_directory_names_the_file(self, tmp_path, load, suffix):
+        path = tmp_path / f"adir{suffix}"
+        path.mkdir()
+        with pytest.raises(FileFormatError, match=re.escape(f"adir{suffix}: cannot read: ")) as info:
+            load(path)
+        assert info.value.path == str(path)
+
+    @pytest.mark.parametrize("load", [load_state, load_panel], ids=["state", "panel"])
+    @pytest.mark.parametrize("suffix", [".txt", ".json"])
+    def test_undecodable_bytes_name_the_file(self, tmp_path, load, suffix):
+        path = tmp_path / f"bad{suffix}"
+        path.write_bytes(b"\xff\xfe\x00")
+        with pytest.raises(FileFormatError, match=re.escape(f"bad{suffix}: not ") + r"\S+ text: ") as info:
+            load(path)
+        assert info.value.path == str(path)
+
     @pytest.mark.parametrize("name, content, message", STATE_REJECTIONS,
                              ids=[m for *_, m in STATE_REJECTIONS])
     def test_state_rejections(self, tmp_path, name, content, message):
@@ -551,6 +569,22 @@ class TestCli:
         code, out, err = self.run(capsys, command, str(path))
         assert code == 2
         assert err.startswith("error: ") and f"{where}invalid qubit count 100000" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("command", ["analyze", "reconstruct", "sibling-search"])
+    @pytest.mark.parametrize("suffix", [".txt", ".json"])
+    @pytest.mark.parametrize("kind", ["directory", "undecodable"])
+    def test_unreadable_file_exits_2_naming_it(self, tmp_path, capsys, command, suffix, kind):
+        # a directory once ended in an IsADirectoryError traceback, and
+        # bytes that are not UTF-8 in a message that named no file
+        path = tmp_path / f"adir{suffix}"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"\xff\xfe\x00")
+        code, out, err = self.run(capsys, command, str(path))
+        assert code == 2
+        assert err.startswith(f"error: {path}: ")
         assert out == ""
 
     def test_analyze_non_finite_file_exits_2(self, tmp_path, capsys):

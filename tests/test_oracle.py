@@ -1,6 +1,8 @@
 """Brute-force sibling search and the random-state generators."""
 
+import ast
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -310,6 +312,36 @@ class TestStackedDescent:
             res, _ = objective.residuals(u)
             assert cost == pytest.approx(float(res @ res), rel=1e-12, abs=0)
 
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_each_lazy_cost_is_the_stacked_cost(self, n, monkeypatch):
+        # a result's cost is computed on its first read, alone, and kept;
+        # it equals bit for bit the cost of its row in the whole stack
+        orbit, _ = random_ghz_orbit(n, 2700 + n)
+        objective = PanelObjective(orbit.amplitudes, n)
+        results = fit_pivot_unitary(objective, grid_starts() + random_starts(np.random.default_rng(n), 48))
+        whole = objective.costs(np.array([result.unitary for result in results]))
+        rows = _count_cost_rows(monkeypatch)
+        lazy = [result.cost for result in results]
+        assert [result.cost for result in results] == lazy
+        assert rows == [1] * len(results)
+        np.testing.assert_array_equal(lazy, whole)
+
+    @pytest.mark.parametrize("psi", [qm.haar_random_ket(3, 317), qm.haar_random_ket(8, 3)], ids=["n3", "n8"])
+    def test_determined_search_builds_no_dense_marginals(self, psi, monkeypatch):
+        # every start ends on the scalar locus, so no cost is read
+        rows = _count_cost_rows(monkeypatch)
+        report = qm.search_sibling(psi, budget=64)
+        assert (report.found, report.trials) == (False, 64)
+        assert rows == []
+
+    @pytest.mark.parametrize("psi", [qm.ghz_state(3), random_ghz_orbit(4, 7500)[0], random_ghz_orbit(5, 7501)[0]],
+                             ids=["ghz3", "orbit4", "orbit5"])
+    def test_ghz_search_reads_costs_only_up_to_its_witness(self, psi, monkeypatch):
+        rows = _count_cost_rows(monkeypatch)
+        report = qm.search_sibling(psi, budget=64)
+        assert report.found
+        assert 1 <= sum(rows) <= report.trials < 64
+
     def test_search_memory_is_bounded_at_eight_qubits(self):
         # holding the dense marginal differences of all 64 starts at once
         # peaked at 226 MiB on this search; chunks of COST_CHUNK entries
@@ -361,6 +393,54 @@ class TestStackedDescent:
         # a negative tol once passed psi itself off as a witness
         with pytest.raises(ValueError, match="tol"):
             qm.search_sibling(qm.haar_random_ket(3, 1), tol=tol)
+
+
+def _count_cost_rows(monkeypatch) -> list[int]:
+    """Record the rows of every ``PanelObjective.costs`` call from now on."""
+    rows = []
+    costs = PanelObjective.costs
+
+    def counted(self, unitaries):
+        rows.append(len(unitaries))
+        return costs(self, unitaries)
+
+    monkeypatch.setattr(PanelObjective, "costs", counted)
+    return rows
+
+
+def _package_imports(path: Path) -> set[str]:
+    """The qmarginal modules a source file imports; ``__init__`` for the
+    package itself."""
+    package = path.parent
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("qmarginal")):
+            parts = (node.module or "").split(".")[0 if node.level else 1 :]
+            if parts and parts[0]:
+                names.add(parts[0])
+            else:  # from . import x: a module, or a name of the package
+                names.update(a.name if (package / f"{a.name}.py").exists() else "__init__" for a in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "qmarginal":
+                    names.add(parts[1] if len(parts) > 1 else "__init__")
+    return names
+
+
+def test_oracle_stays_blind_to_the_deciders():
+    # the oracle is the suite's independent check of the classifier, the
+    # stabilizer criterion and the inverse map, so nothing it runs, directly
+    # or through the modules it imports, may come from them
+    package = Path(qm.__file__).parent
+    reached, todo = set(), ["oracle", "unitary_fit"]
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo.extend(_package_imports(package / f"{name}.py"))
+    assert {"tensors", "tolerances"} <= reached
+    assert not reached & {"classifier", "reconstruct", "stabilizer"}, reached
 
 
 class TestAgreement:
