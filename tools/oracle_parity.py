@@ -28,7 +28,6 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import numpy as np  # noqa: E402
 
 import qmarginal as qm  # noqa: E402
-import corpus  # noqa: E402
 from workloads import SiblingOracle  # noqa: E402
 
 WORKLOAD_SEEDS = (7, 11, 13, 17)
@@ -45,11 +44,9 @@ def w_state(n: int) -> qm.Ket:
 
 def states():
     """(label, ket, search seed) for every state of the corpus."""
-    workload = SiblingOracle()
     for seed in WORKLOAD_SEEDS:
-        layout = [(n, kind) for n, kind, _, copies in workload.slots for _ in range(copies)]
-        for (n, kind), s in zip(layout, corpus.slot_seeds(seed, len(layout))):
-            yield f"oracle-{seed}/{kind}", corpus.state(kind, n, s), s
+        for item in SiblingOracle().build(seed, None, tiny=False):
+            yield f"oracle-{seed}/{item.kind}", item.payload["psi"], item.payload["seed"]
     for n in ORBIT_QUBITS:
         sources = {"haar": qm.haar_random_ket(n, 500 + n), "ghz-0.6": qm.ghz_state(n, 0.6, 0.8), "w": w_state(n)}
         for kind, source in sources.items():
