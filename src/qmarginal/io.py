@@ -5,7 +5,14 @@ optional label, and rows of (re, im) pairs: a state's 2**n amplitudes one
 per row, a panel's n entries each as 2**(n-1) rows of 2**(n-1) pairs after
 a line 'entry <omitted-qubit>'.  The text encoding writes one header line
 '<format> <version> <n>', then 'label <text>', then the rows, floats in
-shortest-roundtrip form so that a save/load cycle is lossless.  A file
+shortest-roundtrip form (``repr``) so that a save/load cycle is lossless.
+The writer formats each distinct magnitude of an array once and puts '-'
+before the text of a value whose sign bit is set.  The bytes are those of
+one ``repr`` per float, since repr(-x) is '-' + repr(x) for every finite x,
+-0.0 included, and every written value is finite.  That halves the work on
+a panel entry, whose mirror entries share their magnitudes.  A text label
+is the rest of its line, read back stripped, so one with a line break or
+surrounding whitespace is refused; JSON holds any label.  A file
 whose extension is ``.json`` holds the same parts as one object: string
 ``format``, integer ``version`` and ``n``, string ``label``, and
 ``amplitudes`` (an array of [re, im] pairs) or ``entries`` (objects with an
@@ -63,11 +70,21 @@ def _pairs(values: np.ndarray) -> np.ndarray:
 def _text_rows(values: np.ndarray) -> list[str]:
     """One line per row of a 2-D complex array, its (re, im) pairs written
     as Python floats: repr gives the shortest text that reads back to the
-    same bits, signed zeros and exponent form included."""
-    return [" ".join(map(repr, row)) for row in _pairs(values).tolist()]
+    same bits, signed zeros and exponent form included.  Each distinct
+    magnitude is formatted once (see the module docstring)."""
+    pairs = _pairs(values)
+    mags, inverse = np.unique(np.abs(pairs).ravel(), return_inverse=True)
+    texts = list(map(repr, mags.tolist()))
+    table = np.array(texts + ["-" + t for t in texts], dtype=object)
+    signed = inverse.reshape(pairs.shape) + len(texts) * np.signbit(pairs)
+    return [" ".join(row) for row in table[signed].tolist()]
 
 
 def save_state(path, psi: Ket, label: str | None = None) -> None:
+    """Write psi, with an optional label, in the encoding of the path's
+    suffix.  Raises ``ValueError``, before writing anything, for a text
+    label with a line break (any that ``str.splitlines`` breaks on) or
+    leading or trailing whitespace."""
     path = Path(path)
     if path.suffix == ".json":
         doc = {
@@ -80,6 +97,9 @@ def save_state(path, psi: Ket, label: str | None = None) -> None:
             doc["label"] = label
         path.write_text(json.dumps(doc, indent=1) + "\n")
         return
+    if label is not None and ("".join(label.splitlines()) != label or label.strip() != label):
+        raise ValueError(f"a text state file cannot hold the label {label!r}: "
+                         "no line breaks or surrounding whitespace; use .json")
     lines = [f"{STATE_FORMAT} {FORMAT_VERSION} {psi.n}"]
     if label is not None:
         lines.append(f"label {label}")

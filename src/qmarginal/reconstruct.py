@@ -205,7 +205,8 @@ def _fit_qubit_one(panel: RdmPanel, chi: Ket, tol: float) -> ReconstructionResul
     Conjugation by U rotates the Bloch matrix of the other entries
     (``_bloch_matrix``) by some R in SO(3), so the best U is the rotation
     that carries chi's matrix onto the panel's: orthogonal Procrustes with
-    det R = +1 (Kabsch, Acta Cryst. A32, 922 (1976)), lifted to SU(2).  A
+    det R = +1 (Kabsch, Acta Cryst. A32, 922 (1976)), its turn about the
+    leading axis refitted from unsquared rows, lifted to SU(2).  A
     residual above tol means no U reproduces the panel.  Otherwise, by the
     paper's theorem, other pure states share the panel exactly when the
     fitted state is GHZ-class.  ``classify`` decides that from the unsquared
@@ -219,7 +220,20 @@ def _fit_qubit_one(panel: RdmPanel, chi: Ket, tol: float) -> ReconstructionResul
     u, _, vt = np.linalg.svd(target @ source.T)
     if np.linalg.det(u @ vt) < 0:
         u[:, 2] = -u[:, 2]
-    fitted = _act(amps, n, [(1, _su2_from_rotation(u @ vt))])
+    rot = u @ vt
+    # refit the turn about the leading axis u[:, 0] from target and
+    # rot @ source projected onto the plane u[:, 1:] before any product.
+    # Near the GHZ class those projections are O(eps), so the product above
+    # holds them squared, at the rounding level of its O(1) entries, and
+    # fixes this turn only up to noise.  phi is the exact best turn about
+    # the axis, so the mismatch of the Bloch matrices never grows
+    plane = u[:, 1:]
+    h = (plane.T @ target) @ ((plane.T @ rot) @ source).T
+    phi = np.arctan2(h[1, 0] - h[0, 1], h[0, 0] + h[1, 1])
+    c, s = np.cos(phi), np.sin(phi)
+    turn = np.outer(u[:, 0], u[:, 0]) + plane @ np.array([[c, -s], [s, c]]) @ plane.T
+    rot = turn @ rot
+    fitted = _act(amps, n, [(1, _su2_from_rotation(rot))])
     state = Ket(n, fix_global_phase(fitted / np.linalg.norm(fitted)))
     residual = check_panel(state, panel)
     if residual > tol:

@@ -1,4 +1,5 @@
-"""Shared state generators for the test corpus.
+"""Shared state generators for the test corpus, and the reference text
+writer.
 
 All generators are deterministic per seed so failures reproduce exactly.
 """
@@ -40,3 +41,10 @@ def mixed_corpus(n: int, per_kind: int, base_seed: int):
         if n >= 3:  # a hybrid needs an entangled block strictly inside the register
             states.append(("hybrid", random_hybrid(n, base_seed + 10 * i + 3)))
     return states
+
+
+def reference_rows(values):
+    """Text rows of a 2-D complex array as one repr per float: the bytes
+    the file writer must produce."""
+    pairs = np.ascontiguousarray(values, dtype=complex).view(np.float64)
+    return [" ".join(map(repr, row)) for row in pairs.tolist()]

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import qmarginal as qm
-from conftest import random_ghz_orbit
+from conftest import random_ghz_orbit, random_hybrid, reference_rows
 from qmarginal.cli import main
 from qmarginal.io import (
     FileFormatError,
@@ -76,6 +76,26 @@ class TestStateFiles:
             b"0.0 -0.0\n"
             b"0.8 -1e-07\n"
         )
+
+    @pytest.mark.parametrize("label", ["a\nb", "a\rb", "a\u2028b", "  pad  ", " pad", "pad\t"])
+    def test_text_refuses_a_label_it_cannot_read_back(self, tmp_path, label):
+        # the text label is the rest of its line, read back stripped
+        path = tmp_path / "state.txt"
+        with pytest.raises(ValueError, match="cannot hold the label"):
+            save_state(path, qm.haar_random_ket(2, 31), label=label)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("label", ["a\nb", "a\rb", "a\u2028b", "  pad  ", " pad", "pad\t", ""])
+    def test_json_round_trips_any_label(self, tmp_path, label):
+        path = tmp_path / "state.json"
+        save_state(path, qm.haar_random_ket(2, 31), label=label)
+        assert load_state(path).label == label
+
+    @pytest.mark.parametrize("label", ["", "reconstructed (ghz-family)", "inner  spaces\tkept"])
+    def test_text_round_trips_a_one_line_label(self, tmp_path, label):
+        path = tmp_path / "state.txt"
+        save_state(path, qm.haar_random_ket(2, 31), label=label)
+        assert load_state(path).label == label
 
     @pytest.mark.parametrize(
         "bad_row, message",
@@ -500,6 +520,61 @@ class TestLoaderChecks:
             '{"omitted": 1, "matrix": [[[0.75, 0.0], [2.5e-17, -0.0]], [[2.5e-17, 0.0], [0.25, 0.0]]]}, '
             '{"omitted": 2, "matrix": [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]}]}\n'
         )
+
+
+def reference_panel_bytes(panel):
+    lines = [f"qmarginal-panel 1 {panel.n}"]
+    for j in range(1, panel.n + 1):
+        lines.append(f"entry {j}")
+        lines.extend(reference_rows(panel.entry(j).entries))
+    return ("\n".join(lines) + "\n").encode()
+
+
+def parity_states(n):
+    orbit, _ = random_ghz_orbit(n, 70)
+    balanced, _ = random_ghz_orbit(n, 71, balanced=True)
+    return {
+        "haar": qm.haar_random_ket(n, 72),
+        "ghz-orbit": orbit,
+        "ghz-balanced": balanced,
+        "hybrid": random_hybrid(n, 73),
+    }
+
+
+class TestWriterParity:
+    """The text writer formats each distinct magnitude once; its bytes are
+    those of one repr per float."""
+
+    @pytest.mark.parametrize("kind", ["haar", "ghz-orbit", "ghz-balanced", "hybrid"])
+    def test_panel_bytes_match_the_reference(self, tmp_path, kind):
+        panel = qm.panel_of_pure(parity_states(8)[kind])
+        path = tmp_path / "panel.txt"
+        save_panel(path, panel)
+        assert path.read_bytes() == reference_panel_bytes(panel)
+
+    def test_non_hermitian_panel_bytes_match_the_reference(self, tmp_path):
+        # entry 2 turned on qubit 1 by 0.01 rad: its mirror entries differ
+        # in their last bits, so magnitudes are no longer shared in pairs
+        n = 8
+        panel = qm.panel_of_pure(qm.haar_random_ket(n, 74))
+        c, s = np.cos(0.01), np.sin(0.01)
+        u = np.kron(np.array([[c, -s], [s, c]]), np.eye(2 ** (n - 2)))
+        rho = panel.entry(2)
+        entries = list(panel.entries)
+        entries[1] = qm.DensityMatrix(rho.qubit_labels, u @ rho.entries @ u.T)
+        turned = qm.RdmPanel(n, tuple(entries))
+        assert not np.array_equal(turned.entry(2).entries, turned.entry(2).entries.conj().T)
+        path = tmp_path / "panel.txt"
+        save_panel(path, turned)
+        assert path.read_bytes() == reference_panel_bytes(turned)
+
+    @pytest.mark.parametrize("kind", ["haar", "ghz-orbit", "ghz-balanced", "hybrid"])
+    def test_state_bytes_match_the_reference(self, tmp_path, kind):
+        psi = parity_states(8)[kind]
+        path = tmp_path / "state.txt"
+        save_state(path, psi, label=kind)
+        lines = ["qmarginal-state 1 8", f"label {kind}", *reference_rows(psi.amplitudes[:, None])]
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 class TestCli:

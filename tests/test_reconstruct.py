@@ -298,6 +298,65 @@ class TestReconstruct:
             assert (result.outcome == "ghz-family") == qm.classify(psi).ghz_class
 
 
+def eps_state(n, eps, seed):
+    """An LU orbit of 0.6|0..0> + 0.8|1..1> + eps|0..01>, normalized."""
+    amps = np.zeros(2**n, dtype=complex)
+    amps[0], amps[-1], amps[1] = 0.6, 0.8, eps
+    return qm.random_lu_orbit(qm.Ket(n, amps / np.linalg.norm(amps)), seed)
+
+
+# the stated accuracy of a unique answer near the GHZ class: 1 - |<psi|phi>|^2
+# of the source psi and the returned phi.  Measured at most 1.4e-15 on the
+# eps states at n = 3-6 and 8, eps from 1e-6 to 1e-12; a turn about the
+# leading axis fitted from the squared product reached 4.7e-2 at n = 6
+NEAR_GHZ_INFIDELITY = 1e-14
+
+
+def assert_recovers(psi, result):
+    assert result.outcome != "incompatible", result.reason
+    assert result.residual <= RECONSTRUCT_TOL
+    if result.outcome == "unique":
+        assert 1.0 - abs(result.state.overlap(psi)) ** 2 <= NEAR_GHZ_INFIDELITY
+    else:
+        assert family_contains(result, psi)
+
+
+class TestNearGhzClass:
+    """The eps states, whose Bloch matrix over qubit 1 has two O(eps)
+    singular values beside an O(1) one."""
+
+    # pure panels that a turn fitted from the squared product T S^T left
+    # incompatible, with residual 1.05e-9 to 1.96e-9 (eps from
+    # np.logspace(-6, -10, 41))
+    @pytest.mark.parametrize("n, eps, seed", [
+        (3, 6.309573444801943e-09, 2),
+        (3, 3.981071705534969e-09, 5),
+        (4, 3.981071705534969e-08, 2),
+        (4, 1.584893192461114e-08, 2),
+        (4, 1.2589254117941661e-08, 0),
+        (4, 6.309573444801943e-09, 0),
+        (4, 6.309573444801943e-09, 1),
+        (4, 5.011872336272715e-09, 2),
+        (5, 1.9952623149688786e-08, 3),
+        (5, 1e-08, 2),
+    ])
+    def test_panel_once_incompatible_is_recovered(self, n, eps, seed):
+        psi = eps_state(n, eps, seed)
+        assert_recovers(psi, qm.reconstruct(qm.panel_of_pure(psi)))
+
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    def test_every_pure_panel_is_recovered(self, n):
+        # a quarter decade apart, across classify's flip near eps = 8.8e-9
+        outcomes = set()
+        for eps in np.logspace(-6, -12, 25):
+            for seed in (0, 1):
+                psi = eps_state(n, eps, seed)
+                result = qm.reconstruct(qm.panel_of_pure(psi))
+                assert_recovers(psi, result)
+                outcomes.add(result.outcome)
+        assert outcomes == {"unique", "ghz-family"}
+
+
 def _kron(*kets):
     amps = np.ones(1, dtype=complex)
     for k in kets:
