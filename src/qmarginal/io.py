@@ -156,6 +156,8 @@ def _open(path: Path) -> tuple[dict | list[str], int | None, list]:
         raise FileFormatError(path, err.lineno, f"invalid JSON: {err.msg}") from err
     except ValueError as err:  # an integer beyond Python's digit limit
         raise FileFormatError(path, None, f"invalid JSON: {err}") from err
+    except RecursionError as err:  # arrays or objects nested beyond the decoder's depth
+        raise FileFormatError(path, None, "invalid JSON: nested too deeply") from err
     if not isinstance(doc, dict):
         raise FileFormatError(path, None, "expected a JSON object")
     return doc, None, [doc.get("format"), repr(doc.get("version")), repr(doc.get("n"))]
@@ -254,7 +256,8 @@ def load_state(path) -> StateFile:
     count = 2**n
     amps = _rows(rows, first, count, 1, path, "", "amplitude", f" of {count}")[:, 0]
     _no_trailing(rows, count, first, path)
-    norm = float(np.linalg.norm(amps))
+    with np.errstate(over="ignore"):  # amplitudes past 1e154: an inf norm, rejected below
+        norm = float(np.linalg.norm(amps))
     if abs(norm - 1.0) > NORM_REJECT_TOL:
         raise FileFormatError(path, None, f"state norm is {norm!r}, expected 1")
     if abs(norm - 1.0) > LOAD_WARN_TOL:
@@ -263,13 +266,22 @@ def load_state(path) -> StateFile:
 
 
 def _entry_from_raw(raw: np.ndarray, n: int, omitted: int, path, line: int | None) -> DensityMatrix:
-    if np.max(np.abs(raw - raw.conj().T)) > LOAD_HERM_TOL:
+    # values near the float limit overflow to an inf defect or sum, or a
+    # NaN trace (inf - inf), each rejected below
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = np.max(np.abs(raw - raw.conj().T))
+        sym = 0.5 * (raw + raw.conj().T)
+        trace = float(np.trace(sym).real)
+    if defect > LOAD_HERM_TOL:
         raise FileFormatError(path, line, f"entry {omitted} is not Hermitian within {LOAD_HERM_TOL}")
-    sym = 0.5 * (raw + raw.conj().T)
-    trace = float(np.trace(sym).real)
-    if abs(trace - 1.0) > NORM_REJECT_TOL:
+    if not abs(trace - 1.0) <= NORM_REJECT_TOL:
         raise FileFormatError(path, line, f"entry {omitted} has trace {trace!r}")
     sym = sym / trace
+    # |rho_ij| <= |rho|_2, which is at most 1 + (d - 1) LOAD_HERM_TOL for a
+    # unit-trace matrix with no eigenvalue below -LOAD_HERM_TOL: a larger
+    # entry fails the spectrum check below, and would overflow its products
+    if np.max(np.abs(sym)) > 1.0 + len(sym) * LOAD_HERM_TOL:
+        raise FileFormatError(path, line, f"entry {omitted} is not positive semidefinite")
     labels = tuple(q for q in range(1, n + 1) if q != omitted)
     # the entry of a pure state's panel has rank <= 2: its top two
     # eigenpairs leave a remainder at rounding level, no eigenvalue lies

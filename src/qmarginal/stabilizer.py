@@ -14,11 +14,16 @@ m's singular values and right singular vectors, with no 2*2^n-row factor.
 
 Almost every state is fixed by its marginals, and its subalgebra is then
 trivial.  For n >= 6 a cheaper certificate proves that first, from the rows
-of m at 2(3n+1) sampled basis indices: deleting rows only lowers singular
+m_S of m at 2(3n+1) sampled basis indices: deleting rows only lowers singular
 values, so sigma_min(m) >= sigma_min(m_S), and every column of m has norm
 |psi|, so sigma_max(m) <= |m|_F = sqrt(3n+1)*|psi|.  A sampled sigma_min at
-or above the nullity threshold evaluated at that sigma_max bound therefore
-means that the full rule would find nullity 0 as well.
+or above the nullity threshold t evaluated at that sigma_max bound therefore
+means that the full rule would find nullity 0 as well.  The certificate
+proves sigma_min(m_S) >= t with one Cholesky factorisation of the
+(3n+1) x (3n+1) Gram matrix m_S^T m_S shifted down by t^2 plus a rounding
+slack, not with an SVD; when the factorisation fails, the full rule decides.
+``undetermined_by_dimension`` runs this certificate first, before its
+product test, since a certified nullity of 0 is never n - 1.
 """
 
 from __future__ import annotations
@@ -117,6 +122,57 @@ def _null_threshold(sigma_max: float, m_rows: int) -> float:
     return max(NULL_FLOOR, NULL_REL_TOL * sigma_max * m_rows)
 
 
+def _certified_trivial(psi: Ket) -> bool | None:
+    """Whether the rows m_S of m at ``_sampled_rows`` prove nullity 0.
+
+    None for n < 6, where 2(3n+1) >= 2^n and there is no sampled block.
+    True when sigma_min(m_S) >= t, the nullity threshold at sigma_max(m)'s
+    bound sqrt(3n+1) * |psi|, proved by a Cholesky factorisation of
+    m_S^T m_S - (t^2 + slack) I.  False when the factorisation fails: for a
+    state with a nontrivial subalgebra (its null vectors annihilate m_S), or
+    one with sigma_min(m_S) too close to t; the caller then runs the full
+    rule."""
+    n = psi.n
+    k = 3 * n + 1
+    if 2 * k >= 2**n:
+        return None
+    sampled = _pauli_system(psi, _sampled_rows(n))
+    frobenius = np.sqrt(k) * np.linalg.norm(psi.amplitudes)
+    threshold = _null_threshold(frobenius, 2 * 2**n)
+    # Why a completed factorisation proves lambda_min(G) >= t^2 for the
+    # exact Gram matrix G = m_S^T m_S.  Write r = 4(3n+1) for the rows of
+    # m_S, u = 2^-53, gamma_j = j u / (1 - j u), and F^2 = frobenius^2 >=
+    # |m_S|_F^2 (each column of m_S is part of a column of m, of norm |psi|);
+    # m_S itself is exact, its entries copied amplitudes.
+    # 1. The computed Gram is G + E1 with |E1| <= gamma_r |m_S|^T |m_S|
+    #    entrywise, for any order of the sums (Higham, Accuracy and Stability
+    #    of Numerical Algorithms, 2nd ed., eq. 3.13), so |E1|_2 <= gamma_r F^2.
+    # 2. Subtracting s = fl(t^2 + slack) from its diagonal adds a diagonal E2
+    #    with |E2|_2 <= u max_i G_ii <= u (1 + gamma_r) F^2.
+    # 3. If Cholesky completes on the result A, then R^T R = A + E3 with
+    #    |E3| <= gamma_(k+1) |R^T| |R|, for any order of the inner products,
+    #    LAPACK's blocked dpotrf included (Higham, Thm 10.3), and
+    #    | |R^T| |R| |_2 <= |R|_F^2 = tr(A + E3) <= tr(A) / (1 - gamma_(k+1))
+    #    <= (1 + gamma_r) F^2 / (1 - gamma_(k+1)).  R^T R is positive
+    #    definite, so lambda_min(A) > -|E3|_2: Rump's verification of
+    #    positive definiteness (BIT 46, 2006), whose underflow term is far
+    #    below the slack, since |psi| is 1 within 1e-6 for a Ket.
+    # 4. By Weyl's inequality, lambda_min(G) >= s - |E1|_2 - |E2|_2 - |E3|_2,
+    #    and s is within 2u s of t^2 + slack, where a positive first pivot
+    #    needs s < (1 + u) G_11 <= (1 + u)(1 + gamma_r) F^2.
+    # The errors sum to (r + k + 4) u F^2 to first order; (r + k) u < 1e-12
+    # for n < 600, so the factor 2 covers the higher orders and the rounding
+    # of frobenius and of the slack itself.
+    slack = 2 * (sampled.shape[0] + k + 4) * 2.0**-53 * frobenius**2
+    gram = sampled.T @ sampled
+    gram.flat[:: k + 1] -= threshold**2 + slack
+    try:
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def element_action(element: AlgebraElement, psi: Ket) -> np.ndarray:
     """Raw amplitudes of sum_j i (x_j X_j + y_j Y_j + z_j Z_j) |psi>."""
     if element.n != psi.n:
@@ -160,22 +216,29 @@ def stabilizer_subalgebra(psi: Ket) -> StabilizerBasis:
     the sign flipped because the phase column enters the system as +i*psi.
 
     For n >= 6, where 2(3n+1) < 2^n, the rows m_S of m at the basis indices
-    of ``_sampled_rows`` are tried first.  If sigma_min(m_S) >= max(NULL_FLOOR,
-    NULL_REL_TOL * sqrt(3n+1) * |psi| * 2^(n+1)), the threshold of the rule
-    below at its largest possible sigma_max(m), then sigma_min(m) lies
-    above the threshold too, and the empty basis is returned without
-    building m.  A state with a nontrivial subalgebra never passes (its null
-    vectors annihilate m_S as well), and a trivial one that fails takes the
-    full path, so the result is the full rule's either way.
+    of ``_sampled_rows`` are tried first.  If sigma_min(m_S) >= t =
+    max(NULL_FLOOR, NULL_REL_TOL * sqrt(3n+1) * |psi| * 2^(n+1)), the
+    threshold of the rule below at its largest possible sigma_max(m), then
+    sigma_min(m) lies above the threshold too, and the empty basis is
+    returned without building m.  The inequality is proved by a Cholesky
+    factorisation of m_S^T m_S - (t^2 + slack) I.  The slack, 2(5k + 4) k u
+    |psi|^2 for k = 3n+1 columns and u = 2^-53, bounds the rounding of the
+    Gram matrix and Cholesky's backward error (derived in
+    ``_certified_trivial``); it leaves uncertified only sigma_min(m_S)
+    between t and about 1e-6.  A state with a nontrivial subalgebra never
+    passes (its null vectors annihilate m_S as well), and a trivial one that
+    fails takes the full path, so the result is the full rule's either way.
     """
+    if _certified_trivial(psi):
+        return StabilizerBasis((), 0)
+    return _full_rule(psi)
+
+
+def _full_rule(psi: Ket) -> StabilizerBasis:
+    """``stabilizer_subalgebra`` from all 2*2^n rows of m, with no
+    certificate."""
     n = psi.n
     m_rows = 2 * 2**n
-    if 2 * (3 * n + 1) < 2**n:
-        sampled = _pauli_system(psi, _sampled_rows(n))
-        sigma_min = np.linalg.svd(sampled, compute_uv=False)[-1]
-        frobenius = np.sqrt(3 * n + 1) * np.linalg.norm(psi.amplitudes)
-        if sigma_min >= _null_threshold(frobenius, m_rows):
-            return StabilizerBasis((), 0)
     m = _pauli_system(psi, np.arange(2**n, dtype=np.int64))
     # 2*2^n >= 3n+1 rows for every n >= 1, so R is square and vh is the full
     # right factor; the threshold still scales with the shape of m, not of R
@@ -196,13 +259,27 @@ def undetermined_by_dimension(psi: Ket) -> str:
     criterion is only definitive for n = 3 and n >= 5: a state is
     undetermined among pure states iff it does not factor across any single
     qubit and its stabilizer subalgebra has dimension n - 1.
+
+    For n >= 6 the sampled-row certificate of ``stabilizer_subalgebra`` (a
+    Cholesky factorisation proving sigma_min(m_S) above the nullity
+    threshold) runs first, once: a certified nullity of 0 is never n - 1, so
+    a state that passes is "determined" with no product test and no full
+    system.  Otherwise the product test (a one-qubit marginal's least
+    eigenvalue below PRODUCT_TOL) and then the full rule decide, in that
+    order, which gives the verdict of running them alone.
     """
     n = psi.n
     if n == 4 or n < 3:
         return "inapplicable"
+    certified = _certified_trivial(psi)
+    if certified:
+        return "determined"
     if np.min(np.linalg.eigvalsh(_grams(_qubit_factors(psi)))[:, 0]) < PRODUCT_TOL:
         return "determined"
-    return "undetermined" if stabilizer_subalgebra(psi).dimension == n - 1 else "determined"
+    # past a failed certificate, straight to the full rule rather than
+    # through stabilizer_subalgebra, which would run the certificate again
+    basis = stabilizer_subalgebra(psi) if certified is None else _full_rule(psi)
+    return "undetermined" if basis.dimension == n - 1 else "determined"
 
 
 def conjugate_element(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import qmarginal as qm
-from conftest import mixed_corpus, random_ghz_orbit
+from conftest import mixed_corpus, random_ghz_orbit, random_hybrid
 from qmarginal.oracle import random_unitary_2x2
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -314,3 +314,91 @@ class TestSampledRowCertificate:
         calls = self.count_full_path(monkeypatch)
         assert qm.stabilizer_subalgebra(psi).dimension == 0
         assert len(calls) == 1
+
+
+def near_ghz(n: int, eps: float, seed: int) -> qm.Ket:
+    """An LU orbit of 0.6|0..0> + 0.8|1..1> + eps * (a Haar vector),
+    normalized: a trivial subalgebra whose least singular value is about
+    eps, where the eps|0..01> states keep a null space of dimension n - 2."""
+    amps = np.zeros(2**n, dtype=complex)
+    amps[[0, -1]] = 0.6, 0.8
+    amps = amps + eps * qm.haar_random_ket(n, seed).amplitudes
+    return qm.random_lu_orbit(qm.ket(amps), seed=seed + 1)
+
+
+class TestCertificateFirst:
+    """``undetermined_by_dimension`` runs the sampled certificate once,
+    before its product test, and the full system only past a failed one;
+    counted as the calls of ``_pauli_system`` by their row count."""
+
+    @staticmethod
+    def count_gathers(monkeypatch):
+        calls = []
+        original = qm.stabilizer._pauli_system
+
+        def counted(psi, rows):
+            calls.append("full" if len(rows) == 2**psi.n else "sampled")
+            return original(psi, rows)
+
+        monkeypatch.setattr(qm.stabilizer, "_pauli_system", counted)
+        return calls
+
+    @pytest.mark.parametrize("n", range(6, 11))
+    def test_haar_states_gather_only_the_sampled_block(self, monkeypatch, n):
+        calls = self.count_gathers(monkeypatch)
+        for seed in range(3):
+            calls.clear()
+            assert qm.undetermined_by_dimension(qm.haar_random_ket(n, 3500 + 10 * n + seed)) == "determined"
+            assert calls == ["sampled"]
+
+    @pytest.mark.parametrize("n", range(6, 11))
+    def test_ghz_orbits_gather_the_sampled_block_then_the_full_system(self, monkeypatch, n):
+        calls = self.count_gathers(monkeypatch)
+        for balanced in (False, True):
+            calls.clear()
+            orbit, _ = random_ghz_orbit(n, 3600 + n, balanced=balanced)
+            assert qm.undetermined_by_dimension(orbit) == "undetermined"
+            assert calls == ["sampled", "full"]
+
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_products_and_hybrids_stay_determined(self, monkeypatch, n):
+        calls = self.count_gathers(monkeypatch)
+        for seed in range(3):
+            for psi in (qm.random_product_ket(n, 3700 + seed), random_hybrid(n, 3750 + 10 * seed)):
+                calls.clear()
+                assert qm.undetermined_by_dimension(psi) == "determined"
+                # a product qubit is a null vector of m_S, so the
+                # certificate fails, and the product test decides
+                assert calls == ["sampled"]
+
+    @pytest.mark.parametrize("n", [6, 7])
+    @pytest.mark.parametrize("eps", [1e-8, 1e-7, 5e-7])
+    def test_uncertified_band_takes_the_full_path(self, monkeypatch, n, eps):
+        # t < sigma_min(m_S) < sqrt(t^2 + slack), with the slack of the
+        # stabilizer_subalgebra docstring: the certificate cannot prove the
+        # nullity 0 that the full rule finds
+        k = 3 * n + 1
+        threshold = max(1e-9, 1e-12 * np.sqrt(k) * 2 * 2**n)
+        slack = 2 * (5 * k + 4) * k * 2.0**-53
+        rows = qm.stabilizer._sampled_rows(n)
+        calls = self.count_gathers(monkeypatch)
+        for seed in range(3):
+            psi = near_ghz(n, eps, 3800 + 10 * n + seed)
+            sampled = generator_matrix(psi)[np.concatenate([rows, rows + 2**n])]
+            sigma_min = np.linalg.svd(sampled, compute_uv=False)[-1]
+            assert threshold < sigma_min < np.sqrt(threshold**2 + slack)
+            assert independent_nullity(psi) == 0
+            calls.clear()
+            assert qm.stabilizer_subalgebra(psi).dimension == 0
+            assert calls == ["sampled", "full"]
+            calls.clear()
+            assert qm.undetermined_by_dimension(psi) == "determined"
+            assert calls == ["sampled", "full"]
+
+    def test_ghz_orbits_never_pass_the_certificate(self):
+        # an exact null space of dimension n - 1 leaves the shifted Gram
+        # matrix indefinite by far more than its rounding
+        for n in range(6, 11):
+            for seed in range(40):
+                orbit, _ = random_ghz_orbit(n, 3900 + 100 * n + seed, balanced=seed % 2 == 1)
+                assert qm.stabilizer._certified_trivial(orbit) is False
