@@ -25,10 +25,14 @@ only a number as a float; JSON rows have no line numbers.  One set of
 checks then runs for both: format and version, the qubit count (at most
 MAX_FILE_QUBITS), row count and width, number syntax, finiteness, entry
 labels and their count.
+
+Files are written as UTF-8 and read as UTF-8, skipping a leading
+byte-order mark.
 """
 
 from __future__ import annotations
 
+import codecs
 import json
 import warnings
 from dataclasses import dataclass
@@ -95,7 +99,7 @@ def save_state(path, psi: Ket, label: str | None = None) -> None:
         }
         if label is not None:
             doc["label"] = label
-        path.write_text(json.dumps(doc, indent=1) + "\n")
+        path.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
         return
     if label is not None and ("".join(label.splitlines()) != label or label.strip() != label):
         raise ValueError(f"a text state file cannot hold the label {label!r}: "
@@ -104,7 +108,7 @@ def save_state(path, psi: Ket, label: str | None = None) -> None:
     if label is not None:
         lines.append(f"label {label}")
     lines.extend(_text_rows(psi.amplitudes[:, None]))
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def save_panel(path, panel: RdmPanel) -> None:
@@ -120,13 +124,13 @@ def save_panel(path, panel: RdmPanel) -> None:
                 for j in range(1, panel.n + 1)
             ],
         }
-        path.write_text(json.dumps(doc) + "\n")
+        path.write_text(json.dumps(doc) + "\n", encoding="utf-8")
         return
     lines = [f"{PANEL_FORMAT} {FORMAT_VERSION} {panel.n}"]
     for j in range(1, panel.n + 1):
         lines.append(f"entry {j}")
         lines.extend(_text_rows(panel.entry(j).entries))
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _line(first: int | None, offset: int) -> int | None:
@@ -140,11 +144,13 @@ def _open(path: Path) -> tuple[dict | list[str], int | None, list]:
     if not path.exists():
         raise FileFormatError(path, None, "file not found")
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8-sig")  # a leading byte-order mark is skipped
     except OSError as err:  # a directory, or no permission to read
         raise FileFormatError(path, None, f"cannot read: {err.strerror}") from err
     except UnicodeDecodeError as err:
-        raise FileFormatError(path, None, f"not {err.encoding} text: {err.reason} at byte {err.start}") from err
+        # the decoder counts from after a byte-order mark, the message from the file's start
+        skipped = len(codecs.BOM_UTF8) if path.read_bytes().startswith(codecs.BOM_UTF8) else 0
+        raise FileFormatError(path, None, f"not utf-8 text: {err.reason} at byte {skipped + err.start}") from err
     if path.suffix != ".json":
         lines = text.splitlines()
         if not lines:

@@ -271,15 +271,13 @@ def undetermined_by_dimension(psi: Ket) -> str:
     n = psi.n
     if n == 4 or n < 3:
         return "inapplicable"
-    certified = _certified_trivial(psi)
-    if certified:
+    if _certified_trivial(psi):
         return "determined"
     if np.min(np.linalg.eigvalsh(_grams(_qubit_factors(psi)))[:, 0]) < PRODUCT_TOL:
         return "determined"
-    # past a failed certificate, straight to the full rule rather than
-    # through stabilizer_subalgebra, which would run the certificate again
-    basis = stabilizer_subalgebra(psi) if certified is None else _full_rule(psi)
-    return "undetermined" if basis.dimension == n - 1 else "determined"
+    # past the certificate, straight to the full rule: going through
+    # stabilizer_subalgebra would run the certificate again
+    return "undetermined" if _full_rule(psi).dimension == n - 1 else "determined"
 
 
 def conjugate_element(

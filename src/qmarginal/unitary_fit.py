@@ -16,7 +16,7 @@ so the step cannot run off along a periodic parameter, and every iterate is
 unitary up to rounding.  The Jacobian is analytic: with a the axis-first
 view of U psi for qubit k and b_a that of the tangent i sigma_a U psi,
 d rho_(k) = b_a^T conj(a) plus its adjoint (``PanelObjective.residuals``,
-the dense reference).
+the dense path).
 
 Every residual is a fixed 4-column matrix, the 2 x 2 blocks of psi's own
 marginals over qubit 1, times a coefficient vector that depends on U alone
@@ -27,10 +27,10 @@ Gauss-Newton matrix exactly, in O(1) work per start at every n.  Read as
 the compressed residual is Y - R^T and its tangent along i sigma_a U is
 i [sigma_a, Y]: both are formed directly, never the residual's square.
 The cost a result reports is the dense one, read off the marginals
-themselves (``PanelObjective.costs``), so callers see the panel mismatch
-itself.  It is computed when a caller first reads it: the sibling search
-reads it only for the starts it may report, and a start that ends on the
-scalar locus never builds its dense marginals.
+themselves (``PanelObjective.residuals``), so callers see the panel
+mismatch itself.  It is computed when a caller first reads it: the sibling
+search reads it only for the starts it may report, and a start that ends on
+the scalar locus never builds its dense marginals.
 
 The starts of one call descend together as a stack of unitaries.  Each
 pass of the loop builds the 3 x 3 normal equations of every start still
@@ -66,10 +66,6 @@ MAX_STEPS = 100
 GRAD_TOL = 1e-15
 STEP_TOL = 1e-12
 SCALE_FLOOR = 1e-12
-# complex entries of dense marginal differences that ``PanelObjective.costs``
-# holds at once (4 MB): a whole budget of 64 starts up to n = 5, two at a
-# time at n = 8
-COST_CHUNK = 2**18
 
 # I, i X, i Y, i Z: the identity and the three step directions
 _GENERATORS = np.array([np.eye(2), *(1j * p for p in PAULIS)])
@@ -85,10 +81,8 @@ _TANGENT_MAPS = np.concatenate(
 class FitResult:
     """Where one start's descent ended, and the objective it descended.
 
-    ``cost`` is the dense cost there, the sum of squared panel residual
-    entries (``PanelObjective.costs``), computed on first read and then
-    kept.  It is bit for bit the cost that start has in a call on the whole
-    stack, since no start's cost depends on the chunk it falls in.
+    ``cost`` is the dense cost there, r.r for the panel residual r of
+    ``PanelObjective.residuals``, computed on first read and then kept.
     """
 
     unitary: np.ndarray
@@ -96,7 +90,8 @@ class FitResult:
 
     @cached_property
     def cost(self) -> float:
-        return float(self.objective.costs(self.unitary[None])[0])
+        res, _ = self.objective.residuals(self.unitary)
+        return float(np.sum(np.square(res)))
 
 
 def unitary_from_params(theta) -> np.ndarray:
@@ -181,19 +176,13 @@ class PanelObjective:
         # transposed, so that rows (a, b) of kron(U, conj(U)) multiply it
         self._r = np.linalg.qr(np.concatenate(factors), mode="r").T
 
-    def marginals(self, unitary: np.ndarray) -> dict[int, np.ndarray]:
-        """rho_(k) of (U on qubit 1) psi for k = 2..n, for one U (2, 2) or
-        a stack (m, 2, 2) of them."""
-        moved = _axis_restore(unitary @ self.factor, self.n, 1)
-        return {k: _traced_outer(moved, moved, self.n, k) for k in self.own}
-
     def residuals(self, unitary: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Residual vector at U and its Jacobian in the X, Y, Z step directions.
 
         The residuals are the real and imaginary parts of rho_(k) - S_k
         over k = 2..n; the Jacobian has one column per direction sigma_a,
         the derivative along exp(i t sigma_a) U at t = 0.  This is the dense
-        reference that ``normal_equations`` and ``costs`` reproduce.
+        path that ``FitResult.cost`` reads and ``normal_equations`` reproduces.
         """
         # U psi and the tangents i sigma_a U psi, as amplitude vectors
         stack = _axis_restore(_GENERATORS @ (unitary @ self.factor), self.n, 1)
@@ -201,32 +190,12 @@ class PanelObjective:
         for k, own in self.own.items():
             # products[0] is rho_(k) = a^T conj(a); products[1:] are b_a^T conj(a)
             products = _traced_outer(stack, stack[0], self.n, k)
-            d_rho = products[1:] + np.swapaxes(products[1:], -1, -2).conj()
+            # plus the adjoints a^T conj(b_a), each its own product: a swapped-axes
+            # sum comes out transposed from n = 8 on, where the float view fails
+            d_rho = products[1:] + _traced_outer(stack[0], stack[1:], self.n, k)
             values.append((products[0] - own).view(np.float64).reshape(-1))
             slopes.append(d_rho.view(np.float64).reshape(3, -1))
         return np.concatenate(values), np.concatenate(slopes, axis=1).T
-
-    def costs(self, unitaries: np.ndarray) -> np.ndarray:
-        """Dense cost r.r for a stack (m, 2, 2) of U, from the marginals
-        themselves: the panel mismatch that callers read off a result.
-
-        The starts go through in chunks that hold about COST_CHUNK entries
-        of marginal differences at a time; each start's arithmetic, and so
-        its cost, is the same whatever chunk it falls in.
-        """
-        chunk = max(1, COST_CHUNK // sum(own.size for own in self.own.values()))
-        out = np.empty(len(unitaries))
-        for start in range(0, len(unitaries), chunk):
-            block = unitaries[start : start + chunk]
-            diff = self.marginals(block)
-            for k, own in self.own.items():
-                diff[k] -= own
-            parts = np.concatenate([d.view(np.float64).reshape(len(block), -1) for d in diff.values()], axis=1)
-            # squared in place, then summed row by row: einsum's reduction
-            # rounds differently with the stack's size, which would tie a
-            # cost to its chunk
-            out[start : start + chunk] = np.sum(np.square(parts, out=parts), axis=1)
-        return out
 
     def normal_equations(self, unitaries: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Cost r.r, gradient J^T r and matrix J^T J for a stack (m, 2, 2) of U.
@@ -269,8 +238,8 @@ def fit_pivot_unitary(objective: PanelObjective, starts: list[np.ndarray]) -> li
     A start drops out of the stack when its gradient reaches rounding
     level, after trying a step that does, or after MAX_STEPS iterations.
     The descent runs on the compressed normal equations; each result's
-    cost is the dense one, evaluated on the marginals (``costs``) when it
-    is first read.
+    cost is the dense one, evaluated on the marginals (``residuals``) when
+    it is first read.
     """
     if not len(starts):
         return []

@@ -1,5 +1,6 @@
 """File formats and the command-line interface."""
 
+import codecs
 import json
 import os
 import re
@@ -96,6 +97,36 @@ class TestStateFiles:
         path = tmp_path / "state.txt"
         save_state(path, qm.haar_random_ket(2, 31), label=label)
         assert load_state(path).label == label
+
+    @pytest.mark.parametrize("suffix", [".txt", ".json"])
+    def test_non_ascii_label_round_trips_as_utf_8(self, tmp_path, suffix):
+        label = "\u03c8 \u00e9tat \u2192 \U0001d4d7"
+        path = tmp_path / f"state{suffix}"
+        save_state(path, qm.haar_random_ket(2, 31), label=label)
+        assert load_state(path).label == label
+        if suffix == ".txt":
+            assert f"label {label}\n".encode("utf-8") in path.read_bytes()
+
+    def test_bytes_do_not_depend_on_the_locale(self, tmp_path):
+        # under an ASCII locale the default text encoding cannot write a
+        # non-ASCII label at all
+        label = "\u03c8 \u00e9tat"
+        save_state(tmp_path / "here.txt", qm.haar_random_ket(2, 31), label=label)
+        src = str(Path(qm.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", ""),
+               "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+        code = (
+            "import sys, qmarginal as qm\n"
+            "from qmarginal.io import load_state, save_state\n"
+            "path, label = sys.argv[1], sys.argv[2].encode('ascii').decode('unicode-escape')\n"
+            "save_state(path, qm.haar_random_ket(2, 31), label=label)\n"
+            "assert load_state(path).label == label\n"
+        )
+        there = tmp_path / "there.txt"
+        escaped = label.encode("unicode-escape").decode("ascii")
+        proc = subprocess.run([sys.executable, "-c", code, str(there), escaped], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert there.read_bytes() == (tmp_path / "here.txt").read_bytes()
 
     @pytest.mark.parametrize(
         "bad_row, message",
@@ -460,12 +491,36 @@ class TestLoaderChecks:
 
     @pytest.mark.parametrize("load", [load_state, load_panel], ids=["state", "panel"])
     @pytest.mark.parametrize("suffix", [".txt", ".json"])
-    def test_undecodable_bytes_name_the_file(self, tmp_path, load, suffix):
+    @pytest.mark.parametrize("data, start", [(b"\xff\xfe\x00", 0), (codecs.BOM_UTF8 + b"qm\xff", 5)],
+                             ids=["utf-16-mark", "after-utf-8-mark"])
+    def test_undecodable_bytes_name_the_file(self, tmp_path, load, suffix, data, start):
+        # the offset counts from the file's start, a skipped byte-order mark included
         path = tmp_path / f"bad{suffix}"
-        path.write_bytes(b"\xff\xfe\x00")
-        with pytest.raises(FileFormatError, match=re.escape(f"bad{suffix}: not ") + r"\S+ text: ") as info:
+        path.write_bytes(data)
+        message = f"bad{suffix}: not utf-8 text: invalid start byte at byte {start}"
+        with pytest.raises(FileFormatError, match=re.escape(message)) as info:
             load(path)
         assert info.value.path == str(path)
+
+    @pytest.mark.parametrize("suffix", [".txt", ".json"])
+    @pytest.mark.parametrize("kind", ["state", "panel"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, suffix, kind):
+        # a UTF-8 byte-order mark once failed the header check
+        psi = qm.haar_random_ket(3, 43)
+        plain, marked = tmp_path / f"plain{suffix}", tmp_path / f"marked{suffix}"
+        if kind == "state":
+            save_state(plain, psi, label="marked")
+        else:
+            save_panel(plain, qm.panel_of_pure(psi))
+        marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+        if kind == "state":
+            a, b = load_state(plain), load_state(marked)
+            assert (a.n, a.label) == (b.n, b.label)
+            np.testing.assert_array_equal(a.ket.amplitudes, b.ket.amplitudes)
+        else:
+            a, b = load_panel(plain), load_panel(marked)
+            for j in range(1, 4):
+                np.testing.assert_array_equal(a.entry(j).entries, b.entry(j).entries)
 
     @pytest.mark.parametrize("name, content, message", STATE_REJECTIONS,
                              ids=[m for *_, m in STATE_REJECTIONS])
@@ -659,8 +714,17 @@ class TestCli:
             path.write_bytes(b"\xff\xfe\x00")
         code, out, err = self.run(capsys, command, str(path))
         assert code == 2
-        assert err.startswith(f"error: {path}: ")
+        reason = "cannot read: " if kind == "directory" else "not utf-8 text: invalid start byte at byte 0\n"
+        assert err.startswith(f"error: {path}: {reason}")
         assert out == ""
+
+    @pytest.mark.parametrize("suffix", [".txt", ".json"])
+    def test_byte_order_mark_gives_the_plain_file_output(self, tmp_path, capsys, suffix):
+        plain, marked = tmp_path / f"plain{suffix}", tmp_path / f"marked{suffix}"
+        save_state(plain, qm.ghz_state(3))
+        marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+        code, out, err = self.run(capsys, "analyze", str(marked))
+        assert (code, out.replace(str(marked), str(plain)), err) == self.run(capsys, "analyze", str(plain))
 
     def test_analyze_non_finite_file_exits_2(self, tmp_path, capsys):
         path = tmp_path / "nan.state"

@@ -178,20 +178,23 @@ class TestLuEquivalenceCheck:
 
 
 class TestPanelObjective:
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
     def test_marginals_match_panel_of_transported_state(self, n):
+        # the residual is rho_(k) of the moved state minus psi's own, k = 2..n,
+        # as (re, im) pairs: checked against panel_of_pure of both states
         rng = np.random.default_rng(800 + n)
         psi = qm.haar_random_ket(n, 810 + n)
         objective = PanelObjective(psi.amplitudes, n)
+        own = qm.panel_of_pure(psi)
+        dim = 2 ** (n - 1)
         for _ in range(3):
             u = random_unitary_2x2(rng)
-            moved = qm.apply_local(qm.SingleQubitUnitary(u, 1), psi)
-            panel = qm.panel_of_pure(moved)
-            marginals = objective.marginals(u)
-            assert sorted(marginals) == list(range(2, n + 1))
-            for k, rho in marginals.items():
+            moved = qm.panel_of_pure(qm.apply_local(qm.SingleQubitUnitary(u, 1), psi))
+            res, _ = objective.residuals(u)
+            diffs = res.view(complex).reshape(n - 1, dim, dim)
+            for k, diff in zip(range(2, n + 1), diffs):
                 np.testing.assert_allclose(
-                    rho, panel.entry(k).entries, atol=1e-13, rtol=0
+                    diff, moved.entry(k).entries - own.entry(k).entries, atol=1e-13, rtol=0
                 )
 
 
@@ -228,7 +231,7 @@ class TestStackedDescent:
     """The stacked normal equations, and a search that descends its whole
     budget as one stack."""
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8])
     def test_normal_equations_match_residuals(self, n):
         # a Haar state at Haar-random U: a residual well away from zero
         rng = np.random.default_rng(900 + n)
@@ -300,52 +303,38 @@ class TestStackedDescent:
         assert random_starts(np.random.default_rng(11), 0) == []
 
     @pytest.mark.parametrize("n", [3, 6])
-    def test_costs_do_not_depend_on_the_chunk(self, n, monkeypatch):
-        psi = qm.haar_random_ket(n, 960 + n)
-        objective = PanelObjective(psi.amplitudes, n)
-        rng = np.random.default_rng(970 + n)
-        unitaries = np.array([random_unitary_2x2(rng) for _ in range(17)])
-        whole = objective.costs(unitaries)
-        monkeypatch.setattr(unitary_fit, "COST_CHUNK", 1)  # one start per chunk
-        np.testing.assert_array_equal(objective.costs(unitaries), whole)
-        for u, cost in zip(unitaries, whole):
-            res, _ = objective.residuals(u)
-            assert cost == pytest.approx(float(res @ res), rel=1e-12, abs=0)
-
-    @pytest.mark.parametrize("n", [3, 6])
-    def test_each_lazy_cost_is_the_stacked_cost(self, n, monkeypatch):
-        # a result's cost is computed on its first read, alone, and kept;
-        # it equals bit for bit the cost of its row in the whole stack
+    def test_each_cost_is_computed_once_on_first_read(self, n, monkeypatch):
+        # the descent reads no dense cost; a result computes its own on its
+        # first read, and keeps it
         orbit, _ = random_ghz_orbit(n, 2700 + n)
         objective = PanelObjective(orbit.amplitudes, n)
+        calls = _count_residual_calls(monkeypatch)
         results = fit_pivot_unitary(objective, grid_starts() + random_starts(np.random.default_rng(n), 48))
-        whole = objective.costs(np.array([result.unitary for result in results]))
-        rows = _count_cost_rows(monkeypatch)
+        assert calls == []
         lazy = [result.cost for result in results]
         assert [result.cost for result in results] == lazy
-        assert rows == [1] * len(results)
-        np.testing.assert_array_equal(lazy, whole)
+        assert len(calls) == len(results)
 
     @pytest.mark.parametrize("psi", [qm.haar_random_ket(3, 317), qm.haar_random_ket(8, 3)], ids=["n3", "n8"])
     def test_determined_search_builds_no_dense_marginals(self, psi, monkeypatch):
         # every start ends on the scalar locus, so no cost is read
-        rows = _count_cost_rows(monkeypatch)
+        calls = _count_residual_calls(monkeypatch)
         report = qm.search_sibling(psi, budget=64)
         assert (report.found, report.trials) == (False, 64)
-        assert rows == []
+        assert calls == []
 
     @pytest.mark.parametrize("psi", [qm.ghz_state(3), random_ghz_orbit(4, 7500)[0], random_ghz_orbit(5, 7501)[0]],
                              ids=["ghz3", "orbit4", "orbit5"])
     def test_ghz_search_reads_costs_only_up_to_its_witness(self, psi, monkeypatch):
-        rows = _count_cost_rows(monkeypatch)
+        calls = _count_residual_calls(monkeypatch)
         report = qm.search_sibling(psi, budget=64)
         assert report.found
-        assert 1 <= sum(rows) <= report.trials < 64
+        assert 1 <= len(calls) <= report.trials < 64
 
     def test_search_memory_is_bounded_at_eight_qubits(self):
         # holding the dense marginal differences of all 64 starts at once
-        # peaked at 226 MiB on this search; chunks of COST_CHUNK entries
-        # keep it near 13 MiB
+        # peaked at 226 MiB on this search; it reads no dense cost, and
+        # peaks near 2.3 MiB
         psi = qm.haar_random_ket(8, 3)
         tracemalloc.start()
         try:
@@ -354,6 +343,20 @@ class TestStackedDescent:
         finally:
             tracemalloc.stop()
         assert (report.found, report.trials) == (False, 64)
+        assert peak < 32 * 2**20
+
+    def test_ghz_search_at_eight_qubits_reads_its_witness_densely(self, monkeypatch):
+        # one dense residual and its Jacobian at n = 8 peak near 17 MiB
+        orbit, _ = random_ghz_orbit(8, 7508)
+        calls = _count_residual_calls(monkeypatch)
+        tracemalloc.start()
+        try:
+            report = qm.search_sibling(orbit, budget=64)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.found and report.best_residual < 1e-6
+        assert 1 <= len(calls) <= report.trials
         assert peak < 32 * 2**20
 
     def test_empty_start_list(self):
@@ -395,17 +398,18 @@ class TestStackedDescent:
             qm.search_sibling(qm.haar_random_ket(3, 1), tol=tol)
 
 
-def _count_cost_rows(monkeypatch) -> list[int]:
-    """Record the rows of every ``PanelObjective.costs`` call from now on."""
-    rows = []
-    costs = PanelObjective.costs
+def _count_residual_calls(monkeypatch) -> list[np.ndarray]:
+    """Record the unitary of every ``PanelObjective.residuals`` call, the
+    dense path, from now on."""
+    calls = []
+    residuals = PanelObjective.residuals
 
-    def counted(self, unitaries):
-        rows.append(len(unitaries))
-        return costs(self, unitaries)
+    def counted(self, unitary):
+        calls.append(unitary)
+        return residuals(self, unitary)
 
-    monkeypatch.setattr(PanelObjective, "costs", counted)
-    return rows
+    monkeypatch.setattr(PanelObjective, "residuals", counted)
+    return calls
 
 
 def _package_imports(path: Path) -> set[str]:

@@ -158,20 +158,15 @@ class TestDimensionCriterion:
         flipped = ghz * np.where(np.arange(16) == 15, -1.0, 1.0)
         amps = np.concatenate([np.sqrt(1 - weight) * ghz, np.sqrt(weight) * flipped])
         psi = qm.random_lu_orbit(qm.Ket(5, amps), seed=77)
-        calls = []
-        original = qm.stabilizer.stabilizer_subalgebra
-
-        def counted(state):
-            calls.append(state)
-            return original(state)
-
-        monkeypatch.setattr(qm.stabilizer, "stabilizer_subalgebra", counted)
+        calls = TestCertificateFirst.count_gathers(monkeypatch)
         verdict = qm.undetermined_by_dimension(psi)
-        assert len(calls) == int(reaches_algebra)
+        # n = 5 has no sampled block: the algebra is reached iff the full
+        # system is gathered
+        assert calls == ["full"] * reaches_algebra
         if not reaches_algebra:
             assert verdict == "determined"
         else:
-            dim = original(psi).dimension
+            dim = qm.stabilizer_subalgebra(psi).dimension
             assert verdict == ("undetermined" if dim == 4 else "determined")
 
 
