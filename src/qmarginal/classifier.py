@@ -128,11 +128,10 @@ def _certificate_from_bases(psi: Ket, bases: list[np.ndarray], tol: float) -> Gh
     locals are their conjugate transposes.  Succeeds when the rotated state
     is supported on one antipodal index pair within tol.
     """
-    n = psi.n
     ops = [(j + 1, b.conj().T) for j, b in enumerate(bases)]
-    rotated = _act(psi.amplitudes, n, ops)
+    rotated = _act(psi.amplitudes, ops)
     top = int(np.argmax(np.abs(rotated)))
-    j_index = MultiIndex.from_linear(top, n)
+    j_index = MultiIndex.from_linear(top, psi.n)
     jbar_index = j_index.complement()
     other = jbar_index.to_linear()
     off = np.abs(rotated)
@@ -232,13 +231,13 @@ def _family_member(cert: GhzCertificate, beta: complex) -> Ket:
     amps = np.zeros(2**n, dtype=complex)
     amps[cert.support[0].to_linear()] = cert.alpha
     amps[cert.support[1].to_linear()] = beta
-    return Ket(n, _act(amps, n, [(u.target, u.entries.conj().T) for u in cert.locals_]))
+    return Ket(n, _act(amps, [(u.target, u.entries.conj().T) for u in cert.locals_]))
 
 
 def _check_certificate(psi: Ket, cert: GhzCertificate) -> None:
     if cert.n != psi.n:
         raise ValueError("certificate size does not match the state")
-    rotated = _act(psi.amplitudes, psi.n, [(u.target, u.entries) for u in cert.locals_])
+    rotated = _act(psi.amplitudes, [(u.target, u.entries) for u in cert.locals_])
     off = np.abs(rotated)
     off[[m.to_linear() for m in cert.support]] = 0.0
     if float(off.max()) > CERTIFICATE_TOL:
@@ -271,10 +270,10 @@ def _fit_transport(psi: Ket, psi_prime: Ket, j: int) -> tuple[np.ndarray, float]
     e^{i theta} (L on j) psi, then A' A^dagger = e^{i theta} L A A^dagger
     with A A^dagger PSD, so its polar factor is e^{i theta} L for every
     spectrum (one of many at rank 1, all right on psi)."""
-    a = _axis_first(psi.amplitudes, psi.n, j)
-    a_prime = _axis_first(psi_prime.amplitudes, psi.n, j)
+    a = _axis_first(psi.amplitudes, j)
+    a_prime = _axis_first(psi_prime.amplitudes, j)
     mat = _polar_unitary(a_prime @ a.conj().T)
-    moved = _act(psi.amplitudes, psi.n, [(j, mat)])
+    moved = _act(psi.amplitudes, [(j, mat)])
     return mat, abs(np.vdot(moved, psi_prime.amplitudes))
 
 
@@ -356,8 +355,10 @@ def antipodal_support_reduction(
     set fire only for tol below PHASE_CONDITION_FLOOR, when some
     |sin beta_j| lies between tol and that floor, so the phase test reads
     the transport as scalar; at or above the floor they cannot, up to
-    rounding.
+    rounding.  Raises ``ValueError`` for a tol that is not positive (NaN
+    included).
     """
+    _check_tol(tol)
     n = psi.n
     pairs = [
         (p.alpha_j, p.beta_j) if isinstance(p, RelativePhases) else (float(p[0]), float(p[1]))

@@ -112,7 +112,7 @@ def _cmd_demo_chi(args) -> int:
         # deliberately corrupt the partner so the harness shows a failure
         c, s = np.cos(1e-3), np.sin(1e-3)
         ops.append((2, np.array([[c, -s], [s, c]])))
-    partner = Ket(4, _act(chi.amplitudes, 4, ops))
+    partner = Ket(4, _act(chi.amplitudes, ops))
     checks = [
         (
             "marginals omitting qubits 1, 2, 3 all match the sign-flipped partner",

@@ -73,7 +73,7 @@ def search_sibling(
     if budget < 0:
         raise ValueError(f"budget must be non-negative, got {budget}")
     _check_tol(tol)
-    objective = PanelObjective(psi.amplitudes, psi.n)
+    objective = PanelObjective(psi.amplitudes)
     starts = grid_starts()
     if budget < len(starts):
         starts = starts[:budget]
@@ -93,7 +93,7 @@ def search_sibling(
         residual = math.sqrt(result.cost)
         best = min(best, residual)
         if result.cost < tol**2:
-            moved = _act(psi.amplitudes, psi.n, [(1, result.unitary)])
+            moved = _act(psi.amplitudes, [(1, result.unitary)])
             witness = (SingleQubitUnitary(result.unitary, 1), Ket(psi.n, moved))
             return SearchReport(True, witness, residual, trials)
     return SearchReport(False, None, best, len(starts))
@@ -119,7 +119,7 @@ def random_lu_orbit(psi: Ket, seed: int) -> Ket:
     """Apply an independent Haar-random unitary to every qubit."""
     rng = np.random.default_rng(seed)
     ops = [(j, random_unitary_2x2(rng)) for j in range(1, psi.n + 1)]
-    return Ket(psi.n, _act(psi.amplitudes, psi.n, ops))
+    return Ket(psi.n, _act(psi.amplitudes, ops))
 
 
 def ghz_state(n: int, alpha: complex | None = None, beta: complex | None = None) -> Ket:

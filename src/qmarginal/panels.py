@@ -108,7 +108,7 @@ def panel_of_mixed(rho: DensityMatrix) -> RdmPanel:
     # of unit trace by construction: no entry is checked again
     labels = rho.qubit_labels
     return RdmPanel(n, tuple(
-        DensityMatrix._trusted(labels[:j] + labels[j + 1:], _trace_positions(rho.entries, n, [j]))
+        DensityMatrix._trusted(labels[:j] + labels[j + 1:], _trace_positions(rho.entries, [j]))
         for j in range(n)
     ))
 
@@ -191,11 +191,10 @@ def panel_consistency(panel: RdmPanel) -> float:
     """Largest disagreement between one-qubit marginals computed from
     different panel entries (zero for panels that came from one state),
     each read off an entry's dense matrix in one pass per position."""
-    n = panel.n
-    singles: dict[int, list[np.ndarray]] = {m: [] for m in range(1, n + 1)}
+    singles: dict[int, list[np.ndarray]] = {m: [] for m in range(1, panel.n + 1)}
     for entry in panel.entries:
         for p, m in enumerate(entry.qubit_labels, start=1):
-            singles[m].append(_one_qubit_marginal(entry.entries, entry.k, p))
+            singles[m].append(_one_qubit_marginal(entry.entries, p))
     worst = 0.0
     for mats in singles.values():
         for other in mats[1:]:

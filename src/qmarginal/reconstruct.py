@@ -81,8 +81,10 @@ def purify_over_qubit(
     Raises PanelRankError when the matrix has rank above 2: a marginal of a
     pure state is limited to rank 2 by the Schmidt decomposition across
     the omitted qubit.  Raises ``ValueError`` unless ``rdm`` is on the
-    qubits of 1..n other than j, for n one more than its qubit count.
+    qubits of 1..n other than j, for n one more than its qubit count, and
+    for a tol that is not positive (NaN included).
     """
+    _check_tol(tol)
     n = len(rdm.qubit_labels) + 1
     if set(rdm.qubit_labels) != set(range(1, n + 1)) - {j}:
         raise ValueError(f"a marginal omitting qubit {j} of {n} is on {rdm.qubit_labels}")
@@ -174,7 +176,7 @@ def _bloch_matrix(entries: list[np.ndarray]) -> np.ndarray:
     """
     blocks = []
     for rho in entries:
-        x = _blocks(rho, rho.shape[0].bit_length() - 1, 1)
+        x = _blocks(rho, 1)
         b = np.stack([
             x[0, 1] + x[1, 0],
             1j * (x[0, 1] - x[1, 0]),
@@ -216,7 +218,7 @@ def _fit_qubit_one(panel: RdmPanel, chi: Ket, tol: float) -> ReconstructionResul
     n = panel.n
     amps = chi.amplitudes
     target = _bloch_matrix([panel.entry(k).entries for k in range(2, n + 1)])
-    source = _bloch_matrix([_traced_outer(amps, amps, n, k) for k in range(2, n + 1)])
+    source = _bloch_matrix([_traced_outer(amps, amps, k) for k in range(2, n + 1)])
     u, _, vt = np.linalg.svd(target @ source.T)
     if np.linalg.det(u @ vt) < 0:
         u[:, 2] = -u[:, 2]
@@ -233,7 +235,7 @@ def _fit_qubit_one(panel: RdmPanel, chi: Ket, tol: float) -> ReconstructionResul
     c, s = np.cos(phi), np.sin(phi)
     turn = np.outer(u[:, 0], u[:, 0]) + plane @ np.array([[c, -s], [s, c]]) @ plane.T
     rot = turn @ rot
-    fitted = _act(amps, n, [(1, _su2_from_rotation(rot))])
+    fitted = _act(amps, [(1, _su2_from_rotation(rot))])
     state = Ket(n, fix_global_phase(fitted / np.linalg.norm(fitted)))
     residual = check_panel(state, panel)
     if residual > tol:

@@ -39,6 +39,7 @@ from .tensors import (
     _axis_first,
     _axis_restore,
     _bit_flips,
+    _check_tol,
     _grams,
     _qubit_factors,
 )
@@ -177,12 +178,11 @@ def element_action(element: AlgebraElement, psi: Ket) -> np.ndarray:
     """Raw amplitudes of sum_j i (x_j X_j + y_j Y_j + z_j Z_j) |psi>."""
     if element.n != psi.n:
         raise ValueError("qubit counts differ")
-    n = psi.n
-    out = np.zeros(2**n, dtype=complex)
-    for j in range(1, n + 1):
-        a = _axis_first(psi.amplitudes, n, j)
+    out = np.zeros_like(psi.amplitudes)
+    for j in range(1, psi.n + 1):
+        a = _axis_first(psi.amplitudes, j)
         op = sum(element.coords[j - 1, p] * PAULIS[p] for p in range(3))
-        out += _axis_restore(1j * op @ a, n, j)
+        out += _axis_restore(1j * op @ a, j)
     return out
 
 
@@ -238,12 +238,11 @@ def _full_rule(psi: Ket) -> StabilizerBasis:
     """``stabilizer_subalgebra`` from all 2*2^n rows of m, with no
     certificate."""
     n = psi.n
-    m_rows = 2 * 2**n
     m = _pauli_system(psi, np.arange(2**n, dtype=np.int64))
     # 2*2^n >= 3n+1 rows for every n >= 1, so R is square and vh is the full
     # right factor; the threshold still scales with the shape of m, not of R
     _, svals, vh = np.linalg.svd(np.linalg.qr(m, mode="r"))
-    nullity = int(np.sum(svals < _null_threshold(svals[0], m_rows)))
+    nullity = int(np.sum(svals < _null_threshold(svals[0], len(m))))
     basis_rows = _rref(vh[m.shape[1] - nullity :])
     elements = tuple(
         AlgebraElement(row[: 3 * n].reshape(n, 3), -row[3 * n])
@@ -302,7 +301,9 @@ def verify_ghz_subalgebra(
     tol: float = ACTION_TOL,
 ) -> bool:
     """Check that, after per-qubit adjoint conjugation, the basis spans
-    exactly the traceless diagonal algebra {sum_j i t_j Z_j : sum_j t_j = 0}."""
+    exactly the traceless diagonal algebra {sum_j i t_j Z_j : sum_j t_j = 0}.
+    Raises ``ValueError`` for a tol that is not positive (NaN included)."""
+    _check_tol(tol)
     if not basis.elements:
         return False
     n = basis.elements[0].n

@@ -13,15 +13,17 @@ Conventions used throughout the package:
   the row index), its inverse ``_axis_restore``, their stack over every
   qubit ``_qubit_factors`` (whose ``_grams`` are the one-qubit marginals),
   the traced outer product ``_traced_outer``, and ``_bloch_factor``, a
-  factor of the Gram of the marginals' Bloch matrix over one qubit;
-  ``_bit_flips`` gives the same one-qubit flips as indices, for gathering
-  amplitudes.  ``_blocks`` is the matrix form of ``_axis_first``: the
-  2 x 2 blocks of a matrix split on one of its qubits, and with
-  ``_split``, the view under it, the only code that splits a matrix by
-  qubit.  ``partial_trace`` is the kernel for density matrices, with
-  ``_trace_positions``, a fold of ``_blocks``, as its unchecked array core;
-  ``_one_qubit_marginal`` reads one qubit's marginal off the split in one
-  pass.
+  factor of the Gram of the marginals' Bloch matrix over one qubit.
+  ``_blocks`` is the matrix form of ``_axis_first``: the 2 x 2 blocks of a
+  matrix split on one of its qubits, and with ``_split``, the view under
+  it, the only code that splits a matrix by qubit.  ``partial_trace`` is
+  the kernel for density matrices, with ``_trace_positions``, a fold of
+  ``_blocks``, as its unchecked array core; ``_one_qubit_marginal`` reads
+  one qubit's marginal off the split in one pass.
+* Every kernel reads its qubit count off its array (2**n amplitudes, a
+  2**k x 2**k matrix): callers pass qubit labels and positions, never a
+  size.  ``_bit_flips``, the same one-qubit flips as indices for gathering
+  amplitudes, is the one exception: it takes n, as indices carry no size.
 * A panel entry is rank <= 2 when it comes from a pure state.  Entries of
   ``panel_of_pure`` keep their exact 2 x 2**k factor; a dense entry read
   from a file that is rank 2 up to HERM_TOL gets one from
@@ -330,30 +332,30 @@ def tensor_insert(one_qubit, rest, j: int) -> np.ndarray:
         raise ValueError(f"rest vector length {rest.size} is not a power of 2")
     if not 1 <= j <= n:
         raise ValueError(f"qubit label {j} out of range 1..{n}")
-    return _axis_restore(np.multiply.outer(one_qubit, rest), n, j)
+    return _axis_restore(np.multiply.outer(one_qubit, rest), j)
 
 
-def _axis_first(v: np.ndarray, n: int, j: int) -> np.ndarray:
+def _axis_first(v: np.ndarray, j: int) -> np.ndarray:
     """Reshape a 2**n amplitude vector to (2, 2**(n-1)) with qubit j first.
 
     Column c holds the amplitudes whose other qubits, in label order, spell
     c in binary.  Leading axes of a stack of vectors are kept.
     """
     lead = v.shape[:-1]
-    split = v.reshape(lead + (2 ** (j - 1), 2, 2 ** (n - j)))
+    split = v.reshape(lead + (2 ** (j - 1), 2, -1))
     return split.swapaxes(-3, -2).reshape(lead + (2, -1))
 
 
-def _axis_restore(a: np.ndarray, n: int, j: int) -> np.ndarray:
+def _axis_restore(a: np.ndarray, j: int) -> np.ndarray:
     """Inverse of ``_axis_first``: a (..., 2, 2**(n-1)) array back to 2**n amplitudes."""
     lead = a.shape[:-2]
-    split = a.reshape(lead + (2, 2 ** (j - 1), 2 ** (n - j)))
+    split = a.reshape(lead + (2, 2 ** (j - 1), -1))
     return split.swapaxes(-3, -2).reshape(lead + (-1,))
 
 
 def _qubit_factors(psi: Ket) -> np.ndarray:
     """(n, 2, 2**(n-1)) stack of ``_axis_first`` of psi at qubits 1..n."""
-    return np.stack([_axis_first(psi.amplitudes, psi.n, j) for j in range(1, psi.n + 1)])
+    return np.stack([_axis_first(psi.amplitudes, j) for j in range(1, psi.n + 1)])
 
 
 def _bit_flips(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -369,36 +371,36 @@ def _grams(a: np.ndarray) -> np.ndarray:
     return a @ a.conj().swapaxes(-1, -2)
 
 
-def _traced_outer(left: np.ndarray, right: np.ndarray, n: int, k: int) -> np.ndarray:
+def _traced_outer(left: np.ndarray, right: np.ndarray, k: int) -> np.ndarray:
     """tr_k |left><right| for n-qubit amplitude vectors, or for stacks of
     them: the pure-state marginal rho_(k) when left is right."""
-    return _axis_first(left, n, k).swapaxes(-1, -2) @ _axis_first(right, n, k).conj()
+    return _axis_first(left, k).swapaxes(-1, -2) @ _axis_first(right, k).conj()
 
 
-def _split(mat: np.ndarray, k: int, p: int) -> np.ndarray:
+def _split(mat: np.ndarray, p: int) -> np.ndarray:
     """A k-qubit matrix as a (high, 2, low, high, 2, low) view over its
     qubit at 1-based position p: row and column each split into the qubits
     before p, qubit p, and the qubits after it."""
-    high, low = 2 ** (p - 1), 2 ** (k - p)
+    high, low = 2 ** (p - 1), len(mat) >> p
     return mat.reshape(high, 2, low, high, 2, low)
 
 
-def _blocks(mat: np.ndarray, k: int, p: int) -> np.ndarray:
+def _blocks(mat: np.ndarray, p: int) -> np.ndarray:
     """The 2 x 2 blocks <a|_p M |b>_p of a k-qubit matrix M over its qubit
     at 1-based position p, as a (2, 2, 2**(k-1), 2**(k-1)) array indexed
     [a, b]: the matrix form of ``_axis_first``, rows and columns of each
     block over the other qubits in order.  A view when p is 1 or k.
     """
-    split = _split(mat, k, p)
+    split = _split(mat, p)
     rest = split.shape[0] * split.shape[2]
     return split.transpose(1, 4, 0, 2, 3, 5).reshape(2, 2, rest, rest)
 
 
-def _one_qubit_marginal(mat: np.ndarray, k: int, p: int) -> np.ndarray:
+def _one_qubit_marginal(mat: np.ndarray, p: int) -> np.ndarray:
     """The 2 x 2 marginal of a k-qubit matrix at 1-based position p: the
     trace of each of its ``_blocks``, read off the diagonal of the split
     view in one pass, with no copy."""
-    return np.einsum("iajibj->ab", _split(mat, k, p))
+    return np.einsum("iajibj->ab", _split(mat, p))
 
 
 def _bloch_factor(factors: np.ndarray, j: int) -> np.ndarray:
@@ -415,7 +417,7 @@ def _bloch_factor(factors: np.ndarray, j: int) -> np.ndarray:
     precision, as it would not in the eigenvalues of M M^T.
     """
     n = factors.shape[0]
-    pairs = np.stack([_axis_first(factors[j - 1], n - 1, m).reshape(4, -1) for m in range(1, n)])
+    pairs = np.stack([_axis_first(factors[j - 1], m).reshape(4, -1) for m in range(1, n)])
     r = np.linalg.qr(pairs.swapaxes(-1, -2), mode="r").reshape(n - 1, -1, 2, 2)
     c = np.einsum("ayx,kpxz,kqyz->akpq", PAULIS, r, r.conj()).reshape(3, -1)
     return np.concatenate([c.real, c.imag], axis=1)
@@ -429,19 +431,19 @@ def partial_trace(rho: DensityMatrix, traced) -> DensityMatrix:
         raise ValueError(f"labels {sorted(missing)} not in {rho.qubit_labels}")
     keep = [q for q in rho.qubit_labels if q not in traced]
     positions = [rho.qubit_labels.index(t) for t in traced]
-    return DensityMatrix(tuple(keep), _trace_positions(rho.entries, rho.k, positions))
+    return DensityMatrix(tuple(keep), _trace_positions(rho.entries, positions))
 
 
-def _trace_positions(mat: np.ndarray, k: int, positions) -> np.ndarray:
-    """Trace the qubits at the given 0-based positions out of a k-qubit matrix.
+def _trace_positions(mat: np.ndarray, positions) -> np.ndarray:
+    """Trace the qubits at the given 0-based positions out of a matrix.
 
     The raw kernel of ``partial_trace``: no check and no wrapping, for
     matrices the package already holds as a ``DensityMatrix``.  The last
     position goes first, so the ones still to trace keep their places.
     """
     for pos in sorted(positions, reverse=True):
-        split = _blocks(mat, k, pos + 1)
-        mat, k = split[0, 0] + split[1, 1], k - 1
+        split = _blocks(mat, pos + 1)
+        mat = split[0, 0] + split[1, 1]
     return mat
 
 
@@ -505,7 +507,7 @@ def _rank_two_factor(mat: np.ndarray) -> tuple[np.ndarray, float] | None:
 
 def reduced_one_qubit(psi: Ket, j: int) -> np.ndarray:
     """2x2 reduced density matrix of qubit j of a pure state (raw array)."""
-    return _grams(_axis_first(psi.amplitudes, psi.n, j))
+    return _grams(_axis_first(psi.amplitudes, j))
 
 
 def fix_global_phase(amplitudes: np.ndarray) -> np.ndarray:
@@ -535,7 +537,7 @@ def schmidt_split(psi: Ket, j: int) -> SchmidtSplit:
     """
     if not 1 <= j <= psi.n:
         raise ValueError(f"qubit label {j} out of range 1..{psi.n}")
-    a = _axis_first(psi.amplitudes, psi.n, j)
+    a = _axis_first(psi.amplitudes, j)
     u, s, vh = np.linalg.svd(a, full_matrices=False)
     one_qubit = np.zeros((2, 2), dtype=complex)
     rest = np.zeros((2, 2 ** (psi.n - 1)), dtype=complex)
@@ -565,11 +567,11 @@ def spectral_decompose(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return evals[order], evecs
 
 
-def _act(amps: np.ndarray, n: int, ops) -> np.ndarray:
+def _act(amps: np.ndarray, ops) -> np.ndarray:
     """Apply each (target, 2x2 matrix) of ``ops`` in turn to a 2**n amplitude
     vector: the raw one-qubit action kernel, with no check and no wrapping."""
     for j, m in ops:
-        amps = _axis_restore(m @ _axis_first(amps, n, j), n, j)
+        amps = _axis_restore(m @ _axis_first(amps, j), j)
     return amps
 
 
@@ -584,11 +586,13 @@ def apply_locals(unitaries, psi: Ket) -> Ket:
     for j, _ in ops:
         if not 1 <= j <= psi.n:
             raise ValueError(f"qubit label {j} out of range 1..{psi.n}")
-    return Ket(psi.n, _act(psi.amplitudes, psi.n, ops))
+    return Ket(psi.n, _act(psi.amplitudes, ops))
 
 
 def equal_up_to_phase(a: Ket, b: Ket, tol: float = PHASE_EQUAL_TOL) -> bool:
-    """True when a and b differ by at most a global phase."""
+    """True when a and b differ by at most a global phase.  Raises
+    ``ValueError`` for a tol that is not positive (NaN included)."""
+    _check_tol(tol)
     if a.n != b.n:
         raise ValueError("qubit counts differ")
     return abs(a.overlap(b)) >= 1.0 - tol

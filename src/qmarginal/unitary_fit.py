@@ -94,17 +94,10 @@ class FitResult:
         return float(np.sum(np.square(res)))
 
 
-def unitary_from_params(theta) -> np.ndarray:
-    """U = exp(i t0) * exp(i (t1 X + t2 Y + t3 Z)), for one parameter
-    vector (4,) or a stack (..., 4)."""
-    theta = np.asarray(theta, dtype=float)
-    return np.exp(1j * theta[..., :1, None]) * _rotations(theta[..., 1:])
-
-
-def _rotations(t: np.ndarray) -> np.ndarray:
-    """exp(i (t1 X + t2 Y + t3 Z)) for a stack (..., 3) of rotation vectors."""
-    p, q = _su2_entries(t)
-    return np.stack([np.stack([p, q], -1), np.stack([-q.conj(), p.conj()], -1)], -2)
+def unitary_from_params(theta: np.ndarray) -> np.ndarray:
+    """U = exp(i t0) * exp(i (t1 X + t2 Y + t3 Z)) for each row of a stack
+    (m, 4) of parameter vectors: the identity, broadcast, turned by ``_turn``."""
+    return np.exp(1j * theta[:, :1, None]) * _turn(theta[:, 1:], np.eye(2)[None])
 
 
 def _su2_entries(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -162,16 +155,16 @@ class PanelObjective:
     stacked R's, so no more than one B_k is held at a time.
     """
 
-    def __init__(self, amplitudes: np.ndarray, n: int):
-        self.n = n
+    def __init__(self, amplitudes: np.ndarray):
         amplitudes = np.asarray(amplitudes, dtype=complex)
-        self.factor = _axis_first(amplitudes, n, 1)  # psi, qubit 1 as the row index
+        self.factor = _axis_first(amplitudes, 1)  # psi, qubit 1 as the row index
+        n = amplitudes.size.bit_length() - 1  # 2**n amplitudes
         # S_k for k = 2..n: the targets, and the columns of B_k
-        self.own = {k: _traced_outer(amplitudes, amplitudes, n, k) for k in range(2, n + 1)}
+        self.own = {k: _traced_outer(amplitudes, amplitudes, k) for k in range(2, n + 1)}
         # one R per marginal, merged by one more QR: B itself is never stacked
         factors = []
         for own in self.own.values():
-            columns = _blocks(own, n - 1, 1).reshape(4, -1).T  # the vectorized S_cd
+            columns = _blocks(own, 1).reshape(4, -1).T  # the vectorized S_cd
             factors.append(np.linalg.qr(columns, mode="r"))
         # transposed, so that rows (a, b) of kron(U, conj(U)) multiply it
         self._r = np.linalg.qr(np.concatenate(factors), mode="r").T
@@ -185,14 +178,14 @@ class PanelObjective:
         path that ``FitResult.cost`` reads and ``normal_equations`` reproduces.
         """
         # U psi and the tangents i sigma_a U psi, as amplitude vectors
-        stack = _axis_restore(_GENERATORS @ (unitary @ self.factor), self.n, 1)
+        stack = _axis_restore(_GENERATORS @ (unitary @ self.factor), 1)
         values, slopes = [], []
         for k, own in self.own.items():
             # products[0] is rho_(k) = a^T conj(a); products[1:] are b_a^T conj(a)
-            products = _traced_outer(stack, stack[0], self.n, k)
+            products = _traced_outer(stack, stack[0], k)
             # plus the adjoints a^T conj(b_a), each its own product: a swapped-axes
             # sum comes out transposed from n = 8 on, where the float view fails
-            d_rho = products[1:] + _traced_outer(stack[0], stack[1:], self.n, k)
+            d_rho = products[1:] + _traced_outer(stack[0], stack[1:], k)
             values.append((products[0] - own).view(np.float64).reshape(-1))
             slopes.append(d_rho.view(np.float64).reshape(3, -1))
         return np.concatenate(values), np.concatenate(slopes, axis=1).T

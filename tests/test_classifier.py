@@ -331,6 +331,11 @@ class TestAntipodalReduction:
         for idx in (1, 2, 3, 4, 5, 6):  # agree somewhere, disagree elsewhere
             assert idx not in allowed
 
+    @pytest.mark.parametrize("tol", [-1e-6, 0.0, float("nan")])
+    def test_rejects_tolerance_that_is_not_positive(self, tol):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            qm.antipodal_support_reduction(qm.ghz_state(3), [(0.0, np.pi / 2)] * 3, tol)
+
     def test_scalar_transport_rejected(self):
         with pytest.raises(ValueError):
             qm.antipodal_support_reduction(qm.ghz_state(3), [(0.1, 0.0)] * 3)

@@ -472,6 +472,23 @@ PANEL_REJECTIONS = [
 
 
 class TestLoaderChecks:
+    def test_text_entry_below_the_spectrum_floor_is_rejected(self, tmp_path):
+        # trace 1, Hermitian and every entry at most 1, so only the
+        # eigenvalue check sees the -1e-5 below -LOAD_HERM_TOL
+        def diagonal(values):
+            return "".join(
+                " ".join(f"{v if r == c else 0.0!r} 0.0" for c in range(4)) + "\n"
+                for r, v in enumerate(values)
+            )
+        mixed = diagonal([0.25] * 4)
+        path = tmp_path / "panel.txt"
+        path.write_text(
+            "qmarginal-panel 1 3\nentry 1\n" + diagonal([0.6, 0.4 + 1e-5, 0.0, -1e-5])
+            + "entry 2\n" + mixed + "entry 3\n" + mixed
+        )
+        with pytest.raises(FileFormatError, match=re.escape("panel.txt:2: entry 1 is not positive semidefinite")):
+            load_panel(path)
+
     @pytest.mark.parametrize("load, name", [
         (load_state, "state.txt"), (load_state, "state.json"),
         (load_panel, "panel.txt"), (load_panel, "panel.json"),

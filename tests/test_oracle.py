@@ -184,7 +184,7 @@ class TestPanelObjective:
         # as (re, im) pairs: checked against panel_of_pure of both states
         rng = np.random.default_rng(800 + n)
         psi = qm.haar_random_ket(n, 810 + n)
-        objective = PanelObjective(psi.amplitudes, n)
+        objective = PanelObjective(psi.amplitudes)
         own = qm.panel_of_pure(psi)
         dim = 2 ** (n - 1)
         for _ in range(3):
@@ -202,7 +202,7 @@ class TestDescent:
     @pytest.mark.parametrize("n", [3, 4])
     def test_grid_descents_stay_unitary_and_report_their_cost(self, n):
         orbit, _ = random_ghz_orbit(n, 2600 + n)
-        objective = PanelObjective(orbit.amplitudes, n)
+        objective = PanelObjective(orbit.amplitudes)
         results = fit_pivot_unitary(objective, grid_starts())
         assert len(results) == len(grid_starts())
         for result in results:
@@ -236,7 +236,7 @@ class TestStackedDescent:
         # a Haar state at Haar-random U: a residual well away from zero
         rng = np.random.default_rng(900 + n)
         psi = qm.haar_random_ket(n, 910 + n)
-        objective = PanelObjective(psi.amplitudes, n)
+        objective = PanelObjective(psi.amplitudes)
         unitaries = np.array([random_unitary_2x2(rng) for _ in range(4)])
         costs, grads, normals = objective.normal_equations(unitaries)
         assert costs.shape == (4,) and grads.shape == (4, 3) and normals.shape == (4, 3, 3)
@@ -257,7 +257,7 @@ class TestStackedDescent:
         # the identity start sits on the exact minimum, where the gradient
         # vanishes; on a maximally entangled pair the Jacobian vanishes at
         # every start.  Such starts must stop before their system is solved
-        objective = PanelObjective(psi.amplitudes, 2)
+        objective = PanelObjective(psi.amplitudes)
         results = fit_pivot_unitary(objective, grid_starts())
         assert len(results) == len(grid_starts())
         for result in results:
@@ -273,7 +273,7 @@ class TestStackedDescent:
     def test_each_start_follows_its_own_path_in_a_stack(self, psi):
         # no product in a pass mixes two starts, so a start of a stack of 64
         # ends where it ends alone
-        objective = PanelObjective(psi.amplitudes, psi.n)
+        objective = PanelObjective(psi.amplitudes)
         starts = grid_starts() + random_starts(np.random.default_rng(0), 48)
         stacked = fit_pivot_unitary(objective, starts)
         for start, result in zip(starts, stacked):
@@ -291,7 +291,13 @@ class TestStackedDescent:
         generators = np.einsum("ma,aij->mij", steps, np.array(PAULIS))
         values, vectors = np.linalg.eigh(generators)
         expected = np.einsum("mij,mj,mkj->mik", vectors, np.exp(1j * values), vectors.conj())
-        np.testing.assert_allclose(unitary_fit._rotations(steps), expected, rtol=0, atol=1e-14)
+        # the chart: a global phase times the identity turned by each step
+        theta = np.column_stack([np.linspace(-np.pi, np.pi, 9), steps])
+        np.testing.assert_allclose(
+            unitary_fit.unitary_from_params(theta),
+            np.exp(1j * theta[:, :1, None]) * expected,
+            rtol=0, atol=1e-14,
+        )
         np.testing.assert_allclose(
             unitary_fit._turn(steps, unitaries), expected @ unitaries, rtol=0, atol=1e-14
         )
@@ -307,7 +313,7 @@ class TestStackedDescent:
         # the descent reads no dense cost; a result computes its own on its
         # first read, and keeps it
         orbit, _ = random_ghz_orbit(n, 2700 + n)
-        objective = PanelObjective(orbit.amplitudes, n)
+        objective = PanelObjective(orbit.amplitudes)
         calls = _count_residual_calls(monkeypatch)
         results = fit_pivot_unitary(objective, grid_starts() + random_starts(np.random.default_rng(n), 48))
         assert calls == []
@@ -361,7 +367,7 @@ class TestStackedDescent:
 
     def test_empty_start_list(self):
         psi = qm.haar_random_ket(3, 5)
-        objective = PanelObjective(psi.amplitudes, 3)
+        objective = PanelObjective(psi.amplitudes)
         assert fit_pivot_unitary(objective, []) == []
 
     @pytest.mark.parametrize("budget", [0, 1, 5, 16, 17, 20])

@@ -56,7 +56,7 @@ class TestPanelOfPure:
             panel = qm.panel_of_pure(psi)
             for j in range(1, n + 1):
                 entries = panel.entry(j).entries
-                assert np.array_equal(entries, _traced_outer(a, a, n, j))
+                assert np.array_equal(entries, _traced_outer(a, a, j))
                 assert not entries.flags.writeable
 
     def test_entry_labels_omit_exactly_one_qubit(self):
@@ -219,7 +219,7 @@ def _near_pair(n, seed, delta):
 
 def _dense_distance(a, b, kept):
     """The reference: largest entrywise deviation over the kept marginals."""
-    marginal = lambda psi, j: _traced_outer(psi.amplitudes, psi.amplitudes, psi.n, j)
+    marginal = lambda psi, j: _traced_outer(psi.amplitudes, psi.amplitudes, j)
     return max(np.max(np.abs(marginal(a, j) - marginal(b, j))) for j in kept)
 
 
@@ -311,7 +311,7 @@ class TestFactoredPanels:
             assert not any(_built(clone))
         assert repr(clones[0].entry(2)).startswith("DensityMatrix(qubit_labels=(1, 3, 4, 5)")
         for j in range(1, 6):
-            expected = _traced_outer(psi.amplitudes, psi.amplitudes, 5, j)
+            expected = _traced_outer(psi.amplitudes, psi.amplitudes, j)
             for p in (panel, *clones):
                 entries = p.entry(j).entries
                 assert entries.tobytes() == expected.tobytes()
@@ -322,7 +322,7 @@ class TestFactoredPanels:
         # a race on the first read computes the same bits twice; every
         # reader must see the reference matrix, read-only
         psi = qm.haar_random_ket(8, 73)
-        expected = [_traced_outer(psi.amplitudes, psi.amplitudes, 8, j).tobytes() for j in range(1, 9)]
+        expected = [_traced_outer(psi.amplitudes, psi.amplitudes, j).tobytes() for j in range(1, 9)]
         panel = qm.panel_of_pure(psi)
         seen, start = [], threading.Barrier(4)
 
@@ -372,7 +372,7 @@ def _fold_consistency(panel):
         k = entry.k
         for p, m in enumerate(entry.qubit_labels):
             others = [q for q in range(k) if q != p]
-            singles[m].append(_trace_positions(entry.entries, k, others))
+            singles[m].append(_trace_positions(entry.entries, others))
     return max(float(np.max(np.abs(ms[0] - other))) for ms in singles.values() for other in ms[1:])
 
 

@@ -72,8 +72,20 @@ class TestPurifyOverQubit:
         with pytest.raises(ValueError, match=f"omitting qubit {j} of 3"):
             qm.purify_over_qubit(rdm, j)
 
+    @pytest.mark.parametrize("tol", [-1e-6, 0.0, float("nan")])
+    def test_rejects_tolerance_that_is_not_positive(self, tol):
+        # a NaN tol once passed this rank-3 marginal's rank check and
+        # returned a ket whose marginal missed it by 0.2
+        rdm = qm.DensityMatrix((2, 3), np.diag([0.5, 0.3, 0.2, 0.0]))
+        with pytest.raises(ValueError, match="tol must be positive"):
+            qm.purify_over_qubit(rdm, 1, tol)
+
 
 class TestReconstruct:
+    def test_unique_names_the_unique_outcome(self):
+        assert qm.reconstruct(qm.panel_of_pure(qm.haar_random_ket(3, 1520))).unique
+        assert not qm.reconstruct(qm.panel_of_pure(qm.ghz_state(3, 0.6, 0.8))).unique
+
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_haar_round_trip(self, n):
         for seed in range(3):

@@ -217,6 +217,27 @@ class TestVerifyGhzSubalgebra:
         with pytest.raises(ValueError):
             qm.verify_ghz_subalgebra(basis, self.identity_locals(4))
 
+    def test_empty_basis_fails(self):
+        assert not qm.verify_ghz_subalgebra(qm.StabilizerBasis((), 0), self.identity_locals(2))
+
+    def test_nonzero_phase_fails(self):
+        # i (Z_1 - Z_2) is in the diagonal algebra, but acts with a phase
+        element = qm.AlgebraElement(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]), 0.5)
+        basis = qm.StabilizerBasis((element,), 1)
+        assert not qm.verify_ghz_subalgebra(basis, self.identity_locals(2))
+
+    def test_nonzero_z_sum_fails(self):
+        # i Z_1 is diagonal, but not traceless
+        element = qm.AlgebraElement(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]), 0.0)
+        basis = qm.StabilizerBasis((element,), 1)
+        assert not qm.verify_ghz_subalgebra(basis, self.identity_locals(2))
+
+    @pytest.mark.parametrize("tol", [-1e-6, 0.0, float("nan")])
+    def test_rejects_tolerance_that_is_not_positive(self, tol):
+        basis = qm.stabilizer_subalgebra(qm.ghz_state(4))
+        with pytest.raises(ValueError, match="tol must be positive"):
+            qm.verify_ghz_subalgebra(basis, self.identity_locals(4), tol)
+
 
 class TestSampledRowCertificate:
     """For n >= 6 a trivial subalgebra is certified from a sampled block of

@@ -256,6 +256,13 @@ class TestEqualUpToPhase:
         with pytest.raises(ValueError):
             qm.equal_up_to_phase(qm.basis_ket(2, 0), qm.basis_ket(3, 0))
 
+    @pytest.mark.parametrize("tol", [-1e-6, 0.0, float("nan")])
+    def test_rejects_tolerance_that_is_not_positive(self, tol):
+        # a NaN tol once called a state unequal to itself
+        psi = qm.haar_random_ket(3, 1)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            qm.equal_up_to_phase(psi, psi, tol)
+
 
 class TestMultiIndex:
     def test_complement_flips_every_bit(self):
@@ -283,6 +290,25 @@ class TestConventions:
         amps = np.array([1e-12, -1.0j, 0.0, 0.0])
         fixed = qm.fix_global_phase(amps)
         assert fixed[1].real > 0.99
+
+    def test_fix_global_phase_copies_amplitudes_all_below_the_floor(self):
+        amps = np.array([1e-12j, -1e-10, 0.0, 0.0])
+        fixed = qm.fix_global_phase(amps)
+        np.testing.assert_array_equal(fixed, amps)
+        assert fixed is not amps
+
+    def test_ket_renormalizes_a_norm_off_by_less_than_the_reject_band(self):
+        # 1e-9 is above RENORMALIZE_TOL and below NORM_REJECT_TOL
+        amps = qm.haar_random_ket(3, 2).amplitudes * (1 + 1e-9)
+        assert abs(np.linalg.norm(qm.Ket(3, amps).amplitudes) - 1.0) < 1e-15
+
+    def test_dagger_inverts_a_unitary_on_its_target(self):
+        u = qm.SingleQubitUnitary(np.array([[1, 1j], [1j, 1]]) / np.sqrt(2), 2)
+        v = u.dagger()
+        assert v.target == 2
+        np.testing.assert_array_equal(v.entries, u.entries.conj().T)
+        psi = qm.haar_random_ket(3, 3)
+        assert qm.equal_up_to_phase(qm.apply_locals([u, v], psi), psi, 1e-14)
 
     def test_ket_validates_norm(self):
         with pytest.raises(ValueError):
@@ -371,7 +397,7 @@ class TestBlochFactor:
                 # with qubit j moved to the front, it is the first qubit of
                 # every marginal rho_(k), k != j, as _bloch_matrix reads them
                 front = np.moveaxis(psi.tensor(), j - 1, 0).reshape(-1)
-                m = _bloch_matrix([_traced_outer(front, front, n, k) for k in range(2, n + 1)])
+                m = _bloch_matrix([_traced_outer(front, front, k) for k in range(2, n + 1)])
                 f = _bloch_factor(factors, j)
                 assert f.shape[0] == 3 and f.shape[1] <= 32 * (n - 1)
                 np.testing.assert_allclose(f @ f.T, m @ m.T, rtol=0, atol=1e-13)
@@ -402,7 +428,7 @@ class TestMatrixKernels:
     def test_blocks_are_projector_sandwiches(self, k):
         mat = random_matrix(k, np.random.default_rng(3000 + k))
         for p in range(1, k + 1):
-            blocks = _blocks(mat, k, p)
+            blocks = _blocks(mat, p)
             assert blocks.shape == (2, 2, 2 ** (k - 1), 2 ** (k - 1))
             for a, b in itertools.product(range(2), repeat=2):
                 # (I (x) <a| (x) I) M (I (x) |b> (x) I), with <a| and |b> at position p
@@ -423,7 +449,7 @@ class TestMatrixKernels:
                 dim = 2 ** len(kept)
                 want = np.einsum(f"{rows}{columns}->{out}", mat.reshape((2,) * (2 * k))).reshape(dim, dim)
                 # the order the positions come in does not matter
-                got = _trace_positions(mat, k, positions[::-1])
+                got = _trace_positions(mat, positions[::-1])
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
@@ -431,13 +457,13 @@ class TestMatrixKernels:
         rng = np.random.default_rng(3200 + n)
         left, right = rng.standard_normal((2, 3, 2**n)) + 1j * rng.standard_normal((2, 3, 2**n))
         for k in range(1, n + 1):
-            stacked = _traced_outer(left, right, n, k)
-            against_one = _traced_outer(left, right[0], n, k)
+            stacked = _traced_outer(left, right, k)
+            against_one = _traced_outer(left, right[0], k)
             assert stacked.shape == against_one.shape == (3, 2 ** (n - 1), 2 ** (n - 1))
             for i in range(3):
-                want = _traced_outer(left[i], right[i], n, k)
+                want = _traced_outer(left[i], right[i], k)
                 np.testing.assert_allclose(stacked[i], want, rtol=0, atol=1e-14)
-                want = _traced_outer(left[i], right[0], n, k)
+                want = _traced_outer(left[i], right[0], k)
                 np.testing.assert_allclose(against_one[i], want, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("k", range(1, 7))
@@ -447,8 +473,8 @@ class TestMatrixKernels:
         for p in range(1, k + 1):
             others = [q for q in range(k) if q != p - 1]
             # the fold sums in another order: equal to rounding
-            want = _trace_positions(mat, k, others)
-            np.testing.assert_allclose(_one_qubit_marginal(mat, k, p), want, rtol=0, atol=1e-13)
+            want = _trace_positions(mat, others)
+            np.testing.assert_allclose(_one_qubit_marginal(mat, p), want, rtol=0, atol=1e-13)
 
 
 def exact_remainder(mat, a):
@@ -470,7 +496,7 @@ class TestRankTwoFactor:
             "product": lambda: qm.random_product_ket(n, 3420 + n),
         }[kind]()
         for j in (1, n):
-            rho = _traced_outer(psi.amplitudes, psi.amplitudes, n, j)
+            rho = _traced_outer(psi.amplitudes, psi.amplitudes, j)
             a, remainder = _rank_two_factor(rho)
             assert a.shape == (2, 2 ** (n - 1))
             assert exact_remainder(rho, a) <= remainder <= 1e-13
@@ -478,7 +504,7 @@ class TestRankTwoFactor:
     @staticmethod
     def _third_mixed_in(delta):
         psi = qm.haar_random_ket(7, 3430)
-        rho = _traced_outer(psi.amplitudes, psi.amplitudes, 7, 2)
+        rho = _traced_outer(psi.amplitudes, psi.amplitudes, 2)
         v = np.linalg.eigh(rho)[1][:, 0]  # a direction outside rho's range
         return (1 - delta) * rho + delta * np.outer(v, v.conj())
 
@@ -497,7 +523,7 @@ class TestRankTwoFactor:
         # 100 small eigenvalues past the top two: each, and so the third
         # Ritz value, is below HERM_TOL, but the remainder is not
         psi = qm.haar_random_ket(8, 3435)
-        rho = _traced_outer(psi.amplitudes, psi.amplitudes, 8, 1)
+        rho = _traced_outer(psi.amplitudes, psi.amplitudes, 1)
         outside = np.linalg.eigh(rho)[1][:, :100]
         delta = 5e-9
         rho = (1 - delta) * rho + (delta / 100) * outside @ outside.conj().T

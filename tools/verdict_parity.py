@@ -1,0 +1,109 @@
+"""Print one line per item of a fixed corpus with every decision taken on it,
+for diffing two trees.
+
+A state's line holds its ``classify`` verdict, branch, ``ill_conditioned``
+flag and the SHA-256 prefixes of its spectra and certificate, then
+``undetermined_by_dimension``, the stabilizer dimension and a digest of
+its echelon basis.  A panel's line holds the ``reconstruct`` outcome,
+reason, residual as ``float.hex`` and a digest of the state, then
+``panel_consistency`` as ``float.hex``.  Run it on two
+checkouts of the package on one machine and diff the outputs: a change
+that keeps the deciders' outputs bit for bit prints the same bytes.
+
+    OPENBLAS_NUM_THREADS=1 python tools/verdict_parity.py > verdicts.txt
+
+The script imports ``qmarginal`` from the ``src`` directory and the corpus
+builders from the ``perfbench`` directory of the tree it sits in.  The
+corpus is the ``analyze-batch`` states and the ``reconstruct-files`` panels
+(written to a temporary directory and loaded back) at seeds 7 and 11, plus
+LU orbits of 0.6|0..0> + 0.8|1..1> + eps|0..01> at n = 3, 5, 6 for eps
+from 1e-6 down to 1e-12, which sit on both sides of the classifier's and
+the reconstruction's thresholds; the line of each of these holds the
+fields of both kinds: 191 lines in all.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import numpy as np  # noqa: E402
+
+import qmarginal as qm  # noqa: E402
+from qmarginal import io as qio  # noqa: E402
+from workloads import AnalyzeBatch, ReconstructFiles  # noqa: E402
+
+SEEDS = (7, 11)
+EPS_QUBITS = (3, 5, 6)
+EPSILONS = (1e-6, 1e-8, 1e-9, 1e-10, 1e-12)
+
+
+def digest(*arrays) -> str:
+    """SHA-256 prefix of the arrays' bytes, or ``-`` for no arrays."""
+    if not arrays:
+        return "-"
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()[:16]
+
+
+def state_fields(psi: qm.Ket) -> list[str]:
+    cls = qm.classify(psi)
+    diag, cert = cls.diagnostics, cls.certificate
+    cert_arrays = () if cert is None else (
+        *(u.entries for u in cert.locals_),
+        np.array([cert.alpha, cert.beta]),
+        np.array([m.bits for m in cert.support]),
+    )
+    basis = qm.stabilizer_subalgebra(psi)
+    rows = [np.append(e.coords.reshape(-1), e.phase) for e in basis.elements]
+    return [
+        f"classify={cls.verdict},{diag.branch},{diag.ill_conditioned},"
+        f"{digest(diag.spectra)},{digest(*cert_arrays)}",
+        f"dimension={qm.undetermined_by_dimension(psi)}",
+        f"stabilizer={basis.dimension},{digest(*rows)}",
+    ]
+
+
+def panel_fields(panel: qm.RdmPanel) -> list[str]:
+    result = qm.reconstruct(panel)
+    state = digest() if result.state is None else digest(result.state.amplitudes)
+    return [
+        f"reconstruct={result.outcome},{result.reason},{float(result.residual).hex()},{state}",
+        f"consistency={qm.panel_consistency(panel).hex()}",
+    ]
+
+
+def eps_state(n: int, eps: float) -> qm.Ket:
+    amps = np.zeros(2**n, dtype=complex)
+    amps[[0, -1, 1]] = 0.6, 0.8, eps
+    return qm.random_lu_orbit(qm.ket(amps, n), n)
+
+
+def lines(work_dir: Path):
+    for seed in SEEDS:
+        for item in AnalyzeBatch().build(seed, work_dir, tiny=False):
+            yield [f"analyze-{seed}/{item.kind}", str(item.n), *state_fields(item.payload["psi"])]
+        for item in ReconstructFiles().build(seed, work_dir, tiny=False):
+            panel = qio.load_panel(item.payload["path"])
+            yield [f"reconstruct-{seed}/{item.kind}", str(item.n), *panel_fields(panel)]
+    for n in EPS_QUBITS:
+        for eps in EPSILONS:
+            psi = eps_state(n, eps)
+            yield [f"eps-{eps:g}", str(n), *state_fields(psi), *panel_fields(qm.panel_of_pure(psi))]
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory() as work_dir:
+        for line in lines(Path(work_dir)):
+            print(*line)
+
+
+if __name__ == "__main__":
+    main()
