@@ -7,11 +7,12 @@ exactly the pure states that share their panel of one-qubit-removed
 marginals with some other pure state; everything else is pinned down
 uniquely.  ``classify`` decides this in closed form.  Write each marginal
 rho_(k), k != 1, as 1/2 sum_a sigma_a (x) B_a over qubit 1 and stack the
-real and imaginary parts of B_x, B_y, B_z into the 3-row Bloch matrix M.
-Every pure state with the same panel is psi with a unitary on qubit 1,
-which rotates M, so it keeps the panel exactly when it fixes M.  A rotation
-that fixes M and moves psi exists exactly when rank M <= 1 and qubit 1 is
-not pure, and by the paper's theorem those are the GHZ-class states.
+real and imaginary parts of B_x, B_y, B_z into the 3-row Bloch matrix M
+(``tensors._bloch_rows``, the one Bloch kernel).  Every pure state with
+the same panel is psi with a unitary on qubit 1, which rotates M, so it
+keeps the panel exactly when it fixes M.  A rotation that fixes M and
+moves psi exists exactly when rank M <= 1 and qubit 1 is not pure, and by
+the paper's theorem those are the GHZ-class states.
 ``classify`` returns the verdict together with a certificate (per-qubit
 basis changes plus the two amplitudes) whenever the state is in the GHZ
 class, and ``sibling``/``phase_family`` build the panel-sharing partner
@@ -33,9 +34,10 @@ from .tensors import (
     _act,
     _axis_first,
     _bit_flips,
-    _bloch_factor,
+    _bloch_rows,
     _check_tol,
     _grams,
+    _pair_qr,
     _qubit_factors,
 )
 from .tolerances import (
@@ -195,8 +197,8 @@ def classify(psi: Ket, tol: float = CLASSIFY_TOL) -> Classification:
     1.131 for 0.6|0..0> + 0.8|1..1> + eps|0..01>, about 0.57 for
     0.2|000> + sqrt(0.96)|111> + eps|100>; ROADMAP.md item 2 tracks these
     constants across the package's thresholds.  The singular value comes
-    from ``tensors._bloch_factor`` without squaring, accurate far below tol;
-    the eigenvalues of M M^T would put its floor near 1e-8, at tol itself.
+    from M compressed (``_pair_qr``) to 3 x at most 32(n-1), unsquared, so
+    accurate far below tol; M M^T would put its floor near 1e-8, at tol.
     ``Diagnostics.branch`` names the spectral case ("degenerate" when every
     marginal is maximally mixed) and ``ill_conditioned`` flags a rank <= 1
     without a certificate.  Raises ``ValueError`` for a tol that is not
@@ -219,7 +221,7 @@ def classify(psi: Ket, tol: float = CLASSIFY_TOL) -> Classification:
     if np.max(spectra[:, 0]) - np.min(spectra[:, 0]) > tol:
         return Classification(False, None, diag("unequal-spectra"))
     branch = "degenerate" if all(degenerate) else "non-degenerate"
-    u, s, _ = np.linalg.svd(_bloch_factor(factors, 1), full_matrices=False)
+    u, s, _ = np.linalg.svd(_bloch_rows(_pair_qr(factors[0], "r")), full_matrices=False)
     if s[1] > tol:
         return Classification(False, None, diag(branch))
     cert = _certificate_from_bases(psi, _ghz_bases(factors, u[:, 0]), tol)

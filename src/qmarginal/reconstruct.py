@@ -13,9 +13,10 @@ closed-form path (``_fit_qubit_one``).  Purifying entry 1, from the SVD of
 its factor or else from its eigenvectors, pins the state down to a unitary
 on qubit 1, whatever entry 1's spectrum.  That unitary rotates the Bloch
 matrix of the other entries over qubit 1, and the best rotation is an
-orthogonal Procrustes problem.  By the paper's theorem, the fitted state
-shares its panel with other pure states exactly when it is GHZ-class, so
-``classify`` of that state decides between a family and the one state.
+orthogonal Procrustes problem on the rows of ``tensors._bloch_rows``, the
+one Bloch kernel.  By the paper's theorem, the fitted state shares its
+panel with other pure states exactly when it is GHZ-class, so ``classify``
+of that state decides between a family and the one state.
 """
 
 from __future__ import annotations
@@ -31,10 +32,12 @@ from .tensors import (
     DensityMatrix,
     Ket,
     _act,
+    _axis_first,
+    _bloch_rows,
     _blocks,
     _check_tol,
+    _pair_qr,
     _phase_fix_column,
-    _traced_outer,
     fix_global_phase,
     tensor_insert,
 )
@@ -165,27 +168,6 @@ def reconstruct(panel: RdmPanel, tol: float = RECONSTRUCT_TOL) -> Reconstruction
     return _fit_qubit_one(panel, chi, tol)
 
 
-def _bloch_matrix(entries: list[np.ndarray]) -> np.ndarray:
-    """3 x M real matrix of the Pauli components on each entry's first qubit.
-
-    Each entry is written as rho = 1/2 sum_a sigma_a (x) B_a over its first
-    axis; the columns are the real and imaginary parts of B_x, B_y, B_z of
-    every entry.  Conjugating that qubit by a unitary U with
-    U sigma_a U^dagger = sum_b R[b, a] sigma_b maps the matrix M to R M
-    and leaves B_0 alone.
-    """
-    blocks = []
-    for rho in entries:
-        x = _blocks(rho, 1)
-        b = np.stack([
-            x[0, 1] + x[1, 0],
-            1j * (x[0, 1] - x[1, 0]),
-            x[0, 0] - x[1, 1],
-        ]).reshape(3, -1)
-        blocks += [b.real, b.imag]
-    return np.concatenate(blocks, axis=1)
-
-
 def _su2_from_rotation(rot: np.ndarray) -> np.ndarray:
     """A 2x2 unitary U with U sigma_a U^dagger = sum_b rot[b, a] sigma_b.
 
@@ -200,15 +182,28 @@ def _su2_from_rotation(rot: np.ndarray) -> np.ndarray:
     return best / np.sqrt(abs(np.linalg.det(best)))
 
 
+def _bloch_pair(panel: RdmPanel, amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bloch rows T of the panel's entries 2..n and S of chi's marginals,
+    compressed: S from chi's blocks Y, T from entry k's blocks between the
+    same Q_k (``_pair_qr``).  Each block of S lies in span(Q_k) on both
+    sides, so what T holds outside it is orthogonal to S: it never reaches
+    T S^T, nor the deflated-turn product h = (P^T T)(P^T R S)^T, and the
+    fit on the compressed rows is exact."""
+    q, own = _pair_qr(_axis_first(amps, 1))
+    blocks = [qk.conj().T @ _blocks(panel.entry(k).entries, 1) @ qk for k, qk in enumerate(q, 2)]
+    return _bloch_rows(np.stack(blocks)), _bloch_rows(own)
+
+
 def _fit_qubit_one(panel: RdmPanel, chi: Ket, tol: float) -> ReconstructionResult:
     """Fix the unitary freedom on qubit 1 of chi, a purification of entry 1.
 
     chi is right up to a unitary U on qubit 1, whatever entry 1's spectrum.
-    Conjugation by U rotates the Bloch matrix of the other entries
-    (``_bloch_matrix``) by some R in SO(3), so the best U is the rotation
-    that carries chi's matrix onto the panel's: orthogonal Procrustes with
-    det R = +1 (Kabsch, Acta Cryst. A32, 922 (1976)), its turn about the
-    leading axis refitted from unsquared rows, lifted to SU(2).  A
+    Conjugation by U rotates the Bloch matrix of the other entries by some
+    R in SO(3), so the best U is the rotation that carries chi's matrix S
+    onto the panel's, T: orthogonal Procrustes with det R = +1 (Kabsch,
+    Acta Cryst. A32, 922 (1976)), its turn about the leading axis refitted
+    from unsquared rows, lifted to SU(2).  Both are read compressed
+    (``_bloch_pair``), and every product the fit takes stays exact.  A
     residual above tol means no U reproduces the panel.  Otherwise, by the
     paper's theorem, other pure states share the panel exactly when the
     fitted state is GHZ-class.  ``classify`` decides that from the unsquared
@@ -217,8 +212,7 @@ def _fit_qubit_one(panel: RdmPanel, chi: Ket, tol: float) -> ReconstructionResul
     """
     n = panel.n
     amps = chi.amplitudes
-    target = _bloch_matrix([panel.entry(k).entries for k in range(2, n + 1)])
-    source = _bloch_matrix([_traced_outer(amps, amps, k) for k in range(2, n + 1)])
+    target, source = _bloch_pair(panel, amps)
     u, _, vt = np.linalg.svd(target @ source.T)
     if np.linalg.det(u @ vt) < 0:
         u[:, 2] = -u[:, 2]

@@ -12,8 +12,8 @@ Conventions used throughout the package:
   axis-first view ``_axis_first`` (a (2, 2**(n-1)) array with qubit j as
   the row index), its inverse ``_axis_restore``, their stack over every
   qubit ``_qubit_factors`` (whose ``_grams`` are the one-qubit marginals),
-  the traced outer product ``_traced_outer``, and ``_bloch_factor``, a
-  factor of the Gram of the marginals' Bloch matrix over one qubit.
+  the traced outer product ``_traced_outer``, and ``_bloch_rows``, the one
+  Bloch kernel, on the marginal blocks that ``_pair_qr`` compresses.
   ``_blocks`` is the matrix form of ``_axis_first``: the 2 x 2 blocks of a
   matrix split on one of its qubits, and with ``_split``, the view under
   it, the only code that splits a matrix by qubit.  ``partial_trace`` is
@@ -118,7 +118,7 @@ def ket(amplitudes, n: int | None = None) -> Ket:
     """Build a Ket from any amplitude sequence, normalizing it."""
     amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
     if n is None:
-        n = int(round(np.log2(amps.size)))
+        n = amps.size.bit_length() - 1  # 2**n amplitudes
     norm = np.linalg.norm(amps)
     if not np.isfinite(norm) and not np.isfinite(amps).all():
         raise ValueError("ket amplitudes must be finite")
@@ -305,7 +305,7 @@ class SchmidtSplit:
     degenerate: bool = False
 
     def reassemble(self) -> Ket:
-        n = int(round(np.log2(self.rest_vectors.shape[1]))) + 1
+        n = self.rest_vectors.shape[1].bit_length()  # 2**(n-1) columns
         amps = np.zeros(2**n, dtype=complex)
         for i in range(2):
             amps += np.sqrt(self.weights[i]) * tensor_insert(
@@ -327,7 +327,7 @@ def tensor_insert(one_qubit, rest, j: int) -> np.ndarray:
     """
     one_qubit = np.asarray(one_qubit, dtype=complex).reshape(2)
     rest = np.asarray(rest, dtype=complex).reshape(-1)
-    n = int(round(np.log2(rest.size))) + 1
+    n = rest.size.bit_length()  # 2**(n-1) amplitudes
     if rest.size != 2 ** (n - 1):
         raise ValueError(f"rest vector length {rest.size} is not a power of 2")
     if not 1 <= j <= n:
@@ -403,24 +403,39 @@ def _one_qubit_marginal(mat: np.ndarray, p: int) -> np.ndarray:
     return np.einsum("iajibj->ab", _split(mat, p))
 
 
-def _bloch_factor(factors: np.ndarray, j: int) -> np.ndarray:
-    """Real factor F, 3 x at most 32(n-1), with F F^T = M M^T, where M is
-    the Bloch matrix over qubit j of the marginals rho_(k), k != j: rho_(k) is
-    1/2 sum_a sigma_a (x) B_a over qubit j, and M stacks Re and Im of
-    B_x, B_y, B_z over k.  ``factors`` is ``_qubit_factors(psi)``.
-
-    M is never formed.  For each k, the pair flattening A (4 x 2**(n-2),
-    rows over qubits j and k) gives B_a = A^T (sigma_a^T (x) I) A^*, and with
-    A^T = QR every B_a is Q C_a Q^dagger for the (at most) 4 x 4 matrix
-    C_a = R (sigma_a^T (x) I) R^dagger, which keeps B_a's inner products.
-    F's singular values are M's, so a small one keeps its relative
-    precision, as it would not in the eigenvalues of M M^T.
+def _pair_qr(front: np.ndarray, mode: str = "reduced"):
+    """Q and the compressed blocks Y over qubit j of a state's marginals,
+    for its ``_axis_first`` view at j; Y alone, with no Q, for ``mode``
+    "r".  For each other qubit k, in label order, the pair flattening A
+    (4 x 2**(n-2), rows over qubits j and k) is split A^T = Q R, with p <= 4
+    columns.  The blocks of rho_(k) over qubit j are Q Y_ab Q^dagger, for
+    Y_ab = sum_i R_(a,i) R_(b,i)^dagger, which keeps their inner products.
+    With Q, Y is formed from R = Q^dagger A^T in extended precision, so that
+    it matches a matrix compressed by the same Q to float64 rounding: near
+    the GHZ class the fit reads O(eps) differences of the two, and the QR's
+    own R doubled their error.  Returns Q (n-1, 2**(n-2), p) and Y (n-1, 2, 2,
+    p, p), indexed [k, a, b].
     """
-    n = factors.shape[0]
-    pairs = np.stack([_axis_first(factors[j - 1], m).reshape(4, -1) for m in range(1, n)])
-    r = np.linalg.qr(pairs.swapaxes(-1, -2), mode="r").reshape(n - 1, -1, 2, 2)
-    c = np.einsum("ayx,kpxz,kqyz->akpq", PAULIS, r, r.conj()).reshape(3, -1)
-    return np.concatenate([c.real, c.imag], axis=1)
+    n = front.shape[-1].bit_length()  # 2**(n-1) columns
+    flat = np.stack([_axis_first(front, m).reshape(4, -1).T for m in range(1, n)])  # A^T
+    if mode == "r":
+        r = np.linalg.qr(flat, mode="r")
+    else:
+        q = np.linalg.qr(flat)[0]
+        r = q.conj().swapaxes(-1, -2).astype(np.clongdouble) @ flat.astype(np.clongdouble)
+    r = r.reshape(n - 1, -1, 2, 2)  # columns (a, i)
+    own = np.einsum("kpai,kqbi->kabpq", r, r.conj()).astype(complex, copy=False)
+    return own if mode == "r" else (q, own)
+
+
+def _bloch_rows(blocks: np.ndarray) -> np.ndarray:
+    """The one Bloch kernel: for a stack (m, 2, 2, d, d) of blocks x_ab of
+    matrices rho = 1/2 sum_a sigma_a (x) B_a split on their qubit 1, the 3
+    rows of Re and Im of B_a = sum_xy (sigma_a)_yx x_xy, a = x, y, z.  U on
+    qubit 1 with U sigma_a U^dagger = sum_b R[b, a] sigma_b maps them to R
+    times them: ``classify`` reads their rank, ``reconstruct`` fits R."""
+    b = np.einsum("ayx,mxyij->amij", PAULIS, blocks, order="C")
+    return b.reshape(3, -1).view(np.float64)
 
 
 def partial_trace(rho: DensityMatrix, traced) -> DensityMatrix:

@@ -13,10 +13,7 @@ group itself, U <- exp(i sum_a delta_a sigma_a) U with sigma_a = X, Y, Z on
 qubit 1; the identity direction only turns the global phase and leaves
 every marginal fixed, so it is left out.  There is no chart along the way,
 so the step cannot run off along a periodic parameter, and every iterate is
-unitary up to rounding.  The Jacobian is analytic: with a the axis-first
-view of U psi for qubit k and b_a that of the tangent i sigma_a U psi,
-d rho_(k) = b_a^T conj(a) plus its adjoint (``PanelObjective.residuals``,
-the dense path).
+unitary up to rounding.
 
 Every residual is a fixed 4-column matrix, the 2 x 2 blocks of psi's own
 marginals over qubit 1, times a coefficient vector that depends on U alone
@@ -25,12 +22,13 @@ marginals over qubit 1, times a coefficient vector that depends on U alone
 Gauss-Newton matrix exactly, in O(1) work per start at every n.  Read as
 2 x 2 matrices X_j, the columns of R^T move to Y_j = U X_j U^dagger, so
 the compressed residual is Y - R^T and its tangent along i sigma_a U is
-i [sigma_a, Y]: both are formed directly, never the residual's square.
-The cost a result reports is the dense one, read off the marginals
-themselves (``PanelObjective.residuals``), so callers see the panel
-mismatch itself.  It is computed when a caller first reads it: the sibling
-search reads it only for the starts it may report, and a start that ends on
-the scalar locus never builds its dense marginals.
+i [sigma_a, Y]: both are formed directly, never the residual's square,
+and no dense Jacobian is formed anywhere.  The cost a result reports is
+the dense one, read off the marginals themselves
+(``PanelObjective.residuals``, the residual alone), so callers see the
+panel mismatch itself.  It is computed when a caller first reads it: the
+sibling search reads it only for the starts it may report, and a start that
+ends on the scalar locus never builds its dense marginals.
 
 The starts of one call descend together as a stack of unitaries.  Each
 pass of the loop builds the 3 x 3 normal equations of every start still
@@ -67,8 +65,6 @@ GRAD_TOL = 1e-15
 STEP_TOL = 1e-12
 SCALE_FLOOR = 1e-12
 
-# I, i X, i Y, i Z: the identity and the three step directions
-_GENERATORS = np.array([np.eye(2), *(1j * p for p in PAULIS)])
 # vec Y -> vec Y, then vec Y -> vec i [sigma_a, Y] for a = X, Y, Z, stacked
 # as (16, 4) with vec row-major: the map from Y to the compressed residual
 # (before R^T is subtracted) and its three tangents (``normal_equations``)
@@ -90,8 +86,7 @@ class FitResult:
 
     @cached_property
     def cost(self) -> float:
-        res, _ = self.objective.residuals(self.unitary)
-        return float(np.sum(np.square(res)))
+        return float(np.sum(np.square(self.objective.residuals(self.unitary))))
 
 
 def unitary_from_params(theta: np.ndarray) -> np.ndarray:
@@ -169,31 +164,24 @@ class PanelObjective:
         # transposed, so that rows (a, b) of kron(U, conj(U)) multiply it
         self._r = np.linalg.qr(np.concatenate(factors), mode="r").T
 
-    def residuals(self, unitary: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Residual vector at U and its Jacobian in the X, Y, Z step directions.
-
-        The residuals are the real and imaginary parts of rho_(k) - S_k
-        over k = 2..n; the Jacobian has one column per direction sigma_a,
-        the derivative along exp(i t sigma_a) U at t = 0.  This is the dense
-        path that ``FitResult.cost`` reads and ``normal_equations`` reproduces.
+    def residuals(self, unitary: np.ndarray) -> np.ndarray:
+        """Residual vector at U: the real and imaginary parts of rho_(k) -
+        S_k over k = 2..n, for the marginals rho_(k) of U psi.  This is the
+        dense path that ``FitResult.cost`` reads and ``normal_equations``
+        reproduces compressed.
         """
-        # U psi and the tangents i sigma_a U psi, as amplitude vectors
-        stack = _axis_restore(_GENERATORS @ (unitary @ self.factor), 1)
-        values, slopes = [], []
-        for k, own in self.own.items():
-            # products[0] is rho_(k) = a^T conj(a); products[1:] are b_a^T conj(a)
-            products = _traced_outer(stack, stack[0], k)
-            # plus the adjoints a^T conj(b_a), each its own product: a swapped-axes
-            # sum comes out transposed from n = 8 on, where the float view fails
-            d_rho = products[1:] + _traced_outer(stack[0], stack[1:], k)
-            values.append((products[0] - own).view(np.float64).reshape(-1))
-            slopes.append(d_rho.view(np.float64).reshape(3, -1))
-        return np.concatenate(values), np.concatenate(slopes, axis=1).T
+        moved = _axis_restore(unitary @ self.factor, 1)
+        return np.concatenate([
+            (_traced_outer(moved, moved, k) - own).view(np.float64).reshape(-1)
+            for k, own in self.own.items()
+        ])
 
     def normal_equations(self, unitaries: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Cost r.r, gradient J^T r and matrix J^T J for a stack (m, 2, 2) of U.
 
-        r and J are those of ``residuals``, neither formed.  The dense
+        r is that of ``residuals`` and J its Jacobian in the X, Y, Z step
+        directions, the derivative along exp(i t sigma_a) U at t = 0; neither
+        is formed.  The dense
         residual is B c, with c the c_ab of all four blocks (see the class),
         and B = Q R with Q an isometry that does not depend on U.  So r = Q
         (R c) and J = Q (R dc) for the compressed residual R c and its

@@ -11,7 +11,7 @@ import qmarginal as qm
 from conftest import mixed_corpus, random_ghz_orbit
 from qmarginal import unitary_fit
 from qmarginal.oracle import random_unitary_2x2
-from qmarginal.tensors import PAULIS
+from qmarginal.tensors import PAULIS, _axis_restore, _traced_outer
 from qmarginal.unitary_fit import PanelObjective, fit_pivot_unitary, grid_starts, random_starts
 
 
@@ -190,7 +190,7 @@ class TestPanelObjective:
         for _ in range(3):
             u = random_unitary_2x2(rng)
             moved = qm.panel_of_pure(qm.apply_local(qm.SingleQubitUnitary(u, 1), psi))
-            res, _ = objective.residuals(u)
+            res = objective.residuals(u)
             diffs = res.view(complex).reshape(n - 1, dim, dim)
             for k, diff in zip(range(2, n + 1), diffs):
                 np.testing.assert_allclose(
@@ -208,7 +208,7 @@ class TestDescent:
         for result in results:
             u = result.unitary
             assert np.max(np.abs(u.conj().T @ u - np.eye(2))) < 1e-12
-            res, _ = objective.residuals(u)
+            res = objective.residuals(u)
             assert result.cost == pytest.approx(float(np.sum(res**2)), rel=1e-12, abs=0)
 
     @pytest.mark.parametrize(
@@ -227,6 +227,23 @@ class TestDescent:
         assert report.best_residual == pytest.approx(2 / np.sqrt(3), abs=1e-6)
 
 
+def dense_jacobian(objective, unitary):
+    """Reference: the Jacobian of ``objective.residuals`` at U in the X, Y,
+    Z step directions, one column per sigma_a, the derivative along
+    exp(i t sigma_a) U at t = 0.  With a the axis-first view of U psi and
+    b_a that of the tangent i sigma_a U psi, d rho_(k) = b_a^T conj(a) plus
+    its adjoint, each its own traced product."""
+    moved = _axis_restore(unitary @ objective.factor, 1)
+    columns = []
+    for p in PAULIS:
+        tangent = _axis_restore(1j * p @ unitary @ objective.factor, 1)
+        columns.append(np.concatenate([
+            (_traced_outer(tangent, moved, k) + _traced_outer(moved, tangent, k)).view(np.float64).reshape(-1)
+            for k in objective.own
+        ]))
+    return np.stack(columns, axis=1)
+
+
 class TestStackedDescent:
     """The stacked normal equations, and a search that descends its whole
     budget as one stack."""
@@ -241,7 +258,7 @@ class TestStackedDescent:
         costs, grads, normals = objective.normal_equations(unitaries)
         assert costs.shape == (4,) and grads.shape == (4, 3) and normals.shape == (4, 3, 3)
         for u, cost, grad, normal in zip(unitaries, costs, grads, normals):
-            res, jac = objective.residuals(u)
+            res, jac = objective.residuals(u), dense_jacobian(objective, u)
             assert float(res @ res) > 1e-3
             assert cost == pytest.approx(float(res @ res), rel=1e-12, abs=0)
             np.testing.assert_allclose(grad, jac.T @ res, rtol=0, atol=1e-12 * np.abs(jac.T @ res).max())

@@ -123,6 +123,18 @@ class TestReconstruct:
         assert family_contains(result, orbit)
         assert result.residual <= 1e-9
 
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_round_trip_at_the_stated_reach(self, n):
+        psi = qm.haar_random_ket(n, 1750 + n)
+        result = qm.reconstruct(qm.panel_of_pure(psi))
+        assert result.outcome == "unique"
+        phase = result.state.overlap(psi)
+        assert np.abs(result.state.amplitudes * phase / abs(phase) - psi.amplitudes).max() <= 1e-12
+        orbit, _ = random_ghz_orbit(n, 1760 + n)
+        result = qm.reconstruct(qm.panel_of_pure(orbit))
+        assert result.outcome == "ghz-family"
+        assert result.residual <= RECONSTRUCT_TOL
+
     def test_balanced_orbit_panel_gives_family(self):
         orbit, _ = random_ghz_orbit(4, 1800, balanced=True)
         result = qm.reconstruct(qm.panel_of_pure(orbit))

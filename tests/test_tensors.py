@@ -6,14 +6,17 @@ import numpy as np
 import pytest
 
 import qmarginal as qm
-from qmarginal.reconstruct import _bloch_matrix
+from qmarginal.oracle import random_unitary_2x2
+from qmarginal.reconstruct import _bloch_pair
 from qmarginal.tensors import (
     _CERTIFY_MIN_DIM,
     PAULI_X,
     PAULI_Z,
-    _bloch_factor,
+    _axis_first,
+    _bloch_rows,
     _blocks,
     _one_qubit_marginal,
+    _pair_qr,
     _qubit_factors,
     _rank_two_factor,
     _trace_positions,
@@ -46,6 +49,10 @@ class TestTensorInsert:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             qm.tensor_insert([1, 0], [1, 0], 3)
+
+    def test_empty_rest_is_rejected(self):
+        with pytest.raises(ValueError, match="not a power of 2"):
+            qm.tensor_insert([1, 0], [], 1)
 
 
 class TestPartialTrace:
@@ -318,6 +325,10 @@ class TestConventions:
         with pytest.raises(ValueError):
             qm.Ket(2, np.array([1.0, 0.0]))
 
+    def test_ket_of_no_amplitudes_is_rejected(self):
+        with pytest.raises(ValueError):
+            qm.ket([])
+
     def test_density_matrix_validation(self):
         with pytest.raises(ValueError):
             qm.DensityMatrix((1,), np.array([[0.5, 0.5], [0.0, 0.5]]))
@@ -383,7 +394,49 @@ class TestQubitFactorKernel:
                 np.testing.assert_allclose(spectra[j - 1], want, rtol=0, atol=1e-14)
 
 
-class TestBlochFactor:
+def dense_bloch_rows(entries):
+    """Reference: the dense Bloch matrix over qubit 1 of the given matrices,
+    3 x 2 * 4**(k-1) real columns per k-qubit entry: [Re | Im] of B_x, B_y,
+    B_z from the blocks of each entry, written out term by term."""
+    rows = []
+    for rho in entries:
+        x = _blocks(rho, 1)
+        b = np.stack([x[0, 1] + x[1, 0], 1j * (x[0, 1] - x[1, 0]), x[0, 0] - x[1, 1]])
+        rows += [b.real.reshape(3, -1), b.imag.reshape(3, -1)]
+    return np.concatenate(rows, axis=1)
+
+
+def own_marginals(amps):
+    """A state's dense marginals rho_(k), k = 2..n, from its amplitudes."""
+    n = amps.size.bit_length() - 1
+    return [_traced_outer(amps, amps, k) for k in range(2, n + 1)]
+
+
+def mixed_in(panel, weight, seed):
+    """The panel with every entry k >= 2 mixed with a random pure state, so
+    that its blocks leave the span of the pure source's."""
+    rng = np.random.default_rng(seed)
+    entries = list(panel.entries)
+    for i, e in enumerate(entries[1:], start=1):
+        v = rng.standard_normal(len(e.entries)) + 1j * rng.standard_normal(len(e.entries))
+        v /= np.linalg.norm(v)
+        mat = (1 - weight) * e.entries + weight * np.outer(v, v.conj())
+        entries[i] = qm.DensityMatrix(e.qubit_labels, mat)
+    return qm.RdmPanel(panel.n, tuple(entries))
+
+
+class TestBlochRows:
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_rows_are_the_dense_bloch_matrix(self, n):
+        # on uncompressed blocks the kernel is the term-by-term reference,
+        # column for column up to the order of the real and imaginary parts
+        psi = qm.haar_random_ket(n, 1400 + n)
+        entries = own_marginals(psi.amplitudes)
+        rows = _bloch_rows(np.stack([_blocks(rho, 1) for rho in entries]))
+        want = dense_bloch_rows(entries).reshape(3, n - 1, 2, -1)
+        got = rows.view(complex).reshape(3, n - 1, -1)
+        assert np.array_equal(got, want[:, :, 0] + 1j * want[:, :, 1])
+
     @pytest.mark.parametrize("n", range(2, 8))
     def test_gram_is_the_bloch_matrix_gram(self, n):
         states = (
@@ -395,12 +448,39 @@ class TestBlochFactor:
             factors = _qubit_factors(psi)
             for j in range(1, n + 1):
                 # with qubit j moved to the front, it is the first qubit of
-                # every marginal rho_(k), k != j, as _bloch_matrix reads them
+                # every marginal rho_(k), k != j, as the reference reads them
                 front = np.moveaxis(psi.tensor(), j - 1, 0).reshape(-1)
-                m = _bloch_matrix([_traced_outer(front, front, k) for k in range(2, n + 1)])
-                f = _bloch_factor(factors, j)
+                m = dense_bloch_rows(own_marginals(front))
+                f = _bloch_rows(_pair_qr(factors[j - 1], "r"))
                 assert f.shape[0] == 3 and f.shape[1] <= 32 * (n - 1)
                 np.testing.assert_allclose(f @ f.T, m @ m.T, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_q_spans_the_own_blocks(self, n):
+        # Q_k Y_ab Q_k^dagger is the block ab of rho_(k) over qubit 1, and
+        # the R-only mode gives the same Y up to rounding
+        amps = qm.haar_random_ket(n, 1750 + n).amplitudes
+        q, own = _pair_qr(_axis_first(amps, 1))
+        np.testing.assert_allclose(_pair_qr(_axis_first(amps, 1), "r"), own, rtol=0, atol=1e-14)
+        for qk, y, rho in zip(q, own, own_marginals(amps)):
+            np.testing.assert_allclose(qk.conj().T @ qk, np.eye(qk.shape[1]), rtol=0, atol=1e-14)
+            np.testing.assert_allclose(qk @ y @ qk.conj().T, _blocks(rho, 1), rtol=0, atol=1e-14)
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="numpy has no extended precision"
+    )
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_own_blocks_are_the_q_compression_to_rounding(self, n):
+        # Y is Q^dagger x Q for chi's own blocks x, as the panel's are
+        # compressed, within float64 rounding of its entries (at most 1);
+        # a Y from the QR's own R misses it by a few times that
+        amps = qm.haar_random_ket(n, 1780 + n).amplitudes
+        q, own = _pair_qr(_axis_first(amps, 1))
+        wide = amps.astype(np.clongdouble)
+        for k, qk, y in zip(range(2, n + 1), q.astype(np.clongdouble), own):
+            a = _axis_first(wide, k)
+            x = _blocks(a.swapaxes(-1, -2) @ a.conj(), 1)
+            assert np.abs(y - qk.conj().T @ x @ qk).max() <= 2.0**-53
 
     @pytest.mark.parametrize("n", [3, 5, 8])
     def test_second_singular_value_keeps_relative_precision(self, n):
@@ -411,11 +491,44 @@ class TestBlochFactor:
             amps = np.zeros(2**n, dtype=complex)
             amps[0], amps[-1], amps[1] = 0.6, 0.8, eps
             psi = qm.random_lu_orbit(qm.ket(amps), 2500 + n)
-            s = np.linalg.svd(_bloch_factor(_qubit_factors(psi), 1), compute_uv=False)
+            s = np.linalg.svd(_bloch_rows(_pair_qr(_qubit_factors(psi)[0], "r")), compute_uv=False)
             if eps:
                 assert 1.1 * eps < s[1] < 1.2 * eps
             else:
                 assert s[1] < 1e-14
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("kind", ["pure", "mixed", "perturbed"])
+    def test_fit_products_match_the_dense_rows(self, n, kind):
+        # T S^T and the deflated-turn product h = (P^T T)(P^T R S)^T from
+        # the compressed rows of the fit against the dense reference: equal
+        # even where the panel's blocks leave chi's span.  h is held to the
+        # rounding of its projected rows, which are O(1) here but vanish
+        # for the pure panels at n = 2, all GHZ-class
+        psi = qm.haar_random_ket(n, 1800 + n)
+        if kind == "mixed":
+            g = random_matrix(n, np.random.default_rng(1850 + n))
+            rho = g @ g.conj().T
+            panel = qm.panel_of_mixed(qm.DensityMatrix(tuple(range(1, n + 1)), rho / np.trace(rho)))
+        else:
+            panel = qm.panel_of_pure(psi)
+            if kind == "perturbed":
+                panel = mixed_in(panel, 1e-3, 1870 + n)
+        u = random_unitary_2x2(np.random.default_rng(1890 + n))
+        chi = qm.apply_local(qm.SingleQubitUnitary(u, 1), psi).amplitudes
+        target, source = _bloch_pair(panel, chi)
+        dense_t = dense_bloch_rows([panel.entry(k).entries for k in range(2, n + 1)])
+        dense_s = dense_bloch_rows(own_marginals(chi))
+        product = dense_t @ dense_s.T
+        np.testing.assert_allclose(
+            target @ source.T, product, rtol=0, atol=1e-13 * np.abs(product).max()
+        )
+        w, _, vt = np.linalg.svd(product)
+        rot, plane = w @ vt, w[:, 1:]
+        h = (plane.T @ target) @ ((plane.T @ rot) @ source).T
+        left, right = plane.T @ dense_t, (plane.T @ rot) @ dense_s
+        scale = np.linalg.norm(dense_t) * np.linalg.norm(right) + np.linalg.norm(left) * np.linalg.norm(dense_s)
+        np.testing.assert_allclose(h, left @ right.T, rtol=0, atol=1e-13 * scale)
 
 
 def random_matrix(k, rng):
