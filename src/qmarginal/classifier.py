@@ -178,8 +178,7 @@ def _ghz_bases(factors: np.ndarray, axis: np.ndarray) -> list[np.ndarray]:
     branches = first.conj().T @ factors[0]
     weights = np.linalg.norm(branches, axis=1)
     heavy = int(np.argmax(weights))
-    phi = Ket(factors.shape[0] - 1, branches[heavy] / weights[heavy])
-    _, rest = np.linalg.eigh(_grams(_qubit_factors(phi)))
+    _, rest = np.linalg.eigh(_grams(_qubit_factors(branches[heavy] / weights[heavy])))
     return [first[:, [heavy, 1 - heavy]], *rest[..., ::-1]]
 
 
@@ -208,7 +207,7 @@ def classify(psi: Ket, tol: float = CLASSIFY_TOL) -> Classification:
     if n < 2:
         raise ValueError("classification needs at least 2 qubits")
     _check_tol(tol)
-    factors = _qubit_factors(psi)
+    factors = _qubit_factors(psi.amplitudes)
     spectra = np.linalg.eigvalsh(_grams(factors))[:, ::-1].copy()
     spectra.setflags(write=False)
     degenerate = tuple(bool(g < DEGENERACY_TOL) for g in spectra[:, 0] - spectra[:, 1])

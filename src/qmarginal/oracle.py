@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensors import Ket, SingleQubitUnitary, _act, _check_tol, ket, reduced_one_qubit
+from .tensors import Ket, SingleQubitUnitary, _act, _check_tol, _grams, ket
 from .tolerances import ETA_UNIT_TOL, SEARCH_BUDGET, SEARCH_TOL
 from .unitary_fit import PanelObjective, fit_pivot_unitary, grid_starts, random_starts
 
@@ -82,7 +82,7 @@ def search_sibling(
 
     results = fit_pivot_unitary(objective, starts)
     # <psi|(U on qubit 1) psi> = tr(U G) for the qubit-1 Gram G = A A^dagger
-    gram = reduced_one_qubit(psi, 1)
+    gram = _grams(objective.factor)
     # the reshape keeps the (0, 2, 2) shape of an empty budget
     unitaries = np.array([result.unitary for result in results]).reshape(-1, 2, 2)
     scalar = np.abs(np.einsum("mac,ca->m", unitaries, gram)) >= 1.0 - tol

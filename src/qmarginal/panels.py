@@ -38,6 +38,8 @@ class RdmPanel:
     entries: tuple[DensityMatrix, ...]
 
     def __post_init__(self):
+        if self.n < 2:
+            raise ValueError("panels need at least 2 qubits")
         entries = tuple(self.entries)
         if len(entries) != self.n:
             raise ValueError(f"expected {self.n} entries, got {len(entries)}")
@@ -85,12 +87,10 @@ def panel_of_pure(psi: Ket) -> RdmPanel:
     (n, 2, 2**(n-1)) stack) and builds its dense matrix on first read.
     Nothing is re-checked: a ``Ket`` is normalized, so every factor has
     unit trace and a PSD Gram by construction."""
-    if psi.n < 2:
-        raise ValueError("panels need at least 2 qubits")
     qubits = range(1, psi.n + 1)
     return RdmPanel(psi.n, tuple(
         DensityMatrix._factored(tuple(q for q in qubits if q != j), a)
-        for j, a in zip(qubits, _qubit_factors(psi))
+        for j, a in zip(qubits, _qubit_factors(psi.amplitudes))
     ))
 
 
@@ -102,8 +102,6 @@ def panel_of_mixed(rho: DensityMatrix) -> RdmPanel:
     n = rho.k
     if rho.qubit_labels != tuple(range(1, n + 1)):
         raise ValueError("expected a density matrix on qubits 1..n")
-    if n < 2:
-        raise ValueError("panels need at least 2 qubits")
     # the partial trace of a validated DensityMatrix is Hermitian, PSD and
     # of unit trace by construction: no entry is checked again
     labels = rho.qubit_labels

@@ -11,7 +11,9 @@ its remainder bounds the third eigenvalue, so no eigensolve runs.  Any
 other entry takes a full ``eigvalsh``.  Every panel then takes one
 closed-form path (``_fit_qubit_one``).  Purifying entry 1, from the SVD of
 its factor or else from its eigenvectors, pins the state down to a unitary
-on qubit 1, whatever entry 1's spectrum.  That unitary rotates the Bloch
+on qubit 1, whatever entry 1's spectrum; it stays an array, its rows
+sqrt(p_i) v_i over qubit 1, and only the returned state is a ``Ket``.
+That unitary rotates the Bloch
 matrix of the other entries over qubit 1, and the best rotation is an
 orthogonal Procrustes problem on the rows of ``tensors._bloch_rows``, the
 one Bloch kernel.  By the paper's theorem, the fitted state shares its
@@ -31,15 +33,13 @@ from .tensors import (
     PAULIS,
     DensityMatrix,
     Ket,
-    _act,
-    _axis_first,
+    _axis_restore,
     _bloch_rows,
     _blocks,
     _check_tol,
     _pair_qr,
     _phase_fix_column,
     fix_global_phase,
-    tensor_insert,
 )
 from .tolerances import CONSISTENCY_FLOOR, DEGENERACY_TOL, RECONSTRUCT_TOL
 
@@ -97,7 +97,8 @@ def purify_over_qubit(
             f"marginal omitting qubit {j} has rank > 2 "
             f"(third eigenvalue {evals[2]:.3e})"
         )
-    return _purification(evals, evecs, j, n, tol)
+    rows, degenerate = _purification(evals, evecs, tol)
+    return Ket(n, _axis_restore(rows, j)), degenerate
 
 
 def _certified_rank_two(rdm: DensityMatrix, tol: float) -> bool:
@@ -121,19 +122,19 @@ def _leading_pairs(rdm: DensityMatrix, tol: float) -> tuple[np.ndarray, np.ndarr
     return evals[order], np.stack([_phase_fix_column(evecs[:, i]) for i in order[:2]], axis=1)
 
 
-def _purification(
-    evals: np.ndarray, evecs: np.ndarray, j: int, n: int, tol: float
-) -> tuple[Ket, bool]:
-    """``purify_over_qubit`` from a spectrum already checked for rank <= 2."""
+def _purification(evals: np.ndarray, evecs: np.ndarray, tol: float) -> tuple[np.ndarray, bool]:
+    """``purify_over_qubit``'s candidate as its 2 x d rows sqrt(p_i) v_i over
+    the purifying qubit, from a spectrum already checked for rank <= 2.  The
+    sum of the products |i> (x) v_i fixes the sign of every exact zero."""
     p0, p1 = (max(float(p), 0.0) for p in evals[:2])
     if p1 < tol:
         p1 = 0.0  # rank 1: the second eigenvector is null-space noise
     total = p0 + p1
     p0, p1 = p0 / total, p1 / total
-    amps = np.sqrt(p0) * tensor_insert([1.0, 0.0], evecs[:, 0], j)
+    rows = np.sqrt(p0) * np.outer([1.0, 0.0], evecs[:, 0])
     if p1 > 0.0:
-        amps = amps + np.sqrt(p1) * tensor_insert([0.0, 1.0], evecs[:, 1], j)
-    return Ket(n, amps), bool(p0 - p1 < DEGENERACY_TOL)
+        rows = rows + np.sqrt(p1) * np.outer([0.0, 1.0], evecs[:, 1])
+    return rows, bool(p0 - p1 < DEGENERACY_TOL)
 
 
 def reconstruct(panel: RdmPanel, tol: float = RECONSTRUCT_TOL) -> ReconstructionResult:
@@ -164,8 +165,8 @@ def reconstruct(panel: RdmPanel, tol: float = RECONSTRUCT_TOL) -> Reconstruction
             "incompatible", None, None, consistency,
             f"one-qubit marginals disagree across entries by {consistency:.3e}",
         )
-    chi, _ = _purification(*first, 1, panel.n, tol)
-    return _fit_qubit_one(panel, chi, tol)
+    rows, _ = _purification(*first, tol)
+    return _fit_qubit_one(panel, rows, tol)
 
 
 def _su2_from_rotation(rot: np.ndarray) -> np.ndarray:
@@ -182,20 +183,20 @@ def _su2_from_rotation(rot: np.ndarray) -> np.ndarray:
     return best / np.sqrt(abs(np.linalg.det(best)))
 
 
-def _bloch_pair(panel: RdmPanel, amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _bloch_pair(panel: RdmPanel, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Bloch rows T of the panel's entries 2..n and S of chi's marginals,
-    compressed: S from chi's blocks Y, T from entry k's blocks between the
-    same Q_k (``_pair_qr``).  Each block of S lies in span(Q_k) on both
-    sides, so what T holds outside it is orthogonal to S: it never reaches
-    T S^T, nor the deflated-turn product h = (P^T T)(P^T R S)^T, and the
-    fit on the compressed rows is exact."""
-    q, own = _pair_qr(_axis_first(amps, 1))
+    compressed: S from the blocks Y of chi's ``_purification`` rows, T from
+    entry k's blocks between the same Q_k (``_pair_qr``).  Each block of S
+    lies in span(Q_k) on both sides, so what T holds outside it is
+    orthogonal to S: it never reaches T S^T, nor the deflated-turn product
+    h = (P^T T)(P^T R S)^T, and the fit on the compressed rows is exact."""
+    q, own = _pair_qr(rows)
     blocks = [qk.conj().T @ _blocks(panel.entry(k).entries, 1) @ qk for k, qk in enumerate(q, 2)]
     return _bloch_rows(np.stack(blocks)), _bloch_rows(own)
 
 
-def _fit_qubit_one(panel: RdmPanel, chi: Ket, tol: float) -> ReconstructionResult:
-    """Fix the unitary freedom on qubit 1 of chi, a purification of entry 1.
+def _fit_qubit_one(panel: RdmPanel, rows: np.ndarray, tol: float) -> ReconstructionResult:
+    """Fix the unitary freedom on qubit 1 of chi, entry 1's purification rows.
 
     chi is right up to a unitary U on qubit 1, whatever entry 1's spectrum.
     Conjugation by U rotates the Bloch matrix of the other entries by some
@@ -210,9 +211,7 @@ def _fit_qubit_one(panel: RdmPanel, chi: Ket, tol: float) -> ReconstructionResul
     second singular value of the state's own Bloch matrix, and supplies the
     family's certificate; no squared singular value of the fit decides.
     """
-    n = panel.n
-    amps = chi.amplitudes
-    target, source = _bloch_pair(panel, amps)
+    target, source = _bloch_pair(panel, rows)
     u, _, vt = np.linalg.svd(target @ source.T)
     if np.linalg.det(u @ vt) < 0:
         u[:, 2] = -u[:, 2]
@@ -229,8 +228,8 @@ def _fit_qubit_one(panel: RdmPanel, chi: Ket, tol: float) -> ReconstructionResul
     c, s = np.cos(phi), np.sin(phi)
     turn = np.outer(u[:, 0], u[:, 0]) + plane @ np.array([[c, -s], [s, c]]) @ plane.T
     rot = turn @ rot
-    fitted = _act(amps, [(1, _su2_from_rotation(rot))])
-    state = Ket(n, fix_global_phase(fitted / np.linalg.norm(fitted)))
+    fitted = _axis_restore(_su2_from_rotation(rot) @ rows, 1)
+    state = Ket(panel.n, fix_global_phase(fitted / np.linalg.norm(fitted)))
     residual = check_panel(state, panel)
     if residual > tol:
         return ReconstructionResult(

@@ -272,7 +272,7 @@ def undetermined_by_dimension(psi: Ket) -> str:
         return "inapplicable"
     if _certified_trivial(psi):
         return "determined"
-    if np.min(np.linalg.eigvalsh(_grams(_qubit_factors(psi)))[:, 0]) < PRODUCT_TOL:
+    if np.min(np.linalg.eigvalsh(_grams(_qubit_factors(psi.amplitudes)))[:, 0]) < PRODUCT_TOL:
         return "determined"
     # past the certificate, straight to the full rule: going through
     # stabilizer_subalgebra would run the certificate again

@@ -11,9 +11,11 @@ Conventions used throughout the package:
   action and every pure-state marginal goes through one kernel: the
   axis-first view ``_axis_first`` (a (2, 2**(n-1)) array with qubit j as
   the row index), its inverse ``_axis_restore``, their stack over every
-  qubit ``_qubit_factors`` (whose ``_grams`` are the one-qubit marginals),
-  the traced outer product ``_traced_outer``, and ``_bloch_rows``, the one
-  Bloch kernel, on the marginal blocks that ``_pair_qr`` compresses.
+  qubit ``_qubit_factors``, and two products of such factors a:
+  ``_grams``, a a^dagger, the one-qubit marginal, and ``_traced_outer``,
+  a^T conj(a), the only code that forms an (n-1)-qubit marginal.
+  ``_bloch_rows`` is the one Bloch kernel, on the blocks ``_pair_qr``
+  compresses.
   ``_blocks`` is the matrix form of ``_axis_first``: the 2 x 2 blocks of a
   matrix split on one of its qubits, and with ``_split``, the view under
   it, the only code that splits a matrix by qubit.  ``partial_trace`` is
@@ -34,7 +36,7 @@ Conventions used throughout the package:
 * ``_act`` is the one-qubit action kernel.  Matrices the package built
   go through it raw, with no ``SingleQubitUnitary`` and no ``Ket`` per
   step; the public ``apply_local(s)`` check every target, then build one
-  ``Ket``.
+  ``Ket``: a state the package builds stays an array until it is returned.
 * All values are immutable after construction; the operations below are
   pure functions and safe to call concurrently.  A panel entry of a pure
   state keeps its factor and builds its dense matrix on the first read of
@@ -110,8 +112,8 @@ class Ket:
 
     def density(self) -> "DensityMatrix":
         # a Ket is normalized, so |psi><psi| has unit trace and is PSD by construction
-        a = self.amplitudes.reshape(1, -1)
-        return DensityMatrix._trusted(tuple(range(1, self.n + 1)), a.T @ a.conj())
+        a = self.amplitudes.reshape(1, -1)  # nothing traced: a 1 x 2**n factor
+        return DensityMatrix._trusted(tuple(range(1, self.n + 1)), _traced_outer(a, a))
 
 
 def ket(amplitudes, n: int | None = None) -> Ket:
@@ -128,6 +130,9 @@ def ket(amplitudes, n: int | None = None) -> Ket:
 
 
 def basis_ket(n: int, index: int) -> Ket:
+    """|index> on n qubits; ``ValueError`` for an index outside 0..2**n - 1."""
+    if not 0 <= index < 2**n:
+        raise ValueError(f"basis index {index} out of range 0..{2**n - 1}")
     amps = np.zeros(2**n, dtype=complex)
     amps[index] = 1.0
     return Ket(n, amps)
@@ -146,6 +151,9 @@ class MultiIndex:
 
     @classmethod
     def from_linear(cls, index: int, n: int) -> "MultiIndex":
+        """The n bits of an index; ``ValueError`` outside 0..2**n - 1."""
+        if not 0 <= index < 2**n:
+            raise ValueError(f"basis index {index} out of range 0..{2**n - 1}")
         return cls(tuple((index >> (n - 1 - j)) & 1 for j in range(n)))
 
     def to_linear(self) -> int:
@@ -197,7 +205,7 @@ class DensityMatrix:
     @classmethod
     def _factored(cls, labels: tuple[int, ...], a: np.ndarray) -> "DensityMatrix":
         """rho = a^T a^* for a factor valid by construction, such as a
-        slice of a ``Ket``'s ``_qubit_factors``.
+        slice of a state's ``_qubit_factors``.
 
         No check and no copy: ``a`` is frozen in place and kept, and
         ``entries`` is built from it on first read.
@@ -213,7 +221,7 @@ class DensityMatrix:
         # is the first read on a factored matrix
         if name != "entries" or self._factor is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        mat = self._factor.T @ self._factor.conj()
+        mat = _traced_outer(self._factor, self._factor)
         mat.setflags(write=False)
         object.__setattr__(self, "entries", mat)
         return mat
@@ -353,9 +361,9 @@ def _axis_restore(a: np.ndarray, j: int) -> np.ndarray:
     return split.swapaxes(-3, -2).reshape(lead + (-1,))
 
 
-def _qubit_factors(psi: Ket) -> np.ndarray:
-    """(n, 2, 2**(n-1)) stack of ``_axis_first`` of psi at qubits 1..n."""
-    return np.stack([_axis_first(psi.amplitudes, j) for j in range(1, psi.n + 1)])
+def _qubit_factors(amps: np.ndarray) -> np.ndarray:
+    """(n, 2, 2**(n-1)) stack of ``_axis_first`` of 2**n amplitudes at qubits 1..n."""
+    return np.stack([_axis_first(amps, j) for j in range(1, amps.size.bit_length())])
 
 
 def _bit_flips(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -371,10 +379,12 @@ def _grams(a: np.ndarray) -> np.ndarray:
     return a @ a.conj().swapaxes(-1, -2)
 
 
-def _traced_outer(left: np.ndarray, right: np.ndarray, k: int) -> np.ndarray:
-    """tr_k |left><right| for n-qubit amplitude vectors, or for stacks of
-    them: the pure-state marginal rho_(k) when left is right."""
-    return _axis_first(left, k).swapaxes(-1, -2) @ _axis_first(right, k).conj()
+def _traced_outer(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """left^T conj(right) for two factors (..., r, d), or stacks of them:
+    the one place a pure-state marginal is formed.  For the ``_axis_first``
+    views of two states at qubit k it is tr_k |left><right|, and the
+    marginal rho_(k) = a^T conj(a) when both are the same view a."""
+    return left.swapaxes(-1, -2) @ right.conj()
 
 
 def _split(mat: np.ndarray, p: int) -> np.ndarray:
@@ -515,14 +525,9 @@ def _rank_two_factor(mat: np.ndarray) -> tuple[np.ndarray, float] | None:
     top = np.maximum(w[:-3:-1], 0.0)
     a = np.ascontiguousarray((q @ v[:, :-3:-1] * np.sqrt(top)).T)
     u = 2.0**-53
-    e = float(np.linalg.norm(mat - a.T @ a.conj()))
+    e = float(np.linalg.norm(mat - _traced_outer(a, a)))
     e = e * (1 + (2 * d * d + 8) * u) + 16 * u * float(np.vdot(a, a).real)
     return (a, e) if e <= HERM_TOL else None
-
-
-def reduced_one_qubit(psi: Ket, j: int) -> np.ndarray:
-    """2x2 reduced density matrix of qubit j of a pure state (raw array)."""
-    return _grams(_axis_first(psi.amplitudes, j))
 
 
 def fix_global_phase(amplitudes: np.ndarray) -> np.ndarray:

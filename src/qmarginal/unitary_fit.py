@@ -50,7 +50,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .tensors import PAULIS, _axis_first, _axis_restore, _blocks, _traced_outer
+from .tensors import PAULIS, _axis_restore, _blocks, _qubit_factors, _traced_outer
 
 # Levenberg-Marquardt settings: initial damping, its change after an
 # accepted or a rejected step, and the iteration cap (accepted or not).
@@ -145,36 +145,29 @@ class PanelObjective:
     U_a1 conj(U_b0), U_a1 conj(U_b1)) - e_ab is the same for every k.
     Stacking the B_k into B = QR gives ||B c|| = ||R c|| for every c, so
     the cost is sum_ab ||R c_ab||^2 with R at most 4 x 4, whatever n: the
-    compressed residual R c_ab is formed directly, never its square.  R is
-    built once here from one QR per marginal and one more over their
-    stacked R's, so no more than one B_k is held at a time.
+    compressed residual R c_ab is formed directly, never its square.  The
+    targets S_k are one (n-1, d, d) stack, ``_traced_outer`` of psi's
+    ``_qubit_factors``; R is built once here from one QR per target and one
+    more over their stacked R's, so no more than one B_k is held at a time.
     """
 
     def __init__(self, amplitudes: np.ndarray):
-        amplitudes = np.asarray(amplitudes, dtype=complex)
-        self.factor = _axis_first(amplitudes, 1)  # psi, qubit 1 as the row index
-        n = amplitudes.size.bit_length() - 1  # 2**n amplitudes
-        # S_k for k = 2..n: the targets, and the columns of B_k
-        self.own = {k: _traced_outer(amplitudes, amplitudes, k) for k in range(2, n + 1)}
-        # one R per marginal, merged by one more QR: B itself is never stacked
-        factors = []
-        for own in self.own.values():
-            columns = _blocks(own, 1).reshape(4, -1).T  # the vectorized S_cd
-            factors.append(np.linalg.qr(columns, mode="r"))
+        factors = _qubit_factors(np.asarray(amplitudes, dtype=complex))
+        self.factor = factors[0]  # psi, qubit 1 as the row index
+        self.targets = _traced_outer(factors[1:], factors[1:])
+        # one R per B_k (columns: the vectorized S_cd), merged by one more QR
+        rs = [np.linalg.qr(_blocks(t, 1).reshape(4, -1).T, mode="r") for t in self.targets]
         # transposed, so that rows (a, b) of kron(U, conj(U)) multiply it
-        self._r = np.linalg.qr(np.concatenate(factors), mode="r").T
+        self._r = np.linalg.qr(np.concatenate(rs), mode="r").T
 
     def residuals(self, unitary: np.ndarray) -> np.ndarray:
         """Residual vector at U: the real and imaginary parts of rho_(k) -
-        S_k over k = 2..n, for the marginals rho_(k) of U psi.  This is the
+        S_k over k = 2..n, for the stacked marginals rho_(k) of U psi.  The
         dense path that ``FitResult.cost`` reads and ``normal_equations``
         reproduces compressed.
         """
-        moved = _axis_restore(unitary @ self.factor, 1)
-        return np.concatenate([
-            (_traced_outer(moved, moved, k) - own).view(np.float64).reshape(-1)
-            for k, own in self.own.items()
-        ])
+        moved = _qubit_factors(_axis_restore(unitary @ self.factor, 1))[1:]
+        return (_traced_outer(moved, moved) - self.targets).view(np.float64).reshape(-1)
 
     def normal_equations(self, unitaries: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Cost r.r, gradient J^T r and matrix J^T J for a stack (m, 2, 2) of U.

@@ -28,6 +28,21 @@ def random_hybrid(n: int, seed: int):
     return qm.random_lu_orbit(qm.Ket(n, amps), seed=seed + 3)
 
 
+# the state kinds the property suites draw from, by ``draw_state``
+KINDS = ("haar", "product", "hybrid", "ghz-orbit", "ghz-orbit-balanced")
+
+
+def draw_state(kind: str, n: int, seed: int) -> qm.Ket:
+    """One state of the given kind from ``KINDS``, deterministic per seed."""
+    if kind == "haar":
+        return qm.haar_random_ket(n, seed)
+    if kind == "product":
+        return qm.random_product_ket(n, seed)
+    if kind == "hybrid":
+        return random_hybrid(n, seed)
+    return random_ghz_orbit(n, seed, balanced=kind == "ghz-orbit-balanced")[0]
+
+
 def mixed_corpus(n: int, per_kind: int, base_seed: int):
     """Labeled states spanning GHZ orbits, Haar states, products, hybrids."""
     states = []

@@ -11,7 +11,7 @@ import qmarginal as qm
 from conftest import mixed_corpus, random_ghz_orbit
 from qmarginal import unitary_fit
 from qmarginal.oracle import random_unitary_2x2
-from qmarginal.tensors import PAULIS, _axis_restore, _traced_outer
+from qmarginal.tensors import PAULIS, _axis_restore, _qubit_factors, _traced_outer
 from qmarginal.unitary_fit import PanelObjective, fit_pivot_unitary, grid_starts, random_starts
 
 
@@ -233,14 +233,13 @@ def dense_jacobian(objective, unitary):
     exp(i t sigma_a) U at t = 0.  With a the axis-first view of U psi and
     b_a that of the tangent i sigma_a U psi, d rho_(k) = b_a^T conj(a) plus
     its adjoint, each its own traced product."""
-    moved = _axis_restore(unitary @ objective.factor, 1)
+    moved = _qubit_factors(_axis_restore(unitary @ objective.factor, 1))[1:]
     columns = []
     for p in PAULIS:
-        tangent = _axis_restore(1j * p @ unitary @ objective.factor, 1)
-        columns.append(np.concatenate([
-            (_traced_outer(tangent, moved, k) + _traced_outer(moved, tangent, k)).view(np.float64).reshape(-1)
-            for k in objective.own
-        ]))
+        tangent = _qubit_factors(_axis_restore(1j * p @ unitary @ objective.factor, 1))[1:]
+        columns.append(
+            (_traced_outer(tangent, moved) + _traced_outer(moved, tangent)).view(np.float64).reshape(-1)
+        )
     return np.stack(columns, axis=1)
 
 

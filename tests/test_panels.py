@@ -11,7 +11,24 @@ import pytest
 import qmarginal as qm
 from conftest import random_ghz_orbit
 from qmarginal.io import load_panel, save_panel
-from qmarginal.tensors import PAULI_Z, DensityMatrix, _trace_positions, _traced_outer
+from qmarginal.tensors import PAULI_Z, DensityMatrix, _axis_first, _trace_positions, _traced_outer
+
+
+def pure_marginal(psi, j):
+    """rho_(j) of a pure state, from its axis-first view at qubit j."""
+    a = _axis_first(psi.amplitudes, j)
+    return _traced_outer(a, a)
+
+
+class TestRdmPanel:
+    def test_fewer_than_two_qubits_is_rejected_by_the_constructor(self):
+        with pytest.raises(ValueError, match="panels need at least 2 qubits"):
+            qm.RdmPanel(1, (qm.DensityMatrix((), [[1]]),))
+        # both panel maps reach the constructor at n = 1
+        with pytest.raises(ValueError, match="panels need at least 2 qubits"):
+            qm.panel_of_pure(qm.basis_ket(1, 0))
+        with pytest.raises(ValueError, match="panels need at least 2 qubits"):
+            qm.panel_of_mixed(qm.DensityMatrix((1,), np.eye(2) / 2))
 
 
 class TestPanelOfPure:
@@ -52,11 +69,14 @@ class TestPanelOfPure:
     @pytest.mark.parametrize("n", [2, 3, 5, 8, 10])
     def test_entries_are_read_only_traced_outer_products(self, n):
         for psi in (qm.haar_random_ket(n, 970 + n), random_ghz_orbit(n, 980 + n)[0]):
-            a = psi.amplitudes
+            rho = psi.density()
             panel = qm.panel_of_pure(psi)
             for j in range(1, n + 1):
                 entries = panel.entry(j).entries
-                assert np.array_equal(entries, _traced_outer(a, a, j))
+                assert np.array_equal(entries, pure_marginal(psi, j))
+                # an independent reference: the dense partial trace of |psi><psi|
+                traced = qm.partial_trace(rho, {j}).entries
+                np.testing.assert_allclose(entries, traced, rtol=0, atol=1e-15)
                 assert not entries.flags.writeable
 
     def test_entry_labels_omit_exactly_one_qubit(self):
@@ -219,8 +239,7 @@ def _near_pair(n, seed, delta):
 
 def _dense_distance(a, b, kept):
     """The reference: largest entrywise deviation over the kept marginals."""
-    marginal = lambda psi, j: _traced_outer(psi.amplitudes, psi.amplitudes, j)
-    return max(np.max(np.abs(marginal(a, j) - marginal(b, j))) for j in kept)
+    return max(np.max(np.abs(pure_marginal(a, j) - pure_marginal(b, j))) for j in kept)
 
 
 class TestFactoredPanels:
@@ -311,7 +330,7 @@ class TestFactoredPanels:
             assert not any(_built(clone))
         assert repr(clones[0].entry(2)).startswith("DensityMatrix(qubit_labels=(1, 3, 4, 5)")
         for j in range(1, 6):
-            expected = _traced_outer(psi.amplitudes, psi.amplitudes, j)
+            expected = pure_marginal(psi, j)
             for p in (panel, *clones):
                 entries = p.entry(j).entries
                 assert entries.tobytes() == expected.tobytes()
@@ -322,7 +341,7 @@ class TestFactoredPanels:
         # a race on the first read computes the same bits twice; every
         # reader must see the reference matrix, read-only
         psi = qm.haar_random_ket(8, 73)
-        expected = [_traced_outer(psi.amplitudes, psi.amplitudes, j).tobytes() for j in range(1, 9)]
+        expected = [pure_marginal(psi, j).tobytes() for j in range(1, 9)]
         panel = qm.panel_of_pure(psi)
         seen, start = [], threading.Barrier(4)
 

@@ -7,7 +7,7 @@ import qmarginal as qm
 from conftest import random_ghz_orbit
 from qmarginal.io import load_panel, save_panel
 from qmarginal.reconstruct import _su2_from_rotation
-from qmarginal.tensors import PAULIS, reduced_one_qubit
+from qmarginal.tensors import PAULIS, _axis_first, _grams
 from qmarginal.tolerances import HERM_TOL, RECONSTRUCT_TOL
 
 
@@ -437,7 +437,7 @@ class TestDegenerateBranch:
             psi = qm.haar_random_ket(4, 2101)
             # qubit 1's own Bloch axis: the turn keeps every one-qubit
             # marginal, so only the fit residual can reject the panel
-            rho1 = reduced_one_qubit(psi, 1)
+            rho1 = _grams(_axis_first(psi.amplitudes, 1))
             axis = np.real([np.trace(rho1 @ p) for p in PAULIS])
             axis = axis / np.linalg.norm(axis)
         else:

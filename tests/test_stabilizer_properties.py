@@ -9,21 +9,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import qmarginal as qm  # noqa: E402
-from conftest import random_ghz_orbit, random_hybrid  # noqa: E402
+from conftest import KINDS, draw_state  # noqa: E402
 from qmarginal.stabilizer import _full_rule  # noqa: E402
 from qmarginal.tolerances import PRODUCT_TOL  # noqa: E402
-
-KINDS = ("haar", "product", "hybrid", "ghz-orbit", "ghz-orbit-balanced")
-
-
-def draw_state(kind: str, n: int, seed: int) -> qm.Ket:
-    if kind == "haar":
-        return qm.haar_random_ket(n, seed)
-    if kind == "product":
-        return qm.random_product_ket(n, seed)
-    if kind == "hybrid":
-        return random_hybrid(n, seed)
-    return random_ghz_orbit(n, seed, balanced=kind == "ghz-orbit-balanced")[0]
 
 
 def parent_order(psi: qm.Ket) -> str:

@@ -15,13 +15,13 @@ from qmarginal.tensors import (
     _axis_first,
     _bloch_rows,
     _blocks,
+    _grams,
     _one_qubit_marginal,
     _pair_qr,
     _qubit_factors,
     _rank_two_factor,
     _trace_positions,
     _traced_outer,
-    reduced_one_qubit,
 )
 from qmarginal.tolerances import HERM_TOL
 
@@ -285,6 +285,24 @@ class TestMultiIndex:
     def test_first_qubit_is_most_significant(self):
         assert qm.MultiIndex((1, 0, 0)).to_linear() == 4
 
+    @pytest.mark.parametrize("idx", [-1, 16, 21])
+    def test_from_linear_rejects_an_index_out_of_range(self, idx):
+        # 21 = 0b10101 would lose its high bit in 4 bits
+        with pytest.raises(ValueError, match="out of range 0..15"):
+            qm.MultiIndex.from_linear(idx, 4)
+
+
+class TestBasisKet:
+    def test_both_ends_of_the_range(self):
+        assert qm.basis_ket(2, 0).amplitudes[0] == 1
+        assert qm.basis_ket(2, 3).amplitudes[3] == 1
+
+    @pytest.mark.parametrize("idx", [-1, 4])
+    def test_index_out_of_range_is_rejected(self, idx):
+        # numpy would wrap -1 to |11> and raise IndexError for 4
+        with pytest.raises(ValueError, match="out of range 0..3"):
+            qm.basis_ket(2, idx)
+
 
 class TestConventions:
     def test_fix_global_phase_leading_amplitude_real_positive(self):
@@ -390,7 +408,7 @@ class TestQubitFactorKernel:
         for psi in states:
             spectra = qm.classify(psi).diagnostics.spectra
             for j in range(1, n + 1):
-                want = np.linalg.eigvalsh(reduced_one_qubit(psi, j))[::-1]
+                want = np.linalg.eigvalsh(_grams(_axis_first(psi.amplitudes, j)))[::-1]
                 np.testing.assert_allclose(spectra[j - 1], want, rtol=0, atol=1e-14)
 
 
@@ -408,8 +426,7 @@ def dense_bloch_rows(entries):
 
 def own_marginals(amps):
     """A state's dense marginals rho_(k), k = 2..n, from its amplitudes."""
-    n = amps.size.bit_length() - 1
-    return [_traced_outer(amps, amps, k) for k in range(2, n + 1)]
+    return [_traced_outer(a, a) for a in _qubit_factors(amps)[1:]]
 
 
 def mixed_in(panel, weight, seed):
@@ -445,7 +462,7 @@ class TestBlochRows:
             qm.random_lu_orbit(qm.ghz_state(n), seed=1700 + n),
         )
         for psi in states:
-            factors = _qubit_factors(psi)
+            factors = _qubit_factors(psi.amplitudes)
             for j in range(1, n + 1):
                 # with qubit j moved to the front, it is the first qubit of
                 # every marginal rho_(k), k != j, as the reference reads them
@@ -491,7 +508,7 @@ class TestBlochRows:
             amps = np.zeros(2**n, dtype=complex)
             amps[0], amps[-1], amps[1] = 0.6, 0.8, eps
             psi = qm.random_lu_orbit(qm.ket(amps), 2500 + n)
-            s = np.linalg.svd(_bloch_rows(_pair_qr(_qubit_factors(psi)[0], "r")), compute_uv=False)
+            s = np.linalg.svd(_bloch_rows(_pair_qr(_qubit_factors(psi.amplitudes)[0], "r")), compute_uv=False)
             if eps:
                 assert 1.1 * eps < s[1] < 1.2 * eps
             else:
@@ -516,7 +533,7 @@ class TestBlochRows:
                 panel = mixed_in(panel, 1e-3, 1870 + n)
         u = random_unitary_2x2(np.random.default_rng(1890 + n))
         chi = qm.apply_local(qm.SingleQubitUnitary(u, 1), psi).amplitudes
-        target, source = _bloch_pair(panel, chi)
+        target, source = _bloch_pair(panel, _axis_first(chi, 1))
         dense_t = dense_bloch_rows([panel.entry(k).entries for k in range(2, n + 1)])
         dense_s = dense_bloch_rows(own_marginals(chi))
         product = dense_t @ dense_s.T
@@ -570,13 +587,14 @@ class TestMatrixKernels:
         rng = np.random.default_rng(3200 + n)
         left, right = rng.standard_normal((2, 3, 2**n)) + 1j * rng.standard_normal((2, 3, 2**n))
         for k in range(1, n + 1):
-            stacked = _traced_outer(left, right, k)
-            against_one = _traced_outer(left, right[0], k)
+            a, b = _axis_first(left, k), _axis_first(right, k)
+            stacked = _traced_outer(a, b)
+            against_one = _traced_outer(a, b[0])
             assert stacked.shape == against_one.shape == (3, 2 ** (n - 1), 2 ** (n - 1))
             for i in range(3):
-                want = _traced_outer(left[i], right[i], k)
+                want = _traced_outer(a[i], b[i])
                 np.testing.assert_allclose(stacked[i], want, rtol=0, atol=1e-14)
-                want = _traced_outer(left[i], right[0], k)
+                want = _traced_outer(a[i], b[0])
                 np.testing.assert_allclose(against_one[i], want, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("k", range(1, 7))
@@ -609,15 +627,16 @@ class TestRankTwoFactor:
             "product": lambda: qm.random_product_ket(n, 3420 + n),
         }[kind]()
         for j in (1, n):
-            rho = _traced_outer(psi.amplitudes, psi.amplitudes, j)
+            f = _axis_first(psi.amplitudes, j)
+            rho = _traced_outer(f, f)
             a, remainder = _rank_two_factor(rho)
             assert a.shape == (2, 2 ** (n - 1))
             assert exact_remainder(rho, a) <= remainder <= 1e-13
 
     @staticmethod
     def _third_mixed_in(delta):
-        psi = qm.haar_random_ket(7, 3430)
-        rho = _traced_outer(psi.amplitudes, psi.amplitudes, 2)
+        f = _axis_first(qm.haar_random_ket(7, 3430).amplitudes, 2)
+        rho = _traced_outer(f, f)
         v = np.linalg.eigh(rho)[1][:, 0]  # a direction outside rho's range
         return (1 - delta) * rho + delta * np.outer(v, v.conj())
 
@@ -635,8 +654,8 @@ class TestRankTwoFactor:
     def test_remainder_spread_thin_past_herm_tol_keeps_no_factor(self):
         # 100 small eigenvalues past the top two: each, and so the third
         # Ritz value, is below HERM_TOL, but the remainder is not
-        psi = qm.haar_random_ket(8, 3435)
-        rho = _traced_outer(psi.amplitudes, psi.amplitudes, 1)
+        f = _axis_first(qm.haar_random_ket(8, 3435).amplitudes, 1)
+        rho = _traced_outer(f, f)
         outside = np.linalg.eigh(rho)[1][:, :100]
         delta = 5e-9
         rho = (1 - delta) * rho + (delta / 100) * outside @ outside.conj().T

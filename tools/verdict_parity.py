@@ -6,7 +6,9 @@ flag and the SHA-256 prefixes of its spectra and certificate, then
 ``undetermined_by_dimension``, the stabilizer dimension and a digest of
 its echelon basis.  A panel's line holds the ``reconstruct`` outcome,
 reason, residual as ``float.hex`` and a digest of the state, then
-``panel_consistency`` as ``float.hex``.  Run it on two
+``panel_consistency`` as ``float.hex``, then digests of
+``purify_over_qubit`` of entry 1 over qubit 1 and of entry n over qubit n
+(its state and degeneracy flag), ``-`` where the call raises.  Run it on two
 checkouts of the package on one machine and diff the outputs: a change
 that keeps the deciders' outputs bit for bit prints the same bytes.
 
@@ -71,12 +73,22 @@ def state_fields(psi: qm.Ket) -> list[str]:
     ]
 
 
+def purified(panel: qm.RdmPanel, j: int) -> str:
+    """Digest of ``purify_over_qubit`` of entry j over qubit j, or ``-``."""
+    try:
+        psi, degenerate = qm.purify_over_qubit(panel.entry(j), j)
+    except ValueError:
+        return digest()
+    return digest(psi.amplitudes, np.array([degenerate]))
+
+
 def panel_fields(panel: qm.RdmPanel) -> list[str]:
     result = qm.reconstruct(panel)
     state = digest() if result.state is None else digest(result.state.amplitudes)
     return [
         f"reconstruct={result.outcome},{result.reason},{float(result.residual).hex()},{state}",
         f"consistency={qm.panel_consistency(panel).hex()}",
+        f"purify={purified(panel, 1)},{purified(panel, panel.n)}",
     ]
 
 
