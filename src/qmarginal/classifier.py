@@ -128,7 +128,10 @@ def _certificate_from_bases(psi: Ket, bases: list[np.ndarray], tol: float) -> Gh
 
     ``bases[j]`` holds the two basis vectors of qubit j+1 as columns; the
     locals are their conjugate transposes.  Succeeds when the rotated state
-    is supported on one antipodal index pair within tol.
+    is supported on one antipodal index pair within tol.  The bases come
+    from ``eigh`` (``_ghz_bases``), so they are unitary to rounding, and
+    the locals wrap them through ``SingleQubitUnitary._trusted``, with no
+    second check.
     """
     ops = [(j + 1, b.conj().T) for j, b in enumerate(bases)]
     rotated = _act(psi.amplitudes, ops)
@@ -144,7 +147,7 @@ def _certificate_from_bases(psi: Ket, bases: list[np.ndarray], tol: float) -> Gh
     if abs(beta) <= tol:
         return None
     scale = np.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
-    locals_ = tuple(SingleQubitUnitary(m, j) for j, m in ops)
+    locals_ = tuple(SingleQubitUnitary._trusted(m, j) for j, m in ops)
     return GhzCertificate(
         locals_, complex(alpha / scale), complex(beta / scale), (j_index, jbar_index)
     )

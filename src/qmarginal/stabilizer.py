@@ -23,7 +23,9 @@ proves sigma_min(m_S) >= t with one Cholesky factorisation of the
 (3n+1) x (3n+1) Gram matrix m_S^T m_S shifted down by t^2 plus a rounding
 slack, not with an SVD; when the factorisation fails, the full rule decides.
 ``undetermined_by_dimension`` runs this certificate first, before its
-product test, since a certified nullity of 0 is never n - 1.
+product test, since a certified nullity of 0 is never n - 1.  Past it, the
+verdict reads only the nullity of m (``_nullity``); only
+``stabilizer_subalgebra`` builds the echelon basis and its elements.
 """
 
 from __future__ import annotations
@@ -234,16 +236,23 @@ def stabilizer_subalgebra(psi: Ket) -> StabilizerBasis:
     return _full_rule(psi)
 
 
+def _nullity(psi: Ket) -> tuple[int, np.ndarray]:
+    """The nullity of m from all 2*2^n of its rows, with no certificate, and
+    the right factor vh of the SVD of m's QR factor R, whose last rows (as
+    many as the nullity) span the null space."""
+    m = _pauli_system(psi, np.arange(2**psi.n, dtype=np.int64))
+    # 2*2^n >= 3n+1 rows for every n >= 1, so R is square and vh is the full
+    # right factor; the threshold still scales with the shape of m, not of R
+    _, svals, vh = np.linalg.svd(np.linalg.qr(m, mode="r"))
+    return int(np.sum(svals < _null_threshold(svals[0], len(m)))), vh
+
+
 def _full_rule(psi: Ket) -> StabilizerBasis:
     """``stabilizer_subalgebra`` from all 2*2^n rows of m, with no
     certificate."""
     n = psi.n
-    m = _pauli_system(psi, np.arange(2**n, dtype=np.int64))
-    # 2*2^n >= 3n+1 rows for every n >= 1, so R is square and vh is the full
-    # right factor; the threshold still scales with the shape of m, not of R
-    _, svals, vh = np.linalg.svd(np.linalg.qr(m, mode="r"))
-    nullity = int(np.sum(svals < _null_threshold(svals[0], len(m))))
-    basis_rows = _rref(vh[m.shape[1] - nullity :])
+    nullity, vh = _nullity(psi)
+    basis_rows = _rref(vh[len(vh) - nullity :])
     elements = tuple(
         AlgebraElement(row[: 3 * n].reshape(n, 3), -row[3 * n])
         for row in basis_rows
@@ -265,7 +274,11 @@ def undetermined_by_dimension(psi: Ket) -> str:
     a state that passes is "determined" with no product test and no full
     system.  Otherwise the product test (a one-qubit marginal's least
     eigenvalue below PRODUCT_TOL) and then the full rule decide, in that
-    order, which gives the verdict of running them alone.
+    order, which gives the verdict of running them alone.  The verdict
+    needs only the dimension, so the full rule stops at the nullity of m
+    (``_nullity``, the SVD ``stabilizer_subalgebra`` reads too) and builds
+    no echelon basis: the nullity rows of vh are orthonormal, so their
+    echelon form has as many rows, and the nullity is the dimension.
     """
     n = psi.n
     if n == 4 or n < 3:
@@ -274,9 +287,9 @@ def undetermined_by_dimension(psi: Ket) -> str:
         return "determined"
     if np.min(np.linalg.eigvalsh(_grams(_qubit_factors(psi.amplitudes)))[:, 0]) < PRODUCT_TOL:
         return "determined"
-    # past the certificate, straight to the full rule: going through
+    # past the certificate, straight to the nullity: going through
     # stabilizer_subalgebra would run the certificate again
-    return "undetermined" if _full_rule(psi).dimension == n - 1 else "determined"
+    return "undetermined" if _nullity(psi)[0] == n - 1 else "determined"
 
 
 def conjugate_element(

@@ -37,6 +37,8 @@ Conventions used throughout the package:
   go through it raw, with no ``SingleQubitUnitary`` and no ``Ket`` per
   step; the public ``apply_local(s)`` check every target, then build one
   ``Ket``: a state the package builds stays an array until it is returned.
+  A unitary the package builds as one (a certificate's eigenvector bases)
+  leaves it through ``SingleQubitUnitary._trusted``, with no second check.
 * All values are immutable after construction; the operations below are
   pure functions and safe to call concurrently.  A panel entry of a pure
   state keeps its factor and builds its dense matrix on the first read of
@@ -47,6 +49,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -279,12 +282,37 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class SingleQubitUnitary:
-    """2x2 unitary acting on one labeled qubit of a register."""
+    """2x2 unitary acting on one labeled qubit of a register.
+
+    The constructor checks the target (an integer >= 1, stored as ``int``)
+    and the matrix (2 x 2, finite, unitary within UNITARY_TOL).
+    ``_trusted`` wraps a matrix the package built as unitary with no check.
+    """
 
     entries: np.ndarray
     target: int
 
+    @classmethod
+    def _trusted(cls, mat: np.ndarray, target: int) -> "SingleQubitUnitary":
+        """Wrap a 2x2 matrix that is unitary by construction, such as the
+        eigenvectors of a Hermitian matrix from ``eigh``, on qubit
+        ``target``, an ``int`` >= 1.
+
+        No check: the entries are a frozen copy, as the constructor keeps.
+        """
+        u = cls.__new__(cls)
+        object.__setattr__(u, "entries", _frozen(mat))
+        object.__setattr__(u, "target", target)
+        return u
+
     def __post_init__(self):
+        try:
+            target = operator.index(self.target)
+        except TypeError:
+            raise ValueError(f"qubit label {self.target!r} is not an integer") from None
+        if target < 1:
+            raise ValueError(f"qubit label {target} out of range: labels start at 1")
+        object.__setattr__(self, "target", target)
         mat = _frozen(np.asarray(self.entries))
         if mat.shape != (2, 2):
             raise ValueError(f"expected a 2x2 matrix, got {mat.shape}")

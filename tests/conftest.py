@@ -43,6 +43,23 @@ def draw_state(kind: str, n: int, seed: int) -> qm.Ket:
     return random_ghz_orbit(n, seed, balanced=kind == "ghz-orbit-balanced")[0]
 
 
+# the eps values of tools/verdict_parity.py, on both sides of the
+# classifier's, the reconstruction's and the dimension rule's thresholds
+EPSILONS = (1e-6, 1e-8, 1e-9, 1e-10, 1e-12)
+
+
+def eps_state(family: str, n: int, eps: float, seed: int) -> qm.Ket:
+    """An LU orbit of a GHZ pair plus eps on one more basis vector,
+    normalized: family "A" is 0.6|0..0> + 0.8|1..1> + eps|0..01>, family
+    "B" is 0.2|0..0> + sqrt(0.96)|1..1> + eps|10..0>."""
+    amps = np.zeros(2**n, dtype=complex)
+    if family == "A":
+        amps[[0, -1, 1]] = 0.6, 0.8, eps
+    else:
+        amps[[0, -1, 2 ** (n - 1)]] = 0.2, np.sqrt(0.96), eps
+    return qm.random_lu_orbit(qm.ket(amps), seed=seed)
+
+
 def mixed_corpus(n: int, per_kind: int, base_seed: int):
     """Labeled states spanning GHZ orbits, Haar states, products, hybrids."""
     states = []

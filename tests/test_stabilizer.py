@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 import qmarginal as qm
-from conftest import mixed_corpus, random_ghz_orbit, random_hybrid
+from conftest import EPSILONS, eps_state, mixed_corpus, random_ghz_orbit, random_hybrid
 from qmarginal.oracle import random_unitary_2x2
+from qmarginal.stabilizer import _full_rule, _nullity, _rref
+from qmarginal.tensors import _grams, _qubit_factors
+from qmarginal.tolerances import PRODUCT_TOL
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -418,3 +421,70 @@ class TestCertificateFirst:
             for seed in range(40):
                 orbit, _ = random_ghz_orbit(n, 3900 + 100 * n + seed, balanced=seed % 2 == 1)
                 assert qm.stabilizer._certified_trivial(orbit) is False
+
+
+class TestDimensionReadsTheNullity:
+    """``undetermined_by_dimension`` reads the nullity of m alone: it runs no
+    ``_rref`` and builds no ``AlgebraElement``, and still gives the verdict
+    of the product test followed by the echelon basis's dimension, while
+    ``stabilizer_subalgebra`` builds that basis from the same SVD."""
+
+    @staticmethod
+    def count_basis_work(monkeypatch):
+        calls = []
+        rref = qm.stabilizer._rref
+        post_init = qm.AlgebraElement.__post_init__
+
+        def counted_rref(rows):
+            calls.append("rref")
+            return rref(rows)
+
+        def counted_element(self):
+            calls.append("element")
+            post_init(self)
+
+        monkeypatch.setattr(qm.stabilizer, "_rref", counted_rref)
+        monkeypatch.setattr(qm.AlgebraElement, "__post_init__", counted_element)
+        return calls
+
+    @staticmethod
+    def corpus(n):
+        for seed in range(2):
+            base = 4100 + 100 * n + 10 * seed
+            yield random_ghz_orbit(n, base)[0]
+            yield random_ghz_orbit(n, base + 1, balanced=True)[0]
+            yield qm.random_product_ket(n, base + 2)
+            yield random_hybrid(n, base + 3)
+        for family in ("A", "B"):
+            for i, eps in enumerate(EPSILONS):
+                yield eps_state(family, n, eps, 4150 + 100 * n + i)
+
+    @pytest.mark.parametrize("n", [3, 5, 6, 7, 8])
+    def test_verdict_builds_no_basis(self, monkeypatch, n):
+        calls = self.count_basis_work(monkeypatch)
+        for psi in self.corpus(n):
+            calls.clear()
+            verdict = qm.undetermined_by_dimension(psi)
+            assert calls == []
+            dimension = _full_rule(psi).dimension
+            assert dimension == _nullity(psi)[0]
+            least = np.linalg.eigvalsh(_grams(_qubit_factors(psi.amplitudes)))[:, 0]
+            product = np.min(least) < PRODUCT_TOL
+            full = "undetermined" if dimension == n - 1 else "determined"
+            assert verdict == ("determined" if product else full)
+
+    @pytest.mark.parametrize("n", [3, 5, 6, 7, 8])
+    def test_basis_is_the_echelon_form_of_the_null_rows(self, monkeypatch, n):
+        calls = self.count_basis_work(monkeypatch)
+        for psi in self.corpus(n):
+            if qm.stabilizer._certified_trivial(psi):
+                continue
+            nullity, vh = _nullity(psi)
+            rows = _rref(vh[len(vh) - nullity :])
+            calls.clear()
+            basis = qm.stabilizer_subalgebra(psi)
+            assert calls == ["rref"] + ["element"] * basis.dimension
+            assert basis.dimension == nullity == len(rows)
+            for element, row in zip(basis.elements, rows):
+                np.testing.assert_array_equal(element.coords.reshape(-1), row[: 3 * n])
+                assert element.phase == -row[3 * n]

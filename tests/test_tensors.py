@@ -240,8 +240,9 @@ class TestApplyLocal:
     def test_apply_locals_rejects_out_of_range_target_anywhere(self, bad, position):
         psi = qm.haar_random_ket(3, 12)
         locals_ = [qm.SingleQubitUnitary(PAULI_X, j) for j in (1, 2, 3)]
-        locals_[position] = qm.SingleQubitUnitary(PAULI_Z, bad)
+        # target 0 is refused by the constructor already, 4 only against n
         with pytest.raises(ValueError, match="out of range"):
+            locals_[position] = qm.SingleQubitUnitary(PAULI_Z, bad)
             qm.apply_locals(locals_, psi)
 
 
@@ -376,6 +377,21 @@ class TestConventions:
     def test_unitary_validation(self):
         with pytest.raises(ValueError):
             qm.SingleQubitUnitary(np.array([[1.0, 0.0], [1.0, 1.0]]), 1)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [(0, "qubit label 0 out of range"), (-1, "qubit label -1 out of range"),
+         (1.0, "qubit label 1.0 is not an integer"), ("1", "qubit label '1' is not an integer")],
+    )
+    def test_unitary_rejects_a_target_that_is_no_qubit_label(self, bad, message):
+        with pytest.raises(ValueError, match=message):
+            qm.SingleQubitUnitary(np.eye(2), bad)
+
+    def test_unitary_stores_a_numpy_integer_target_as_int(self):
+        u = qm.SingleQubitUnitary(PAULI_X, np.int64(2))
+        assert type(u.target) is int and u.target == 2
+        out = qm.apply_local(u, qm.basis_ket(2, 0))
+        np.testing.assert_array_equal(out.amplitudes, qm.basis_ket(2, 1).amplitudes)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_constructors_reject_non_finite_entries(self, bad):
