@@ -37,8 +37,9 @@ Conventions used throughout the package:
   go through it raw, with no ``SingleQubitUnitary`` and no ``Ket`` per
   step; the public ``apply_local(s)`` check every target, then build one
   ``Ket``: a state the package builds stays an array until it is returned.
-  A unitary the package builds as one (a certificate's eigenvector bases)
-  leaves it through ``SingleQubitUnitary._trusted``, with no second check.
+  A unitary the package builds as one (a certificate's eigenvector bases,
+  the adjoint of a checked unitary) leaves it through
+  ``SingleQubitUnitary._trusted``, with no second check.
 * All values are immutable after construction; the operations below are
   pure functions and safe to call concurrently.  A panel entry of a pure
   state keeps its factor and builds its dense matrix on the first read of
@@ -76,6 +77,19 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=complex)
     out.setflags(write=False)
     return out
+
+
+def _qubit_label(x) -> int:
+    """A caller's qubit label as an ``int``: an integer >= 1, numpy
+    integers included; ``ValueError`` for anything else, a float or a
+    string among them."""
+    try:
+        label = operator.index(x)
+    except TypeError:
+        raise ValueError(f"qubit label {x!r} is not an integer") from None
+    if label < 1:
+        raise ValueError(f"qubit label {label} out of range: labels start at 1")
+    return label
 
 
 @dataclass(frozen=True)
@@ -176,15 +190,16 @@ class MultiIndex:
 class DensityMatrix:
     """State of a labeled subset of qubits: Hermitian, PSD, unit trace.
 
-    Validation policy: the public constructor checks every matrix it is
-    given in full (shape, finite entries, Hermiticity, unit trace and no
-    eigenvalue below -HERM_TOL), and so does ``partial_trace``.  The file
-    loaders in ``io`` run their own checks with their own tolerances,
-    symmetrize and renormalize, and hand the result on through
-    ``_trusted``.  ``Ket.density()``, the entries of ``panel_of_pure`` and
-    those of ``panel_of_mixed`` are not checked at all: they come from a
-    normalized ``Ket`` or a validated ``DensityMatrix``, so each has unit
-    trace and is PSD by construction.
+    Validation policy: the public constructor checks its labels (distinct
+    integers >= 1, stored as ``int``) and every matrix it is given in full
+    (shape, finite entries, Hermiticity, unit trace and no eigenvalue below
+    -HERM_TOL), and so does ``partial_trace``.  The file loaders in ``io``
+    run their own checks with their own tolerances, symmetrize and
+    renormalize, and hand the result on through ``_trusted``.
+    ``Ket.density()``, the entries of ``panel_of_pure`` and those of
+    ``panel_of_mixed`` are not checked at all: they come from a normalized
+    ``Ket`` or a validated ``DensityMatrix``, so each has unit trace and is
+    PSD by construction.
 
     An entry may keep a factor ``a`` (2 x 2**k) with rho ~ a^T a^*, and
     ``_remainder``, a bound on ||rho - a^T a^*||_F that holds through
@@ -257,7 +272,7 @@ class DensityMatrix:
         return rho
 
     def __post_init__(self):
-        labels = tuple(int(x) for x in self.qubit_labels)
+        labels = tuple(_qubit_label(x) for x in self.qubit_labels)
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate qubit labels: {labels}")
         object.__setattr__(self, "qubit_labels", labels)
@@ -286,7 +301,8 @@ class SingleQubitUnitary:
 
     The constructor checks the target (an integer >= 1, stored as ``int``)
     and the matrix (2 x 2, finite, unitary within UNITARY_TOL).
-    ``_trusted`` wraps a matrix the package built as unitary with no check.
+    ``_trusted`` wraps a matrix the package built as unitary with no check,
+    such as ``dagger()``'s adjoint.
     """
 
     entries: np.ndarray
@@ -306,13 +322,7 @@ class SingleQubitUnitary:
         return u
 
     def __post_init__(self):
-        try:
-            target = operator.index(self.target)
-        except TypeError:
-            raise ValueError(f"qubit label {self.target!r} is not an integer") from None
-        if target < 1:
-            raise ValueError(f"qubit label {target} out of range: labels start at 1")
-        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "target", _qubit_label(self.target))
         mat = _frozen(np.asarray(self.entries))
         if mat.shape != (2, 2):
             raise ValueError(f"expected a 2x2 matrix, got {mat.shape}")
@@ -323,7 +333,9 @@ class SingleQubitUnitary:
         object.__setattr__(self, "entries", mat)
 
     def dagger(self) -> "SingleQubitUnitary":
-        return SingleQubitUnitary(self.entries.conj().T, self.target)
+        """The adjoint on the same qubit: unitary whenever U is, so it is
+        wrapped with no second check."""
+        return SingleQubitUnitary._trusted(self.entries.conj().T, self.target)
 
 
 @dataclass(frozen=True)

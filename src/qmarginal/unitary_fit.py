@@ -30,17 +30,27 @@ panel mismatch itself.  It is computed when a caller first reads it: the
 sibling search reads it only for the starts it may report, and a start that
 ends on the scalar locus never builds its dense marginals.
 
-The starts of one call descend together as a stack of unitaries.  Each
-pass of the loop builds the 3 x 3 normal equations of every start still
-moving (``PanelObjective.normal_equations``) from two flat matrix products
-over the whole stack, without forming the Jacobian, solves them in one
-batched call, and turns each U by its step entry by entry.  The stack holds
-only the starts still moving, in start order; a start that stops leaves it
-once, and its unitary is written back to the result in its place.  Each start
+The starts of one call descend together as a stack of unitaries, and a
+pass of the loop costs a fixed number of numpy calls, whatever the stack
+holds; past the first few passes only a handful of starts still move, so
+the calls, not the arithmetic, set its time.  Each start carries one 4 x 4
+Gram matrix, its cost, gradient and 3 x 3 normal matrix in one array
+(``PanelObjective._gram``, built from two flat matrix products over the
+whole stack, without forming the Jacobian).  A pass solves every damped
+system in one batched call, turns each U by its step entry by entry into
+one new array, and keeps the improved starts' unitaries and Gram matrices
+with one masked copy each.  The step lengths it computes for the turn are
+those of its stopping test.  The stack holds only the starts still moving,
+in start order; when a start stops, the stack's unitaries are written back
+to the result in their places and the stopped starts leave it.  Each start
 keeps its own damping, accept/reject decision and stopping test, and no
-product mixes two starts, so it follows the path it would follow alone,
-up to rounding.  The search knows nothing of Bloch matrices and takes no
-rank decision from R, which keeps it independent of the classifier.
+product mixes two starts, so it follows the path it would follow alone, up
+to rounding.  The pass calls the ufuncs that ``np.linalg.norm`` and
+``np.sinc`` run directly, and writes into arrays it allocates instead of
+joining them with ``np.stack``: the floats are those of the wrapped forms,
+bit for bit, which the tests keep as the reference.  The search knows
+nothing of Bloch matrices and takes no rank decision from R, which keeps
+it independent of the classifier.
 """
 
 from __future__ import annotations
@@ -71,6 +81,9 @@ SCALE_FLOOR = 1e-12
 _TANGENT_MAPS = np.concatenate(
     [np.eye(4)] + [1j * (np.kron(p, np.eye(2)) - np.kron(np.eye(2), p.T)) for p in PAULIS]
 )
+_EYE3 = np.eye(3)
+# the stand-in for sin(0)/0 that ``np.sinc`` uses (``_su2_entries``)
+_EPS = np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True)
@@ -92,24 +105,42 @@ class FitResult:
 def unitary_from_params(theta: np.ndarray) -> np.ndarray:
     """U = exp(i t0) * exp(i (t1 X + t2 Y + t3 Z)) for each row of a stack
     (m, 4) of parameter vectors: the identity, broadcast, turned by ``_turn``."""
-    return np.exp(1j * theta[:, :1, None]) * _turn(theta[:, 1:], np.eye(2)[None])
+    t = theta[:, 1:]
+    return np.exp(1j * theta[:, :1, None]) * _turn(t, _lengths(t), np.eye(2)[None])
 
 
-def _su2_entries(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _lengths(t: np.ndarray) -> np.ndarray:
+    """|t| for each row of a stack (m, 3): the ufuncs that
+    ``np.linalg.norm(t, axis=1)`` runs, without its wrapper, so the same
+    floats."""
+    return np.sqrt(np.add.reduce(t * t, axis=1))
+
+
+def _su2_entries(t: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """p and q with exp(i t . sigma) = [[p, q], [-conj(q), conj(p)]], for a
-    stack (..., 3) of t: cos|t| I + i sin|t| t.sigma / |t|."""
-    r = np.linalg.norm(t, axis=-1)
-    # sin(r)/r as sinc, so that t = 0 gives the identity
-    st = np.sinc(r / np.pi)[..., None] * t
-    return np.cos(r) + 1j * st[..., 2], st[..., 1] + 1j * st[..., 0]
+    stack (..., 3) of t and their lengths r = |t| (``_lengths``):
+    cos|t| I + i sin|t| t.sigma / |t|.
+
+    sin|t| / |t| is ``np.sinc(|t| / pi)``, formed from the ufuncs it runs,
+    without its wrapper: the same floats, and t = 0 gives the identity.
+    """
+    y = np.pi * (r / np.pi)
+    y = np.where(y, y, _EPS)
+    st = (np.sin(y) / y)[..., None] * t
+    ist = 1j * st
+    return np.cos(r) + ist[..., 2], st[..., 1] + ist[..., 0]
 
 
-def _turn(t: np.ndarray, unitaries: np.ndarray) -> np.ndarray:
-    """exp(i t . sigma) U for stacks (m, 3) of t and (m, 2, 2) of U, row
-    by row from the entries p, q: no batched 2 x 2 product."""
-    p, q = (x[:, None] for x in _su2_entries(t))
+def _turn(t: np.ndarray, r: np.ndarray, unitaries: np.ndarray) -> np.ndarray:
+    """exp(i t . sigma) U for stacks (m, 3) of t, (m,) of their lengths r
+    and (m, 2, 2) of U, row by row from the entries p, q: no batched 2 x 2
+    product.  U may be one (1, 2, 2) matrix for every t."""
+    p, q = _su2_entries(t[:, None], r[:, None])
     top, bottom = unitaries[:, 0], unitaries[:, 1]
-    return np.stack([p * top + q * bottom, p.conj() * bottom - q.conj() * top], axis=1)
+    turned = np.empty((len(t), 2, 2), dtype=complex)
+    turned[:, 0] = p * top + q * bottom
+    turned[:, 1] = p.conj() * bottom - q.conj() * top
+    return turned
 
 
 def grid_starts() -> list[np.ndarray]:
@@ -192,6 +223,12 @@ class PanelObjective:
         <= 4 rows (k = 1 at n = 2).  Returns arrays of shape (m,), (m, 3)
         and (m, 3, 3).
         """
+        gram = self._gram(unitaries)
+        return gram[:, 0, 0], gram[:, 1:, 0], gram[:, 1:, 1:]
+
+    def _gram(self, unitaries: np.ndarray) -> np.ndarray:
+        """The (m, 4, 4) Gram matrices of the compressed residual and its
+        three tangents, whose blocks ``normal_equations`` returns."""
         m = len(unitaries)
         k = self._r.shape[1]
         # rows (a, b, start) of kron(U, conj(U)), columns (c, d)
@@ -201,8 +238,7 @@ class PanelObjective:
         vectors = (_TANGENT_MAPS @ y.reshape(4, m * k)).reshape(4, 4, m, k)
         vectors[0] -= self._r[:, None, :]
         parts = vectors.transpose(2, 0, 1, 3).view(np.float64).reshape(m, 4, -1)
-        gram = parts @ np.swapaxes(parts, 1, 2)
-        return gram[:, 0, 0], gram[:, 1:, 0], gram[:, 1:, 1:]
+        return parts @ parts.transpose(0, 2, 1)
 
 
 def fit_pivot_unitary(objective: PanelObjective, starts: list[np.ndarray]) -> list[FitResult]:
@@ -219,34 +255,38 @@ def fit_pivot_unitary(objective: PanelObjective, starts: list[np.ndarray]) -> li
         return []
     ends = unitary_from_params(np.asarray(starts, dtype=float))
     # the starts still moving, in start order: where each sits in ``ends``,
-    # its unitary, cost, normal equations and damping
+    # its unitary, the Gram matrix of its normal equations (cost at [0, 0],
+    # gradient [1:, 0], matrix [1:, 1:]) and its damping
     index = np.arange(len(ends))
     unitaries = ends.copy()
-    cost, grad, normal = objective.normal_equations(unitaries)
+    gram = objective._gram(unitaries)
     damping = np.full(len(ends), DAMPING_START)
     # the gradient test comes before the solve: a start whose Jacobian
     # vanishes would make its system singular
-    moving = np.max(np.abs(grad), axis=1) > GRAD_TOL
+    moving = np.abs(gram[:, 1:, 0]).max(axis=1) > GRAD_TOL
     for _ in range(MAX_STEPS):
         if not moving.all():
-            ends[index[~moving]] = unitaries[~moving]
-            index, unitaries, cost, grad, normal, damping = (
-                x[moving] for x in (index, unitaries, cost, grad, normal, damping)
-            )
+            # every start still in the stack is written back, the moving ones
+            # again later
+            ends[index] = unitaries
+            index, unitaries, gram, damping = (x[moving] for x in (index, unitaries, gram, damping))
             if not index.size:
                 break
-        scale = np.diagonal(normal, axis1=1, axis2=2)
+        normal = gram[:, 1:, 1:]
+        scale = normal.diagonal(axis1=1, axis2=2)
         scale = np.maximum(scale, SCALE_FLOOR * scale.max(axis=1, keepdims=True))
-        system = normal + (damping[:, None] * scale)[:, :, None] * np.eye(3)
-        step = np.linalg.solve(system, -grad[:, :, None])[:, :, 0]
-        trial = _turn(step, unitaries)
-        trial_cost, trial_grad, trial_normal = objective.normal_equations(trial)
-        better = trial_cost < cost
-        unitaries[better], cost[better] = trial[better], trial_cost[better]
-        grad[better], normal[better] = trial_grad[better], trial_normal[better]
+        system = normal + (damping[:, None] * scale)[:, :, None] * _EYE3
+        step = np.linalg.solve(system, -gram[:, 1:, :1])[:, :, 0]
+        size = _lengths(step)
+        trial = _turn(step, size, unitaries)
+        trial_gram = objective._gram(trial)
+        better = trial_gram[:, 0, 0] < gram[:, 0, 0]
+        accept = better[:, None, None]
+        np.copyto(unitaries, trial, where=accept)
+        np.copyto(gram, trial_gram, where=accept)
         damping = np.where(better, damping / DAMPING_DOWN, damping * DAMPING_UP)
         # a step at rounding level is still tried, then ends its start: near
         # a zero residual it is the Gauss-Newton step that squares the cost
-        moving = (np.linalg.norm(step, axis=1) > STEP_TOL) & (np.max(np.abs(grad), axis=1) > GRAD_TOL)
+        moving = (size > STEP_TOL) & (np.abs(gram[:, 1:, 0]).max(axis=1) > GRAD_TOL)
     ends[index] = unitaries
     return [FitResult(u, objective) for u in ends]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import qmarginal as qm
-from conftest import random_ghz_orbit
+from conftest import eps_state, random_ghz_orbit
 from qmarginal.oracle import random_unitary_2x2
 from qmarginal.tensors import PAULI_Z
 from qmarginal.classifier import _certificate_from_bases
@@ -407,10 +407,8 @@ class TestNearThreshold:
         # has second singular value 1.13 eps, compared with tol = 1e-8.
         # eps = 1e-8 is not pinned: 1.13e-8 sits only 13% above tol.
         for eps in (1e-6, 1e-7, 1e-9, 1e-10, 1e-12, 0.0):
-            amps = np.zeros(2**n, dtype=complex)
-            amps[0], amps[-1], amps[1] = 0.6, 0.8, eps
             for seed in range(6):
-                psi = qm.random_lu_orbit(qm.ket(amps), 2400 + 10 * n + seed)
+                psi = eps_state("A", n, eps, 2400 + 10 * n + seed)
                 cls = qm.classify(psi)
                 if eps >= 1e-7:
                     assert cls.verdict == "determined"

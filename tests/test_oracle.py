@@ -243,6 +243,26 @@ def dense_jacobian(objective, unitary):
     return np.stack(columns, axis=1)
 
 
+def su2_reference(t):
+    """p and q of exp(i t . sigma) through np.linalg.norm and np.sinc."""
+    r = np.linalg.norm(t, axis=-1)
+    st = np.sinc(r / np.pi)[..., None] * t
+    return np.cos(r) + 1j * st[..., 2], st[..., 1] + 1j * st[..., 0]
+
+
+def turn_reference(t, unitaries):
+    """exp(i t . sigma) U, both rows built and then joined by np.stack."""
+    p, q = (x[:, None] for x in su2_reference(t))
+    top, bottom = unitaries[:, 0], unitaries[:, 1]
+    return np.stack([p * top + q * bottom, p.conj() * bottom - q.conj() * top], axis=1)
+
+
+def assert_same_bits(got, want):
+    """Equal shapes and equal bytes: signed zeros and NaN payloads too."""
+    assert got.shape == want.shape and got.dtype == want.dtype
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
 class TestStackedDescent:
     """The stacked normal equations, and a search that descends its whole
     budget as one stack."""
@@ -315,8 +335,47 @@ class TestStackedDescent:
             rtol=0, atol=1e-14,
         )
         np.testing.assert_allclose(
-            unitary_fit._turn(steps, unitaries), expected @ unitaries, rtol=0, atol=1e-14
+            unitary_fit._turn(steps, unitary_fit._lengths(steps), unitaries),
+            expected @ unitaries,
+            rtol=0, atol=1e-14,
         )
+
+    @pytest.mark.parametrize("m", [0, 1, 3, 64])
+    def test_turn_is_the_stacked_form_bit_for_bit(self, m):
+        # the turn writes both rows into one array, with the floats of the
+        # reference built from np.linalg.norm, np.sinc and np.stack
+        rng = np.random.default_rng(1700 + m)
+        steps = rng.normal(size=(m, 3)) * rng.choice([1e-9, 1e-3, 1.0, 10.0], size=(m, 1))
+        unitaries = np.array([random_unitary_2x2(rng) for _ in range(m)]).reshape(m, 2, 2)
+        # exact zeros, whose signs the products and sums must keep: no turn
+        # and turns about z, short of and past a quarter turn, on diagonal
+        # and antidiagonal unitaries
+        if m >= 3:
+            steps[:3] = [[0.0, 0.0, 0.0], [0.0, 0.0, -0.7], [0.0, 0.0, 2.0]]
+            unitaries[:3] = [np.diag([1j, -1j]), [[0.0, -1.0], [1.0, 0.0]], np.diag([1j, -1j])]
+        turned = unitary_fit._turn(steps, unitary_fit._lengths(steps), unitaries)
+        assert_same_bits(turned, turn_reference(steps, unitaries))
+        # the chart's broadcast identity
+        theta = rng.uniform(-np.pi, np.pi, size=(m, 4))
+        assert_same_bits(
+            unitary_fit.unitary_from_params(theta),
+            np.exp(1j * theta[:, :1, None]) * turn_reference(theta[:, 1:], np.eye(2)[None]),
+        )
+
+    def test_rotation_entries_are_norm_and_sinc_bit_for_bit(self):
+        # |t| and sin|t| / |t| are formed without the np.linalg.norm and
+        # np.sinc wrappers, at t = 0, subnormal and underflowing lengths,
+        # rounding-level ones and multiples of a quarter turn among them
+        tiny = np.nextafter(0.0, 1.0)
+        rows = [np.zeros(3), [tiny, 0.0, 0.0], [tiny, -tiny, tiny], [1e-300, 0.0, -1e-300]]
+        rows += [[1e-8, 0.0, 0.0], [0.0, -1e-8, 1e-8]]
+        rows += [np.eye(3)[a] * s * k * np.pi / 2 for a in range(3) for s in (1.0, -1.0) for k in range(1, 5)]
+        rows += [np.ones(3) * k * np.pi / 2 / np.sqrt(3) for k in range(-4, 5)]
+        steps = np.concatenate([np.array(rows, dtype=float), np.random.default_rng(1701).normal(size=(32, 3))])
+        lengths = unitary_fit._lengths(steps)
+        assert_same_bits(lengths, np.linalg.norm(steps, axis=-1))
+        for got, want in zip(unitary_fit._su2_entries(steps, lengths), su2_reference(steps)):
+            assert_same_bits(got, want)
 
     def test_random_starts_are_one_draw_of_the_same_stream(self):
         rng = np.random.default_rng(11)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import qmarginal as qm
-from conftest import random_ghz_orbit
+from conftest import eps_state, random_ghz_orbit
 from qmarginal.io import load_panel, save_panel
 from qmarginal.reconstruct import _su2_from_rotation
 from qmarginal.tensors import PAULIS, _axis_first, _grams
@@ -202,9 +202,7 @@ class TestReconstruct:
         # 0.6|0..0> + 0.8|1..1> + eps|0..01>: the Bloch matrix over qubit 1
         # has s[1] of about 1.3 eps^2, on either side of the rank cutoff
         for n in (3, 4, 5):
-            amps = np.zeros(2**n, dtype=complex)
-            amps[0], amps[-1], amps[1] = 0.6, 0.8, eps
-            psi = qm.random_lu_orbit(qm.Ket(n, amps / np.linalg.norm(amps)), 2300 + n)
+            psi = eps_state("A", n, eps, 2300 + n)
             result = qm.reconstruct(qm.panel_of_pure(psi))
             assert result.residual <= 1e-9
             if eps >= 1e-6:
@@ -299,10 +297,8 @@ class TestReconstruct:
         sweep = [*np.geomspace(1e-12, 1e-5, 15), 8e-9, 8.8e-9, 9.5e-9]
         verdicts = set()
         for eps in sweep:
-            amps = np.zeros(2**n, dtype=complex)
-            amps[0], amps[-1], amps[1] = 0.6, 0.8, eps
             for seed in (0, 1):
-                psi = qm.random_lu_orbit(qm.Ket(n, amps / np.linalg.norm(amps)), seed)
+                psi = eps_state("A", n, eps, seed)
                 result = qm.reconstruct(qm.panel_of_pure(psi))
                 if result.state is None:
                     continue
@@ -320,13 +316,6 @@ class TestReconstruct:
         for psi in cases:
             result = qm.reconstruct(qm.panel_of_pure(psi))
             assert (result.outcome == "ghz-family") == qm.classify(psi).ghz_class
-
-
-def eps_state(n, eps, seed):
-    """An LU orbit of 0.6|0..0> + 0.8|1..1> + eps|0..01>, normalized."""
-    amps = np.zeros(2**n, dtype=complex)
-    amps[0], amps[-1], amps[1] = 0.6, 0.8, eps
-    return qm.random_lu_orbit(qm.Ket(n, amps / np.linalg.norm(amps)), seed)
 
 
 # the stated accuracy of a unique answer near the GHZ class: 1 - |<psi|phi>|^2
@@ -365,7 +354,7 @@ class TestNearGhzClass:
         (5, 1e-08, 2),
     ])
     def test_panel_once_incompatible_is_recovered(self, n, eps, seed):
-        psi = eps_state(n, eps, seed)
+        psi = eps_state("A", n, eps, seed)
         assert_recovers(psi, qm.reconstruct(qm.panel_of_pure(psi)))
 
     @pytest.mark.parametrize("n", [3, 5, 8])
@@ -374,7 +363,7 @@ class TestNearGhzClass:
         outcomes = set()
         for eps in np.logspace(-6, -12, 25):
             for seed in (0, 1):
-                psi = eps_state(n, eps, seed)
+                psi = eps_state("A", n, eps, seed)
                 result = qm.reconstruct(qm.panel_of_pure(psi))
                 assert_recovers(psi, result)
                 outcomes.add(result.outcome)

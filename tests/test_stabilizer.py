@@ -74,10 +74,8 @@ class TestDimension:
     def test_near_ghz_dimension_matches_full_svd(self, n, eps):
         # 0.6|0..0> + 0.8|1..1> + eps|0..01>: the extra amplitude lifts
         # singular values to about eps, on either side of the 1e-9 floor
-        amps = np.zeros(2**n, dtype=complex)
-        amps[[0, -1, 1]] = 0.6, 0.8, eps
         for seed in range(3):
-            psi = qm.random_lu_orbit(qm.ket(amps), seed=90 + 10 * n + seed)
+            psi = eps_state("A", n, eps, 90 + 10 * n + seed)
             m = generator_matrix(psi)
             svals = np.linalg.svd(m, compute_uv=False)
             threshold = max(1e-9, 1e-12 * svals[0] * max(m.shape))
@@ -300,10 +298,8 @@ class TestSampledRowCertificate:
     @pytest.mark.parametrize("n", [6, 7])
     @pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-9, 1e-12])
     def test_near_ghz_dimension_matches_full_svd_past_the_certificate(self, n, eps):
-        amps = np.zeros(2**n, dtype=complex)
-        amps[[0, -1, 1]] = 0.6, 0.8, eps
         for seed in range(3):
-            psi = qm.random_lu_orbit(qm.ket(amps), seed=90 + 10 * n + seed)
+            psi = eps_state("A", n, eps, 90 + 10 * n + seed)
             m = generator_matrix(psi)
             svals = np.linalg.svd(m, compute_uv=False)
             threshold = max(1e-9, 1e-12 * svals[0] * max(m.shape))

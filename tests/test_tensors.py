@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import qmarginal as qm
+from conftest import eps_state
 from qmarginal.oracle import random_unitary_2x2
 from qmarginal.reconstruct import _bloch_pair
 from qmarginal.tensors import (
@@ -393,6 +394,43 @@ class TestConventions:
         out = qm.apply_local(u, qm.basis_ket(2, 0))
         np.testing.assert_array_equal(out.amplitudes, qm.basis_ket(2, 1).amplitudes)
 
+    def test_dagger_is_the_exact_frozen_adjoint(self):
+        u = qm.SingleQubitUnitary(random_unitary_2x2(np.random.default_rng(41)), 3)
+        d = u.dagger()
+        assert d.target == 3
+        np.testing.assert_array_equal(d.entries, u.entries.conj().T)
+        assert not d.entries.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            d.entries[0, 0] = 0.0
+        back = d.dagger()
+        np.testing.assert_array_equal(back.entries, u.entries)
+        assert back.target == u.target
+
+    def test_dagger_runs_no_second_check(self, monkeypatch):
+        # the adjoint of a checked unitary is unitary: no constructor check
+        u = qm.SingleQubitUnitary(PAULI_X, 1)
+
+        def checked(self):
+            raise AssertionError("dagger() ran the constructor's checks")
+
+        monkeypatch.setattr(qm.SingleQubitUnitary, "__post_init__", checked)
+        np.testing.assert_array_equal(u.dagger().entries, PAULI_X)
+
+    @pytest.mark.parametrize(
+        "labels, message",
+        [((1.7, 2.2), "qubit label 1.7 is not an integer"), (("1", 2), "qubit label '1' is not an integer"),
+         ((1, 0), "qubit label 0 out of range"), ((-1, 2), "qubit label -1 out of range")],
+    )
+    def test_density_matrix_rejects_labels_that_are_no_qubit_labels(self, labels, message):
+        # a float or a string is no label, not even one int() would accept
+        with pytest.raises(ValueError, match=message):
+            qm.DensityMatrix(labels, np.eye(4) / 4)
+
+    def test_density_matrix_stores_numpy_integer_labels_as_int(self):
+        rho = qm.DensityMatrix((np.int64(2), 1), np.eye(4) / 4)
+        assert rho.qubit_labels == (2, 1)
+        assert all(type(x) is int for x in rho.qubit_labels)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_constructors_reject_non_finite_entries(self, bad):
         # NaN compares False with every tolerance, so each check would pass it
@@ -521,9 +559,7 @@ class TestBlochRows:
         # 1.13 eps down to eps = 1e-12, where M M^T's eigenvalues would read
         # rounding noise of order 1e-16 for sigma_2^2
         for eps in (1e-6, 1e-8, 1e-10, 1e-12, 0.0):
-            amps = np.zeros(2**n, dtype=complex)
-            amps[0], amps[-1], amps[1] = 0.6, 0.8, eps
-            psi = qm.random_lu_orbit(qm.ket(amps), 2500 + n)
+            psi = eps_state("A", n, eps, 2500 + n)
             s = np.linalg.svd(_bloch_rows(_pair_qr(_qubit_factors(psi.amplitudes)[0], "r")), compute_uv=False)
             if eps:
                 assert 1.1 * eps < s[1] < 1.2 * eps
