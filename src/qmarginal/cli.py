@@ -5,6 +5,12 @@ file), ``reconstruct`` (invert a panel file), ``sibling-search`` (brute
 force hunt for a panel-sharing partner), and ``demo-chi`` (the partial
 panel demonstration).  Exit codes: 0 for a determined/negative result,
 10 when the state is GHZ-class / a sibling is found, 2 for input errors.
+
+Each command imports what it runs inside its handler, so a process pays
+only for its own command's modules, and ``--help`` loads no numpy at all.
+The top of this module imports only ``argparse``, ``sys`` and
+``tolerances`` (for the parser's defaults); a new command imports inside
+its handler too.
 """
 
 from __future__ import annotations
@@ -12,15 +18,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
-from .classifier import classify
-from .io import FileFormatError, load_panel, load_state, save_state
-from .oracle import chi_state, search_sibling
-from .panels import subset_equal
-from .reconstruct import reconstruct
-from .stabilizer import stabilizer_subalgebra
-from .tensors import PAULI_Z, Ket, _act
 from .tolerances import CHI_DEMO_TOL, CLASSIFY_TOL, RECONSTRUCT_TOL, SEARCH_BUDGET, SEARCH_TOL
 
 EXIT_OK = 0
@@ -33,11 +30,15 @@ def _fmt_complex(z: complex) -> str:
 
 
 def _print_matrix(mat, indent: str = "    ") -> None:
-    for row in np.asarray(mat):
+    for row in mat:
         print(indent + "  ".join(_fmt_complex(z) for z in row))
 
 
 def _cmd_analyze(args) -> int:
+    from .classifier import classify
+    from .io import load_state
+    from .stabilizer import stabilizer_subalgebra
+
     state = load_state(args.state_file)
     psi = state.ket
     label = f" ({state.label})" if state.label else ""
@@ -65,6 +66,9 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
+    from .io import load_panel, save_state
+    from .reconstruct import reconstruct
+
     panel = load_panel(args.panel_file)
     result = reconstruct(panel, args.tol)
     print(f"panel: {args.panel_file}, n={panel.n}")
@@ -85,6 +89,9 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_sibling_search(args) -> int:
+    from .io import load_state
+    from .oracle import search_sibling
+
     state = load_state(args.state_file)
     psi = state.ket
     report = search_sibling(psi, tol=args.tol, budget=args.budget, seed=args.seed)
@@ -105,6 +112,13 @@ def _cmd_sibling_search(args) -> int:
 
 
 def _cmd_demo_chi(args) -> int:
+    import numpy as np
+
+    from .classifier import classify
+    from .oracle import chi_state
+    from .panels import subset_equal
+    from .tensors import PAULI_Z, Ket, _act
+
     print("state definition: (1/sqrt(3)) (|0000> + |0001> + |1111>)")
     chi = chi_state()
     ops = [(1, PAULI_Z)]
@@ -175,7 +189,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FileFormatError, ValueError) as err:
+    except ValueError as err:  # FileFormatError included
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -94,7 +94,7 @@ def search_sibling(
         best = min(best, residual)
         if result.cost < tol**2:
             moved = _act(psi.amplitudes, [(1, result.unitary)])
-            witness = (SingleQubitUnitary(result.unitary, 1), Ket(psi.n, moved))
+            witness = (SingleQubitUnitary._trusted(result.unitary, 1), Ket(psi.n, moved))
             return SearchReport(True, witness, residual, trials)
     return SearchReport(False, None, best, len(starts))
 

@@ -38,8 +38,8 @@ Conventions used throughout the package:
   step; the public ``apply_local(s)`` check every target, then build one
   ``Ket``: a state the package builds stays an array until it is returned.
   A unitary the package builds as one (a certificate's eigenvector bases,
-  the adjoint of a checked unitary) leaves it through
-  ``SingleQubitUnitary._trusted``, with no second check.
+  the adjoint of a checked unitary, the sibling oracle's witness) leaves
+  it through ``SingleQubitUnitary._trusted``, with no second check.
 * All values are immutable after construction; the operations below are
   pure functions and safe to call concurrently.  A panel entry of a pure
   state keeps its factor and builds its dense matrix on the first read of

@@ -1,8 +1,13 @@
-"""Shared state generators for the test corpus, and the reference text
-writer.
+"""Shared state generators for the test corpus, the reference text
+writer, and a runner for code in a fresh interpreter.
 
 All generators are deterministic per seed so failures reproduce exactly.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -80,3 +85,14 @@ def reference_rows(values):
     the file writer must produce."""
     pairs = np.ascontiguousarray(values, dtype=complex).view(np.float64)
     return [" ".join(map(repr, row)) for row in pairs.tolist()]
+
+
+def run_fresh(code: str, *args: str, **env: str) -> str:
+    """Run ``code`` with ``args`` in a fresh interpreter that imports
+    qmarginal from this tree, with ``env`` added to its environment; assert
+    that it exits 0 and return its standard output."""
+    src = str(Path(qm.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", ""), **env}
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout

@@ -2,17 +2,13 @@
 
 import codecs
 import json
-import os
 import re
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 import qmarginal as qm
-from conftest import random_ghz_orbit, random_hybrid, reference_rows
+from conftest import random_ghz_orbit, random_hybrid, reference_rows, run_fresh
 from qmarginal.cli import main
 from qmarginal.io import (
     FileFormatError,
@@ -112,9 +108,6 @@ class TestStateFiles:
         # non-ASCII label at all
         label = "\u03c8 \u00e9tat"
         save_state(tmp_path / "here.txt", qm.haar_random_ket(2, 31), label=label)
-        src = str(Path(qm.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", ""),
-               "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
         code = (
             "import sys, qmarginal as qm\n"
             "from qmarginal.io import load_state, save_state\n"
@@ -124,8 +117,7 @@ class TestStateFiles:
         )
         there = tmp_path / "there.txt"
         escaped = label.encode("unicode-escape").decode("ascii")
-        proc = subprocess.run([sys.executable, "-c", code, str(there), escaped], env=env, capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
+        run_fresh(code, str(there), escaped, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
         assert there.read_bytes() == (tmp_path / "here.txt").read_bytes()
 
     @pytest.mark.parametrize(
@@ -649,6 +641,21 @@ class TestWriterParity:
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
+def loaded_after(statement: str) -> set[str]:
+    """numpy and the qmarginal modules loaded once a fresh interpreter has
+    run ``statement`` (its output dropped, a ``SystemExit`` caught)."""
+    code = (
+        "import contextlib, io, json, sys\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    try:\n"
+        "        exec(sys.argv[1])\n"
+        "    except SystemExit as stop:\n"
+        "        assert stop.code == 0, stop.code\n"
+        "print(json.dumps([m for m in sys.modules if m == 'numpy' or m.split('.')[0] == 'qmarginal']))\n"
+    )
+    return set(json.loads(run_fresh(code, statement)))
+
+
 class TestCli:
     def run(self, capsys, *argv):
         code = main(list(argv))
@@ -799,26 +806,43 @@ class TestCli:
         assert "outcome: incompatible" in out
 
     def test_import_does_not_load_scipy_optimize(self):
-        src = str(Path(qm.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import qmarginal.cli, sys; assert 'scipy.optimize' not in sys.modules"],
-            env=env, capture_output=True, text=True,
-        )
-        assert proc.returncode == 0, proc.stderr
+        run_fresh("import qmarginal.cli, sys; assert 'scipy.optimize' not in sys.modules")
+
+    @pytest.mark.parametrize("statement", ["import qmarginal", "import qmarginal.cli"])
+    def test_import_loads_no_numerics(self, statement):
+        assert loaded_after(statement) <= {"qmarginal", "qmarginal.cli", "qmarginal.tolerances"}
+
+    def test_help_loads_no_numpy(self):
+        loaded = loaded_after("from qmarginal.cli import main; main(['--help'])")
+        assert "numpy" not in loaded, loaded
+
+    @pytest.mark.parametrize(
+        "argv, runs, skips",
+        [
+            (["analyze", "{state}"], {"classifier", "stabilizer"}, {"oracle", "unitary_fit", "reconstruct"}),
+            (["sibling-search", "{state}"], {"oracle"}, {"classifier", "stabilizer", "reconstruct"}),
+            (["reconstruct", "{panel}"], {"reconstruct"}, {"oracle", "unitary_fit", "stabilizer"}),
+            (["demo-chi"], {"classifier", "oracle"}, {"io", "stabilizer", "reconstruct"}),
+        ],
+        ids=["analyze", "sibling-search", "reconstruct", "demo-chi"],
+    )
+    def test_each_command_loads_only_what_it_runs(self, tmp_path, argv, runs, skips):
+        files = {"state": tmp_path / "ghz.state", "panel": tmp_path / "ghz.panel"}
+        save_state(files["state"], qm.ghz_state(3))
+        save_panel(files["panel"], qm.panel_of_pure(qm.ghz_state(3)))
+        argv = [arg.format(**files) for arg in argv]
+        loaded = loaded_after(f"from qmarginal.cli import main; assert main({argv!r}) in (0, 10)")
+        assert {f"qmarginal.{m}" for m in runs} <= loaded
+        assert not {f"qmarginal.{m}" for m in skips} & loaded, loaded
 
     def test_sibling_search_runs_without_scipy(self):
-        src = str(Path(qm.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
         code = (
             "import sys, qmarginal as qm\n"
             "assert qm.search_sibling(qm.ghz_state(3)).found\n"
             "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
             "assert not loaded, loaded\n"
         )
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
+        run_fresh(code)
 
     def test_sibling_search_found(self, tmp_path, capsys):
         path = tmp_path / "ghz.state"

@@ -12,6 +12,7 @@ from conftest import mixed_corpus, random_ghz_orbit
 from qmarginal import unitary_fit
 from qmarginal.oracle import random_unitary_2x2
 from qmarginal.tensors import PAULIS, _axis_restore, _qubit_factors, _traced_outer
+from qmarginal.tolerances import UNITARY_TOL
 from qmarginal.unitary_fit import PanelObjective, fit_pivot_unitary, grid_starts, random_starts
 
 
@@ -49,6 +50,29 @@ class TestSearchSibling:
             orbit, _ = random_ghz_orbit(n, 2200 + n)
             report = qm.search_sibling(orbit)
             assert report.found, n
+
+    @pytest.mark.parametrize(
+        "psi",
+        [qm.ghz_state(3)]
+        + [random_ghz_orbit(n, seed)[0] for n, seed in ((3, 2203), (4, 2204), (4, 7500), (5, 7501), (6, 7600), (8, 7508))],
+        ids=["ghz3", "orbit3", "orbit4", "orbit4b", "orbit5", "orbit6", "orbit8"],
+    )
+    def test_witness_unitary_is_frozen_and_unitary(self, psi, monkeypatch):
+        # the descent builds the witness as a unitary: it is handed on with
+        # no constructor check, so this test checks it instead
+        def checked(self):
+            raise AssertionError("search_sibling ran the constructor's checks")
+
+        monkeypatch.setattr(qm.SingleQubitUnitary, "__post_init__", checked)
+        report = qm.search_sibling(psi)
+        assert report.found
+        unitary, partner = report.witness
+        assert unitary.target == 1
+        np.testing.assert_allclose(qm.apply_local(unitary, psi).amplitudes, partner.amplitudes, rtol=0, atol=1e-15)
+        assert not unitary.entries.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            unitary.entries[0, 0] = 0.0
+        assert np.max(np.abs(unitary.entries @ unitary.entries.conj().T - np.eye(2))) <= UNITARY_TOL
 
     def test_ghz_orbit_witness_at_six_qubits(self):
         orbit, _ = random_ghz_orbit(6, 7600)
