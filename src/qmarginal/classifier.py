@@ -295,7 +295,9 @@ def extract_local_unitary(psi: Ket, psi_prime: Ket, j: int, tol: float = TRANSPO
     raises when the panels differ beyond tol, when no transport is found,
     and for a tol that is not positive (NaN included).  L_j is the polar
     factor of A' A^dagger = e^{i theta} L_j A A^dagger (A, A': the states with
-    qubit j as row index), as A A^dagger is PSD whatever its spectrum.
+    qubit j as row index), as A A^dagger is PSD whatever its spectrum.  A
+    polar factor is unitary by construction, so it is wrapped with
+    ``SingleQubitUnitary._trusted``, with no second check.
     """
     if psi.n != psi_prime.n:
         raise ValueError("qubit counts differ")
@@ -306,7 +308,9 @@ def extract_local_unitary(psi: Ket, psi_prime: Ket, j: int, tol: float = TRANSPO
     mat, overlap = _fit_transport(psi, psi_prime, j)
     if overlap < 1.0 - max(tol, TRANSPORT_OVERLAP_FLOOR):
         raise ValueError(f"no single-qubit transport found at qubit {j}")
-    return SingleQubitUnitary(mat, j)
+    # a polar factor is unitary by construction; j indexed the reshape in
+    # _fit_transport, so it is an integer and int(j) is exact
+    return SingleQubitUnitary._trusted(mat, int(j))
 
 
 def lu_equivalence_check(
@@ -317,7 +321,8 @@ def lu_equivalence_check(
     Returns one unitary per qubit, each of which alone maps a to b up to a
     global phase; None when some transport fails verification (a tolerance
     breach, since panel-equal states always admit one).  Raises
-    ``ValueError`` for a tol that is not positive (NaN included).
+    ``ValueError`` for a tol that is not positive (NaN included).  Each
+    transport is a polar factor, wrapped as in ``extract_local_unitary``.
     """
     if a.n != b.n:
         raise ValueError("qubit counts differ")
@@ -330,7 +335,7 @@ def lu_equivalence_check(
         # 1 - max(tol, TRANSPORT_OVERLAP_FLOOR), and stricter below that floor
         if overlap < 1.0 - tol:
             return None
-        out.append(SingleQubitUnitary(mat, j))
+        out.append(SingleQubitUnitary._trusted(mat, j))
     return out
 
 

@@ -64,9 +64,11 @@ def search_sibling(
     The search stays blind to the classifier on purpose: it imports
     nothing from ``classifier``, reads no Bloch matrix and takes no rank
     or singular-value decision, not even from the QR factor its descent
-    runs on.  Its only verdicts are a dense panel mismatch below tol**2
-    and an overlap test, so when it agrees with ``classify`` the two
-    answers come from independent arguments.
+    runs on.  The descent writes that factor's rows in Pauli coordinates,
+    a fixed change of basis of the compressed residual that the LM steps
+    move along; no decision reads them.  Its only verdicts are a dense
+    panel mismatch below tol**2 and an overlap test, so when it agrees
+    with ``classify`` the two answers come from independent arguments.
     """
     if psi.n < 2:
         raise ValueError("sibling search needs at least 2 qubits")
@@ -94,7 +96,7 @@ def search_sibling(
         best = min(best, residual)
         if result.cost < tol**2:
             moved = _act(psi.amplitudes, [(1, result.unitary)])
-            witness = (SingleQubitUnitary._trusted(result.unitary, 1), Ket(psi.n, moved))
+            witness = (SingleQubitUnitary._trusted(result.unitary, 1), Ket._trusted(psi.n, moved))
             return SearchReport(True, witness, residual, trials)
     return SearchReport(False, None, best, len(starts))
 

@@ -38,8 +38,11 @@ Conventions used throughout the package:
   step; the public ``apply_local(s)`` check every target, then build one
   ``Ket``: a state the package builds stays an array until it is returned.
   A unitary the package builds as one (a certificate's eigenvector bases,
-  the adjoint of a checked unitary, the sibling oracle's witness) leaves
-  it through ``SingleQubitUnitary._trusted``, with no second check.
+  the adjoint of a checked unitary, the sibling oracle's witness, the
+  polar factors of ``extract_local_unitary`` and ``lu_equivalence_check``)
+  leaves it through ``SingleQubitUnitary._trusted``, and a state it builds
+  as a unitary's image of a Ket (the sibling oracle's witness state)
+  through ``Ket._trusted``, with no second check.
 * All values are immutable after construction; the operations below are
   pure functions and safe to call concurrently.  A panel entry of a pure
   state keeps its factor and builds its dense matrix on the first read of
@@ -94,10 +97,29 @@ def _qubit_label(x) -> int:
 
 @dataclass(frozen=True)
 class Ket:
-    """Normalized n-qubit pure state (qubit 1 = most significant bit)."""
+    """Normalized n-qubit pure state (qubit 1 = most significant bit).
+
+    The constructor checks the qubit count, the number of amplitudes, that
+    they are finite and their norm, and renormalizes within
+    NORM_REJECT_TOL.  ``_trusted`` wraps amplitudes the package built as a
+    normalized state with no check, such as a unitary's image of a Ket.
+    """
 
     n: int
     amplitudes: np.ndarray
+
+    @classmethod
+    def _trusted(cls, n: int, amps: np.ndarray) -> "Ket":
+        """Wrap 2**n complex amplitudes of unit norm by construction, such
+        as the sibling oracle's witness state, with n an ``int`` >= 1.
+
+        No check and no copy: ``amps`` is frozen in place.
+        """
+        amps.setflags(write=False)
+        psi = cls.__new__(cls)
+        object.__setattr__(psi, "n", n)
+        object.__setattr__(psi, "amplitudes", amps)
+        return psi
 
     def __post_init__(self):
         if self.n < 1:

@@ -8,55 +8,62 @@ over the unitary group U(2): a U with f(U) = 0 that moves psi gives a
 distinct state with psi's panel.  Each start is a point of the chart
 U(theta) = exp(i theta_0) exp(i (theta_1 X + theta_2 Y + theta_3 Z)), from a
 fixed grid plus seeded random points when a caller supplies them, so results
-are reproducible.  From there a Levenberg-Marquardt descent moves U on the
-group itself, U <- exp(i sum_a delta_a sigma_a) U with sigma_a = X, Y, Z on
-qubit 1; the identity direction only turns the global phase and leaves
-every marginal fixed, so it is left out.  There is no chart along the way,
-so the step cannot run off along a periodic parameter, and every iterate is
-unitary up to rounding.
+are reproducible.
+
+f reads U only through kron(U, conj(U)), which forgets its global phase.
+So the descent carries each start as the unit quaternion a of its SU(2)
+part, U = exp(i theta_0) (a_0 I + i a . sigma): four reals per start.  No
+step changes the phase, so it is put back once, on every start together,
+when the results are built.  From its start a Levenberg-Marquardt descent
+moves U on the group itself, U <- exp(i sum_b delta_b sigma_b) U with
+sigma_b = X, Y, Z on qubit 1; the identity direction only turns the global
+phase and leaves every marginal fixed, so it is left out.  The turn is one
+quaternion product, a fixed (16, 4) table applied to the outer product of
+the step's quaternion and U's (``_product``).  There is no chart along the
+way, so the step cannot run off along a periodic parameter, and every
+iterate is a unit quaternion up to rounding.
 
 Every residual is a fixed 4-column matrix, the 2 x 2 blocks of psi's own
 marginals over qubit 1, times a coefficient vector that depends on U alone
-(see ``PanelObjective``).  So one QR factor R of those columns, at most
-4 x 4 and built once per objective, gives the cost, the gradient and the
+(see ``PanelObjective``).  So one QR factor of those columns, at most 4 x 4
+and built once per objective, gives the cost, the gradient and the
 Gauss-Newton matrix exactly, in O(1) work per start at every n.  Read as
-2 x 2 matrices X_j, the columns of R^T move to Y_j = U X_j U^dagger, so
-the compressed residual is Y - R^T and its tangent along i sigma_a U is
-i [sigma_a, Y]: both are formed directly, never the residual's square,
-and no dense Jacobian is formed anywhere.  The cost a result reports is
-the dense one, read off the marginals themselves
+2 x 2 matrices X_j, the rows of that factor move to U X_j U^dagger: the
+identity part of X_j stays, and the Pauli part x_j turns by the rotation
+O(a) in SO(3), quadratic in a (``_ROTATION``).  So the compressed residual
+is O x - x and its tangent along exp(i t sigma_b) U is -2 e_b x (O x), on
+the real and imaginary parts of x alike: both are formed directly, never
+the residual's square, and no dense Jacobian is formed anywhere.  The cost a result
+reports is the dense one, read off the marginals themselves
 (``PanelObjective.residuals``, the residual alone), so callers see the
 panel mismatch itself.  It is computed when a caller first reads it: the
 sibling search reads it only for the starts it may report, and a start that
 ends on the scalar locus never builds its dense marginals.
 
-The starts of one call descend together as a stack of unitaries, and a
+The starts of one call descend together as a stack of quaternions, and a
 pass of the loop costs a fixed number of numpy calls, whatever the stack
 holds; past the first few passes only a handful of starts still move, so
 the calls, not the arithmetic, set its time.  Each start carries one 4 x 4
 Gram matrix, its cost, gradient and 3 x 3 normal matrix in one array
-(``PanelObjective._gram``, built from two flat matrix products over the
-whole stack, without forming the Jacobian).  A pass solves every damped
-system in one batched call, turns each U by its step entry by entry into
-one new array, and keeps the improved starts' unitaries and Gram matrices
-with one masked copy each.  The step lengths it computes for the turn are
-those of its stopping test.  The stack holds only the starts still moving,
-in start order; when a start stops, the stack's unitaries are written back
+(``PanelObjective._gram``, without forming the Jacobian).  Its products
+and the turn's are stacked (batched) matrix products, one small product
+per start: a flat BLAS product over the whole stack rounds a start's row
+differently with the number of rows around it, and on a GHZ-class state
+the descent carries such a difference along its curve of minima.  A pass
+solves every damped
+system in one batched call, turns each quaternion by its step in one
+product, and keeps the improved starts' quaternions and Gram matrices with
+one masked copy each.  The step lengths it computes for the turn are those
+of its stopping test.  The stack holds only the starts still moving, in
+start order; when a start stops, the stack's quaternions are written back
 to the result in their places and the stopped starts leave it.  Each start
 keeps its own damping, accept/reject decision and stopping test, and no
 product mixes two starts, so it follows the path it would follow alone, up
-to rounding.  The pass calls the ufuncs that ``np.linalg.norm`` and
-``np.sinc`` run directly, and writes into arrays it allocates instead of
-joining them with ``np.stack``: the floats are those of the wrapped forms,
-bit for bit, which the tests keep as the reference.  The search knows
-nothing of Bloch matrices and takes no rank decision from R, which keeps
-it independent of the classifier.
+to rounding.  The search knows nothing of Bloch matrices and takes no rank
+decision from the QR factor, which keeps it independent of the classifier.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -75,18 +82,34 @@ GRAD_TOL = 1e-15
 STEP_TOL = 1e-12
 SCALE_FLOOR = 1e-12
 
-# vec Y -> vec Y, then vec Y -> vec i [sigma_a, Y] for a = X, Y, Z, stacked
-# as (16, 4) with vec row-major: the map from Y to the compressed residual
-# (before R^T is subtracted) and its three tangents (``normal_equations``)
-_TANGENT_MAPS = np.concatenate(
-    [np.eye(4)] + [1j * (np.kron(p, np.eye(2)) - np.kron(np.eye(2), p.T)) for p in PAULIS]
+_SIGMA = np.array(PAULIS)
+# the quaternion units I, iX, iY, iZ as 2 x 2 matrices: a is sum_p a_p E_p
+_UNITS = np.concatenate([np.eye(2)[None], 1j * _SIGMA])
+# E_p E_q = sum_r T_rpq E_r with T_rpq = tr(E_r^dagger E_p E_q) / 2, as
+# (16, 4) with rows (p, q): the quaternion product b a is
+# outer(b, a) @ _PRODUCT
+_PRODUCT = (np.einsum("rji,pjk,qki->pqr", _UNITS.conj(), _UNITS, _UNITS).real / 2).reshape(16, 4)
+# O(a)_cd = tr(sigma_c U sigma_d U^dagger) / 2 for U = sum_p a_p E_p, as
+# (16, 9) with rows (p, q) and columns (c, d): O(a) is
+# outer(a, a) @ _ROTATION
+_ROTATION = (
+    np.einsum("cij,pjk,dkl,qil->pqcd", _SIGMA, _UNITS, _SIGMA, _UNITS.conj()).real / 2
+).reshape(16, 9)
+# y -> y, then y -> -2 e_b x y for b = X, Y, Z, the Pauli part of
+# i [sigma_b, y . sigma], stacked as (4, 3, 3): the compressed residual
+# (before x is subtracted) and its three tangents, from y = O x
+_PAULI_TANGENTS = np.concatenate(
+    [np.eye(3)[None], -2 * np.cross(np.eye(3)[:, None], np.eye(3)).swapaxes(1, 2)]
 )
+# the two composed, (16, 36) with columns (map, c, d): outer(a, a) @
+# _GRAM_MAPS is the stack of four 3 x 3 matrices that
+# ``PanelObjective._gram`` applies to x
+_GRAM_MAPS = np.einsum("sce,ned->nscd", _PAULI_TANGENTS, _ROTATION.reshape(16, 3, 3)).reshape(16, 36)
 _EYE3 = np.eye(3)
-# the stand-in for sin(0)/0 that ``np.sinc`` uses (``_su2_entries``)
+# the stand-in for sin(0)/0 (``_quaternions``)
 _EPS = np.finfo(np.float64).eps
 
 
-@dataclass(frozen=True)
 class FitResult:
     """Where one start's descent ended, and the objective it descended.
 
@@ -94,19 +117,27 @@ class FitResult:
     ``PanelObjective.residuals``, computed on first read and then kept.
     """
 
-    unitary: np.ndarray
-    objective: PanelObjective
+    __slots__ = ("unitary", "objective", "_cost")
 
-    @cached_property
+    def __init__(self, unitary: np.ndarray, objective: PanelObjective):
+        self.unitary = unitary
+        self.objective = objective
+
+    @property
     def cost(self) -> float:
-        return float(np.sum(np.square(self.objective.residuals(self.unitary))))
+        try:
+            return self._cost
+        except AttributeError:
+            self._cost = float(np.sum(np.square(self.objective.residuals(self.unitary))))
+            return self._cost
 
 
 def unitary_from_params(theta: np.ndarray) -> np.ndarray:
     """U = exp(i t0) * exp(i (t1 X + t2 Y + t3 Z)) for each row of a stack
-    (m, 4) of parameter vectors: the identity, broadcast, turned by ``_turn``."""
+    (m, 4) of parameter vectors: the phase times ``_quaternions`` of the
+    rest, as matrices."""
     t = theta[:, 1:]
-    return np.exp(1j * theta[:, :1, None]) * _turn(t, _lengths(t), np.eye(2)[None])
+    return _unitaries(theta[:, 0], _quaternions(t, _lengths(t)))
 
 
 def _lengths(t: np.ndarray) -> np.ndarray:
@@ -116,31 +147,30 @@ def _lengths(t: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(t * t, axis=1))
 
 
-def _su2_entries(t: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """p and q with exp(i t . sigma) = [[p, q], [-conj(q), conj(p)]], for a
-    stack (..., 3) of t and their lengths r = |t| (``_lengths``):
-    cos|t| I + i sin|t| t.sigma / |t|.
-
-    sin|t| / |t| is ``np.sinc(|t| / pi)``, formed from the ufuncs it runs,
-    without its wrapper: the same floats, and t = 0 gives the identity.
-    """
-    y = np.pi * (r / np.pi)
-    y = np.where(y, y, _EPS)
-    st = (np.sin(y) / y)[..., None] * t
-    ist = 1j * st
-    return np.cos(r) + ist[..., 2], st[..., 1] + ist[..., 0]
+def _quaternions(t: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The unit quaternions (cos|t|, sin|t| t / |t|) of exp(i t . sigma),
+    for a stack (m, 3) of t and their lengths r = |t| (``_lengths``); t = 0
+    gives (1, 0, 0, 0)."""
+    y = np.where(r, r, _EPS)
+    quaternions = np.empty((len(t), 4))
+    quaternions[:, 0] = np.cos(r)
+    quaternions[:, 1:] = (np.sin(y) / y)[:, None] * t
+    return quaternions
 
 
-def _turn(t: np.ndarray, r: np.ndarray, unitaries: np.ndarray) -> np.ndarray:
-    """exp(i t . sigma) U for stacks (m, 3) of t, (m,) of their lengths r
-    and (m, 2, 2) of U, row by row from the entries p, q: no batched 2 x 2
-    product.  U may be one (1, 2, 2) matrix for every t."""
-    p, q = _su2_entries(t[:, None], r[:, None])
-    top, bottom = unitaries[:, 0], unitaries[:, 1]
-    turned = np.empty((len(t), 2, 2), dtype=complex)
-    turned[:, 0] = p * top + q * bottom
-    turned[:, 1] = p.conj() * bottom - q.conj() * top
-    return turned
+def _product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """The quaternion products left right, row by row, of two stacks (m, 4):
+    exp(i t . sigma) U for left the quaternion of a turn and right that of
+    U."""
+    pairs = (left[:, :, None] * right[:, None, :]).reshape(-1, 1, 16)
+    return (pairs @ _PRODUCT).reshape(-1, 4)
+
+
+def _unitaries(phases: np.ndarray, quaternions: np.ndarray) -> np.ndarray:
+    """exp(i phi) (a_0 I + i a . sigma) for stacks (m,) of phases phi and
+    (m, 4) of quaternions a, as (m, 2, 2) matrices."""
+    matrices = (quaternions @ _UNITS.reshape(4, 4)).reshape(-1, 2, 2)
+    return np.exp(1j * phases)[:, None, None] * matrices
 
 
 def grid_starts() -> list[np.ndarray]:
@@ -175,11 +205,19 @@ class PanelObjective:
     S_cd as its 4 columns and c_ab = (U_a0 conj(U_b0), U_a0 conj(U_b1),
     U_a1 conj(U_b0), U_a1 conj(U_b1)) - e_ab is the same for every k.
     Stacking the B_k into B = QR gives ||B c|| = ||R c|| for every c, so
-    the cost is sum_ab ||R c_ab||^2 with R at most 4 x 4, whatever n: the
-    compressed residual R c_ab is formed directly, never its square.  The
+    the cost is sum_ab ||R c_ab||^2 with R at most 4 x 4, whatever n.  The
     targets S_k are one (n-1, d, d) stack, ``_traced_outer`` of psi's
     ``_qubit_factors``; R is built once here from one QR per target and one
     more over their stacked R's, so no more than one B_k is held at a time.
+
+    Read row j of R as a 2 x 2 matrix X_j = x_0j I + x_j . sigma (row-major,
+    as c_ab orders its entries).  Then sum_ab (R c_ab)_j e_ab is
+    U X_j U^dagger - X_j = ((O - I) x_j) . sigma, with O = O(a) the
+    rotation by which U's quaternion a turns Pauli coordinates, and the
+    Frobenius norm of m . sigma is sqrt(2) |m|.  So the compressed residual
+    is O x - x, for x the (3, 2k) real matrix of the Pauli parts of the
+    X_j's real and imaginary parts (R has k <= 4 rows; k = 1 at n = 2),
+    which is built here once; it is formed directly, never its square.
     """
 
     def __init__(self, amplitudes: np.ndarray):
@@ -188,8 +226,10 @@ class PanelObjective:
         self.targets = _traced_outer(factors[1:], factors[1:])
         # one R per B_k (columns: the vectorized S_cd), merged by one more QR
         rs = [np.linalg.qr(_blocks(t, 1).reshape(4, -1).T, mode="r") for t in self.targets]
-        # transposed, so that rows (a, b) of kron(U, conj(U)) multiply it
-        self._r = np.linalg.qr(np.concatenate(rs), mode="r").T
+        blocks = np.linalg.qr(np.concatenate(rs), mode="r").reshape(-1, 2, 2)
+        # x_cj = tr(sigma_c X_j) / 2, real parts then imaginary parts
+        pauli = np.einsum("cba,jab->cj", _SIGMA, blocks) / 2
+        self._x = np.concatenate([pauli.real, pauli.imag], axis=1)
 
     def residuals(self, unitary: np.ndarray) -> np.ndarray:
         """Residual vector at U: the real and imaginary parts of rho_(k) -
@@ -205,40 +245,39 @@ class PanelObjective:
 
         r is that of ``residuals`` and J its Jacobian in the X, Y, Z step
         directions, the derivative along exp(i t sigma_a) U at t = 0; neither
-        is formed.  The dense
-        residual is B c, with c the c_ab of all four blocks (see the class),
-        and B = Q R with Q an isometry that does not depend on U.  So r = Q
-        (R c) and J = Q (R dc) for the compressed residual R c and its
-        derivatives, and the cost, J^T r and J^T J are exactly the Gram
-        entries of these four vectors, at most 4 x 4 complex each.
+        is formed.  The dense residual is B c, with c the c_ab of all four
+        blocks (see the class), and B = Q R with Q an isometry that does not
+        depend on U.  So r = Q (R c) and J = Q (R dc) for the compressed
+        residual R c and its derivatives, and the cost, J^T r and J^T J are
+        exactly the Gram entries of these four vectors, twice those of their
+        Pauli coordinates.
 
-        Read column j of R^T as a 2 x 2 matrix X_j (row-major, as c_ab
-        orders its entries).  Then kron(U, conj(U)) vec X_j = vec Y_j with
-        Y_j = U X_j U^dagger, so the compressed residual is Y - R^T.  Along
-        exp(i t sigma_a) U it moves by i [sigma_a, Y], a fixed linear map
-        of Y.  So one product of the rows of kron(U, conj(U)) for every
-        start, (4m, 4), with R^T gives Y, and one product of the fixed
-        (16, 4) stack of the identity and the three commutator maps with Y,
-        laid out as (4, m k), gives the residual and its tangents; R has k
-        <= 4 rows (k = 1 at n = 2).  Returns arrays of shape (m,), (m, 3)
+        Each U is read as its unit quaternion, U divided by a square root of
+        det U, which ``_gram`` takes.  Returns arrays of shape (m,), (m, 3)
         and (m, 3, 3).
         """
-        gram = self._gram(unitaries)
+        # tr(E_p^dagger U) / 2 = sqrt(det U) a_p
+        coordinates = unitaries.reshape(-1, 4) @ _UNITS.reshape(4, 4).conj().T / 2
+        det = unitaries[:, 0, 0] * unitaries[:, 1, 1] - unitaries[:, 0, 1] * unitaries[:, 1, 0]
+        gram = self._gram((coordinates / np.sqrt(det)[:, None]).real)
         return gram[:, 0, 0], gram[:, 1:, 0], gram[:, 1:, 1:]
 
-    def _gram(self, unitaries: np.ndarray) -> np.ndarray:
+    def _gram(self, quaternions: np.ndarray) -> np.ndarray:
         """The (m, 4, 4) Gram matrices of the compressed residual and its
-        three tangents, whose blocks ``normal_equations`` returns."""
-        m = len(unitaries)
-        k = self._r.shape[1]
-        # rows (a, b, start) of kron(U, conj(U)), columns (c, d)
-        u = unitaries.transpose(1, 0, 2)
-        kron = u[:, None, :, :, None] * u.conj()[None, :, :, None, :]
-        y = kron.reshape(4 * m, 4) @ self._r  # vec Y_j, as (a, b), start, j
-        vectors = (_TANGENT_MAPS @ y.reshape(4, m * k)).reshape(4, 4, m, k)
-        vectors[0] -= self._r[:, None, :]
-        parts = vectors.transpose(2, 0, 1, 3).view(np.float64).reshape(m, 4, -1)
-        return parts @ parts.transpose(0, 2, 1)
+        three tangents, whose blocks ``normal_equations`` returns, for a
+        stack (m, 4) of unit quaternions.
+
+        The rows of one matrix product with ``_GRAM_MAPS`` are O and its
+        three tangent maps -2 [e_b]_x O for every start, and one more with
+        x gives O x, from which x is subtracted, and the tangents.
+        """
+        m = len(quaternions)
+        pairs = (quaternions[:, :, None] * quaternions[:, None, :]).reshape(m, 1, 16)
+        vectors = ((pairs @ _GRAM_MAPS).reshape(m, 12, 3) @ self._x).reshape(m, 4, self._x.size)
+        vectors[:, 0] -= self._x.reshape(-1)
+        gram = vectors @ vectors.transpose(0, 2, 1)
+        gram *= 2
+        return gram
 
 
 def fit_pivot_unitary(objective: PanelObjective, starts: list[np.ndarray]) -> list[FitResult]:
@@ -253,13 +292,14 @@ def fit_pivot_unitary(objective: PanelObjective, starts: list[np.ndarray]) -> li
     """
     if not len(starts):
         return []
-    ends = unitary_from_params(np.asarray(starts, dtype=float))
+    theta = np.asarray(starts, dtype=float)
+    ends = _quaternions(theta[:, 1:], _lengths(theta[:, 1:]))
     # the starts still moving, in start order: where each sits in ``ends``,
-    # its unitary, the Gram matrix of its normal equations (cost at [0, 0],
-    # gradient [1:, 0], matrix [1:, 1:]) and its damping
+    # its quaternion, the Gram matrix of its normal equations (cost at
+    # [0, 0], gradient [1:, 0], matrix [1:, 1:]) and its damping
     index = np.arange(len(ends))
-    unitaries = ends.copy()
-    gram = objective._gram(unitaries)
+    quaternions = ends.copy()
+    gram = objective._gram(quaternions)
     damping = np.full(len(ends), DAMPING_START)
     # the gradient test comes before the solve: a start whose Jacobian
     # vanishes would make its system singular
@@ -268,8 +308,8 @@ def fit_pivot_unitary(objective: PanelObjective, starts: list[np.ndarray]) -> li
         if not moving.all():
             # every start still in the stack is written back, the moving ones
             # again later
-            ends[index] = unitaries
-            index, unitaries, gram, damping = (x[moving] for x in (index, unitaries, gram, damping))
+            ends[index] = quaternions
+            index, quaternions, gram, damping = (x[moving] for x in (index, quaternions, gram, damping))
             if not index.size:
                 break
         normal = gram[:, 1:, 1:]
@@ -278,15 +318,14 @@ def fit_pivot_unitary(objective: PanelObjective, starts: list[np.ndarray]) -> li
         system = normal + (damping[:, None] * scale)[:, :, None] * _EYE3
         step = np.linalg.solve(system, -gram[:, 1:, :1])[:, :, 0]
         size = _lengths(step)
-        trial = _turn(step, size, unitaries)
+        trial = _product(_quaternions(step, size), quaternions)
         trial_gram = objective._gram(trial)
         better = trial_gram[:, 0, 0] < gram[:, 0, 0]
-        accept = better[:, None, None]
-        np.copyto(unitaries, trial, where=accept)
-        np.copyto(gram, trial_gram, where=accept)
+        np.copyto(quaternions, trial, where=better[:, None])
+        np.copyto(gram, trial_gram, where=better[:, None, None])
         damping = np.where(better, damping / DAMPING_DOWN, damping * DAMPING_UP)
         # a step at rounding level is still tried, then ends its start: near
         # a zero residual it is the Gauss-Newton step that squares the cost
         moving = (size > STEP_TOL) & (np.abs(gram[:, 1:, 0]).max(axis=1) > GRAD_TOL)
-    ends[index] = unitaries
-    return [FitResult(u, objective) for u in ends]
+    ends[index] = quaternions
+    return [FitResult(u, objective) for u in _unitaries(theta[:, 0], ends)]

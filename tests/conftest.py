@@ -37,6 +37,13 @@ def random_hybrid(n: int, seed: int):
 KINDS = ("haar", "product", "hybrid", "ghz-orbit", "ghz-orbit-balanced")
 
 
+def w_state(n: int) -> qm.Ket:
+    """The n-qubit W state, the equal sum of the basis states of weight 1."""
+    amps = np.zeros(2**n)
+    amps[[1 << k for k in range(n)]] = 1.0
+    return qm.ket(amps)
+
+
 def draw_state(kind: str, n: int, seed: int) -> qm.Ket:
     """One state of the given kind from ``KINDS``, deterministic per seed."""
     if kind == "haar":

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 import qmarginal as qm
-from conftest import mixed_corpus, random_ghz_orbit
+from conftest import mixed_corpus, random_ghz_orbit, w_state
 from qmarginal import unitary_fit
 from qmarginal.oracle import random_unitary_2x2
-from qmarginal.tensors import PAULIS, _axis_restore, _qubit_factors, _traced_outer
+from qmarginal.tensors import PAULIS, _axis_restore, _blocks, _qubit_factors, _traced_outer
 from qmarginal.tolerances import UNITARY_TOL
 from qmarginal.unitary_fit import PanelObjective, fit_pivot_unitary, grid_starts, random_starts
 
@@ -73,6 +73,30 @@ class TestSearchSibling:
         with pytest.raises(ValueError, match="read-only"):
             unitary.entries[0, 0] = 0.0
         assert np.max(np.abs(unitary.entries @ unitary.entries.conj().T - np.eye(2))) <= UNITARY_TOL
+
+    @pytest.mark.parametrize(
+        "psi",
+        [qm.ghz_state(3)]
+        + [random_ghz_orbit(n, seed)[0] for n, seed in ((3, 2203), (4, 2204), (4, 7500), (5, 7501), (6, 7600), (8, 7508))],
+        ids=["ghz3", "orbit3", "orbit4", "orbit4b", "orbit5", "orbit6", "orbit8"],
+    )
+    def test_witness_state_is_frozen_and_normalized(self, psi, monkeypatch):
+        # the witness state is the witness unitary's image of psi: it is
+        # handed on with no constructor check, so this test checks it instead
+        def checked(self):
+            raise AssertionError("search_sibling ran the constructor's checks")
+
+        monkeypatch.setattr(qm.Ket, "__post_init__", checked)
+        report = qm.search_sibling(psi)
+        monkeypatch.undo()
+        assert report.found
+        unitary, partner = report.witness
+        assert partner.n == psi.n and partner.amplitudes.shape == (2**psi.n,)
+        assert not partner.amplitudes.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            partner.amplitudes[0] = 0.0
+        assert abs(np.linalg.norm(partner.amplitudes) - 1.0) <= UNITARY_TOL
+        np.testing.assert_allclose(qm.apply_local(unitary, psi).amplitudes, partner.amplitudes, rtol=0, atol=1e-15)
 
     def test_ghz_orbit_witness_at_six_qubits(self):
         orbit, _ = random_ghz_orbit(6, 7600)
@@ -194,6 +218,29 @@ class TestLuEquivalenceCheck:
                 assert np.array_equal(t.entries, qm.extract_local_unitary(a, b, t.target, tol).entries)
                 assert abs(qm.apply_local(t, a).overlap(b)) >= 1.0 - tol
 
+    @pytest.mark.parametrize("n, seed", [(3, 2203), (4, 2204), (5, 7501), (6, 7600), (7, 7700), (8, 7508)])
+    def test_transports_are_frozen_and_unitary(self, n, seed, monkeypatch):
+        # every transport is a polar factor, unitary by construction: it is
+        # handed on with no constructor check, so this test checks it instead
+        psi, _ = random_ghz_orbit(n, seed)
+        partner = qm.sibling(psi, qm.classify(psi).certificate)
+
+        def checked(self):
+            raise AssertionError("the transport ran the constructor's checks")
+
+        monkeypatch.setattr(qm.SingleQubitUnitary, "__post_init__", checked)
+        transports = qm.lu_equivalence_check(psi, partner)
+        extracted = [qm.extract_local_unitary(psi, partner, j) for j in range(1, n + 1)]
+        monkeypatch.undo()
+        assert [t.target for t in transports] == [t.target for t in extracted] == list(range(1, n + 1))
+        for t in transports + extracted:
+            assert type(t.target) is int
+            assert not t.entries.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                t.entries[0, 0] = 0.0
+            assert np.max(np.abs(t.entries @ t.entries.conj().T - np.eye(2))) <= UNITARY_TOL
+            assert abs(qm.apply_local(t, psi).overlap(partner)) >= 1.0 - 1e-12
+
     @pytest.mark.parametrize("tol", [-1e-6, 0.0, float("nan")])
     def test_rejects_tolerance_that_is_not_positive(self, tol):
         a, b = qm.haar_random_ket(3, 1), qm.haar_random_ket(3, 2)
@@ -267,18 +314,35 @@ def dense_jacobian(objective, unitary):
     return np.stack(columns, axis=1)
 
 
-def su2_reference(t):
-    """p and q of exp(i t . sigma) through np.linalg.norm and np.sinc."""
-    r = np.linalg.norm(t, axis=-1)
-    st = np.sinc(r / np.pi)[..., None] * t
-    return np.cos(r) + 1j * st[..., 2], st[..., 1] + 1j * st[..., 0]
+def quaternion_matrices(quaternions):
+    """a_0 I + i a . sigma for a stack (m, 4) of quaternions a."""
+    paulis = np.einsum("ma,aij->mij", quaternions[:, 1:], np.array(PAULIS))
+    return quaternions[:, 0, None, None] * np.eye(2) + 1j * paulis
 
 
-def turn_reference(t, unitaries):
-    """exp(i t . sigma) U, both rows built and then joined by np.stack."""
-    p, q = (x[:, None] for x in su2_reference(t))
-    top, bottom = unitaries[:, 0], unitaries[:, 1]
-    return np.stack([p * top + q * bottom, p.conj() * bottom - q.conj() * top], axis=1)
+# the identity, then i [sigma_a, Y] on vec Y (row-major) for a = X, Y, Z:
+# the tangent maps of ``complex_gram_reference``
+COMPLEX_TANGENT_MAPS = np.concatenate(
+    [np.eye(4)] + [1j * (np.kron(p, np.eye(2)) - np.kron(np.eye(2), p.T)) for p in PAULIS]
+)
+
+
+def complex_gram_reference(objective, unitaries):
+    """Reference: the (m, 4, 4) Gram matrices of the compressed residual and
+    its three tangents for a stack (m, 2, 2) of U, formed on 2 x 2 complex
+    matrices, with no quaternion and no rotation.  The columns X_j of R^T, the QR factor of the targets' blocks,
+    move to Y_j = U X_j U^dagger (rows (a, b) of kron(U, conj(U)) times
+    R^T); the residual is Y - R^T and its tangent i [sigma_a, Y]."""
+    rs = [np.linalg.qr(_blocks(t, 1).reshape(4, -1).T, mode="r") for t in objective.targets]
+    r = np.linalg.qr(np.concatenate(rs), mode="r").T
+    m, k = len(unitaries), r.shape[1]
+    u = unitaries.transpose(1, 0, 2)
+    kron = u[:, None, :, :, None] * u.conj()[None, :, :, None, :]
+    y = kron.reshape(4 * m, 4) @ r
+    vectors = (COMPLEX_TANGENT_MAPS @ y.reshape(4, m * k)).reshape(4, 4, m, k)
+    vectors[0] -= r[:, None, :]
+    parts = vectors.transpose(2, 0, 1, 3).view(np.float64).reshape(m, 4, -1)
+    return parts @ parts.transpose(0, 2, 1)
 
 
 def assert_same_bits(got, want):
@@ -343,7 +407,8 @@ class TestStackedDescent:
 
     def test_step_turns_each_unitary_by_its_rotation(self):
         # exp(i t . sigma) from an eigendecomposition is the reference for
-        # the closed form, and its product with U for the entrywise turn
+        # the chart and for a step's quaternion, and its product with U for
+        # the turn, a quaternion product
         rng = np.random.default_rng(990)
         steps = rng.normal(size=(9, 3))
         steps[0] = 0.0
@@ -358,48 +423,87 @@ class TestStackedDescent:
             np.exp(1j * theta[:, :1, None]) * expected,
             rtol=0, atol=1e-14,
         )
+        turns = unitary_fit._quaternions(steps, unitary_fit._lengths(steps))
+        np.testing.assert_array_equal(turns[0], [1.0, 0.0, 0.0, 0.0])
+        np.testing.assert_allclose(quaternion_matrices(turns), expected, rtol=0, atol=1e-14)
+        # each U as a phase times its quaternion a_p = tr(E_p^dagger U) / 2
+        # for the units E = I, iX, iY, iZ
+        phases = np.sqrt(np.linalg.det(unitaries))
+        units = np.concatenate([np.eye(2)[None], 1j * np.array(PAULIS)])
+        own = (np.einsum("pij,mij->mp", units.conj(), unitaries / phases[:, None, None]) / 2).real
         np.testing.assert_allclose(
-            unitary_fit._turn(steps, unitary_fit._lengths(steps), unitaries),
+            phases[:, None, None] * quaternion_matrices(unitary_fit._product(turns, own)),
             expected @ unitaries,
             rtol=0, atol=1e-14,
         )
 
-    @pytest.mark.parametrize("m", [0, 1, 3, 64])
-    def test_turn_is_the_stacked_form_bit_for_bit(self, m):
-        # the turn writes both rows into one array, with the floats of the
-        # reference built from np.linalg.norm, np.sinc and np.stack
-        rng = np.random.default_rng(1700 + m)
-        steps = rng.normal(size=(m, 3)) * rng.choice([1e-9, 1e-3, 1.0, 10.0], size=(m, 1))
-        unitaries = np.array([random_unitary_2x2(rng) for _ in range(m)]).reshape(m, 2, 2)
-        # exact zeros, whose signs the products and sums must keep: no turn
-        # and turns about z, short of and past a quarter turn, on diagonal
-        # and antidiagonal unitaries
-        if m >= 3:
-            steps[:3] = [[0.0, 0.0, 0.0], [0.0, 0.0, -0.7], [0.0, 0.0, 2.0]]
-            unitaries[:3] = [np.diag([1j, -1j]), [[0.0, -1.0], [1.0, 0.0]], np.diag([1j, -1j])]
-        turned = unitary_fit._turn(steps, unitary_fit._lengths(steps), unitaries)
-        assert_same_bits(turned, turn_reference(steps, unitaries))
-        # the chart's broadcast identity
-        theta = rng.uniform(-np.pi, np.pi, size=(m, 4))
-        assert_same_bits(
-            unitary_fit.unitary_from_params(theta),
-            np.exp(1j * theta[:, :1, None]) * turn_reference(theta[:, 1:], np.eye(2)[None]),
-        )
-
-    def test_rotation_entries_are_norm_and_sinc_bit_for_bit(self):
-        # |t| and sin|t| / |t| are formed without the np.linalg.norm and
-        # np.sinc wrappers, at t = 0, subnormal and underflowing lengths,
-        # rounding-level ones and multiples of a quarter turn among them
+    def test_step_lengths_are_the_norm_bit_for_bit(self):
+        # |t| is the stopping test's length, formed without the
+        # np.linalg.norm wrapper, at t = 0, subnormal and underflowing
+        # lengths and rounding-level ones among them; the quaternion of a
+        # step stays finite and of unit norm at each
         tiny = np.nextafter(0.0, 1.0)
         rows = [np.zeros(3), [tiny, 0.0, 0.0], [tiny, -tiny, tiny], [1e-300, 0.0, -1e-300]]
         rows += [[1e-8, 0.0, 0.0], [0.0, -1e-8, 1e-8]]
         rows += [np.eye(3)[a] * s * k * np.pi / 2 for a in range(3) for s in (1.0, -1.0) for k in range(1, 5)]
-        rows += [np.ones(3) * k * np.pi / 2 / np.sqrt(3) for k in range(-4, 5)]
         steps = np.concatenate([np.array(rows, dtype=float), np.random.default_rng(1701).normal(size=(32, 3))])
         lengths = unitary_fit._lengths(steps)
         assert_same_bits(lengths, np.linalg.norm(steps, axis=-1))
-        for got, want in zip(unitary_fit._su2_entries(steps, lengths), su2_reference(steps)):
-            assert_same_bits(got, want)
+        turns = unitary_fit._quaternions(steps, lengths)
+        assert np.isfinite(turns).all()
+        np.testing.assert_allclose(np.linalg.norm(turns, axis=1), 1.0, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("m", [0, 1, 3, 64])
+    def test_quaternion_product_is_the_matrix_product(self, m):
+        # the fixed (16, 4) table on the outer product of two quaternions is
+        # the product of their 2 x 2 matrices: the units and random unit
+        # quaternions, the left factor first
+        rng = np.random.default_rng(1700 + m)
+        left, right = rng.normal(size=(2, m, 4))
+        if m >= 3:
+            left[:3], right[:3] = np.eye(4)[[0, 1, 3]], np.eye(4)[[2, 1, 2]]
+        left /= np.linalg.norm(left, axis=1, keepdims=True)
+        right /= np.linalg.norm(right, axis=1, keepdims=True)
+        product = unitary_fit._product(left, right)
+        assert product.shape == (m, 4)
+        np.testing.assert_allclose(
+            quaternion_matrices(product),
+            quaternion_matrices(left) @ quaternion_matrices(right),
+            rtol=0, atol=1e-15,
+        )
+
+    def test_rotation_map_is_the_adjoint_action(self):
+        # O(a)_cd = tr(sigma_c U sigma_d U^dagger) / 2, quadratic in a
+        rng = np.random.default_rng(1702)
+        quaternions = np.concatenate([np.eye(4), rng.normal(size=(60, 4))])
+        quaternions /= np.linalg.norm(quaternions, axis=1, keepdims=True)
+        unitaries = quaternion_matrices(quaternions)
+        sigma = np.array(PAULIS)
+        expected = np.einsum("cij,mjk,dkl,mil->mcd", sigma, unitaries, sigma, unitaries.conj()) / 2
+        pairs = (quaternions[:, :, None] * quaternions[:, None, :]).reshape(-1, 16)
+        rotations = (pairs @ unitary_fit._ROTATION).reshape(-1, 3, 3)
+        np.testing.assert_allclose(rotations, expected.real, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(expected.imag, 0.0, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+    @pytest.mark.parametrize("kind", ["haar", "ghz-orbit", "w"])
+    def test_gram_matches_the_complex_reference(self, n, kind):
+        # 64 starts of a search: each Gram matrix within 1e-12 of its largest
+        # entry in the reference (1e-28 where the reference vanishes, as on a
+        # Bell pair); the identity start sits on the scalar locus, where the
+        # cost and gradient vanish, so they get an absolute bound
+        psi = {"haar": lambda: qm.haar_random_ket(n, 1800 + n),
+               "ghz-orbit": lambda: random_ghz_orbit(n, 1810 + n)[0],
+               "w": lambda: w_state(n)}[kind]()
+        objective = PanelObjective(psi.amplitudes)
+        theta = np.array(grid_starts() + random_starts(np.random.default_rng(n), 48))
+        quaternions = unitary_fit._quaternions(theta[:, 1:], unitary_fit._lengths(theta[:, 1:]))
+        gram = objective._gram(quaternions)
+        expected = complex_gram_reference(objective, unitary_fit.unitary_from_params(theta))
+        size = np.abs(expected).max(axis=(1, 2))
+        assert np.all(np.abs(gram - expected).max(axis=(1, 2)) <= 1e-12 * size + 1e-28)
+        assert gram[0, 0, 0] < 1e-30
+        np.testing.assert_allclose(gram[0, :, 0], expected[0, :, 0], rtol=0, atol=1e-30)
 
     def test_random_starts_are_one_draw_of_the_same_stream(self):
         rng = np.random.default_rng(11)

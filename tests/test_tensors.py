@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import qmarginal as qm
-from conftest import eps_state
+from conftest import eps_state, w_state
 from qmarginal.oracle import random_unitary_2x2
 from qmarginal.reconstruct import _bloch_pair
 from qmarginal.tensors import (
@@ -442,12 +442,6 @@ class TestConventions:
             qm.DensityMatrix((1,), np.array([[bad, 0.0], [0.0, 1.0]]))
         with pytest.raises(ValueError, match="finite"):
             qm.SingleQubitUnitary(np.array([[bad, 0.0], [0.0, 1.0]]), 1)
-
-
-def w_state(n):
-    amps = np.zeros(2**n)
-    amps[[1 << k for k in range(n)]] = 1.0
-    return qm.ket(amps)
 
 
 class TestQubitFactorKernel:
