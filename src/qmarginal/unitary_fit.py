@@ -115,6 +115,8 @@ class FitResult:
 
     ``cost`` is the dense cost there, r.r for the panel residual r of
     ``PanelObjective.residuals``, computed on first read and then kept.
+    The fields are not guarded, unlike the package's frozen values: they
+    must not be reassigned, since the kept cost belongs to ``unitary``.
     """
 
     __slots__ = ("unitary", "objective", "_cost")

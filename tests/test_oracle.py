@@ -12,7 +12,7 @@ from conftest import mixed_corpus, random_ghz_orbit, w_state
 from qmarginal import unitary_fit
 from qmarginal.oracle import random_unitary_2x2
 from qmarginal.tensors import PAULIS, _axis_restore, _blocks, _qubit_factors, _traced_outer
-from qmarginal.tolerances import UNITARY_TOL
+from qmarginal.tolerances import RENORMALIZE_TOL, UNITARY_TOL
 from qmarginal.unitary_fit import PanelObjective, fit_pivot_unitary, grid_starts, random_starts
 
 
@@ -95,7 +95,7 @@ class TestSearchSibling:
         assert not partner.amplitudes.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             partner.amplitudes[0] = 0.0
-        assert abs(np.linalg.norm(partner.amplitudes) - 1.0) <= UNITARY_TOL
+        assert abs(np.linalg.norm(partner.amplitudes) - 1.0) <= RENORMALIZE_TOL
         np.testing.assert_allclose(qm.apply_local(unitary, psi).amplitudes, partner.amplitudes, rtol=0, atol=1e-15)
 
     def test_ghz_orbit_witness_at_six_qubits(self):
@@ -440,12 +440,13 @@ class TestStackedDescent:
     def test_step_lengths_are_the_norm_bit_for_bit(self):
         # |t| is the stopping test's length, formed without the
         # np.linalg.norm wrapper, at t = 0, subnormal and underflowing
-        # lengths and rounding-level ones among them; the quaternion of a
-        # step stays finite and of unit norm at each
+        # lengths, rounding-level ones and multiples of a quarter turn among
+        # them; the quaternion of a step stays finite and of unit norm at each
         tiny = np.nextafter(0.0, 1.0)
         rows = [np.zeros(3), [tiny, 0.0, 0.0], [tiny, -tiny, tiny], [1e-300, 0.0, -1e-300]]
         rows += [[1e-8, 0.0, 0.0], [0.0, -1e-8, 1e-8]]
         rows += [np.eye(3)[a] * s * k * np.pi / 2 for a in range(3) for s in (1.0, -1.0) for k in range(1, 5)]
+        rows += [np.ones(3) * k * np.pi / 2 / np.sqrt(3) for k in range(-4, 5)]
         steps = np.concatenate([np.array(rows, dtype=float), np.random.default_rng(1701).normal(size=(32, 3))])
         lengths = unitary_fit._lengths(steps)
         assert_same_bits(lengths, np.linalg.norm(steps, axis=-1))
