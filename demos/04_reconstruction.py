@@ -17,6 +17,7 @@ print("generic five-qubit state from its panel:")
 print(f"  outcome  : {result.outcome}")
 print(f"  residual : {result.residual:.2e}")
 print(f"  fidelity : {abs(result.state.overlap(psi)):.12f}")
+assert result.outcome == "unique" and abs(result.state.overlap(psi)) > 1 - 1e-9
 
 # GHZ-class panel: rotations of qubit 1 about one axis all fit, so a family
 # comes back
@@ -31,6 +32,8 @@ best = max(
     for phi in np.linspace(0, 2 * np.pi, 721)
 )
 print(f"  best family-member fidelity against the source: {best:.9f}")
+# the source is a member; the sweep's grid of 721 phases comes within 1e-5
+assert result.outcome == "ghz-family" and best > 1 - 1e-5
 
 # fully degenerate panels (all marginals maximally mixed) take the same
 # closed-form path: a cluster-type state is still pinned down uniquely
@@ -40,6 +43,7 @@ print()
 print("cluster-type state (every marginal maximally mixed):")
 print(f"  outcome  : {result.outcome}")
 print(f"  fidelity : {abs(result.state.overlap(cluster)):.12f}")
+assert result.outcome == "unique" and abs(result.state.overlap(cluster)) > 1 - 1e-9
 
 # tampered panels are detected
 panel = qm.panel_of_pure(qm.haar_random_ket(3, seed=23))
@@ -56,3 +60,4 @@ print()
 print("panel with one tampered entry:")
 print(f"  outcome : {result.outcome}")
 print(f"  reason  : {result.reason}")
+assert result.outcome == "incompatible"

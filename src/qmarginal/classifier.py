@@ -39,6 +39,7 @@ from .tensors import (
     _grams,
     _pair_qr,
     _qubit_factors,
+    _qubit_label,
 )
 from .tolerances import (
     CERTIFICATE_TOL,
@@ -302,8 +303,7 @@ def extract_local_unitary(psi: Ket, psi_prime: Ket, j: int, tol: float = TRANSPO
     if psi.n != psi_prime.n:
         raise ValueError("qubit counts differ")
     _check_tol(tol)
-    if not 1 <= j <= psi.n:
-        raise ValueError(f"qubit label {j} out of range 1..{psi.n}")
+    j = _qubit_label(j, psi.n)
     _require_shared_panel(psi, psi_prime, tol)
     mat, overlap = _fit_transport(psi, psi_prime, j)
     if overlap < 1.0 - max(tol, TRANSPORT_OVERLAP_FLOOR):

@@ -3,9 +3,10 @@
 The key fact being exercised: if two pure states share their whole panel
 of one-qubit-removed marginals, they differ by a unitary on any single
 qubit.  So a sibling of psi, if one exists, can be found by minimizing the
-panel mismatch of (L on qubit 1) psi over the 4-parameter unitary group,
-rejecting the trivial scalar solutions.  That search knows nothing about
-the classifier and serves as its ground truth in the test suite.
+panel mismatch of (L on qubit 1) psi over SU(2), the unit quaternions (a
+global phase of L moves no marginal), rejecting the trivial scalar
+solutions.  That search knows nothing about the classifier and serves as
+its ground truth in the test suite.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensors import Ket, SingleQubitUnitary, _act, _check_tol, _grams, ket
+from .tensors import Ket, SingleQubitUnitary, _act, _check_tol, _grams, _integer, ket
 from .tolerances import ETA_UNIT_TOL, SEARCH_BUDGET, SEARCH_TOL
 from .unitary_fit import PanelObjective, fit_pivot_unitary, grid_starts, random_starts
 
@@ -44,22 +45,24 @@ def search_sibling(
     """Look for a distinct pure state with the same marginal panel.
 
     Runs ``budget`` descents of the summed squared panel mismatch of
-    (L on qubit 1) psi, starting from a fixed grid followed by seeded
-    random points, all as one stacked descent, and reports the first
-    witness in start order.  A minimizer counts as a witness when its cost
-    drops below tol**2 and the transported state is not phase-equal to psi
-    (overlap below 1 - tol).  Near-scalar minimizers are rejected and do
-    not count towards ``best_residual``, so it is ``inf`` when every
-    descent ends on the scalar locus, as on every determined state
-    measured (Haar and product states, n = 3..5).
+    (L on qubit 1) psi, all as one stacked descent, and reports the first
+    witness in start order.  Each start is a unit quaternion, L = a_0 I +
+    i a . sigma, from a fixed grid followed by seeded random points; there
+    is no chart and no phase, and the witness unitary L is in SU(2).  A
+    minimizer counts as a witness when its cost drops below tol**2 and the
+    transported state is not phase-equal to psi (overlap below 1 - tol).
+    Near-scalar minimizers are rejected and do not count towards
+    ``best_residual``, so it is ``inf`` when every descent ends on the
+    scalar locus, as on every determined state measured (Haar and product
+    states, n = 3..5).
 
     Every start descends, so a GHZ-class state spends the whole budget
     (``SEARCH_BUDGET`` = 64 by default) even when an early start is a
     witness; ``trials`` counts the starts up to and including the witness,
     or all of them.  The dense panel mismatch is computed only for the
     starts read here: those up to the witness that end off the scalar
-    locus.  Raises ``ValueError`` for a negative budget or a tol that is
-    not positive.
+    locus.  Raises ``ValueError`` for a budget that is not a non-negative
+    integer or a tol that is not positive.
 
     The search stays blind to the classifier on purpose: it imports
     nothing from ``classifier``, reads no Bloch matrix and takes no rank
@@ -72,15 +75,14 @@ def search_sibling(
     """
     if psi.n < 2:
         raise ValueError("sibling search needs at least 2 qubits")
+    budget = _integer(budget, "budget")
     if budget < 0:
         raise ValueError(f"budget must be non-negative, got {budget}")
     _check_tol(tol)
     objective = PanelObjective(psi.amplitudes)
-    starts = grid_starts()
-    if budget < len(starts):
-        starts = starts[:budget]
-    else:
-        starts += random_starts(np.random.default_rng(seed), budget - len(starts))
+    starts = grid_starts()[:budget]
+    if budget > len(starts):
+        starts = np.concatenate([starts, random_starts(np.random.default_rng(seed), budget - len(starts))])
 
     results = fit_pivot_unitary(objective, starts)
     # <psi|(U on qubit 1) psi> = tr(U G) for the qubit-1 Gram G = A A^dagger

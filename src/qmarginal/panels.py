@@ -25,6 +25,7 @@ from .tensors import (
     _check_tol,
     _one_qubit_marginal,
     _qubit_factors,
+    _qubit_label,
     _trace_positions,
 )
 from .tolerances import PANEL_TOL
@@ -52,8 +53,9 @@ class RdmPanel:
         object.__setattr__(self, "entries", entries)
 
     def entry(self, j: int) -> DensityMatrix:
-        """The marginal omitting qubit j (1-based)."""
-        return self.entries[j - 1]
+        """The marginal omitting qubit j (1-based); ``ValueError`` for a j
+        that is not one of 1..n."""
+        return self.entries[_qubit_label(j, self.n) - 1]
 
 
 @dataclass(frozen=True)
@@ -64,11 +66,9 @@ class PanelSubset:
     kept: frozenset[int]
 
     def __post_init__(self):
-        kept = frozenset(int(k) for k in self.kept)
+        kept = frozenset(_qubit_label(k, self.panel.n) for k in self.kept)
         if not kept:
             raise ValueError("kept set must be non-empty")
-        if not kept <= set(range(1, self.panel.n + 1)):
-            raise ValueError(f"kept labels {sorted(kept)} out of range")
         object.__setattr__(self, "kept", kept)
 
     def matches(self, other: "RdmPanel | PanelSubset", tol: float = PANEL_TOL) -> bool:

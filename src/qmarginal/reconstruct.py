@@ -39,6 +39,7 @@ from .tensors import (
     _check_tol,
     _pair_qr,
     _phase_fix_column,
+    _qubit_label,
     fix_global_phase,
 )
 from .tolerances import CONSISTENCY_FLOOR, DEGENERACY_TOL, RECONSTRUCT_TOL
@@ -88,6 +89,7 @@ def purify_over_qubit(
     for a tol that is not positive (NaN included).
     """
     _check_tol(tol)
+    j = _qubit_label(j)
     n = len(rdm.qubit_labels) + 1
     if set(rdm.qubit_labels) != set(range(1, n + 1)) - {j}:
         raise ValueError(f"a marginal omitting qubit {j} of {n} is on {rdm.qubit_labels}")

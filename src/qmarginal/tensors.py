@@ -82,16 +82,24 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _qubit_label(x) -> int:
-    """A caller's qubit label as an ``int``: an integer >= 1, numpy
-    integers included; ``ValueError`` for anything else, a float or a
-    string among them."""
+def _integer(x, name: str) -> int:
+    """A caller's integer argument as an ``int``, numpy integers included;
+    ``ValueError`` for anything else, a float or a string among them, even
+    one that ``int()`` would accept."""
     try:
-        label = operator.index(x)
+        return operator.index(x)
     except TypeError:
-        raise ValueError(f"qubit label {x!r} is not an integer") from None
+        raise ValueError(f"{name} {x!r} is not an integer") from None
+
+
+def _qubit_label(x, n: int | None = None) -> int:
+    """A caller's qubit label as an ``int``: an integer >= 1 (``_integer``),
+    and at most n when n is given; ``ValueError`` for anything else."""
+    label = _integer(x, "qubit label")
     if label < 1:
         raise ValueError(f"qubit label {label} out of range: labels start at 1")
+    if n is not None and label > n:
+        raise ValueError(f"qubit label {label} out of range 1..{n}")
     return label
 
 
@@ -122,13 +130,13 @@ class Ket:
         return psi
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"qubit count must be >= 1, got {self.n}")
+        n = _integer(self.n, "qubit count")
+        if n < 1:
+            raise ValueError(f"qubit count must be >= 1, got {n}")
+        object.__setattr__(self, "n", n)
         amps = _frozen(np.asarray(self.amplitudes).reshape(-1))
-        if amps.size != 2**self.n:
-            raise ValueError(
-                f"expected {2**self.n} amplitudes for n={self.n}, got {amps.size}"
-            )
+        if amps.size != 2**n:
+            raise ValueError(f"expected {2**n} amplitudes for n={n}, got {amps.size}")
         norm = np.linalg.norm(amps)
         # NaN passes the norm test below; a NaN or infinity among the
         # amplitudes makes the norm non-finite, so only then are they scanned
@@ -170,6 +178,7 @@ def ket(amplitudes, n: int | None = None) -> Ket:
 
 def basis_ket(n: int, index: int) -> Ket:
     """|index> on n qubits; ``ValueError`` for an index outside 0..2**n - 1."""
+    index = _integer(index, "basis index")
     if not 0 <= index < 2**n:
         raise ValueError(f"basis index {index} out of range 0..{2**n - 1}")
     amps = np.zeros(2**n, dtype=complex)
@@ -191,6 +200,7 @@ class MultiIndex:
     @classmethod
     def from_linear(cls, index: int, n: int) -> "MultiIndex":
         """The n bits of an index; ``ValueError`` outside 0..2**n - 1."""
+        index, n = _integer(index, "basis index"), _integer(n, "qubit count")
         if not 0 <= index < 2**n:
             raise ValueError(f"basis index {index} out of range 0..{2**n - 1}")
         return cls(tuple((index >> (n - 1 - j)) & 1 for j in range(n)))
@@ -400,8 +410,7 @@ def tensor_insert(one_qubit, rest, j: int) -> np.ndarray:
     n = rest.size.bit_length()  # 2**(n-1) amplitudes
     if rest.size != 2 ** (n - 1):
         raise ValueError(f"rest vector length {rest.size} is not a power of 2")
-    if not 1 <= j <= n:
-        raise ValueError(f"qubit label {j} out of range 1..{n}")
+    j = _qubit_label(j, n)
     return _axis_restore(np.multiply.outer(one_qubit, rest), j)
 
 
@@ -512,7 +521,7 @@ def _bloch_rows(blocks: np.ndarray) -> np.ndarray:
 
 def partial_trace(rho: DensityMatrix, traced) -> DensityMatrix:
     """Trace out the given qubit labels of a density matrix."""
-    traced = set(int(t) for t in traced)
+    traced = set(_qubit_label(t) for t in traced)
     missing = traced - set(rho.qubit_labels)
     if missing:
         raise ValueError(f"labels {sorted(missing)} not in {rho.qubit_labels}")
@@ -617,8 +626,7 @@ def schmidt_split(psi: Ket, j: int) -> SchmidtSplit:
     of qubit j, sorted descending.  Vector phases are fixed so the
     dominant component of each one-qubit vector is real positive.
     """
-    if not 1 <= j <= psi.n:
-        raise ValueError(f"qubit label {j} out of range 1..{psi.n}")
+    j = _qubit_label(j, psi.n)
     a = _axis_first(psi.amplitudes, j)
     u, s, vh = np.linalg.svd(a, full_matrices=False)
     one_qubit = np.zeros((2, 2), dtype=complex)
@@ -664,10 +672,7 @@ def apply_local(u: SingleQubitUnitary, psi: Ket) -> Ket:
 
 def apply_locals(unitaries, psi: Ket) -> Ket:
     """Apply single-qubit unitaries in order, all targets checked first."""
-    ops = [(u.target, u.entries) for u in unitaries]
-    for j, _ in ops:
-        if not 1 <= j <= psi.n:
-            raise ValueError(f"qubit label {j} out of range 1..{psi.n}")
+    ops = [(_qubit_label(u.target, psi.n), u.entries) for u in unitaries]
     return Ket(psi.n, _act(psi.amplitudes, ops))
 
 

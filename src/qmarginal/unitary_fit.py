@@ -5,23 +5,21 @@ The sibling search (``oracle.search_sibling``) minimizes
     f(U) = sum_{k >= 2} || rho_(k)((U on qubit 1) psi) - rho_(k)(psi) ||_F^2
 
 over the unitary group U(2): a U with f(U) = 0 that moves psi gives a
-distinct state with psi's panel.  Each start is a point of the chart
-U(theta) = exp(i theta_0) exp(i (theta_1 X + theta_2 Y + theta_3 Z)), from a
-fixed grid plus seeded random points when a caller supplies them, so results
-are reproducible.
+distinct state with psi's panel.  f reads U only through kron(U, conj(U)),
+which forgets its global phase, so the search runs over SU(2), the unit
+quaternions a: U = a_0 I + i a . sigma, four reals.  Every start, every
+iterate and every result is one; the unitary a result reports has det U = 1.
+The starts come from a fixed grid plus seeded random points when a caller
+supplies them, so results are reproducible.
 
-f reads U only through kron(U, conj(U)), which forgets its global phase.
-So the descent carries each start as the unit quaternion a of its SU(2)
-part, U = exp(i theta_0) (a_0 I + i a . sigma): four reals per start.  No
-step changes the phase, so it is put back once, on every start together,
-when the results are built.  From its start a Levenberg-Marquardt descent
-moves U on the group itself, U <- exp(i sum_b delta_b sigma_b) U with
-sigma_b = X, Y, Z on qubit 1; the identity direction only turns the global
-phase and leaves every marginal fixed, so it is left out.  The turn is one
-quaternion product, a fixed (16, 4) table applied to the outer product of
-the step's quaternion and U's (``_product``).  There is no chart along the
-way, so the step cannot run off along a periodic parameter, and every
-iterate is a unit quaternion up to rounding.
+From its start a Levenberg-Marquardt descent moves U on the group itself,
+U <- exp(i sum_b delta_b sigma_b) U with sigma_b = X, Y, Z on qubit 1; the
+identity direction only turns the global phase and leaves every marginal
+fixed, so it is left out.  The turn is one quaternion product, a fixed
+(16, 4) table applied to the outer product of the step's quaternion and
+U's (``_product``).  There is no chart along the way, so the step cannot
+run off along a periodic parameter, and every iterate is a unit quaternion
+up to rounding.
 
 Every residual is a fixed 4-column matrix, the 2 x 2 blocks of psi's own
 marginals over qubit 1, times a coefficient vector that depends on U alone
@@ -64,6 +62,8 @@ decision from the QR factor, which keeps it independent of the classifier.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -108,6 +108,15 @@ _GRAM_MAPS = np.einsum("sce,ned->nscd", _PAULI_TANGENTS, _ROTATION.reshape(16, 3
 _EYE3 = np.eye(3)
 # the stand-in for sin(0)/0 (``_quaternions``)
 _EPS = np.finfo(np.float64).eps
+# the rotation vectors of ``grid_starts``, in units of pi/4: none, the
+# quarter turns about +-X, +-Y and +-Z, the eight (+-1, +-1, +-1) and
+# (2, 2, 2)
+_GRID_TURNS = np.array(
+    [[0, 0, 0], [2, 0, 0], [-2, 0, 0], [0, 2, 0], [0, -2, 0], [0, 0, 2], [0, 0, -2]]
+    + list(itertools.product((1, -1), repeat=3))
+    + [[2, 2, 2]],
+    dtype=float,
+) * np.pi / 4
 
 
 class FitResult:
@@ -132,14 +141,6 @@ class FitResult:
         except AttributeError:
             self._cost = float(np.sum(np.square(self.objective.residuals(self.unitary))))
             return self._cost
-
-
-def unitary_from_params(theta: np.ndarray) -> np.ndarray:
-    """U = exp(i t0) * exp(i (t1 X + t2 Y + t3 Z)) for each row of a stack
-    (m, 4) of parameter vectors: the phase times ``_quaternions`` of the
-    rest, as matrices."""
-    t = theta[:, 1:]
-    return _unitaries(theta[:, 0], _quaternions(t, _lengths(t)))
 
 
 def _lengths(t: np.ndarray) -> np.ndarray:
@@ -168,33 +169,25 @@ def _product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return (pairs @ _PRODUCT).reshape(-1, 4)
 
 
-def _unitaries(phases: np.ndarray, quaternions: np.ndarray) -> np.ndarray:
-    """exp(i phi) (a_0 I + i a . sigma) for stacks (m,) of phases phi and
-    (m, 4) of quaternions a, as (m, 2, 2) matrices."""
-    matrices = (quaternions @ _UNITS.reshape(4, 4)).reshape(-1, 2, 2)
-    return np.exp(1j * phases)[:, None, None] * matrices
+def _unitaries(quaternions: np.ndarray) -> np.ndarray:
+    """a_0 I + i a . sigma for a stack (m, 4) of quaternions a, as (m, 2, 2)
+    matrices."""
+    return (quaternions @ _UNITS.reshape(4, 4)).reshape(-1, 2, 2)
 
 
-def grid_starts() -> list[np.ndarray]:
-    """16 deterministic starting points covering the rotation ball."""
-    starts = [np.zeros(4)]
-    for axis in range(3):
-        for sign in (1.0, -1.0):
-            p = np.zeros(4)
-            p[1 + axis] = sign * np.pi / 2
-            starts.append(p)
-    for sx in (1.0, -1.0):
-        for sy in (1.0, -1.0):
-            for sz in (1.0, -1.0):
-                starts.append(np.array([0.0, sx, sy, sz]) * np.pi / 4)
-    starts.append(np.array([0.0, 1.0, 1.0, 1.0]) * np.pi / 2)
-    return starts
+def grid_starts() -> np.ndarray:
+    """16 deterministic unit quaternions covering SU(2), as (16, 4): those of
+    exp(i t . sigma) for the rotation vectors t of ``_GRID_TURNS``."""
+    return _quaternions(_GRID_TURNS, _lengths(_GRID_TURNS))
 
 
-def random_starts(rng: np.random.Generator, count: int) -> list[np.ndarray]:
-    """count seeded points of the chart, uniform in [-pi, pi)^4: one draw,
-    the same stream as count draws of 4."""
-    return list(rng.uniform(-np.pi, np.pi, size=(count, 4)))
+def random_starts(rng: np.random.Generator, count: int) -> np.ndarray:
+    """count seeded unit quaternions, as (count, 4): those of exp(i t . sigma)
+    for t uniform in [-pi, pi)^3.  t is the last three columns of one
+    uniform draw (count, 4), whose first column is unused, so the stream is
+    that of count draws of 4."""
+    t = rng.uniform(-np.pi, np.pi, size=(count, 4))[:, 1:]
+    return _quaternions(t, _lengths(t))
 
 
 class PanelObjective:
@@ -236,38 +229,25 @@ class PanelObjective:
     def residuals(self, unitary: np.ndarray) -> np.ndarray:
         """Residual vector at U: the real and imaginary parts of rho_(k) -
         S_k over k = 2..n, for the stacked marginals rho_(k) of U psi.  The
-        dense path that ``FitResult.cost`` reads and ``normal_equations``
-        reproduces compressed.
+        dense path that ``FitResult.cost`` reads and ``_gram`` reproduces
+        compressed.
         """
         moved = _qubit_factors(_axis_restore(unitary @ self.factor, 1))[1:]
         return (_traced_outer(moved, moved) - self.targets).view(np.float64).reshape(-1)
 
-    def normal_equations(self, unitaries: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Cost r.r, gradient J^T r and matrix J^T J for a stack (m, 2, 2) of U.
+    def _gram(self, quaternions: np.ndarray) -> np.ndarray:
+        """Cost r.r, gradient J^T r and matrix J^T J at a stack (m, 4) of
+        unit quaternions, as the [0, 0], [1:, 0] and [1:, 1:] blocks of
+        (m, 4, 4) matrices.
 
         r is that of ``residuals`` and J its Jacobian in the X, Y, Z step
-        directions, the derivative along exp(i t sigma_a) U at t = 0; neither
+        directions, the derivative along exp(i t sigma_b) U at t = 0; neither
         is formed.  The dense residual is B c, with c the c_ab of all four
         blocks (see the class), and B = Q R with Q an isometry that does not
         depend on U.  So r = Q (R c) and J = Q (R dc) for the compressed
         residual R c and its derivatives, and the cost, J^T r and J^T J are
         exactly the Gram entries of these four vectors, twice those of their
         Pauli coordinates.
-
-        Each U is read as its unit quaternion, U divided by a square root of
-        det U, which ``_gram`` takes.  Returns arrays of shape (m,), (m, 3)
-        and (m, 3, 3).
-        """
-        # tr(E_p^dagger U) / 2 = sqrt(det U) a_p
-        coordinates = unitaries.reshape(-1, 4) @ _UNITS.reshape(4, 4).conj().T / 2
-        det = unitaries[:, 0, 0] * unitaries[:, 1, 1] - unitaries[:, 0, 1] * unitaries[:, 1, 0]
-        gram = self._gram((coordinates / np.sqrt(det)[:, None]).real)
-        return gram[:, 0, 0], gram[:, 1:, 0], gram[:, 1:, 1:]
-
-    def _gram(self, quaternions: np.ndarray) -> np.ndarray:
-        """The (m, 4, 4) Gram matrices of the compressed residual and its
-        three tangents, whose blocks ``normal_equations`` returns, for a
-        stack (m, 4) of unit quaternions.
 
         The rows of one matrix product with ``_GRAM_MAPS`` are O and its
         three tangent maps -2 [e_b]_x O for every start, and one more with
@@ -282,9 +262,10 @@ class PanelObjective:
         return gram
 
 
-def fit_pivot_unitary(objective: PanelObjective, starts: list[np.ndarray]) -> list[FitResult]:
-    """Levenberg-Marquardt from every start at once, with Marquardt's
-    diagonal scaling; results come back in start order.
+def fit_pivot_unitary(objective: PanelObjective, starts: np.ndarray) -> list[FitResult]:
+    """Levenberg-Marquardt from every start of a stack (m, 4) of unit
+    quaternions at once, with Marquardt's diagonal scaling; results come
+    back in start order, each with its unitary in SU(2).
 
     A start drops out of the stack when its gradient reaches rounding
     level, after trying a step that does, or after MAX_STEPS iterations.
@@ -292,10 +273,9 @@ def fit_pivot_unitary(objective: PanelObjective, starts: list[np.ndarray]) -> li
     cost is the dense one, evaluated on the marginals (``residuals``) when
     it is first read.
     """
-    if not len(starts):
+    ends = np.array(starts, dtype=float)
+    if not len(ends):
         return []
-    theta = np.asarray(starts, dtype=float)
-    ends = _quaternions(theta[:, 1:], _lengths(theta[:, 1:]))
     # the starts still moving, in start order: where each sits in ``ends``,
     # its quaternion, the Gram matrix of its normal equations (cost at
     # [0, 0], gradient [1:, 0], matrix [1:, 1:]) and its damping
@@ -330,4 +310,4 @@ def fit_pivot_unitary(objective: PanelObjective, starts: list[np.ndarray]) -> li
         # a zero residual it is the Gauss-Newton step that squares the cost
         moving = (size > STEP_TOL) & (np.abs(gram[:, 1:, 0]).max(axis=1) > GRAD_TOL)
     ends[index] = quaternions
-    return [FitResult(u, objective) for u in _unitaries(theta[:, 0], ends)]
+    return [FitResult(u, objective) for u in _unitaries(ends)]

@@ -357,14 +357,17 @@ class TestStackedDescent:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8])
     def test_normal_equations_match_residuals(self, n):
-        # a Haar state at Haar-random U: a residual well away from zero
+        # a Haar state at Haar-random U in SU(2), a uniform unit quaternion:
+        # a residual well away from zero
         rng = np.random.default_rng(900 + n)
         psi = qm.haar_random_ket(n, 910 + n)
         objective = PanelObjective(psi.amplitudes)
-        unitaries = np.array([random_unitary_2x2(rng) for _ in range(4)])
-        costs, grads, normals = objective.normal_equations(unitaries)
-        assert costs.shape == (4,) and grads.shape == (4, 3) and normals.shape == (4, 3, 3)
-        for u, cost, grad, normal in zip(unitaries, costs, grads, normals):
+        quaternions = rng.normal(size=(4, 4))
+        quaternions /= np.linalg.norm(quaternions, axis=1, keepdims=True)
+        gram = objective._gram(quaternions)
+        assert gram.shape == (4, 4, 4)
+        costs, grads, normals = gram[:, 0, 0], gram[:, 1:, 0], gram[:, 1:, 1:]
+        for u, cost, grad, normal in zip(quaternion_matrices(quaternions), costs, grads, normals):
             res, jac = objective.residuals(u), dense_jacobian(objective, u)
             assert float(res @ res) > 1e-3
             assert cost == pytest.approx(float(res @ res), rel=1e-12, abs=0)
@@ -398,17 +401,17 @@ class TestStackedDescent:
         # no product in a pass mixes two starts, so a start of a stack of 64
         # ends where it ends alone
         objective = PanelObjective(psi.amplitudes)
-        starts = grid_starts() + random_starts(np.random.default_rng(0), 48)
+        starts = np.concatenate([grid_starts(), random_starts(np.random.default_rng(0), 48)])
         stacked = fit_pivot_unitary(objective, starts)
         for start, result in zip(starts, stacked):
-            (alone,) = fit_pivot_unitary(objective, [start])
+            (alone,) = fit_pivot_unitary(objective, start[None])
             np.testing.assert_allclose(result.unitary, alone.unitary, rtol=0, atol=1e-12)
             assert result.cost == pytest.approx(alone.cost, rel=1e-12, abs=1e-28)
 
     def test_step_turns_each_unitary_by_its_rotation(self):
-        # exp(i t . sigma) from an eigendecomposition is the reference for
-        # the chart and for a step's quaternion, and its product with U for
-        # the turn, a quaternion product
+        # exp(i t . sigma) from an eigendecomposition is the reference for a
+        # step's quaternion, and its product with U for the turn, a
+        # quaternion product
         rng = np.random.default_rng(990)
         steps = rng.normal(size=(9, 3))
         steps[0] = 0.0
@@ -416,13 +419,6 @@ class TestStackedDescent:
         generators = np.einsum("ma,aij->mij", steps, np.array(PAULIS))
         values, vectors = np.linalg.eigh(generators)
         expected = np.einsum("mij,mj,mkj->mik", vectors, np.exp(1j * values), vectors.conj())
-        # the chart: a global phase times the identity turned by each step
-        theta = np.column_stack([np.linspace(-np.pi, np.pi, 9), steps])
-        np.testing.assert_allclose(
-            unitary_fit.unitary_from_params(theta),
-            np.exp(1j * theta[:, :1, None]) * expected,
-            rtol=0, atol=1e-14,
-        )
         turns = unitary_fit._quaternions(steps, unitary_fit._lengths(steps))
         np.testing.assert_array_equal(turns[0], [1.0, 0.0, 0.0, 0.0])
         np.testing.assert_allclose(quaternion_matrices(turns), expected, rtol=0, atol=1e-14)
@@ -497,20 +493,63 @@ class TestStackedDescent:
                "ghz-orbit": lambda: random_ghz_orbit(n, 1810 + n)[0],
                "w": lambda: w_state(n)}[kind]()
         objective = PanelObjective(psi.amplitudes)
-        theta = np.array(grid_starts() + random_starts(np.random.default_rng(n), 48))
-        quaternions = unitary_fit._quaternions(theta[:, 1:], unitary_fit._lengths(theta[:, 1:]))
+        quaternions = np.concatenate([grid_starts(), random_starts(np.random.default_rng(n), 48)])
         gram = objective._gram(quaternions)
-        expected = complex_gram_reference(objective, unitary_fit.unitary_from_params(theta))
+        expected = complex_gram_reference(objective, quaternion_matrices(quaternions))
         size = np.abs(expected).max(axis=(1, 2))
         assert np.all(np.abs(gram - expected).max(axis=(1, 2)) <= 1e-12 * size + 1e-28)
         assert gram[0, 0, 0] < 1e-30
         np.testing.assert_allclose(gram[0, :, 0], expected[0, :, 0], rtol=0, atol=1e-30)
 
     def test_random_starts_are_one_draw_of_the_same_stream(self):
+        # the quaternions of the last three of every 4 draws, in one stream
         rng = np.random.default_rng(11)
-        expected = [rng.uniform(-np.pi, np.pi, size=4) for _ in range(48)]
-        np.testing.assert_array_equal(random_starts(np.random.default_rng(11), 48), expected)
-        assert random_starts(np.random.default_rng(11), 0) == []
+        turns = np.array([rng.uniform(-np.pi, np.pi, size=4)[1:] for _ in range(48)])
+        expected = unitary_fit._quaternions(turns, unitary_fit._lengths(turns))
+        assert_same_bits(random_starts(np.random.default_rng(11), 48), expected)
+        assert random_starts(np.random.default_rng(11), 0).shape == (0, 4)
+
+    def test_grid_starts_are_the_former_chart_bit_for_bit(self):
+        # the grid was once written as chart points (phase, t) with phase 0;
+        # each start is the quaternion of its rotation vector t
+        turns = [np.zeros(3)]
+        for axis in range(3):
+            for sign in (1.0, -1.0):
+                t = np.zeros(3)
+                t[axis] = sign * np.pi / 2
+                turns.append(t)
+        for sx in (1.0, -1.0):
+            for sy in (1.0, -1.0):
+                for sz in (1.0, -1.0):
+                    turns.append(np.array([sx, sy, sz]) * np.pi / 4)
+        turns.append(np.array([1.0, 1.0, 1.0]) * np.pi / 2)
+        turns = np.array(turns)
+        starts = grid_starts()
+        assert_same_bits(starts, unitary_fit._quaternions(turns, unitary_fit._lengths(turns)))
+        assert_same_bits(starts[0], np.array([1.0, 0.0, 0.0, 0.0]))
+        np.testing.assert_allclose(np.linalg.norm(starts, axis=1), 1.0, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("seed, count", [(0, 1), (3, 17), (11, 48), (2024, 200)])
+    def test_random_starts_are_the_former_chart_bit_for_bit(self, seed, count):
+        # the former chart points were the rows of one draw (count, 4), a
+        # phase then t; each start is the quaternion of that t
+        theta = np.random.default_rng(seed).uniform(-np.pi, np.pi, size=(count, 4))
+        starts = random_starts(np.random.default_rng(seed), count)
+        assert_same_bits(starts, unitary_fit._quaternions(theta[:, 1:], unitary_fit._lengths(theta[:, 1:])))
+        np.testing.assert_allclose(np.linalg.norm(starts, axis=1), 1.0, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+    def test_witness_unitary_is_special(self, n):
+        # no start carries a phase, so a witness, and every descent's end
+        # from a random start, is in SU(2)
+        orbit, _ = random_ghz_orbit(n, 3300 + n)
+        report = qm.search_sibling(orbit)
+        assert report.found
+        assert abs(np.linalg.det(report.witness[0].entries) - 1.0) <= 1e-12
+        objective = PanelObjective(orbit.amplitudes)
+        results = fit_pivot_unitary(objective, random_starts(np.random.default_rng(n), 8))
+        dets = np.linalg.det(np.array([result.unitary for result in results]))
+        np.testing.assert_allclose(dets, 1.0, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n", [3, 6])
     def test_each_cost_is_computed_once_on_first_read(self, n, monkeypatch):
@@ -519,7 +558,8 @@ class TestStackedDescent:
         orbit, _ = random_ghz_orbit(n, 2700 + n)
         objective = PanelObjective(orbit.amplitudes)
         calls = _count_residual_calls(monkeypatch)
-        results = fit_pivot_unitary(objective, grid_starts() + random_starts(np.random.default_rng(n), 48))
+        starts = np.concatenate([grid_starts(), random_starts(np.random.default_rng(n), 48)])
+        results = fit_pivot_unitary(objective, starts)
         assert calls == []
         lazy = [result.cost for result in results]
         assert [result.cost for result in results] == lazy

@@ -30,6 +30,22 @@ class TestRdmPanel:
         with pytest.raises(ValueError, match="panels need at least 2 qubits"):
             qm.panel_of_mixed(qm.DensityMatrix((1,), np.eye(2) / 2))
 
+    def test_entry_reads_qubits_one_to_n(self):
+        panel = qm.panel_of_pure(qm.haar_random_ket(3, 30))
+        for j in (1, 2, 3, np.int64(2)):
+            assert panel.entry(j) is panel.entries[j - 1]
+
+    @pytest.mark.parametrize(
+        "j, message",
+        [(0, "qubit label 0 out of range"), (-1, "qubit label -1 out of range"),
+         (4, "qubit label 4 out of range 1..3"), (1.0, "qubit label 1.0 is not an integer")],
+    )
+    def test_entry_rejects_a_label_outside_one_to_n(self, j, message):
+        # the index once wrapped: entry(0) read entry 3, entry(-1) entry 2
+        panel = qm.panel_of_pure(qm.haar_random_ket(3, 30))
+        with pytest.raises(ValueError, match=message):
+            panel.entry(j)
+
 
 class TestPanelOfPure:
     def test_balanced_two_term_states_share_one_panel(self):

@@ -719,3 +719,61 @@ class TestRankTwoFactor:
         # below the switch a full eigvalsh is cheaper than the certificate
         rho = np.eye(_CERTIFY_MIN_DIM // 2, dtype=complex) / (_CERTIFY_MIN_DIM // 2)
         assert _rank_two_factor(rho) is None
+
+
+def _label_calls():
+    """One call per function that reads a caller's qubit label, each taking
+    the label last."""
+    psi = qm.haar_random_ket(3, 40)
+    panel = qm.panel_of_pure(psi)
+    return {
+        "partial_trace": lambda j: qm.partial_trace(psi.density(), [j]),
+        "PanelSubset": lambda j: qm.PanelSubset(panel, frozenset({j})),
+        "subset_equal": lambda j: qm.subset_equal(psi, psi, {j}),
+        "tensor_insert": lambda j: qm.tensor_insert([1, 0], np.ones(4) / 2, j),
+        "schmidt_split": lambda j: qm.schmidt_split(psi, j),
+        "extract_local_unitary": lambda j: qm.extract_local_unitary(psi, psi, j),
+        "purify_over_qubit": lambda j: qm.purify_over_qubit(panel.entry(1), j),
+        "entry": lambda j: panel.entry(j),
+    }
+
+
+class TestCallerIntegers:
+    @pytest.mark.parametrize("name", list(_label_calls()))
+    @pytest.mark.parametrize(
+        "j, message",
+        [(1.0, "qubit label 1.0 is not an integer"), (1.5, "qubit label 1.5 is not an integer"),
+         (2.9, "qubit label 2.9 is not an integer"), ("1", "qubit label '1' is not an integer"),
+         (0, "qubit label 0 out of range"), (-1, "qubit label -1 out of range"),
+         (4, "qubit label 4 out of range|omitting qubit 4 of 3|not in")],
+    )
+    def test_a_qubit_label_is_an_integer_in_range(self, name, j, message):
+        # int() once read 1.5 as qubit 1 and 2.9 as qubit 2, and numpy
+        # raised TypeError for 1.0
+        with pytest.raises(ValueError, match=message):
+            _label_calls()[name](j)
+
+    @pytest.mark.parametrize("name", list(_label_calls()))
+    def test_a_numpy_integer_label_is_read_as_its_int(self, name):
+        _label_calls()[name](np.int64(1))
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [(lambda: qm.Ket(2.0, np.eye(4)[0]), "qubit count 2.0 is not an integer"),
+         (lambda: qm.basis_ket(2, 1.0), "basis index 1.0 is not an integer"),
+         (lambda: qm.MultiIndex.from_linear(1.0, 2), "basis index 1.0 is not an integer"),
+         (lambda: qm.MultiIndex.from_linear(1, 2.0), "qubit count 2.0 is not an integer"),
+         (lambda: qm.search_sibling(qm.ghz_state(3), budget=2.5), "budget 2.5 is not an integer")],
+        ids=["Ket", "basis_ket", "from_linear-index", "from_linear-n", "search_sibling"],
+    )
+    def test_an_integer_argument_rejects_a_float(self, call, message):
+        # Ket(2.0, ...) was once accepted, and its .tensor() raised TypeError
+        with pytest.raises(ValueError, match=message):
+            call()
+
+    def test_integer_arguments_accept_numpy_integers(self):
+        psi = qm.Ket(np.int64(2), np.eye(4)[1])
+        assert type(psi.n) is int and psi.tensor().shape == (2, 2)
+        np.testing.assert_array_equal(qm.basis_ket(2, np.int64(1)).amplitudes, psi.amplitudes)
+        assert qm.MultiIndex.from_linear(np.int64(1), np.int64(2)).bits == (0, 1)
+        assert qm.search_sibling(qm.ghz_state(3), budget=np.int64(2)).trials == 2
