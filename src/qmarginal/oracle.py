@@ -62,7 +62,7 @@ def search_sibling(
     or all of them.  The dense panel mismatch is computed only for the
     starts read here: those up to the witness that end off the scalar
     locus.  Raises ``ValueError`` for a budget that is not a non-negative
-    integer or a tol that is not positive.
+    integer, a seed that is not an integer or a tol that is not positive.
 
     The search stays blind to the classifier on purpose: it imports
     nothing from ``classifier``, reads no Bloch matrix and takes no rank
@@ -75,7 +75,7 @@ def search_sibling(
     """
     if psi.n < 2:
         raise ValueError("sibling search needs at least 2 qubits")
-    budget = _integer(budget, "budget")
+    budget, seed = _integer(budget, "budget"), _integer(seed, "seed")
     if budget < 0:
         raise ValueError(f"budget must be non-negative, got {budget}")
     _check_tol(tol)
@@ -105,9 +105,10 @@ def search_sibling(
 
 def haar_random_ket(n: int, seed: int) -> Ket:
     """Normalized vector of i.i.d. standard complex Gaussian amplitudes."""
+    n = _integer(n, "qubit count")
     if n < 1:
         raise ValueError("need at least 1 qubit")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integer(seed, "seed"))
     amps = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
     return ket(amps, n)
 
@@ -121,13 +122,14 @@ def random_unitary_2x2(rng: np.random.Generator) -> np.ndarray:
 
 def random_lu_orbit(psi: Ket, seed: int) -> Ket:
     """Apply an independent Haar-random unitary to every qubit."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integer(seed, "seed"))
     ops = [(j, random_unitary_2x2(rng)) for j in range(1, psi.n + 1)]
     return Ket(psi.n, _act(psi.amplitudes, ops))
 
 
 def ghz_state(n: int, alpha: complex | None = None, beta: complex | None = None) -> Ket:
     """alpha|00...0> + beta|11...1>, balanced by default."""
+    n = _integer(n, "qubit count")
     if alpha is None:
         alpha = 1.0 / math.sqrt(2.0)
     if beta is None:
@@ -147,7 +149,8 @@ def eta_state(n: int, eta: complex) -> Ket:
 
 def random_product_ket(n: int, seed: int) -> Ket:
     """Tensor product of independent Haar-random one-qubit states."""
-    rng = np.random.default_rng(seed)
+    n = _integer(n, "qubit count")
+    rng = np.random.default_rng(_integer(seed, "seed"))
     amps = np.ones(1, dtype=complex)
     for _ in range(n):
         q = random_unitary_2x2(rng)[:, 0]

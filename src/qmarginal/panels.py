@@ -23,6 +23,7 @@ from .tensors import (
     DensityMatrix,
     Ket,
     _check_tol,
+    _integer,
     _one_qubit_marginal,
     _qubit_factors,
     _qubit_label,
@@ -39,8 +40,10 @@ class RdmPanel:
     entries: tuple[DensityMatrix, ...]
 
     def __post_init__(self):
-        if self.n < 2:
+        n = _integer(self.n, "qubit count")
+        if n < 2:
             raise ValueError("panels need at least 2 qubits")
+        object.__setattr__(self, "n", n)
         entries = tuple(self.entries)
         if len(entries) != self.n:
             raise ValueError(f"expected {self.n} entries, got {len(entries)}")

@@ -37,8 +37,8 @@ from .tensors import (
     _bloch_rows,
     _blocks,
     _check_tol,
+    _descending_eigh,
     _pair_qr,
-    _phase_fix_column,
     _qubit_label,
     fix_global_phase,
 )
@@ -114,14 +114,14 @@ def _leading_pairs(rdm: DensityMatrix, tol: float) -> tuple[np.ndarray, np.ndarr
     rdm, for the rank check and the purification.  For an entry
     ``_certified_rank_two`` they are those of its factor a, from the SVD of
     a (2 x d): a = U S V^T gives a^T a^* = V S^2 V^dagger.  Every other
-    entry, validated when it was built, takes a dense eigensolve, and so
-    has all of its eigenvalues; only its two columns are phase-fixed."""
+    entry, validated when it was built, takes the unchecked dense
+    eigensolve of ``spectral_decompose`` (``_descending_eigh``), and so has
+    all of its eigenvalues."""
     if _certified_rank_two(rdm, tol):
         _, s, vt = np.linalg.svd(rdm._factor, full_matrices=False)
         return s * s, vt.T
-    evals, evecs = np.linalg.eigh(rdm.entries)
-    order = np.argsort(evals)[::-1]
-    return evals[order], np.stack([_phase_fix_column(evecs[:, i]) for i in order[:2]], axis=1)
+    evals, evecs = _descending_eigh(rdm.entries)
+    return evals, evecs[:, :2]
 
 
 def _purification(evals: np.ndarray, evecs: np.ndarray, tol: float) -> tuple[np.ndarray, bool]:

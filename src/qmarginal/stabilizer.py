@@ -35,11 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensors import (
-    PAULIS,
     Ket,
     SingleQubitUnitary,
-    _axis_first,
-    _axis_restore,
+    _adjoint_rotation,
     _bit_flips,
     _check_tol,
     _grams,
@@ -177,15 +175,13 @@ def _certified_trivial(psi: Ket) -> bool | None:
 
 
 def element_action(element: AlgebraElement, psi: Ket) -> np.ndarray:
-    """Raw amplitudes of sum_j i (x_j X_j + y_j Y_j + z_j Z_j) |psi>."""
+    """Raw amplitudes of sum_j i (x_j X_j + y_j Y_j + z_j Z_j) |psi>: m
+    without its phase column (``_pauli_system``) times the coordinates."""
     if element.n != psi.n:
         raise ValueError("qubit counts differ")
-    out = np.zeros_like(psi.amplitudes)
-    for j in range(1, psi.n + 1):
-        a = _axis_first(psi.amplitudes, j)
-        op = sum(element.coords[j - 1, p] * PAULIS[p] for p in range(3))
-        out += _axis_restore(1j * op @ a, j)
-    return out
+    m = _pauli_system(psi, np.arange(2**psi.n, dtype=np.int64))
+    real, imag = (m[:, :-1] @ element.coords.reshape(-1)).reshape(2, -1)
+    return real + 1j * imag
 
 
 def _rref(rows: np.ndarray) -> np.ndarray:
@@ -292,20 +288,24 @@ def undetermined_by_dimension(psi: Ket) -> str:
     return "undetermined" if _nullity(psi)[0] == n - 1 else "determined"
 
 
+def _local_rotations(unitaries: list[SingleQubitUnitary], n: int) -> np.ndarray:
+    """The (n, 3, 3) adjoint rotations O(U_j); ``ValueError`` unless the
+    unitaries' targets are 1..n in order."""
+    if [u.target for u in unitaries] != list(range(1, n + 1)):
+        raise ValueError(f"need one local unitary per qubit, on qubits 1..{n} in order")
+    us = np.array([u.entries for u in unitaries])
+    return _adjoint_rotation(us, us)
+
+
 def conjugate_element(
     element: AlgebraElement, unitaries: list[SingleQubitUnitary]
 ) -> AlgebraElement:
     """Adjoint action: rotate each per-qubit su(2) coordinate triple by its
-    local unitary (A_j -> U_j A_j U_j^dagger); the phase is untouched."""
-    if len(unitaries) != element.n:
-        raise ValueError("need one unitary per qubit")
-    coords = np.zeros_like(element.coords)
-    for j, u in enumerate(unitaries):
-        a = sum(element.coords[j, p] * PAULIS[p] for p in range(3))
-        rotated = u.entries @ a @ u.entries.conj().T
-        for p in range(3):
-            coords[j, p] = 0.5 * np.trace(rotated @ PAULIS[p]).real
-    return AlgebraElement(coords, element.phase)
+    local unitary (A_j -> U_j A_j U_j^dagger); the phase is untouched.
+    Raises ``ValueError`` unless the unitaries act on qubits 1..n in
+    order."""
+    rotations = _local_rotations(unitaries, element.n)
+    return AlgebraElement(np.einsum("jcd,jd->jc", rotations, element.coords), element.phase)
 
 
 def verify_ghz_subalgebra(
@@ -315,24 +315,20 @@ def verify_ghz_subalgebra(
 ) -> bool:
     """Check that, after per-qubit adjoint conjugation, the basis spans
     exactly the traceless diagonal algebra {sum_j i t_j Z_j : sum_j t_j = 0}.
-    Raises ``ValueError`` for a tol that is not positive (NaN included)."""
+    Raises ``ValueError`` for a tol that is not positive (NaN included), and
+    unless the local unitaries act on qubits 1..n in order."""
     _check_tol(tol)
     if not basis.elements:
         return False
     n = basis.elements[0].n
-    if len(locals_) != n:
-        raise ValueError("need one local unitary per qubit")
+    rotations = _local_rotations(locals_, n)
     if basis.dimension != n - 1:
         return False
-    z_rows = np.zeros((basis.dimension, n))
-    for i, element in enumerate(basis.elements):
-        rotated = conjugate_element(element, locals_)
-        if np.max(np.abs(rotated.coords[:, :2])) > tol:
-            return False
-        if abs(rotated.phase) > tol:
-            return False
-        if abs(rotated.coords[:, 2].sum()) > tol:
-            return False
-        z_rows[i] = rotated.coords[:, 2]
-    rank = np.linalg.matrix_rank(z_rows, tol=tol)
-    return int(rank) == n - 1
+    # every element at once: coords[i] is conjugate_element(element i)'s
+    coords = np.einsum("jcd,ijd->ijc", rotations, [e.coords for e in basis.elements])
+    phases = np.abs([e.phase for e in basis.elements])
+    if np.max(np.abs(coords[:, :, :2])) > tol or np.max(phases) > tol:
+        return False
+    if np.max(np.abs(coords[:, :, 2].sum(axis=1))) > tol:
+        return False
+    return int(np.linalg.matrix_rank(coords[:, :, 2], tol=tol)) == n - 1

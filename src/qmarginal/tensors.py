@@ -33,6 +33,8 @@ Conventions used throughout the package:
   bounds, through rounding, how far the factor's product is from the
   entry.  Downstream code reads the factor wherever that remainder is
   small enough for its purpose, and the dense matrix otherwise.
+* ``_adjoint_rotation`` is the one adjoint action of a one-qubit unitary
+  on Pauli coordinates, and ``_phase_fix_columns`` the one phase fix.
 * ``_act`` is the one-qubit action kernel.  Matrices the package built
   go through it raw, with no ``SingleQubitUnitary`` and no ``Ket`` per
   step; the public ``apply_local(s)`` check every target, then build one
@@ -386,12 +388,8 @@ class SchmidtSplit:
 
     def reassemble(self) -> Ket:
         n = self.rest_vectors.shape[1].bit_length()  # 2**(n-1) columns
-        amps = np.zeros(2**n, dtype=complex)
-        for i in range(2):
-            amps += np.sqrt(self.weights[i]) * tensor_insert(
-                self.one_qubit_vectors[:, i], self.rest_vectors[i], self.pivot
-            )
-        return Ket(n, amps)
+        rows = self.one_qubit_vectors @ (np.sqrt(self.weights)[:, None] * self.rest_vectors)
+        return Ket(n, _axis_restore(rows, self.pivot))
 
 
 # ---------------------------------------------------------------------------
@@ -610,13 +608,16 @@ def fix_global_phase(amplitudes: np.ndarray) -> np.ndarray:
     return amps.copy()
 
 
-def _phase_fix_column(v: np.ndarray) -> np.ndarray:
-    """Make the largest-magnitude component of a vector real positive."""
-    idx = int(np.argmax(np.abs(v)))
-    c = v[idx]
-    if abs(c) == 0.0:
-        return v.copy()
-    return v * (abs(c) / c)
+def _phase_fix_columns(vecs: np.ndarray) -> np.ndarray:
+    """A copy with the largest-magnitude entry of each nonzero column made
+    real positive, by a scalar factor per column (a broadcast product with
+    an array of factors rounds differently)."""
+    out = vecs.copy()
+    for i, idx in enumerate(np.argmax(np.abs(vecs), axis=0)):
+        c = vecs[idx, i]
+        if c != 0.0:
+            out[:, i] = vecs[:, i] * (abs(c) / c)
+    return out
 
 
 def schmidt_split(psi: Ket, j: int) -> SchmidtSplit:
@@ -624,37 +625,48 @@ def schmidt_split(psi: Ket, j: int) -> SchmidtSplit:
 
     The weights are the eigenvalues of the one-qubit reduced density matrix
     of qubit j, sorted descending.  Vector phases are fixed so the
-    dominant component of each one-qubit vector is real positive.
+    dominant component of each one-qubit vector is real positive.  Raises
+    ``ValueError`` for a one-qubit psi, which has no other qubits.
     """
+    if psi.n < 2:
+        raise ValueError(f"a Schmidt split needs at least 2 qubits, got n = {psi.n}")
     j = _qubit_label(j, psi.n)
-    a = _axis_first(psi.amplitudes, j)
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
-    one_qubit = np.zeros((2, 2), dtype=complex)
-    rest = np.zeros((2, 2 ** (psi.n - 1)), dtype=complex)
-    for i in range(2):
-        col = _phase_fix_column(u[:, i])
-        phase = np.vdot(col, u[:, i])  # unit modulus
-        one_qubit[:, i] = col
-        rest[i] = vh[i] * phase
+    u, s, vh = np.linalg.svd(_axis_first(psi.amplitudes, j), full_matrices=False)
+    one_qubit = _phase_fix_columns(u)
+    # each column turns by a unit phase, and its row of vh back by its conjugate
+    phases = np.einsum("ai,ai->i", one_qubit.conj(), u)
     weights = (float(s[0] ** 2), float(s[1] ** 2))
     degenerate = abs(weights[0] - weights[1]) < DEGENERACY_TOL
-    return SchmidtSplit(j, weights, one_qubit, rest, degenerate)
+    return SchmidtSplit(j, weights, one_qubit, vh * phases[:, None], degenerate)
+
+
+def _descending_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``spectral_decompose`` with no check, for matrices the package holds."""
+    evals, evecs = np.linalg.eigh(h)
+    order = np.argsort(evals)[::-1]
+    return evals[order], _phase_fix_columns(evecs[:, order])
 
 
 def spectral_decompose(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending) and matching orthonormal eigenvector columns."""
+    """Eigenvalues (descending) and matching orthonormal eigenvector columns.
+    Raises ``ValueError`` for a matrix that is not square, not finite or
+    not Hermitian."""
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {h.shape}")
+    if not np.isfinite(h).all():
+        raise ValueError("matrix entries must be finite")
     scale = max(1.0, float(np.max(np.abs(h))))
     if np.max(np.abs(h - h.conj().T)) > HERM_TOL * scale:
         raise ValueError("matrix is not Hermitian")
-    evals, evecs = np.linalg.eigh(h)
-    order = np.argsort(evals)[::-1]
-    evecs = evecs[:, order]
-    for i in range(evecs.shape[1]):
-        evecs[:, i] = _phase_fix_column(evecs[:, i])
-    return evals[order], evecs
+    return _descending_eigh(h)
+
+
+def _adjoint_rotation(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Re tr(sigma_c L sigma_d R^dagger) / 2 for broadcast stacks of 2 x 2
+    matrices, as (..., 3, 3) indexed [c, d]: for L = R = U, the rotation
+    O(U) with U (t . sigma) U^dagger = (O(U) t) . sigma."""
+    return np.einsum("cij,...jk,dkl,...il->...cd", PAULIS, left, PAULIS, right.conj()).real / 2
 
 
 def _act(amps: np.ndarray, ops) -> np.ndarray:

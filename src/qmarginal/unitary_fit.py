@@ -67,7 +67,7 @@ import itertools
 
 import numpy as np
 
-from .tensors import PAULIS, _axis_restore, _blocks, _qubit_factors, _traced_outer
+from .tensors import PAULIS, _adjoint_rotation, _axis_restore, _blocks, _qubit_factors, _traced_outer
 
 # Levenberg-Marquardt settings: initial damping, its change after an
 # accepted or a rejected step, and the iteration cap (accepted or not).
@@ -92,9 +92,7 @@ _PRODUCT = (np.einsum("rji,pjk,qki->pqr", _UNITS.conj(), _UNITS, _UNITS).real / 
 # O(a)_cd = tr(sigma_c U sigma_d U^dagger) / 2 for U = sum_p a_p E_p, as
 # (16, 9) with rows (p, q) and columns (c, d): O(a) is
 # outer(a, a) @ _ROTATION
-_ROTATION = (
-    np.einsum("cij,pjk,dkl,qil->pqcd", _SIGMA, _UNITS, _SIGMA, _UNITS.conj()).real / 2
-).reshape(16, 9)
+_ROTATION = _adjoint_rotation(_UNITS[:, None], _UNITS[None]).reshape(16, 9)
 # y -> y, then y -> -2 e_b x y for b = X, Y, Z, the Pauli part of
 # i [sigma_b, y . sigma], stacked as (4, 3, 3): the compressed residual
 # (before x is subtracted) and its three tangents, from y = O x

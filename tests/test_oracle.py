@@ -482,6 +482,15 @@ class TestStackedDescent:
         np.testing.assert_allclose(rotations, expected.real, rtol=0, atol=1e-15)
         np.testing.assert_allclose(expected.imag, 0.0, rtol=0, atol=1e-15)
 
+    def test_rotation_table_is_the_former_einsum_bit_for_bit(self):
+        # the table the module once built with its own einsum over the
+        # quaternion units; its entries are 0 and +-1, so the shared
+        # adjoint kernel must reproduce it exactly
+        sigma, units = np.array(PAULIS), unitary_fit._UNITS
+        former = (np.einsum("cij,pjk,dkl,qil->pqcd", sigma, units, sigma, units.conj()).real / 2).reshape(16, 9)
+        assert np.array_equal(unitary_fit._ROTATION, former)
+        assert unitary_fit._ROTATION.tobytes() == former.tobytes()
+
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
     @pytest.mark.parametrize("kind", ["haar", "ghz-orbit", "w"])
     def test_gram_matches_the_complex_reference(self, n, kind):

@@ -8,7 +8,7 @@ from conftest import EPSILONS, eps_state, mixed_corpus, random_ghz_orbit, random
 from qmarginal.oracle import random_unitary_2x2
 from qmarginal.stabilizer import _full_rule, _nullity, _rref
 from qmarginal.tensors import _grams, _qubit_factors
-from qmarginal.tolerances import PRODUCT_TOL
+from qmarginal.tolerances import ACTION_TOL, PRODUCT_TOL
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -30,6 +30,33 @@ def generator_matrix(psi: qm.Ket) -> np.ndarray:
     columns.append(1j * psi.amplitudes)
     cols = np.stack(columns, axis=1)
     return np.vstack([cols.real, cols.imag])
+
+
+def trace_conjugate(element: qm.AlgebraElement, unitaries) -> np.ndarray:
+    """The former per-qubit loop of ``conjugate_element``: A_j = sum_p t_jp
+    sigma_p, turned to U_j A_j U_j^dagger, read back as tr(. sigma_p) / 2."""
+    coords = np.zeros((element.n, 3))
+    for j, u in enumerate(unitaries):
+        a = sum(element.coords[j, p] * s for p, s in enumerate((X, Y, Z)))
+        rotated = u.entries @ a @ u.entries.conj().T
+        coords[j] = [0.5 * np.trace(rotated @ s).real for s in (X, Y, Z)]
+    return coords
+
+
+def former_verify(basis: qm.StabilizerBasis, locals_, tol: float) -> bool:
+    """The former per-element loop of ``verify_ghz_subalgebra``."""
+    n = basis.elements[0].n
+    if basis.dimension != n - 1:
+        return False
+    z_rows = np.zeros((basis.dimension, n))
+    for i, element in enumerate(basis.elements):
+        coords = trace_conjugate(element, locals_)
+        if np.max(np.abs(coords[:, :2])) > tol or abs(element.phase) > tol:
+            return False
+        if abs(coords[:, 2].sum()) > tol:
+            return False
+        z_rows[i] = coords[:, 2]
+    return int(np.linalg.matrix_rank(z_rows, tol=tol)) == n - 1
 
 
 def independent_nullity(psi: qm.Ket) -> int:
@@ -104,6 +131,15 @@ class TestBasisStructure:
                 action = qm.element_action(element, psi)
                 target = 1j * element.phase * psi.amplitudes
                 assert np.max(np.abs(action - target)) < 1e-8
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_action_matches_the_kron_products(self, n):
+        # generator_matrix's columns, built from full kron products, times
+        # random coordinates
+        psi = qm.haar_random_ket(n, 90 + n)
+        element = qm.AlgebraElement(np.random.default_rng(n).normal(size=(n, 3)), 0.0)
+        real, imag = (generator_matrix(psi)[:, :-1] @ element.coords.reshape(-1)).reshape(2, -1)
+        np.testing.assert_allclose(qm.element_action(element, psi), real + 1j * imag, rtol=0, atol=1e-14)
 
     def test_elements_linearly_independent(self):
         basis = qm.stabilizer_subalgebra(qm.basis_ket(4, 0))
@@ -194,6 +230,23 @@ class TestLuCovariance:
             assert np.max(np.abs(action - target)) < 1e-8
 
 
+    def test_conjugation_matches_the_trace_formula(self):
+        rng = np.random.default_rng(7)
+        unitaries = [qm.SingleQubitUnitary(random_unitary_2x2(rng), j) for j in (1, 2, 3, 4)]
+        element = qm.AlgebraElement(rng.normal(size=(4, 3)), 0.25)
+        moved = qm.conjugate_element(element, unitaries)
+        np.testing.assert_allclose(moved.coords, trace_conjugate(element, unitaries), rtol=0, atol=1e-14)
+        assert moved.phase == 0.25
+
+    def test_unitaries_must_target_qubits_in_order(self):
+        # the k-th unitary was once applied to qubit k whatever its target
+        element = qm.stabilizer_subalgebra(qm.ghz_state(3)).elements[0]
+        hadamards = [qm.SingleQubitUnitary(H, j) for j in (1, 2, 3)]
+        for wrong in (hadamards[::-1], [qm.SingleQubitUnitary(H, 1)] * 3, hadamards[:2]):
+            with pytest.raises(ValueError, match="on qubits 1..3 in order"):
+                qm.conjugate_element(element, wrong)
+
+
 class TestVerifyGhzSubalgebra:
     def identity_locals(self, n):
         return [qm.SingleQubitUnitary(np.eye(2), j) for j in range(1, n + 1)]
@@ -217,6 +270,37 @@ class TestVerifyGhzSubalgebra:
         basis = qm.stabilizer_subalgebra(qm.ghz_state(3))
         with pytest.raises(ValueError):
             qm.verify_ghz_subalgebra(basis, self.identity_locals(4))
+
+    def test_locals_must_target_qubits_in_order(self):
+        # a list out of label order, or every unitary on qubit 1, once
+        # rotated the wrong qubits silently
+        hadamards = [qm.SingleQubitUnitary(H, j) for j in (1, 2, 3)]
+        basis = qm.stabilizer_subalgebra(qm.apply_locals(hadamards, qm.ghz_state(3)))
+        for wrong in (hadamards[::-1], [qm.SingleQubitUnitary(H, 1)] * 3):
+            with pytest.raises(ValueError, match="on qubits 1..3 in order"):
+                qm.verify_ghz_subalgebra(basis, wrong)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_matches_the_per_element_rule(self, n):
+        # GHZ-class states against their own certificate's locals, which
+        # pass, and against Haar locals, which fail, plus near-GHZ states
+        # whose residues sit around the tolerance
+        rng = np.random.default_rng(300 + n)
+        states = [random_ghz_orbit(n, 310 + n + k)[0] for k in range(3)]
+        states += [eps_state(family, n, eps, 320 + n) for family in "AB" for eps in (1e-6, 1e-9, 1e-12)]
+        verdicts = []
+        for psi in states:
+            basis = qm.stabilizer_subalgebra(psi)
+            if not basis.elements:
+                continue
+            cert = qm.classify(psi).certificate
+            haar = [qm.SingleQubitUnitary(random_unitary_2x2(rng), j) for j in range(1, n + 1)]
+            for locals_ in (cert.locals_ if cert else (), haar):
+                if locals_:
+                    verdict = qm.verify_ghz_subalgebra(basis, locals_)
+                    assert verdict == former_verify(basis, locals_, ACTION_TOL)
+                    verdicts.append(verdict)
+        assert True in verdicts and False in verdicts
 
     def test_empty_basis_fails(self):
         assert not qm.verify_ghz_subalgebra(qm.StabilizerBasis((), 0), self.identity_locals(2))

@@ -19,6 +19,7 @@ from qmarginal.tensors import (
     _grams,
     _one_qubit_marginal,
     _pair_qr,
+    _phase_fix_columns,
     _qubit_factors,
     _rank_two_factor,
     _trace_positions,
@@ -150,6 +151,32 @@ class TestSchmidtSplit:
             np.testing.assert_allclose(split.weights, evals, atol=1e-12)
 
 
+    def test_one_qubit_state_has_no_split(self):
+        # the SVD of an n = 1 view has one singular value; numpy's
+        # IndexError once came from reading a second
+        with pytest.raises(ValueError, match="at least 2 qubits, got n = 1"):
+            qm.schmidt_split(qm.basis_ket(1, 0), 1)
+
+    def test_reassembly_is_the_sum_of_the_spliced_terms(self):
+        # the former reassembly, sum_i sqrt(w_i) tensor_insert(u_i, v_i, j)
+        psi = qm.haar_random_ket(4, 77)
+        for j in range(1, 5):
+            split = qm.schmidt_split(psi, j)
+            expected = sum(
+                np.sqrt(w) * qm.tensor_insert(split.one_qubit_vectors[:, i], split.rest_vectors[i], j)
+                for i, w in enumerate(split.weights)
+            )
+            np.testing.assert_allclose(split.reassemble().amplitudes, expected, rtol=0, atol=1e-15)
+
+    def test_one_qubit_vectors_are_phase_fixed(self):
+        psi = qm.haar_random_ket(3, 78)
+        for j in range(1, 4):
+            u = qm.schmidt_split(psi, j).one_qubit_vectors
+            top = u[np.argmax(np.abs(u), axis=0), [0, 1]]
+            np.testing.assert_allclose(top.imag, 0.0, rtol=0, atol=1e-15)
+            assert (top.real > 0).all()
+
+
 class TestSpectralDecompose:
     def test_scaled_identity(self):
         evals, evecs = qm.spectral_decompose(np.eye(2) / 2)
@@ -170,6 +197,31 @@ class TestSpectralDecompose:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
             qm.spectral_decompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    def test_rejects_a_matrix_that_is_not_finite(self, bad):
+        # NaN compared False in the Hermiticity test, and NaN eigenvalues
+        # came back
+        h = np.eye(3, dtype=complex) / 3
+        h[1, 1] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            qm.spectral_decompose(h)
+
+    def test_columns_are_phase_fixed_and_a_zero_column_stays(self):
+        rng = np.random.default_rng(79)
+        g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        evals, evecs = qm.spectral_decompose(g + g.conj().T)
+        top = evecs[np.argmax(np.abs(evecs), axis=0), np.arange(6)]
+        np.testing.assert_allclose(top.imag, 0.0, rtol=0, atol=1e-15)
+        assert (top.real > 0).all()
+        # the former per-vector fix, column by column, bit for bit
+        raw_evals, raw = np.linalg.eigh(g + g.conj().T)
+        for i, col in enumerate(raw[:, ::-1].T):
+            c = col[np.argmax(np.abs(col))]
+            np.testing.assert_array_equal(evecs[:, i], col * (abs(c) / c))
+        np.testing.assert_array_equal(evals, raw_evals[::-1])
+        vecs = np.array([[0.0, 1j], [0.0, 0.0]])
+        np.testing.assert_array_equal(_phase_fix_columns(vecs), [[0.0, 1.0], [0.0, 0.0]])
 
     @pytest.mark.parametrize("dim", [2, 4, 8, 16])
     def test_reconstruction_residual(self, dim):
@@ -763,11 +815,26 @@ class TestCallerIntegers:
          (lambda: qm.basis_ket(2, 1.0), "basis index 1.0 is not an integer"),
          (lambda: qm.MultiIndex.from_linear(1.0, 2), "basis index 1.0 is not an integer"),
          (lambda: qm.MultiIndex.from_linear(1, 2.0), "qubit count 2.0 is not an integer"),
-         (lambda: qm.search_sibling(qm.ghz_state(3), budget=2.5), "budget 2.5 is not an integer")],
-        ids=["Ket", "basis_ket", "from_linear-index", "from_linear-n", "search_sibling"],
+         (lambda: qm.search_sibling(qm.ghz_state(3), budget=2.5), "budget 2.5 is not an integer"),
+         (lambda: qm.RdmPanel(2.0, qm.panel_of_pure(qm.ghz_state(2)).entries),
+          "qubit count 2.0 is not an integer"),
+         (lambda: qm.ghz_state(3.0), "qubit count 3.0 is not an integer"),
+         (lambda: qm.eta_state(3.0, 1), "qubit count 3.0 is not an integer"),
+         (lambda: qm.haar_random_ket(2.0, 1), "qubit count 2.0 is not an integer"),
+         (lambda: qm.random_product_ket(2.5, 1), "qubit count 2.5 is not an integer"),
+         (lambda: qm.haar_random_ket(2, 1.5), "seed 1.5 is not an integer"),
+         (lambda: qm.random_product_ket(2, 1.5), "seed 1.5 is not an integer"),
+         (lambda: qm.random_lu_orbit(qm.ghz_state(3), 1.5), "seed 1.5 is not an integer"),
+         (lambda: qm.search_sibling(qm.ghz_state(3), seed=1.5), "seed 1.5 is not an integer")],
+        ids=["Ket", "basis_ket", "from_linear-index", "from_linear-n", "search_sibling",
+             "RdmPanel", "ghz_state", "eta_state", "haar_random_ket-n", "random_product_ket-n",
+             "haar_random_ket-seed", "random_product_ket-seed", "random_lu_orbit-seed",
+             "search_sibling-seed"],
     )
     def test_an_integer_argument_rejects_a_float(self, call, message):
-        # Ket(2.0, ...) was once accepted, and its .tensor() raised TypeError
+        # Ket(2.0, ...) was once accepted, and its .tensor() raised TypeError;
+        # RdmPanel's range() and numpy's shapes and SeedSequence raised
+        # TypeError for the others
         with pytest.raises(ValueError, match=message):
             call()
 
@@ -777,3 +844,13 @@ class TestCallerIntegers:
         np.testing.assert_array_equal(qm.basis_ket(2, np.int64(1)).amplitudes, psi.amplitudes)
         assert qm.MultiIndex.from_linear(np.int64(1), np.int64(2)).bits == (0, 1)
         assert qm.search_sibling(qm.ghz_state(3), budget=np.int64(2)).trials == 2
+        two = np.int64(2)
+        panel = qm.RdmPanel(two, qm.panel_of_pure(qm.ghz_state(2)).entries)
+        assert type(panel.n) is int and panel.entry(2).qubit_labels == (1,)
+        assert qm.ghz_state(two).n == qm.eta_state(two, 1).n == 2
+        for make in (lambda x: qm.haar_random_ket(x, x), lambda x: qm.random_product_ket(x, x),
+                     lambda x: qm.random_lu_orbit(qm.ghz_state(2), x)):
+            np.testing.assert_array_equal(make(two).amplitudes, make(2).amplitudes)
+        # past the 16 grid starts, the seed draws the random ones
+        reports = [qm.search_sibling(qm.haar_random_ket(3, 5), budget=20, seed=x) for x in (two, 2)]
+        assert reports[0].best_residual == reports[1].best_residual
