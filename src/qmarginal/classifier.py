@@ -33,9 +33,9 @@ from .tensors import (
     SingleQubitUnitary,
     _act,
     _axis_first,
-    _bit_flips,
     _bloch_rows,
     _check_tol,
+    _flip_table,
     _grams,
     _pair_qr,
     _qubit_factors,
@@ -379,11 +379,15 @@ def antipodal_support_reduction(
         raise ValueError("every transport must be non-scalar (|sin beta_j| > tol)")
     a, b = np.array(pairs, dtype=float).T
     # sb[i, j] = (-1)^(bit j of index i) * b_j
-    _, bits = _bit_flips(np.arange(2**n, dtype=np.int64), n)
-    sb = (1 - 2 * bits.T) * b
-    # delta[i, j, k] = a_j - a_k + s_ij b_j - s_ik b_k
-    delta = a[:, None] - a + sb[:, :, None] - sb[:, None, :]
-    broken = (np.abs(np.exp(1j * delta) - 1.0) > max(tol, PHASE_CONDITION_FLOOR)).any(axis=(1, 2))
+    _, _, signs = _flip_table(n)
+    sb = signs.T * b
+    # delta[i, j, k] = a_j - a_k + s_ij b_j - s_ik b_k, formed in place
+    delta = a[:, None] - a + sb[:, :, None]
+    delta -= sb[:, None, :]
+    # |e^{i delta} - 1| = 2 |sin(delta / 2)|, on the one float array
+    delta *= 0.5
+    np.abs(np.sin(delta, out=delta), out=delta)
+    broken = (delta > max(tol, PHASE_CONDITION_FLOOR) / 2).any(axis=(1, 2))
     allowed = {MultiIndex.from_linear(int(i), n) for i in np.flatnonzero(~broken)}
     if len(allowed) > 2:
         raise ValueError(f"phase condition admits {len(allowed)} indices; not antipodal")

@@ -30,6 +30,7 @@ verdict reads only the nullity of m (``_nullity``); only
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,10 +39,11 @@ from .tensors import (
     Ket,
     SingleQubitUnitary,
     _adjoint_rotation,
-    _bit_flips,
     _check_tol,
+    _flip_table,
     _grams,
     _qubit_factors,
+    _row_table,
 )
 from .tolerances import ACTION_TOL, NULL_FLOOR, NULL_REL_TOL, PRODUCT_TOL, RREF_PIVOT_TOL
 
@@ -91,18 +93,27 @@ def _sampled_rows(n: int) -> np.ndarray:
     return (np.arange(2 * (3 * n + 1), dtype=np.int64) * 0x9E3779B1) % 2**n
 
 
-def _pauli_system(psi: Ket, rows: np.ndarray) -> np.ndarray:
-    """Rows of m at the basis indices ``rows``: the real parts, then the
-    imaginary parts, of those rows of the complex matrix whose columns are
-    (iX_j)psi, (iY_j)psi, (iZ_j)psi for each qubit j, followed by i*psi.
+@functools.cache
+def _sampled_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``_row_table`` of ``_sampled_rows``, as ``tensors._flip_table``
+    holds it for every row: built once per n, for the certificate's block
+    m_S."""
+    return _row_table(_sampled_rows(n), n)
+
+
+def _pauli_system(psi: Ket, table: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
+    """Rows of m at the basis indices of ``table``, (rows, flips, signs) as
+    ``tensors._flip_table`` (every row) and ``_sampled_table`` (m_S) hold
+    them: the real parts, then the imaginary parts, of those rows of the
+    complex matrix whose columns are (iX_j)psi, (iY_j)psi, (iZ_j)psi for
+    each qubit j, followed by i*psi.
 
     Each entry is a gathered amplitude: (iX_j psi)[i] = i psi[i^b_j],
     (iY_j psi)[i] = +-psi[i^b_j], (iZ_j psi)[i] = +-i psi[i], with sign -
     where qubit j's bit of i is set, and i*(a + ib) = -b + ia.  The result
     is column-major, the layout LAPACK factors without a copy."""
     n = psi.n
-    flips, bits = _bit_flips(rows, n)
-    sign = 1.0 - 2.0 * bits
+    rows, flips, sign = table
     flipped = psi.amplitudes[flips]
     own = psi.amplitudes[rows]
     # columns[c] holds column c of m, its real half then its imaginary half
@@ -137,7 +148,7 @@ def _certified_trivial(psi: Ket) -> bool | None:
     k = 3 * n + 1
     if 2 * k >= 2**n:
         return None
-    sampled = _pauli_system(psi, _sampled_rows(n))
+    sampled = _pauli_system(psi, _sampled_table(n))
     frobenius = np.sqrt(k) * np.linalg.norm(psi.amplitudes)
     threshold = _null_threshold(frobenius, 2 * 2**n)
     # Why a completed factorisation proves lambda_min(G) >= t^2 for the
@@ -179,7 +190,7 @@ def element_action(element: AlgebraElement, psi: Ket) -> np.ndarray:
     without its phase column (``_pauli_system``) times the coordinates."""
     if element.n != psi.n:
         raise ValueError("qubit counts differ")
-    m = _pauli_system(psi, np.arange(2**psi.n, dtype=np.int64))
+    m = _pauli_system(psi, _flip_table(psi.n))
     real, imag = (m[:, :-1] @ element.coords.reshape(-1)).reshape(2, -1)
     return real + 1j * imag
 
@@ -236,7 +247,7 @@ def _nullity(psi: Ket) -> tuple[int, np.ndarray]:
     """The nullity of m from all 2*2^n of its rows, with no certificate, and
     the right factor vh of the SVD of m's QR factor R, whose last rows (as
     many as the nullity) span the null space."""
-    m = _pauli_system(psi, np.arange(2**psi.n, dtype=np.int64))
+    m = _pauli_system(psi, _flip_table(psi.n))
     # 2*2^n >= 3n+1 rows for every n >= 1, so R is square and vh is the full
     # right factor; the threshold still scales with the shape of m, not of R
     _, svals, vh = np.linalg.svd(np.linalg.qr(m, mode="r"))

@@ -24,8 +24,18 @@ Conventions used throughout the package:
   one qubit's marginal off the split in one pass.
 * Every kernel reads its qubit count off its array (2**n amplitudes, a
   2**k x 2**k matrix): callers pass qubit labels and positions, never a
-  size.  ``_bit_flips``, the same one-qubit flips as indices for gathering
-  amplitudes, is the one exception: it takes n, as indices carry no size.
+  size.  The layout of n qubits as indices is built once per n and kept,
+  read-only (``functools.cache``): ``_factor_table``, the
+  (n, 2, 2**(n-1)) gather that is ``_qubit_factors``, ``_pair_table``, the
+  (n-1, 2**(n-2), 4) gather of ``_pair_qr``'s pair flattenings, and
+  ``_flip_table``, the basis indices with each qubit's bit flipped and
+  that bit's sign, from which the stabilizer gathers its Pauli rows.  The
+  tables hold int64, numpy's index type: a gather casts any narrower index
+  to it on every call, which undoes the gain.  So the two index tables are
+  at most 8 n 2**n bytes each, half the complex stack they gather, and
+  ``_flip_table`` 8 (2n + 1) 2**n: at n = 12, 0.39 and 0.82 MB.
+  ``_row_table`` builds the flips and signs at any basis indices, and
+  takes n, as indices carry no size.
 * A panel entry is rank <= 2 when it comes from a pure state.  Entries of
   ``panel_of_pure`` keep their exact 2 x 2**k factor; a dense entry read
   from a file that is rank 2 up to HERM_TOL gets one from
@@ -430,17 +440,52 @@ def _axis_restore(a: np.ndarray, j: int) -> np.ndarray:
     return split.swapaxes(-3, -2).reshape(lead + (-1,))
 
 
-def _qubit_factors(amps: np.ndarray) -> np.ndarray:
-    """(n, 2, 2**(n-1)) stack of ``_axis_first`` of 2**n amplitudes at qubits 1..n."""
-    return np.stack([_axis_first(amps, j) for j in range(1, amps.size.bit_length())])
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
-def _bit_flips(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """For an int64 array of basis indices: the (n, len(rows)) indices with
-    qubit j's bit flipped (row j-1), where X_j reads its amplitude, and
-    whether that bit is set at each index."""
+@functools.cache
+def _factor_table(n: int) -> np.ndarray:
+    """The (n, 2, 2**(n-1)) indices whose gather from 2**n amplitudes is
+    their ``_axis_first`` views at qubits 1..n, stacked: the views of the
+    indices themselves."""
+    index = np.arange(2**n)
+    return _read_only(np.stack([_axis_first(index, j) for j in range(1, n + 1)]))
+
+
+@functools.cache
+def _pair_table(n: int) -> np.ndarray:
+    """The (n-1, 2**(n-2), 4) indices whose gather from 2**n amplitudes is
+    the transposed pair flattenings A^T of ``_pair_qr``: for each qubit
+    k = 2..n, columns over the pair (qubit 1, qubit k)."""
+    front = np.arange(2**n).reshape(2, -1)
+    flat = np.stack([_axis_first(front, m).reshape(4, -1).T for m in range(1, n)])
+    # row-major, so that the gather writes its output in order
+    return _read_only(np.ascontiguousarray(flat))
+
+
+def _row_table(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, flips, signs), read-only, for an int64 array of basis indices
+    of n qubits: flips (n, len(rows)) holds the indices with qubit j's bit
+    flipped (row j-1), where X_j reads its amplitude, and signs the
+    (-1)^(that bit) at each index, as floats."""
     masks = np.left_shift(1, np.arange(n - 1, -1, -1, dtype=np.int64))[:, None]
-    return rows ^ masks, (rows & masks) != 0
+    return tuple(_read_only(a) for a in (rows, rows ^ masks, np.where(rows & masks, -1.0, 1.0)))
+
+
+@functools.cache
+def _flip_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``_row_table`` of every basis index of n qubits, 0..2**n - 1: the
+    table the stabilizer's full Pauli system gathers from and whose signs
+    ``antipodal_support_reduction`` reads."""
+    return _row_table(np.arange(2**n), n)
+
+
+def _qubit_factors(amps: np.ndarray) -> np.ndarray:
+    """(n, 2, 2**(n-1)) stack of ``_axis_first`` of 2**n amplitudes at
+    qubits 1..n: one gather through ``_factor_table``."""
+    return amps[_factor_table(amps.size.bit_length() - 1)]
 
 
 def _grams(a: np.ndarray) -> np.ndarray:
@@ -487,7 +532,8 @@ def _pair_qr(front: np.ndarray, mode: str = "reduced"):
     for its ``_axis_first`` view at j; Y alone, with no Q, for ``mode``
     "r".  For each other qubit k, in label order, the pair flattening A
     (4 x 2**(n-2), rows over qubits j and k) is split A^T = Q R, with p <= 4
-    columns.  The blocks of rho_(k) over qubit j are Q Y_ab Q^dagger, for
+    columns; every A^T comes from one gather through ``_pair_table``.  The
+    blocks of rho_(k) over qubit j are Q Y_ab Q^dagger, for
     Y_ab = sum_i R_(a,i) R_(b,i)^dagger, which keeps their inner products.
     With Q, Y is formed from R = Q^dagger A^T in extended precision, so that
     it matches a matrix compressed by the same Q to float64 rounding: near
@@ -496,7 +542,7 @@ def _pair_qr(front: np.ndarray, mode: str = "reduced"):
     p, p), indexed [k, a, b].
     """
     n = front.shape[-1].bit_length()  # 2**(n-1) columns
-    flat = np.stack([_axis_first(front, m).reshape(4, -1).T for m in range(1, n)])  # A^T
+    flat = front.reshape(-1)[_pair_table(n)]  # A^T
     if mode == "r":
         r = np.linalg.qr(flat, mode="r")
     else:

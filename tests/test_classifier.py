@@ -1,5 +1,7 @@
 """Classification, certificates, siblings, and transports."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -293,7 +295,88 @@ class TestExtractLocalUnitary:
             qm.extract_local_unitary(a, b, 1, tol)
 
 
+def random_phase_pairs(n, case, rng):
+    """Phase pairs (a, b) of one of four kinds, by case mod 4."""
+    if case % 4 == 0:  # generic phases: no index is allowed
+        a, b = rng.uniform(-np.pi, np.pi, (2, n))
+    elif case % 4 == 1:  # a_j + s_j b_j equal for all j: the index s alone
+        b = rng.uniform(0.1, 3.0, n) * rng.choice([-1, 1], n)
+        a = rng.uniform(-np.pi, np.pi) - rng.choice([-1, 1], n) * b
+    elif case % 4 == 2:  # b_j = s_j beta, equal a_j (mod 2 pi): the pair s, -s
+        b = rng.uniform(0.1, 3.0) * rng.choice([-1, 1], n)
+        a = rng.uniform(-np.pi, np.pi) + 2 * np.pi * rng.integers(-1, 2, n)
+    else:  # exact quarter turns and half turns: a pair, on the lattice
+        a = rng.integers(0, 2, n) * np.pi
+        b = rng.choice([-1, 1], n) * np.pi / 2
+    return a, b
+
+
+def former_allowed(n, pairs, tol=PHASE_CONDITION_TOL):
+    """The indices the former ``antipodal_support_reduction`` allowed, before
+    its checks on their count: |e^{i delta} - 1| from the complex arrays
+    1j * delta and exp(1j * delta), each of shape (2^n, n, n)."""
+    a, b = np.array(pairs, dtype=float).T
+    masks = np.left_shift(1, np.arange(n - 1, -1, -1, dtype=np.int64))[:, None]
+    bits = (np.arange(2**n, dtype=np.int64) & masks) != 0
+    sb = (1 - 2 * bits.T) * b
+    delta = a[:, None] - a + sb[:, :, None] - sb[:, None, :]
+    broken = (np.abs(np.exp(1j * delta) - 1.0) > max(tol, PHASE_CONDITION_FLOOR)).any(axis=(1, 2))
+    return set(np.flatnonzero(~broken).tolist())
+
+
+def assert_matches_former(n, pairs, tol=PHASE_CONDITION_TOL):
+    """The allowed set equals the former one, or both code paths refuse it:
+    more than two indices, or two that are not antipodal."""
+    want = former_allowed(n, pairs, tol)
+    if len(want) > 2 or (len(want) == 2 and sum(want) != 2**n - 1):
+        with pytest.raises(ValueError, match="phase condition admits"):
+            qm.antipodal_support_reduction(qm.ghz_state(n), pairs, tol)
+    else:
+        allowed = qm.antipodal_support_reduction(qm.ghz_state(n), pairs, tol)
+        assert {m.to_linear() for m in allowed} == want
+
+
 class TestAntipodalReduction:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_matches_the_former_complex_arrays_on_ghz_orbits(self, n):
+        for seed in range(3):
+            orbit, _ = random_ghz_orbit(n, 4500 + 10 * n + seed)
+            partner = qm.sibling(orbit, qm.classify(orbit).certificate)
+            phases = [
+                qm.diagonal_phases(qm.extract_local_unitary(orbit, partner, j))[0]
+                for j in range(1, n + 1)
+            ]
+            assert_matches_former(n, [(p.alpha_j, p.beta_j) for p in phases])
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_matches_the_former_complex_arrays_on_the_phase_cases(self, n):
+        rng = np.random.default_rng(40 + n)
+        for case in range(32):
+            assert_matches_former(n, list(zip(*random_phase_pairs(n, case, rng))))
+
+    def test_matches_the_former_complex_arrays_on_the_fixed_cases(self):
+        assert_matches_former(3, [(0.0, np.pi / 2)] * 3)
+        assert_matches_former(3, [(0.0, 1e-10)] * 3, 1e-12)
+        assert_matches_former(2, [(1.0, 1e-10), (0.0, 1.0)], 1e-12)
+
+    def test_peak_memory_at_twelve_qubits(self):
+        # the float delta is 2^12 * 12^2 * 8 bytes = 4.7 MB; the former
+        # complex 1j * delta and exp(1j * delta) were 9.4 MB each
+        n = 12
+        a, b = random_phase_pairs(n, 2, np.random.default_rng(4612))
+        pairs = list(zip(a, b))
+        peaks = []
+        for run in (lambda: qm.antipodal_support_reduction(qm.ghz_state(n), pairs),
+                    lambda: former_allowed(n, pairs)):
+            tracemalloc.start()
+            try:
+                allowed = run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert len(allowed) == 2
+        assert peaks[0] < 12e6 < 18.9e6 < peaks[1]
+
     def test_quarter_turn_phases(self):
         # independent evaluation of the consistency condition over all
         # 8 indices: bits must agree everywhere or disagree everywhere
@@ -355,17 +438,7 @@ class TestAntipodalReduction:
         tol = PHASE_CONDITION_TOL
         rng = np.random.default_rng(40 + n)
         for case in range(32):
-            if case % 4 == 0:  # generic phases: no index is allowed
-                a, b = rng.uniform(-np.pi, np.pi, (2, n))
-            elif case % 4 == 1:  # a_j + s_j b_j equal for all j: the index s alone
-                b = rng.uniform(0.1, 3.0, n) * rng.choice([-1, 1], n)
-                a = rng.uniform(-np.pi, np.pi) - rng.choice([-1, 1], n) * b
-            elif case % 4 == 2:  # b_j = s_j beta, equal a_j (mod 2 pi): the pair s, -s
-                b = rng.uniform(0.1, 3.0) * rng.choice([-1, 1], n)
-                a = rng.uniform(-np.pi, np.pi) + 2 * np.pi * rng.integers(-1, 2, n)
-            else:  # exact quarter turns and half turns: a pair, on the lattice
-                a = rng.integers(0, 2, n) * np.pi
-                b = rng.choice([-1, 1], n) * np.pi / 2
+            a, b = random_phase_pairs(n, case, rng)
             pairs = list(zip(a, b))
             expected = set()
             for index in range(2**n):

@@ -7,7 +7,7 @@ import qmarginal as qm
 from conftest import EPSILONS, eps_state, mixed_corpus, random_ghz_orbit, random_hybrid
 from qmarginal.oracle import random_unitary_2x2
 from qmarginal.stabilizer import _full_rule, _nullity, _rref
-from qmarginal.tensors import _grams, _qubit_factors
+from qmarginal.tensors import _flip_table, _grams, _qubit_factors, _row_table
 from qmarginal.tolerances import ACTION_TOL, PRODUCT_TOL
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -334,10 +334,10 @@ class TestSampledRowCertificate:
         calls = []
         original = qm.stabilizer._pauli_system
 
-        def counted(psi, rows):
-            if len(rows) == 2**psi.n:
+        def counted(psi, table):
+            if len(table[0]) == 2**psi.n:
                 calls.append(psi)
-            return original(psi, rows)
+            return original(psi, table)
 
         monkeypatch.setattr(qm.stabilizer, "_pauli_system", counted)
         return calls
@@ -353,13 +353,26 @@ class TestSampledRowCertificate:
         assert len(set(rows.tolist())) == len(rows) == 2 * (3 * n + 1)
         m = generator_matrix(psi)
         np.testing.assert_array_equal(
-            qm.stabilizer._pauli_system(psi, rows), m[np.concatenate([rows, rows + 2**n])]
+            qm.stabilizer._pauli_system(psi, qm.stabilizer._sampled_table(n)),
+            m[np.concatenate([rows, rows + 2**n])],
         )
+
+    @pytest.mark.parametrize("n", range(6, 21))
+    def test_sampled_rows_are_distinct_and_vary_every_qubit(self, n):
+        # the certificate needs both: a repeated row adds no rank, and on
+        # rows that fix qubit j's bit the columns iZ_j psi and i psi are parallel
+        rows = qm.stabilizer._sampled_rows(n)
+        assert len(rows) == 2 * (3 * n + 1)
+        assert len(np.unique(rows)) == len(rows)
+        assert 0 <= rows.min() and rows.max() < 2**n
+        bits = (rows[:, None] >> np.arange(n)) & 1
+        assert bits.min(axis=0).tolist() == [0] * n
+        assert bits.max(axis=0).tolist() == [1] * n
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
     def test_all_gathered_rows_are_the_full_system_column_major(self, n):
         psi = qm.random_lu_orbit(qm.ghz_state(n), seed=3050 + n) if n > 1 else qm.haar_random_ket(1, 3050)
-        m = qm.stabilizer._pauli_system(psi, np.arange(2**n, dtype=np.int64))
+        m = qm.stabilizer._pauli_system(psi, _flip_table(n))
         np.testing.assert_array_equal(m, generator_matrix(psi))
         assert m.flags.f_contiguous
 
@@ -368,9 +381,11 @@ class TestSampledRowCertificate:
         states = [psi for _, psi in mixed_corpus(n, 2, 3100 + 10 * n)]
         certified = [qm.stabilizer_subalgebra(psi) for psi in states]
         # with every sampled index at 0 the block has rank <= 2, so no
-        # certificate passes and each call runs the full rule
+        # certificate passes and each call runs the full rule; the table is
+        # patched, not _sampled_rows, since the calls above cached it per n
+        zeros = np.zeros(2 * (3 * n + 1), dtype=np.int64)
         monkeypatch.setattr(
-            qm.stabilizer, "_sampled_rows", lambda n: np.zeros(2 * (3 * n + 1), dtype=np.int64)
+            qm.stabilizer, "_sampled_table", lambda n: _row_table(zeros, n)
         )
         calls = self.count_full_path(monkeypatch)
         for psi, got in zip(states, certified):
@@ -435,9 +450,9 @@ class TestCertificateFirst:
         calls = []
         original = qm.stabilizer._pauli_system
 
-        def counted(psi, rows):
-            calls.append("full" if len(rows) == 2**psi.n else "sampled")
-            return original(psi, rows)
+        def counted(psi, table):
+            calls.append("full" if len(table[0]) == 2**psi.n else "sampled")
+            return original(psi, table)
 
         monkeypatch.setattr(qm.stabilizer, "_pauli_system", counted)
         return calls

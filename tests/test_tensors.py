@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import qmarginal as qm
-from conftest import eps_state, w_state
+from conftest import eps_state, random_ghz_orbit, w_state
 from qmarginal.oracle import random_unitary_2x2
 from qmarginal.reconstruct import _bloch_pair
 from qmarginal.tensors import (
@@ -16,9 +16,12 @@ from qmarginal.tensors import (
     _axis_first,
     _bloch_rows,
     _blocks,
+    _factor_table,
+    _flip_table,
     _grams,
     _one_qubit_marginal,
     _pair_qr,
+    _pair_table,
     _phase_fix_columns,
     _qubit_factors,
     _rank_two_factor,
@@ -510,6 +513,98 @@ class TestQubitFactorKernel:
             for j in range(1, n + 1):
                 want = np.linalg.eigvalsh(_grams(_axis_first(psi.amplitudes, j)))[::-1]
                 np.testing.assert_allclose(spectra[j - 1], want, rtol=0, atol=1e-14)
+
+
+def stacked_factors(amps):
+    """The former ``_qubit_factors``: one ``_axis_first`` view per qubit, stacked."""
+    return np.stack([_axis_first(amps, j) for j in range(1, amps.size.bit_length())])
+
+
+def stacked_pair_qr(front, mode="reduced"):
+    """The former ``_pair_qr``: its pair flattenings stacked one view per qubit."""
+    n = front.shape[-1].bit_length()
+    flat = np.stack([_axis_first(front, m).reshape(4, -1).T for m in range(1, n)])
+    if mode == "r":
+        r = np.linalg.qr(flat, mode="r")
+    else:
+        q = np.linalg.qr(flat)[0]
+        r = q.conj().swapaxes(-1, -2).astype(np.clongdouble) @ flat.astype(np.clongdouble)
+    r = r.reshape(n - 1, -1, 2, 2)
+    own = np.einsum("kpai,kqbi->kabpq", r, r.conj()).astype(complex, copy=False)
+    return own if mode == "r" else (q, own)
+
+
+def same_bits(got, want):
+    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+class TestIndexTables:
+    """The per-n index tables gather what the per-qubit views stacked, bit
+    for bit, and each is built once per qubit count and kept read-only."""
+
+    @staticmethod
+    def states(n):
+        psi = qm.haar_random_ket(n, 4100 + n)
+        orbit = qm.random_lu_orbit(qm.ghz_state(n), seed=4200 + n) if n > 1 else qm.basis_ket(1, 1)
+        return [psi.amplitudes, orbit.amplitudes]
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_qubit_factors_match_the_stacked_views(self, n):
+        for amps in self.states(n):
+            # a strided copy of the amplitudes gathers the same values
+            strided = np.stack([amps, -amps], axis=1)[:, 0]
+            for v in (amps, strided):
+                assert same_bits(_qubit_factors(v), stacked_factors(amps))
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_pair_flattenings_match_the_stacked_views(self, n):
+        for amps in self.states(n):
+            for j in (1, n):
+                front = _axis_first(amps, j)
+                want = np.stack([_axis_first(front, m).reshape(4, -1).T for m in range(1, n)])
+                assert same_bits(front.reshape(-1)[_pair_table(n)], want)
+                assert same_bits(_pair_qr(front, "r"), stacked_pair_qr(front, "r"))
+                for got, ref in zip(_pair_qr(front), stacked_pair_qr(front)):
+                    assert same_bits(got, ref)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 9])
+    def test_flip_table_is_every_row_with_each_bit_flipped(self, n):
+        rows, flips, signs = _flip_table(n)
+        assert rows.tolist() == list(range(2**n))
+        for j in range(1, n + 1):
+            bit = (rows >> (n - j)) & 1
+            assert np.array_equal(flips[j - 1], rows ^ (1 << (n - j)))
+            assert np.array_equal(signs[j - 1], 1.0 - 2.0 * bit)
+
+    @pytest.mark.parametrize(
+        "table", [_factor_table, _pair_table, _flip_table, qm.stabilizer._sampled_table]
+    )
+    def test_each_table_is_read_only(self, table):
+        for n in (6, 8):
+            arrays = table(n)
+            for a in arrays if isinstance(arrays, tuple) else (arrays,):
+                assert not a.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    a[(0,) * a.ndim] = 1
+
+    def test_each_table_is_built_once_per_qubit_count(self):
+        tables = (_factor_table, _pair_table, _flip_table, qm.stabilizer._sampled_table)
+        for table in tables:
+            table.cache_clear()
+        for n in (6, 7):
+            for seed in range(3):
+                for psi in (qm.haar_random_ket(n, 4300 + seed), random_ghz_orbit(n, 4400 + seed)[0]):
+                    qm.classify(psi)
+                    qm.panel_of_pure(psi)
+                    qm.undetermined_by_dimension(psi)
+                    qm.stabilizer_subalgebra(psi)
+        # classify and panel_of_pure gather the factors (and classify those
+        # of a GHZ orbit's branch, at n - 1 qubits), classify the pair
+        # flattenings; the Haar states gather the sampled rows and the GHZ
+        # orbits every row, each many times over
+        for table, counts in zip(tables, (3, 2, 2, 2)):
+            info = table.cache_info()
+            assert info.misses == info.currsize == counts and info.hits > 0, (table, info)
 
 
 def dense_bloch_rows(entries):
