@@ -21,6 +21,7 @@ states from a certificate.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +36,6 @@ from .tensors import (
     _axis_first,
     _bloch_rows,
     _check_tol,
-    _flip_table,
     _grams,
     _pair_qr,
     _qubit_factors,
@@ -60,7 +60,9 @@ class GhzCertificate:
 
     Applying ``locals_`` (one unitary per qubit, in label order) to the
     source state leaves amplitude only on the antipodal index pair
-    ``support`` = (J, J-bar), with values ``alpha`` and ``beta``.
+    ``support`` = (J, J-bar), with values ``alpha`` and ``beta``.  Any such
+    pair is accepted here; ``classify`` always gives (0...0, 1...1), its
+    bases' construction, with alpha on the heavier branch.
 
     Invariants, checked here and relied on downstream: local k targets
     qubit k; both support indices have n bits and are complements;
@@ -128,29 +130,24 @@ def _certificate_from_bases(psi: Ket, bases: list[np.ndarray], tol: float) -> Gh
     """Try to assemble a certificate from per-qubit basis columns.
 
     ``bases[j]`` holds the two basis vectors of qubit j+1 as columns; the
-    locals are their conjugate transposes.  Succeeds when the rotated state
-    is supported on one antipodal index pair within tol.  The bases come
-    from ``eigh`` (``_ghz_bases``), so they are unitary to rounding, and
-    the locals wrap them through ``SingleQubitUnitary._trusted``, with no
-    second check.
+    locals are their conjugate transposes.  ``_ghz_bases`` builds them so
+    that a GHZ-class state lands on 0...0 (the heavier branch) and 1...1,
+    so the support is that pair, read off by construction: the certificate
+    holds when the rotated state's other amplitudes are all within tol and
+    neither amplitude of the pair is.  The bases come from ``eigh``, so they
+    are unitary to rounding, and the locals wrap them through
+    ``SingleQubitUnitary._trusted``, with no second check.
     """
     ops = [(j + 1, b.conj().T) for j, b in enumerate(bases)]
     rotated = _act(psi.amplitudes, ops)
-    top = int(np.argmax(np.abs(rotated)))
-    j_index = MultiIndex.from_linear(top, psi.n)
-    jbar_index = j_index.complement()
-    other = jbar_index.to_linear()
-    off = np.abs(rotated)
-    off[[top, other]] = 0.0
-    if float(off.max()) > tol:
-        return None
-    alpha, beta = rotated[top], rotated[other]
-    if abs(beta) <= tol:
+    alpha, beta = rotated[0], rotated[-1]
+    if float(np.abs(rotated[1:-1]).max()) > tol or min(abs(alpha), abs(beta)) <= tol:
         return None
     scale = np.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
     locals_ = tuple(SingleQubitUnitary._trusted(m, j) for j, m in ops)
+    zeros = MultiIndex((0,) * psi.n)
     return GhzCertificate(
-        locals_, complex(alpha / scale), complex(beta / scale), (j_index, jbar_index)
+        locals_, complex(alpha / scale), complex(beta / scale), (zeros, zeros.complement())
     )
 
 
@@ -193,11 +190,14 @@ def classify(psi: Ket, tol: float = CLASSIFY_TOL) -> Classification:
     Otherwise the rank of qubit 1's Bloch matrix M decides (module
     docstring): "determined" when its second singular value exceeds tol,
     else "ghz-class" when ``_certificate_from_bases`` accepts the bases
-    built from M's axis (``_ghz_bases``).  The cutoff is tol because a third
-    amplitude eps on a GHZ-class state gives a second singular value
-    proportional to eps, which the certificate's off-support amplitude eps
-    meets at the same tol.  The ratio depends on the amplitudes: about
-    1.131 for 0.6|0..0> + 0.8|1..1> + eps|0..01>, about 0.57 for
+    built from M's axis (``_ghz_bases``); the certificate's support is then
+    always (0...0, 1...1), read off the bases' construction, not ranked by
+    magnitude, so a balanced state's order does not follow rounding.  The
+    cutoff is tol because a third amplitude eps on a GHZ-class state gives
+    a second singular value proportional to eps, which the certificate's
+    off-support amplitude eps meets at the same tol.  The ratio depends on
+    the amplitudes: about 1.131 for 0.6|0..0> + 0.8|1..1> + eps|0..01>,
+    about 0.57 for
     0.2|000> + sqrt(0.96)|111> + eps|100>; ROADMAP.md item 2 tracks these
     constants across the package's thresholds.  The singular value comes
     from M compressed (``_pair_qr``) to 3 x at most 32(n-1), unsquared, so
@@ -205,7 +205,8 @@ def classify(psi: Ket, tol: float = CLASSIFY_TOL) -> Classification:
     ``Diagnostics.branch`` names the spectral case ("degenerate" when every
     marginal is maximally mixed) and ``ill_conditioned`` flags a rank <= 1
     without a certificate.  Raises ``ValueError`` for a tol that is not
-    positive (NaN included: it compares False with every margin).
+    positive and finite (NaN compares False with every margin, and inf
+    passes every one).
     """
     n = psi.n
     if n < 2:
@@ -294,11 +295,11 @@ def extract_local_unitary(psi: Ket, psi_prime: Ket, j: int, tol: float = TRANSPO
 
     Exists exactly when the two states share their whole marginal panel;
     raises when the panels differ beyond tol, when no transport is found,
-    and for a tol that is not positive (NaN included).  L_j is the polar
-    factor of A' A^dagger = e^{i theta} L_j A A^dagger (A, A': the states with
-    qubit j as row index), as A A^dagger is PSD whatever its spectrum.  A
-    polar factor is unitary by construction, so it is wrapped with
-    ``SingleQubitUnitary._trusted``, with no second check.
+    and for a tol that is not positive and finite (NaN included).  L_j is
+    the polar factor of A' A^dagger = e^{i theta} L_j A A^dagger (A, A': the
+    states with qubit j as row index), as A A^dagger is PSD whatever its
+    spectrum.  A polar factor is unitary by construction, so it is wrapped
+    with ``SingleQubitUnitary._trusted``, with no second check.
     """
     if psi.n != psi_prime.n:
         raise ValueError("qubit counts differ")
@@ -321,8 +322,8 @@ def lu_equivalence_check(
     Returns one unitary per qubit, each of which alone maps a to b up to a
     global phase; None when some transport fails verification (a tolerance
     breach, since panel-equal states always admit one).  Raises
-    ``ValueError`` for a tol that is not positive (NaN included).  Each
-    transport is a polar factor, wrapped as in ``extract_local_unitary``.
+    ``ValueError`` for a tol that is not positive and finite (NaN included).
+    Each transport is a polar factor, wrapped as in ``extract_local_unitary``.
     """
     if a.n != b.n:
         raise ValueError("qubit counts differ")
@@ -358,14 +359,21 @@ def antipodal_support_reduction(
     """Indices where the pairwise phase-consistency condition allows a
     nonzero amplitude, given per-qubit diagonal transports.
 
-    Requires every transport to be non-scalar (|sin beta_j| > tol); the
-    allowed set is then contained in one antipodal pair, and anything else
-    signals numerical inconsistency upstream.  The two errors for a wider
-    set fire only for tol below PHASE_CONDITION_FLOOR, when some
-    |sin beta_j| lies between tol and that floor, so the phase test reads
-    the transport as scalar; at or above the floor they cannot, up to
-    rounding.  Raises ``ValueError`` for a tol that is not positive (NaN
-    included).
+    Index s (signs s_j = (-1)^(bit j)) is allowed when every delta =
+    a_j - a_k + s_j b_j - s_k b_k has |e^{i delta} - 1| within
+    max(tol, PHASE_CONDITION_FLOOR).  The pairs with qubit 1 come first:
+    with qubit 1's bit fixed, each other qubit keeps only the bits whose
+    delta against qubit 1 passes, and the full pairwise test runs on the
+    product of the kept bits alone, so the cost is n^2 per candidate, not
+    per index.  Requires finite phase pairs and every transport non-scalar
+    (|sin beta_j| > tol).  At tol >= PHASE_CONDITION_FLOOR a qubit then
+    keeps at most one bit per choice of qubit 1's, up to rounding, so there
+    are at most two candidates and the allowed set lies in one antipodal
+    pair.  Below the floor a |sin beta_j| between tol and the floor reads as
+    scalar to the phase test, its qubit keeps both bits, up to 2^n indices
+    are candidates, and the two errors for a wider set can fire; at or
+    above the floor they signal numerical inconsistency upstream.  Raises
+    ``ValueError`` for a tol that is not positive and finite (NaN included).
     """
     _check_tol(tol)
     n = psi.n
@@ -375,20 +383,31 @@ def antipodal_support_reduction(
     ]
     if len(pairs) != n:
         raise ValueError(f"expected {n} phase pairs, got {len(pairs)}")
+    if not np.isfinite(pairs).all():
+        raise ValueError("phase pairs must be finite")
     if any(abs(np.sin(b)) <= tol for _, b in pairs):
         raise ValueError("every transport must be non-scalar (|sin beta_j| > tol)")
     a, b = np.array(pairs, dtype=float).T
-    # sb[i, j] = (-1)^(bit j of index i) * b_j
-    _, _, signs = _flip_table(n)
-    sb = signs.T * b
-    # delta[i, j, k] = a_j - a_k + s_ij b_j - s_ik b_k, formed in place
-    delta = a[:, None] - a + sb[:, :, None]
-    delta -= sb[:, None, :]
-    # |e^{i delta} - 1| = 2 |sin(delta / 2)|, on the one float array
-    delta *= 0.5
-    np.abs(np.sin(delta, out=delta), out=delta)
-    broken = (delta > max(tol, PHASE_CONDITION_FLOOR) / 2).any(axis=(1, 2))
-    allowed = {MultiIndex.from_linear(int(i), n) for i in np.flatnonzero(~broken)}
+    limit = max(tol, PHASE_CONDITION_FLOOR) / 2
+
+    def consistent(sb: np.ndarray) -> np.ndarray:
+        # for signed betas sb[..., j] = s_j b_j, whether each pair (j, k)
+        # passes: delta = a_j - a_k + s_j b_j - s_k b_k, and
+        # |e^{i delta} - 1| = 2 |sin(delta / 2)| within max(tol, floor)
+        delta = a[:, None] - a + sb[..., :, None] - sb[..., None, :]
+        return np.abs(np.sin(0.5 * delta)) <= limit
+
+    signed = np.stack([b, -b])  # signed[bit, j] = (-1)^bit b_j
+    candidates = []
+    for lead in (0, 1):  # qubit 1's bit
+        sb = signed.copy()
+        sb[:, 0] = signed[lead, 0]
+        # the bits of each qubit j >= 2 whose pair (j, 1) passes: the very
+        # delta the full test computes at every index with those two bits
+        candidates += itertools.product([lead], *map(np.flatnonzero, consistent(sb)[:, 1:, 0].T))
+    bits = np.array(candidates, dtype=int).reshape(-1, n)
+    passed = consistent(np.where(bits == 1, -b, b)).all(axis=(1, 2))
+    allowed = {MultiIndex(tuple(row)) for row in bits[passed]}
     if len(allowed) > 2:
         raise ValueError(f"phase condition admits {len(allowed)} indices; not antipodal")
     if len(allowed) == 2:

@@ -62,7 +62,8 @@ def search_sibling(
     or all of them.  The dense panel mismatch is computed only for the
     starts read here: those up to the witness that end off the scalar
     locus.  Raises ``ValueError`` for a budget that is not a non-negative
-    integer, a seed that is not an integer or a tol that is not positive.
+    integer, a seed that is not an integer or a tol that is not positive
+    and finite.
 
     The search stays blind to the classifier on purpose: it imports
     nothing from ``classifier``, reads no Bloch matrix and takes no rank

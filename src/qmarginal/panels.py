@@ -75,7 +75,8 @@ class PanelSubset:
         object.__setattr__(self, "kept", kept)
 
     def matches(self, other: "RdmPanel | PanelSubset", tol: float = PANEL_TOL) -> bool:
-        """Raises ``ValueError`` for a tol that is not positive (NaN included)."""
+        """Raises ``ValueError`` for a tol that is not positive and finite
+        (NaN included)."""
         other_panel = other.panel if isinstance(other, PanelSubset) else other
         if other_panel.n != self.panel.n:
             raise ValueError("panel sizes differ")
@@ -116,7 +117,8 @@ def panel_of_mixed(rho: DensityMatrix) -> RdmPanel:
 
 def panels_equal(a: RdmPanel, b: RdmPanel, tol: float = PANEL_TOL) -> bool:
     """Entrywise max-norm equality of two panels: ``panel_distance(a, b) <= tol``.
-    Raises ``ValueError`` for a tol that is not positive (NaN included)."""
+    Raises ``ValueError`` for a tol that is not positive and finite (NaN
+    included)."""
     if a.n != b.n:
         raise ValueError("panel sizes differ")
     _check_tol(tol)
@@ -137,7 +139,7 @@ def subset_equal(a: Ket, b: Ket, kept, tol: float = PANEL_TOL) -> bool:
     """Do a and b share the marginals rho_(j) for every j in ``kept``?
     ``PanelSubset.matches`` on their two pure panels, so it raises that
     class's ``ValueError`` for an empty or out-of-range ``kept`` and for a
-    tol that is not positive (NaN included)."""
+    tol that is not positive and finite (NaN included)."""
     if a.n != b.n:
         raise ValueError("qubit counts differ")
     return PanelSubset(panel_of_pure(a), kept).matches(panel_of_pure(b), tol)

@@ -86,7 +86,7 @@ def purify_over_qubit(
     pure state is limited to rank 2 by the Schmidt decomposition across
     the omitted qubit.  Raises ``ValueError`` unless ``rdm`` is on the
     qubits of 1..n other than j, for n one more than its qubit count, and
-    for a tol that is not positive (NaN included).
+    for a tol that is not positive and finite (NaN included).
     """
     _check_tol(tol)
     j = _qubit_label(j)
@@ -145,8 +145,8 @@ def reconstruct(panel: RdmPanel, tol: float = RECONSTRUCT_TOL) -> Reconstruction
     Returns Unique with the reconstructed state, GhzFamily with a
     certificate when the panel belongs to a GHZ-class orbit, or
     Incompatible with a reason when no pure state reproduces the panel
-    within tol.  Raises ``ValueError`` for a tol that is not positive (NaN
-    included).
+    within tol.  Raises ``ValueError`` for a tol that is not positive and
+    finite (NaN included).
     """
     _check_tol(tol)
     # entry 1's eigenvectors are kept for the purification; an entry

@@ -326,8 +326,8 @@ def verify_ghz_subalgebra(
 ) -> bool:
     """Check that, after per-qubit adjoint conjugation, the basis spans
     exactly the traceless diagonal algebra {sum_j i t_j Z_j : sum_j t_j = 0}.
-    Raises ``ValueError`` for a tol that is not positive (NaN included), and
-    unless the local unitaries act on qubits 1..n in order."""
+    Raises ``ValueError`` for a tol that is not positive and finite (NaN
+    included), and unless the local unitaries act on qubits 1..n in order."""
     _check_tol(tol)
     if not basis.elements:
         return False

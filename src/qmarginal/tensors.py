@@ -29,7 +29,8 @@ Conventions used throughout the package:
   (n, 2, 2**(n-1)) gather that is ``_qubit_factors``, ``_pair_table``, the
   (n-1, 2**(n-2), 4) gather of ``_pair_qr``'s pair flattenings, and
   ``_flip_table``, the basis indices with each qubit's bit flipped and
-  that bit's sign, from which the stabilizer gathers its Pauli rows.  The
+  that bit's sign, from which the stabilizer gathers its Pauli rows (its
+  only reader: ``antipodal_support_reduction`` builds no 2**n table).  The
   tables hold int64, numpy's index type: a gather casts any narrower index
   to it on every call, which undoes the gain.  So the two index tables are
   at most 8 n 2**n bytes each, half the complex stack they gather, and
@@ -82,10 +83,10 @@ from .tolerances import (
 
 
 def _check_tol(tol: float) -> None:
-    """Reject a caller's tol that is not positive, NaN included: NaN
-    compares False with every margin."""
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    """Reject a caller's tol outside 0 < tol < inf: NaN compares False with
+    every margin, and inf passes every one."""
+    if not 0 < tol < float("inf"):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -477,8 +478,7 @@ def _row_table(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.nda
 @functools.cache
 def _flip_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The ``_row_table`` of every basis index of n qubits, 0..2**n - 1: the
-    table the stabilizer's full Pauli system gathers from and whose signs
-    ``antipodal_support_reduction`` reads."""
+    table the stabilizer's full Pauli system gathers from, and nothing else."""
     return _row_table(np.arange(2**n), n)
 
 
@@ -736,7 +736,8 @@ def apply_locals(unitaries, psi: Ket) -> Ket:
 
 def equal_up_to_phase(a: Ket, b: Ket, tol: float = PHASE_EQUAL_TOL) -> bool:
     """True when a and b differ by at most a global phase.  Raises
-    ``ValueError`` for a tol that is not positive (NaN included)."""
+    ``ValueError`` for a tol that is not positive and finite (NaN
+    included)."""
     _check_tol(tol)
     if a.n != b.n:
         raise ValueError("qubit counts differ")

@@ -453,6 +453,79 @@ class TestAntipodalReduction:
             allowed = qm.antipodal_support_reduction(qm.ghz_state(n), pairs, tol)
             assert {m.to_linear() for m in allowed} == expected
 
+    @pytest.mark.parametrize(
+        "pair",
+        [(np.nan, 1.0), (0.5, np.nan), (np.inf, 1.0), (-np.inf, 1.0), (0.5, np.inf), (0.5, -np.inf)],
+        ids=["nan-alpha", "nan-beta", "inf-alpha", "-inf-alpha", "inf-beta", "-inf-beta"],
+    )
+    def test_rejects_phase_pairs_that_are_not_finite(self, pair):
+        # a NaN once left its qubit free ("admits 4 indices"), and an
+        # infinite phase raised numpy's invalid-value warning
+        pairs = [(0.0, np.pi / 2)] * 3
+        pairs[1] = pair
+        with pytest.raises(ValueError, match="phase pairs must be finite"):
+            qm.antipodal_support_reduction(qm.ghz_state(3), pairs)
+
+    def test_peak_memory_at_sixteen_qubits(self):
+        # the former float delta alone was 2^16 * 16^2 * 8 bytes = 134 MB;
+        # the state is built before tracing starts
+        n = 16
+        psi = qm.ghz_state(n)
+        a, b = random_phase_pairs(n, 2, np.random.default_rng(4616))
+        pairs = list(zip(a, b))
+        tracemalloc.start()
+        try:
+            allowed = qm.antipodal_support_reduction(psi, pairs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(allowed) == 2
+        assert peak < 1e6
+
+
+# amplitudes of the GHZ kinds the proof chain is run on: 0.6|0..0> + 0.8|1..1>,
+# balanced, and 0.2|0..0> + sqrt(0.96)|1..1>
+CHAIN_KINDS = [(0.6, 0.8), (np.sqrt(0.5), np.sqrt(0.5)), (0.2, np.sqrt(0.96))]
+
+
+class TestProofChain:
+    """The paper's converse run on the sibling oracle's witnesses: the
+    transports between panel-equal states are diagonal in their eigenbases,
+    and phase consistency leaves one antipodal pair, on which psi turned by
+    those eigenbases sits."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("amps", CHAIN_KINDS, ids=["unbalanced", "balanced", "skewed"])
+    def test_chain_on_oracle_witnesses_gives_one_antipodal_pair(self, n, amps):
+        for seed in range(4):
+            psi = qm.random_lu_orbit(qm.ghz_state(n, *amps), seed=3100 + 10 * n + seed)
+            report = qm.search_sibling(psi)
+            assert report.found
+            transports = qm.lu_equivalence_check(psi, report.witness[1], 1e-8)
+            assert transports is not None
+            phases, bases = zip(*(qm.diagonal_phases(u) for u in transports))
+            allowed = qm.antipodal_support_reduction(psi, phases)
+            assert len(allowed) == 2
+            pair = [m.to_linear() for m in allowed]
+            assert sum(pair) == 2**n - 1
+            eigen = [qm.SingleQubitUnitary(v.conj().T, j) for j, v in enumerate(bases, 1)]
+            off = qm.apply_locals(eigen, psi).amplitudes.copy()
+            off[pair] = 0.0
+            assert np.linalg.norm(off) <= 1e-12
+
+    def test_balanced_certificates_sit_on_zeros_then_ones(self):
+        # 52 of these 420 orbits once came back with support (1..1, 0..0),
+        # alpha and beta swapped, as rounding ranked two equal magnitudes
+        for n in range(2, 9):
+            zeros = qm.MultiIndex((0,) * n)
+            for s in range(60):
+                psi = qm.random_lu_orbit(qm.ghz_state(n), seed=1000 * n + s)
+                cert = qm.classify(psi).certificate
+                assert cert.support == (zeros, zeros.complement())
+                partner = qm.sibling(psi, cert)
+                assert qm.panels_equal(qm.panel_of_pure(psi), qm.panel_of_pure(partner))
+                assert not qm.equal_up_to_phase(psi, partner)
+
 
 class TestNearThreshold:
     def test_weights_straddling_the_degeneracy_band_agree(self):

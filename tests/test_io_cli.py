@@ -766,6 +766,15 @@ class TestCli:
         assert "tol must be positive" in err
         assert "verdict" not in out
 
+    def test_analyze_infinite_tolerance_exits_2(self, tmp_path, capsys):
+        # an infinite tol once passed every margin: a GHZ orbit read "determined"
+        path = tmp_path / "ghz.state"
+        save_state(path, qm.random_lu_orbit(qm.ghz_state(4, 0.6, 0.8), 3))
+        code, out, err = self.run(capsys, "analyze", str(path), "--tol", "inf")
+        assert code == 2
+        assert "tol must be positive" in err
+        assert "verdict" not in out
+
     def test_reconstruct_haar_panel(self, tmp_path, capsys):
         psi = qm.haar_random_ket(3, 102)
         panel_path = tmp_path / "panel.txt"

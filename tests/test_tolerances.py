@@ -4,6 +4,9 @@ import ast
 import inspect
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import qmarginal as qm
 from qmarginal import tolerances
 from qmarginal.cli import build_parser
@@ -64,3 +67,53 @@ def test_cli_defaults_are_the_library_defaults():
         assert parser.parse_args([command, "input.txt"]).tol == default(fn, "tol")
     budget = parser.parse_args(["sibling-search", "input.txt"]).budget
     assert budget == default(qm.search_sibling, "budget")
+
+
+# one call per public function or method that takes a tol, on a GHZ orbit
+# where every finite tol below gives an answer
+TOL_CALLS = {
+    "PanelSubset.matches": lambda g, tol: qm.PanelSubset(qm.panel_of_pure(g), [1]).matches(
+        qm.panel_of_pure(g), tol
+    ),
+    "antipodal_support_reduction": lambda g, tol: qm.antipodal_support_reduction(
+        g, [(0.0, np.pi / 2)] * 4, tol
+    ),
+    "classify": lambda g, tol: qm.classify(g, tol),
+    "degenerate_ghz_test": lambda g, tol: qm.degenerate_ghz_test(qm.ghz_state(4), tol),
+    "equal_up_to_phase": lambda g, tol: qm.equal_up_to_phase(g, qm.haar_random_ket(4, 5), tol),
+    "extract_local_unitary": lambda g, tol: qm.extract_local_unitary(g, g, 1, tol),
+    "lu_equivalence_check": lambda g, tol: qm.lu_equivalence_check(g, g, tol),
+    "panels_equal": lambda g, tol: qm.panels_equal(qm.panel_of_pure(g), qm.panel_of_pure(g), tol),
+    "purify_over_qubit": lambda g, tol: qm.purify_over_qubit(qm.panel_of_pure(g).entry(1), 1, tol),
+    "reconstruct": lambda g, tol: qm.reconstruct(qm.panel_of_pure(g), tol),
+    "search_sibling": lambda g, tol: qm.search_sibling(g, tol, budget=1),
+    "subset_equal": lambda g, tol: qm.subset_equal(g, g, [1], tol),
+    "verify_ghz_subalgebra": lambda g, tol: qm.verify_ghz_subalgebra(
+        qm.stabilizer_subalgebra(g), list(qm.classify(g).certificate.locals_), tol
+    ),
+}
+
+
+def test_every_public_tol_is_in_the_table():
+    found = set()
+    for name in qm.__all__:
+        obj = getattr(qm, name)
+        if inspect.isclass(obj):
+            for method, fn in inspect.getmembers(obj, inspect.isfunction):
+                if not method.startswith("_") and "tol" in inspect.signature(fn).parameters:
+                    found.add(f"{name}.{method}")
+        elif inspect.isfunction(obj) and "tol" in inspect.signature(obj).parameters:
+            found.add(name)
+    assert found == set(TOL_CALLS)
+
+
+@pytest.mark.parametrize("tol", [float("inf"), -float("inf"), float("nan"), 0.0, -1e-6])
+@pytest.mark.parametrize("name", sorted(TOL_CALLS))
+def test_tol_outside_zero_to_inf_is_rejected(name, tol):
+    # an infinite tol once passed every margin: classify called this orbit
+    # "determined", reconstruct its panel "unique" at residual 0.17, and
+    # equal_up_to_phase two Haar states equal
+    g = qm.random_lu_orbit(qm.ghz_state(4, 0.6, 0.8), 3)
+    TOL_CALLS[name](g, 1e-6)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        TOL_CALLS[name](g, tol)

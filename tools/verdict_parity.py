@@ -4,13 +4,15 @@ for diffing two trees.
 A state's line holds its ``classify`` verdict, branch, ``ill_conditioned``
 flag and the SHA-256 prefixes of its spectra and certificate, then
 ``undetermined_by_dimension``, the stabilizer dimension and a digest of
-its echelon basis.  A panel's line holds the ``reconstruct`` outcome,
-reason, residual as ``float.hex`` and a digest of the state, then
-``panel_consistency`` as ``float.hex``, then digests of
-``purify_over_qubit`` of entry 1 over qubit 1 and of entry n over qubit n
-(its state and degeneracy flag), ``-`` where the call raises.  Run it on two
-checkouts of the package on one machine and diff the outputs: a change
-that keeps the deciders' outputs bit for bit prints the same bytes.
+its echelon basis, and for a GHZ-class state ``chain=``, the pair that the
+paper's proof chain finds on it and its ``sibling`` (see ``chain``).  A
+panel's line holds the ``reconstruct`` outcome, reason, residual as
+``float.hex`` and a digest of the state, then ``panel_consistency`` as
+``float.hex``, then digests of ``purify_over_qubit`` of entry 1 over
+qubit 1 and of entry n over qubit n (its state and degeneracy flag), ``-``
+where the call raises.  Run it on two checkouts of the package on one
+machine and diff the outputs: a change that keeps the deciders' outputs
+bit for bit prints the same bytes.
 
     OPENBLAS_NUM_THREADS=1 python tools/verdict_parity.py > verdicts.txt
 
@@ -55,6 +57,22 @@ def digest(*arrays) -> str:
     return h.hexdigest()[:16]
 
 
+def chain(psi: qm.Ket, cert: qm.GhzCertificate) -> str:
+    """The paper's proof chain on psi and its sibling: the pair
+    ``antipodal_support_reduction`` allows on the ``diagonal_phases`` of
+    ``lu_equivalence_check``'s transports, as sorted linear indices, or
+    ``-`` where a step returns None or raises."""
+    try:
+        transports = qm.lu_equivalence_check(psi, qm.sibling(psi, cert))
+        if transports is None:
+            return digest()
+        phases = [qm.diagonal_phases(u)[0] for u in transports]
+        allowed = qm.antipodal_support_reduction(psi, phases)
+    except ValueError:
+        return digest()
+    return ",".join(str(i) for i in sorted(m.to_linear() for m in allowed))
+
+
 def state_fields(psi: qm.Ket) -> list[str]:
     cls = qm.classify(psi)
     diag, cert = cls.diagnostics, cls.certificate
@@ -65,12 +83,13 @@ def state_fields(psi: qm.Ket) -> list[str]:
     )
     basis = qm.stabilizer_subalgebra(psi)
     rows = [np.append(e.coords.reshape(-1), e.phase) for e in basis.elements]
-    return [
+    fields = [
         f"classify={cls.verdict},{diag.branch},{diag.ill_conditioned},"
         f"{digest(diag.spectra)},{digest(*cert_arrays)}",
         f"dimension={qm.undetermined_by_dimension(psi)}",
         f"stabilizer={basis.dimension},{digest(*rows)}",
     ]
+    return fields if cert is None else [*fields, f"chain={chain(psi, cert)}"]
 
 
 def purified(panel: qm.RdmPanel, j: int) -> str:
