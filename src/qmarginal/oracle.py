@@ -53,8 +53,10 @@ def search_sibling(
     transported state is not phase-equal to psi (overlap below 1 - tol).
     Near-scalar minimizers are rejected and do not count towards
     ``best_residual``, so it is ``inf`` when every descent ends on the
-    scalar locus, as on every determined state measured (Haar and product
-    states, n = 3..5).
+    scalar locus, as on every determined state measured (Haar, product and
+    W states, n = 3..5, and LU orbits of W up to n = 8).  On W a descent
+    started on a half-turn of qubit 1's Bloch rows stops on a saddle there
+    (residual 2/sqrt(3) at n = 3), which is why ``grid_starts`` holds none.
 
     Every start descends, so a GHZ-class state spends the whole budget
     (``SEARCH_BUDGET`` = 64 by default) even when an early start is a

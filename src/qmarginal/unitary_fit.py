@@ -107,12 +107,14 @@ _EYE3 = np.eye(3)
 # the stand-in for sin(0)/0 (``_quaternions``)
 _EPS = np.finfo(np.float64).eps
 # the rotation vectors of ``grid_starts``, in units of pi/4: none, the
-# quarter turns about +-X, +-Y and +-Z, the eight (+-1, +-1, +-1) and
-# (2, 2, 2)
+# eight (+-1, +-1, +-1) and (2, 2, 2).  No start is a half-turn of O(a)
+# (a_0 = 0, as the quarter turns t = +-pi/2 e_b would give): the cost is
+# (1 - cos theta)(tr G - n^T G n) for O(a) a turn by theta about n and G
+# fixed by psi, so its derivative in theta vanishes at theta = pi for
+# every state, and a start there rides that set towards a saddle, leaving
+# it only through rounding, many passes after every other start has stopped
 _GRID_TURNS = np.array(
-    [[0, 0, 0], [2, 0, 0], [-2, 0, 0], [0, 2, 0], [0, -2, 0], [0, 0, 2], [0, 0, -2]]
-    + list(itertools.product((1, -1), repeat=3))
-    + [[2, 2, 2]],
+    [[0, 0, 0]] + list(itertools.product((1, -1), repeat=3)) + [[2, 2, 2]],
     dtype=float,
 ) * np.pi / 4
 
@@ -174,8 +176,14 @@ def _unitaries(quaternions: np.ndarray) -> np.ndarray:
 
 
 def grid_starts() -> np.ndarray:
-    """16 deterministic unit quaternions covering SU(2), as (16, 4): those of
-    exp(i t . sigma) for the rotation vectors t of ``_GRID_TURNS``."""
+    """10 deterministic unit quaternions spread over SU(2), as (10, 4):
+    those of exp(i t . sigma) for the rotation vectors t of ``_GRID_TURNS``.
+
+    Every start but the identity has |a_0| >= 0.2, so none is a half-turn
+    of the rotation O(a): a descent from a half-turn stays on the
+    half-turns until rounding moves it off, and so is the last start of a
+    stacked descent to stop (see ``_GRID_TURNS``).
+    """
     return _quaternions(_GRID_TURNS, _lengths(_GRID_TURNS))
 
 

@@ -946,6 +946,6 @@ class TestCallerIntegers:
         for make in (lambda x: qm.haar_random_ket(x, x), lambda x: qm.random_product_ket(x, x),
                      lambda x: qm.random_lu_orbit(qm.ghz_state(2), x)):
             np.testing.assert_array_equal(make(two).amplitudes, make(2).amplitudes)
-        # past the 16 grid starts, the seed draws the random ones
+        # past the 10 grid starts, the seed draws the random ones
         reports = [qm.search_sibling(qm.haar_random_ket(3, 5), budget=20, seed=x) for x in (two, 2)]
         assert reports[0].best_residual == reports[1].best_residual

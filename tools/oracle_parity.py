@@ -7,17 +7,26 @@ the package on one machine and diff the outputs: a change that keeps the
 sibling oracle's reports bit for bit prints the same bytes.
 
     OPENBLAS_NUM_THREADS=1 python tools/oracle_parity.py > parity.txt
+    python tools/oracle_parity.py --decisions < parity.txt
+
+With ``--decisions`` it runs no search: it reads a full output on standard
+input and prints the decision fields of each line, the state, n, budget,
+found and trials, and ``best_residual`` where nothing was found (``-``
+where something was, since a witness's residual moves with rounding).
 
 The script imports ``qmarginal`` from the ``src`` directory and the corpus
 generators from the ``perfbench`` directory of the tree it sits in.  The
 corpus is the ``sibling-oracle`` benchmark workload at seeds 7, 11, 13 and
 17 (48 states at n = 3-5), plus LU orbits of a Haar state, of
 0.6|0..0> + 0.8|1..1> and of W at n = 3, 4, 5 and 8, two seeds each (24
-states), every state searched at budgets 0, 1, 16, 17 and 64: 360 searches.
+states), every state searched at budgets 0, 1, 10, 11, 16, 17 and 64: 504
+searches.  Budgets 10 and 11 sit on either side of the end of
+``grid_starts``, which has 10 rows; 16 and 17 fall among the random starts.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import sys
 from pathlib import Path
@@ -33,7 +42,7 @@ from workloads import SiblingOracle  # noqa: E402
 WORKLOAD_SEEDS = (7, 11, 13, 17)
 ORBIT_QUBITS = (3, 4, 5, 8)
 ORBIT_SEEDS = (0, 1)
-BUDGETS = (0, 1, 16, 17, 64)
+BUDGETS = (0, 1, 10, 11, 16, 17, 64)
 
 
 def w_state(n: int) -> qm.Ket:
@@ -63,7 +72,23 @@ def witness_digest(report) -> str:
     return digest.hexdigest()
 
 
+def decisions(line: str) -> str:
+    """The decision fields of one output line: all but the witness digest,
+    and ``best_residual`` only where nothing was found."""
+    label, n, budget, found, trials, residual, _ = line.split()
+    return " ".join((label, n, budget, found, trials, residual if found == "False" else "-"))
+
+
 def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument(
+        "--decisions", action="store_true",
+        help="print the decision fields of a full output read on standard input; run no search",
+    )
+    if parser.parse_args().decisions:
+        for line in sys.stdin:
+            print(decisions(line))
+        return
     for label, psi, seed in states():
         for budget in BUDGETS:
             report = qm.search_sibling(psi, budget=budget, seed=seed)

@@ -15,6 +15,13 @@ machine and diff the outputs: a change that keeps the deciders' outputs
 bit for bit prints the same bytes.
 
     OPENBLAS_NUM_THREADS=1 python tools/verdict_parity.py > verdicts.txt
+    python tools/verdict_parity.py --decisions < verdicts.txt
+
+With ``--decisions`` it builds no corpus: it reads a full output on
+standard input and prints the decision fields of each line, the item, n,
+the ``classify`` verdict, branch and ``ill_conditioned`` flag, the
+``dimension=`` verdict, the stabilizer dimension, the ``chain=`` pair and
+the ``reconstruct`` outcome and reason, without the digests and hex floats.
 
 The script imports ``qmarginal`` from the ``src`` directory and the corpus
 builders from the ``perfbench`` directory of the tree it sits in.  The
@@ -28,7 +35,9 @@ fields of both kinds: 191 lines in all.
 
 from __future__ import annotations
 
+import argparse
 import hashlib
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -45,6 +54,17 @@ from workloads import AnalyzeBatch, ReconstructFiles  # noqa: E402
 SEEDS = (7, 11)
 EPS_QUBITS = (3, 5, 6)
 EPSILONS = (1e-6, 1e-8, 1e-9, 1e-10, 1e-12)
+# the decision values of each field that has any, as a slice of its
+# comma-separated values.  A field starts at each space followed by a
+# lowercase name and "=", which no reason text holds
+DECISIONS = {
+    "classify": slice(3),
+    "dimension": slice(None),
+    "stabilizer": slice(1),
+    "chain": slice(None),
+    "reconstruct": slice(-2),
+}
+_FIELD = re.compile(r" (?=[a-z]+=)")
 
 
 def digest(*arrays) -> str:
@@ -130,7 +150,27 @@ def lines(work_dir: Path):
             yield [f"eps-{eps:g}", str(n), *state_fields(psi), *panel_fields(qm.panel_of_pure(psi))]
 
 
+def decisions(line: str) -> str:
+    """The decision fields of one output line (``DECISIONS``)."""
+    item, n, rest = line.rstrip("\n").split(" ", 2)
+    kept = [item, n]
+    for field in _FIELD.split(rest):
+        name, _, values = field.partition("=")
+        if name in DECISIONS:
+            kept.append(f"{name}={','.join(values.split(',')[DECISIONS[name]])}")
+    return " ".join(kept)
+
+
 def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument(
+        "--decisions", action="store_true",
+        help="print the decision fields of a full output read on standard input; build no corpus",
+    )
+    if parser.parse_args().decisions:
+        for line in sys.stdin:
+            print(decisions(line))
+        return
     with tempfile.TemporaryDirectory() as work_dir:
         for line in lines(Path(work_dir)):
             print(*line)
