@@ -83,7 +83,11 @@ def _cmd_reconstruct(args) -> int:
         print(f"alpha: {_fmt_complex(cert.alpha)}")
         print(f"beta:  {_fmt_complex(cert.beta)}")
     if args.out:
-        save_state(args.out, result.state, label=f"reconstructed ({result.outcome})")
+        try:
+            save_state(args.out, result.state, label=f"reconstructed ({result.outcome})")
+        except OSError as err:  # a missing directory, a directory, no permission
+            print(f"error: cannot write {args.out}: {err.strerror}", file=sys.stderr)
+            return EXIT_INPUT
         print(f"wrote {args.out}")
     return EXIT_OK
 

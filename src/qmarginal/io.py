@@ -1,4 +1,4 @@
-"""State and panel files.
+r"""State and panel files.
 
 A file holds a header (format name, version, qubit count n), a state's
 optional label, and rows of (re, im) pairs: a state's 2**n amplitudes one
@@ -28,13 +28,29 @@ labels and their count.
 
 Files are written as UTF-8 and read as UTF-8, skipping a leading
 byte-order mark.
+
+A panel is written one entry at a time: the text writer emits each entry,
+its label line and rows, as one string once it is formatted; the JSON
+writer emits the document's head, then each entry's ``json.dumps``, then
+its tail, the bytes of one ``json.dumps`` of the whole document.  A text
+file is read through one line reader, which holds one chunk of the file
+(_CHUNK_BYTES) and, for a panel, one entry's rows.  It keeps the line rule
+of ``str.splitlines`` on the whole text: '\n', '\r', '\r\n', '\v', '\f',
+'\x1c' to '\x1e', '\x85', U+2028 and U+2029 each end a line, so a row with
+a form feed in it is two rows.  A decode error anywhere in a file outranks
+any format error, as when the whole text was decoded before the first
+check: after a format error the reader decodes the rest of the file before
+the error is raised.  JSON files are read whole, since ``json.loads`` has
+no streaming form.
 """
 
 from __future__ import annotations
 
 import codecs
+import itertools
 import json
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -47,6 +63,8 @@ from .tolerances import HERM_TOL, LOAD_HERM_TOL, LOAD_WARN_TOL, MAX_FILE_QUBITS,
 STATE_FORMAT = "qmarginal-state"
 PANEL_FORMAT = "qmarginal-panel"
 FORMAT_VERSION = 1
+
+_CHUNK_BYTES = 1 << 16  # the text reader's read size
 
 
 class FileFormatError(ValueError):
@@ -112,25 +130,24 @@ def save_state(path, psi: Ket, label: str | None = None) -> None:
 
 
 def save_panel(path, panel: RdmPanel) -> None:
+    """Write a panel in the encoding of the path's suffix, one entry at a
+    time: the file never exists whole in memory."""
     path = Path(path)
-    if path.suffix == ".json":
-        dim = 2 ** (panel.n - 1)
-        doc = {
-            "format": PANEL_FORMAT,
-            "version": FORMAT_VERSION,
-            "n": panel.n,
-            "entries": [
-                {"omitted": j, "matrix": _pairs(panel.entry(j).entries).reshape(dim, dim, 2).tolist()}
-                for j in range(1, panel.n + 1)
-            ],
-        }
-        path.write_text(json.dumps(doc) + "\n", encoding="utf-8")
-        return
-    lines = [f"{PANEL_FORMAT} {FORMAT_VERSION} {panel.n}"]
-    for j in range(1, panel.n + 1):
-        lines.append(f"entry {j}")
-        lines.extend(_text_rows(panel.entry(j).entries))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with path.open("w", encoding="utf-8") as f:
+        if path.suffix == ".json":
+            # the bytes of json.dumps(doc) + "\n", 'entries' being doc's last key
+            dim = 2 ** (panel.n - 1)
+            head = json.dumps({"format": PANEL_FORMAT, "version": FORMAT_VERSION, "n": panel.n})
+            f.write(head[:-1] + ', "entries": [')
+            for j in range(1, panel.n + 1):
+                matrix = _pairs(panel.entry(j).entries).reshape(dim, dim, 2).tolist()
+                f.write(", " * (j > 1) + json.dumps({"omitted": j, "matrix": matrix}))
+            f.write("]}\n")
+            return
+        f.write(f"{PANEL_FORMAT} {FORMAT_VERSION} {panel.n}\n")
+        for j in range(1, panel.n + 1):
+            # one write per entry: a write per row is slower
+            f.write(f"entry {j}\n" + "\n".join(_text_rows(panel.entry(j).entries)) + "\n")
 
 
 def _line(first: int | None, offset: int) -> int | None:
@@ -138,11 +155,50 @@ def _line(first: int | None, offset: int) -> int | None:
     return None if first is None else first + offset
 
 
-def _open(path: Path) -> tuple[dict | list[str], int | None, list]:
-    """(JSON object or text lines, header line, header fields) of a file.
-    A JSON version and n are decoded to their repr."""
+def _text_lines(path: Path) -> Iterator[str]:
+    r"""The lines that ``str.splitlines`` gives on a file's UTF-8 text, read
+    _CHUNK_BYTES at a time, a leading byte-order mark skipped as the
+    utf-8-sig codec skips it.  Each chunk is cut after its last complete
+    line end, a '\n' or a '\r' that no '\n' follows, and the bytes up to the
+    cut are decoded and split alone: no line end is part of a longer one
+    there, and no byte below 0x80 is part of a multi-byte character, so the
+    lines, and the reason and offset of the first decode error, are those of
+    the whole text."""
+    mark = codecs.BOM_UTF8
+    try:
+        with path.open("rb") as f:
+            head = f.read(len(mark))
+            # a whole file that is only the start of a mark reads as empty
+            start = len(head) if mark.startswith(head) else 0
+            held = [head[start:]]  # the bytes after the last cut
+            while True:
+                chunk = f.read(_CHUNK_BYTES)
+                cut = max(chunk.rfind(b"\n"), chunk.rfind(b"\r", 0, len(chunk) - 1)) + 1
+                if chunk and not cut:
+                    held.append(chunk)
+                    continue
+                data = b"".join([*held, chunk[:cut]])
+                held = [chunk[cut:]]
+                try:
+                    text = data.decode("utf-8")
+                except UnicodeDecodeError as err:
+                    message = f"not utf-8 text: {err.reason} at byte {start + err.start}"
+                    raise FileFormatError(path, None, message) from err
+                yield from text.splitlines()
+                if not chunk:
+                    return
+                start += len(data)
+    except OSError as err:  # a directory, or no permission to read
+        raise FileFormatError(path, None, f"cannot read: {err.strerror}") from err
+
+
+def _open(path: Path) -> dict | Iterator[str]:
+    """A file's JSON object if its suffix is .json, else its text lines,
+    read as they are consumed."""
     if not path.exists():
         raise FileFormatError(path, None, "file not found")
+    if path.suffix != ".json":
+        return _text_lines(path)
     try:
         text = path.read_text(encoding="utf-8-sig")  # a leading byte-order mark is skipped
     except OSError as err:  # a directory, or no permission to read
@@ -151,11 +207,6 @@ def _open(path: Path) -> tuple[dict | list[str], int | None, list]:
         # the decoder counts from after a byte-order mark, the message from the file's start
         skipped = len(codecs.BOM_UTF8) if path.read_bytes().startswith(codecs.BOM_UTF8) else 0
         raise FileFormatError(path, None, f"not utf-8 text: {err.reason} at byte {skipped + err.start}") from err
-    if path.suffix != ".json":
-        lines = text.splitlines()
-        if not lines:
-            raise FileFormatError(path, 1, "empty file")
-        return lines, 1, lines[0].split()
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as err:
@@ -166,7 +217,17 @@ def _open(path: Path) -> tuple[dict | list[str], int | None, list]:
         raise FileFormatError(path, None, "invalid JSON: nested too deeply") from err
     if not isinstance(doc, dict):
         raise FileFormatError(path, None, "expected a JSON object")
-    return doc, None, [doc.get("format"), repr(doc.get("version")), repr(doc.get("n"))]
+    return doc
+
+
+def _header(path, body: dict | str | None) -> list:
+    """The header fields [format, version, n] of a JSON object, version and
+    n decoded to their repr, or of a text file's first line (None: none)."""
+    if isinstance(body, dict):
+        return [body.get("format"), repr(body.get("version")), repr(body.get("n"))]
+    if body is None:
+        raise FileFormatError(path, 1, "empty file")
+    return body.split()
 
 
 def _qubit_count(path, line: int | None, fields: list, fmt: str, least: int) -> int:
@@ -247,16 +308,18 @@ def _no_trailing(rows: list[str], count: int, first: int | None, path) -> None:
 
 def load_state(path) -> StateFile:
     path = Path(path)
-    body, line, fields = _open(path)
-    n = _qubit_count(path, line, fields, STATE_FORMAT, 1)
+    body = _open(path)
     if isinstance(body, dict):
+        n = _qubit_count(path, None, _header(path, body), STATE_FORMAT, 1)
         label, first = body.get("label"), None
         rows = _json_rows(body.get("amplitudes"), path, "amplitudes", column=True)
     else:
-        has_label = len(body) > 1 and body[1].startswith("label ")
-        label = body[1][len("label "):].strip() if has_label else None
+        lines = list(body)  # read whole, so that a decode error outranks any format error
+        n = _qubit_count(path, 1, _header(path, lines[0] if lines else None), STATE_FORMAT, 1)
+        has_label = len(lines) > 1 and lines[1].startswith("label ")
+        label = lines[1][len("label "):].strip() if has_label else None
         first = 2 + has_label
-        rows = body[first - 1:]
+        rows = lines[first - 1:]
     if label is not None and not isinstance(label, str):
         raise FileFormatError(path, None, "label must be a string")
     count = 2**n
@@ -310,28 +373,42 @@ def _entry_from_raw(raw: np.ndarray, n: int, omitted: int, path, line: int | Non
     return DensityMatrix._trusted(labels, sym)
 
 
-def _text_entries(lines: list[str], n: int, path):
+def _text_entries(lines: Iterator[str], n: int, path):
     """(label text, its line, rows, first row's line) of each entry of a
-    text panel.  The last entry's rows run to the end of the file, so that
-    its trailing check covers what follows it."""
+    text panel, read from the lines after its header as they are consumed.
+    Past the last entry, only blank lines may follow."""
     dim = 2 ** (n - 1)
-    row = 1
+    line = 2
     for k in range(n):
-        if row >= len(lines):
-            raise FileFormatError(path, row + 1, f"expected {n} entries, found {k}")
-        head = lines[row].split()
-        if len(head) != 2 or head[0] != "entry":
-            raise FileFormatError(path, row + 1, "expected 'entry <omitted-qubit>'")
-        end = row + 1 + dim if k < n - 1 else len(lines)
-        yield head[1], row + 1, lines[row + 1:end], row + 2
-        row += 1 + dim
+        head = next(lines, None)
+        if head is None:
+            raise FileFormatError(path, line, f"expected {n} entries, found {k}")
+        fields = head.split()
+        if len(fields) != 2 or fields[0] != "entry":
+            raise FileFormatError(path, line, "expected 'entry <omitted-qubit>'")
+        yield fields[1], line, list(itertools.islice(lines, dim)), line + 1
+        line += 1 + dim
+    if any(text.strip() for text in lines):
+        raise FileFormatError(path, line, "unexpected trailing content")
 
 
 def load_panel(path) -> RdmPanel:
     path = Path(path)
-    body, line, fields = _open(path)
-    n = _qubit_count(path, line, fields, PANEL_FORMAT, 2)
+    body = _open(path)
+    try:
+        return _read_panel(path, body)
+    except FileFormatError:
+        if not isinstance(body, dict):
+            # a decode error anywhere outranks a format error, as when the
+            # whole text was decoded first: decode the rest, then re-raise
+            for _ in body:
+                pass
+        raise
+
+
+def _read_panel(path: Path, body: dict | Iterator[str]) -> RdmPanel:
     if isinstance(body, dict):
+        n = _qubit_count(path, None, _header(path, body), PANEL_FORMAT, 2)
         items = body.get("entries")
         if not isinstance(items, list) or not all(isinstance(item, dict) for item in items):
             raise FileFormatError(path, None, "expected 'entries' as an array of objects")
@@ -341,6 +418,7 @@ def load_panel(path) -> RdmPanel:
             for item in items
         )
     else:
+        n = _qubit_count(path, 1, _header(path, next(body, None)), PANEL_FORMAT, 2)
         blocks = _text_entries(body, n, path)
     dim = 2 ** (n - 1)
     entries: dict[int, DensityMatrix] = {}

@@ -1,13 +1,17 @@
 """File formats and the command-line interface."""
 
 import codecs
+import errno
 import json
+import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import qmarginal as qm
+import qmarginal.io as qio
 from conftest import random_ghz_orbit, random_hybrid, reference_rows, run_fresh
 from qmarginal.cli import main
 from qmarginal.io import (
@@ -641,6 +645,107 @@ class TestWriterParity:
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
+def traced_peak(call) -> int:
+    """The tracemalloc peak, in bytes, of call()."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreamedFiles:
+    """The text reader decodes and splits a file a chunk at a time, each
+    cut after a line end, and gives the lines, errors and byte offsets of
+    the whole text; the writers emit one entry at a time."""
+
+    @pytest.mark.parametrize("size", [1, 2, 5, 7])
+    @pytest.mark.parametrize("end", ["\r\n", "\r", "\r\r\n"], ids=["crlf", "cr", "cr-crlf"])
+    def test_line_ends_split_across_chunk_edges(self, tmp_path, monkeypatch, size, end):
+        # one-byte chunks put an edge inside every CRLF pair
+        data = PANEL_TEXT.replace("\n", end).encode()
+        path = tmp_path / "panel.txt"
+        path.write_bytes(data)
+        monkeypatch.setattr(qio, "_CHUNK_BYTES", size)
+        assert list(qio._text_lines(path)) == data.decode().splitlines()
+        if end != "\r\r\n":
+            np.testing.assert_array_equal(load_panel(path).entry(2).entries, np.eye(2) / 2)
+
+    @pytest.mark.parametrize("size", [1, 4, 2**16])
+    @pytest.mark.parametrize("sep", ["\x0c", "\x85", "\u2028"], ids=["form-feed", "next-line", "line-separator"])
+    def test_line_separator_in_a_row_splits_it(self, tmp_path, monkeypatch, sep, size):
+        # as str.splitlines splits the whole text: row 1 of entry 1 becomes two lines
+        text = PANEL_TEXT.replace("0.5 0.0 0.0 0.0", "0.5 0.0" + sep + "0.0 0.0", 1)
+        path = tmp_path / "panel.txt"
+        path.write_bytes(text.encode())
+        monkeypatch.setattr(qio, "_CHUNK_BYTES", size)
+        assert list(qio._text_lines(path)) == text.splitlines()
+        with pytest.raises(FileFormatError, match=re.escape("panel.txt:3: entry 1: expected 4 floats, got 2")):
+            load_panel(path)
+
+    @pytest.mark.parametrize("load, text", [(load_state, STATE_TEXT), (load_panel, PANEL_TEXT)],
+                             ids=["state", "panel"])
+    @pytest.mark.parametrize("mark", [b"", codecs.BOM_UTF8], ids=["plain", "marked"])
+    def test_invalid_byte_past_the_first_chunk_names_its_offset(self, tmp_path, monkeypatch, load, text, mark):
+        data = text.encode()
+        at = data.rindex(b"\n0.0")
+        path = tmp_path / "file.txt"
+        path.write_bytes(mark + data[:at] + b"\xff" + data[at:])
+        monkeypatch.setattr(qio, "_CHUNK_BYTES", 8)
+        message = f"file.txt: not utf-8 text: invalid start byte at byte {len(mark) + at}"
+        with pytest.raises(FileFormatError, match=re.escape(message)) as info:
+            load(path)
+        assert at > 3 + 8 and info.value.line is None
+
+    @pytest.mark.parametrize("n, size", [(2, 8), (6, None)], ids=["8-byte-chunks", "default-chunks"])
+    def test_encoding_error_outranks_an_earlier_format_error(self, tmp_path, monkeypatch, n, size):
+        # a bad float in entry 1 and an invalid byte near the end: the
+        # decode error wins, as when the whole text was decoded first
+        if size is not None:
+            monkeypatch.setattr(qio, "_CHUNK_BYTES", size)
+        path = tmp_path / "panel.txt"
+        save_panel(path, qm.panel_of_pure(qm.haar_random_ket(n, 44)))
+        data = path.read_bytes()
+        assert len(data) > 3 + qio._CHUNK_BYTES
+        row = data.index(b"\n", data.index(b"entry 1")) + 1
+        at = len(data) - 2
+        path.write_bytes(data[:row] + b"x" + data[row + 1:at] + b"\xc3" + data[at:])
+        message = f"panel.txt: not utf-8 text: invalid continuation byte at byte {at}"
+        with pytest.raises(FileFormatError, match=re.escape(message)):
+            load_panel(path)
+        path.write_bytes(data[:row] + b"x" + data[row + 1:])
+        with pytest.raises(FileFormatError, match=re.escape("panel.txt:3: invalid float in matrix row")):
+            load_panel(path)
+
+    def test_text_panel_io_holds_one_entry(self, tmp_path):
+        # an n = 8 Haar panel: a 5.5 MiB file, 2 MiB of dense entries; the
+        # whole file's lines and text once took the save to 18.6 MiB and
+        # the load to 11.1 MiB
+        path = tmp_path / "panel.txt"
+        panel = qm.panel_of_pure(qm.haar_random_ket(8, 1))
+        assert traced_peak(lambda: save_panel(path, panel)) < 8 * 2**20
+        assert traced_peak(lambda: load_panel(path)) < 8 * 2**20
+
+    def test_json_panel_save_holds_one_entry(self, tmp_path):
+        # the whole document as Python lists took the save to 30.1 MiB
+        path = tmp_path / "panel.json"
+        panel = qm.panel_of_pure(qm.haar_random_ket(8, 1))
+        assert traced_peak(lambda: save_panel(path, panel)) < 12 * 2**20
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_json_panel_bytes_are_those_of_one_document(self, tmp_path, n):
+        panel = qm.panel_of_pure(qm.haar_random_ket(n, 60 + n))
+        entries = [
+            {"omitted": j, "matrix": [[[z.real, z.imag] for z in row] for row in panel.entry(j).entries.tolist()]}
+            for j in range(1, n + 1)
+        ]
+        doc = {"format": "qmarginal-panel", "version": 1, "n": n, "entries": entries}
+        path = tmp_path / "panel.json"
+        save_panel(path, panel)
+        assert path.read_bytes() == (json.dumps(doc) + "\n").encode()
+
+
 def loaded_after(statement: str) -> set[str]:
     """numpy and the qmarginal modules loaded once a fresh interpreter has
     run ``statement`` (its output dropped, a ``SystemExit`` caught)."""
@@ -813,6 +918,18 @@ class TestCli:
         code, out, _ = self.run(capsys, "reconstruct", str(panel_path))
         assert code == 0
         assert "outcome: incompatible" in out
+
+    @pytest.mark.parametrize("where, error", [("missing/rec.txt", errno.ENOENT), ("adir", errno.EISDIR)],
+                             ids=["missing-directory", "directory"])
+    def test_reconstruct_unwritable_out_exits_2(self, tmp_path, capsys, where, error):
+        panel_path = tmp_path / "panel.txt"
+        save_panel(panel_path, qm.panel_of_pure(qm.haar_random_ket(3, 102)))
+        (tmp_path / "adir").mkdir()
+        out_path = tmp_path / where
+        code, out, err = self.run(capsys, "reconstruct", str(panel_path), "--out", str(out_path))
+        assert code == 2
+        assert err == f"error: cannot write {out_path}: {os.strerror(error)}\n"
+        assert "outcome: unique" in out and "wrote" not in out
 
     def test_import_does_not_load_scipy_optimize(self):
         run_fresh("import qmarginal.cli, sys; assert 'scipy.optimize' not in sys.modules")
